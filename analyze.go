@@ -1,12 +1,9 @@
 package d2m
 
 import (
-	"fmt"
 	"io"
 
-	"d2m/internal/kernels"
 	"d2m/internal/trace"
-	"d2m/internal/workloads"
 )
 
 // Analysis characterizes an access stream independently of any cache
@@ -16,28 +13,14 @@ import (
 // commentary looks through.
 type Analysis = trace.Analysis
 
-// AnalyzeBenchmark characterizes n accesses of a catalog benchmark.
+// AnalyzeBenchmark characterizes n accesses of a named source: a
+// catalog benchmark, "kernel:<name>" or "trace:<id>".
 func AnalyzeBenchmark(bench string, nodes, n int) (Analysis, error) {
-	sp, ok := workloads.ByName(bench)
-	if !ok {
-		return Analysis{}, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", bench)
+	src, err := namedStream(bench, nodes)
+	if err != nil {
+		return Analysis{}, err
 	}
-	if nodes < 1 || nodes > 8 {
-		return Analysis{}, fmt.Errorf("d2m: nodes = %d out of range 1..8", nodes)
-	}
-	return trace.AnalyzeStream(trace.NewInterleaver(sp.Streams(nodes)), n), nil
-}
-
-// AnalyzeKernel characterizes n accesses of an algorithmic kernel.
-func AnalyzeKernel(kernel string, nodes, n int) (Analysis, error) {
-	k, ok := kernels.ByName(kernel)
-	if !ok {
-		return Analysis{}, fmt.Errorf("d2m: unknown kernel %q (see Kernels())", kernel)
-	}
-	if nodes < 1 || nodes > 8 {
-		return Analysis{}, fmt.Errorf("d2m: nodes = %d out of range 1..8", nodes)
-	}
-	return trace.AnalyzeStream(trace.NewInterleaver(k.Streams(nodes)), n), nil
+	return trace.AnalyzeStream(src, n), nil
 }
 
 // AnalyzeTrace characterizes an entire recorded binary trace (the

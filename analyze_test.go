@@ -28,7 +28,7 @@ func TestAnalyzeBenchmark(t *testing.T) {
 }
 
 func TestAnalyzeKernelLU(t *testing.T) {
-	an, err := AnalyzeKernel("lu-inplace", 4, 100_000)
+	an, err := AnalyzeBenchmark(KernelPrefix+"lu-inplace", 4, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func TestAnalyzeErrors(t *testing.T) {
 	if _, err := AnalyzeBenchmark("tpc-c", 9, 10); err == nil {
 		t.Error("bad node count accepted")
 	}
-	if _, err := AnalyzeKernel("nope", 8, 10); err == nil {
+	if _, err := AnalyzeBenchmark(KernelPrefix+"nope", 8, 10); err == nil {
 		t.Error("unknown kernel accepted")
 	}
-	if _, err := AnalyzeKernel("bfs", 0, 10); err == nil {
+	if _, err := AnalyzeBenchmark(KernelPrefix+"bfs", 0, 10); err == nil {
 		t.Error("bad node count accepted")
 	}
 	if _, err := AnalyzeTrace(bytes.NewReader([]byte("not a trace"))); err == nil {

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -23,7 +24,7 @@ import (
 func main() {
 	var (
 		bench   = flag.String("bench", "tpc-c", "benchmark name (see -list)")
-		kernel  = flag.String("kernel", "", "run an algorithmic kernel instead of a benchmark (see -list)")
+		kernel  = flag.String("kernel", "", "run an algorithmic kernel instead of a benchmark, same as -bench kernel:NAME (see -list)")
 		kindStr = flag.String("kind", "d2m-ns-r", "system kind: "+strings.Join(d2m.KindNames(), ", "))
 		nodes   = flag.Int("nodes", 8, "number of cores (1..8)")
 		warmup  = flag.Int("warmup", 200_000, "warmup accesses (untimed)")
@@ -48,7 +49,7 @@ func main() {
 				fmt.Printf("  %s\n", b)
 			}
 		}
-		fmt.Println("Kernels (-kernel):")
+		fmt.Println("Kernels (-kernel NAME, or -bench kernel:NAME):")
 		for _, k := range d2m.Kernels() {
 			fmt.Printf("  %-12s %s\n", k.Name, k.Description)
 		}
@@ -71,75 +72,55 @@ func main() {
 		Placement: *place,
 	}
 
+	name := *bench
+	if *kernel != "" {
+		name = d2m.KernelPrefix + *kernel
+	}
+
 	if *record != "" {
 		f, err := os.Create(*record)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		src := *bench
-		var n int
-		if *kernel != "" {
-			src = *kernel
-			n, err = d2m.RecordKernelTrace(*kernel, *nodes, *warmup+*measure, f)
-		} else {
-			n, err = d2m.RecordTrace(*bench, *nodes, *warmup+*measure, f)
-		}
+		n, err := d2m.RecordTrace(name, *nodes, *warmup+*measure, f)
 		if err == nil {
 			err = f.Close()
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		fmt.Printf("recorded %d accesses of %s to %s\n", n, src, *record)
+		fmt.Printf("recorded %d accesses of %s to %s\n", n, name, *record)
 		return
 	}
 
-	var res d2m.Result
+	spec := d2m.RunSpec{Kind: kind, Benchmark: name, Options: opt}
+	cleanup := func() {}
 	if *specFl != "" {
 		data, err := os.ReadFile(*specFl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		w, err := d2m.ParseWorkload(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		res, err = d2m.RunCustom(kind, w, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		spec.Benchmark, spec.Workload = "", &w
 	} else if *replay != "" {
-		f, err := os.Open(*replay)
+		// The file is imported into a throwaway trace library and
+		// replayed as "trace:<id>", chunk-at-a-time at a fixed footprint.
+		id, remove, err := importReplay(*replay)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		defer f.Close()
-		res, err = d2m.RunTrace(kind, f, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else if *kernel != "" {
-		res, err = d2m.RunKernel(kind, *kernel, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		var out d2m.RunOutput
-		out, err = d2m.Run(context.Background(), d2m.RunSpec{Kind: kind, Benchmark: *bench, Options: opt})
-		res = out.Result
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cleanup = remove
+		spec.Benchmark = d2m.TracePrefix + id
 	}
+	out, err := d2m.Run(context.Background(), spec)
+	cleanup()
+	if err != nil {
+		fail(err)
+	}
+	res := out.Result
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -150,6 +131,37 @@ func main() {
 		return
 	}
 	printResult(res)
+}
+
+// fail reports err and exits.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// importReplay imports a trace file into a temporary trace library and
+// returns its id and a cleanup that removes the library.
+func importReplay(path string) (string, func(), error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", nil, err
+	}
+	defer f.Close()
+	dir, err := os.MkdirTemp("", "d2msim-replay-")
+	if err != nil {
+		return "", nil, err
+	}
+	cleanup := func() { os.RemoveAll(dir) }
+	if err := d2m.SetTraceDir(dir); err != nil {
+		cleanup()
+		return "", nil, err
+	}
+	info, err := d2m.ImportTrace(f, filepath.Base(path))
+	if err != nil {
+		cleanup()
+		return "", nil, err
+	}
+	return info.ID, cleanup, nil
 }
 
 func printResult(r d2m.Result) {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	traceinfo -bench tpc-c
-//	traceinfo -kernel lu-inplace -n 500000
+//	traceinfo -bench kernel:lu-inplace -n 500000
 //	traceinfo -trace run.d2mtrc
 package main
 
@@ -19,11 +19,10 @@ import (
 
 func main() {
 	var (
-		bench  = flag.String("bench", "", "characterize a catalog benchmark")
-		kernel = flag.String("kernel", "", "characterize an algorithmic kernel")
+		bench  = flag.String("bench", "", "characterize a catalog benchmark or kernel:NAME")
 		traceF = flag.String("trace", "", "characterize a recorded binary trace file")
 		nodes  = flag.Int("nodes", 8, "number of cores generating the stream")
-		n      = flag.Int("n", 400_000, "number of accesses to characterize (bench/kernel)")
+		n      = flag.Int("n", 400_000, "number of accesses to characterize (-bench)")
 	)
 	flag.Parse()
 
@@ -42,14 +41,11 @@ func main() {
 		defer f.Close()
 		an, err = d2m.AnalyzeTrace(f)
 		label = *traceF
-	case *kernel != "":
-		an, err = d2m.AnalyzeKernel(*kernel, *nodes, *n)
-		label = *kernel
 	case *bench != "":
 		an, err = d2m.AnalyzeBenchmark(*bench, *nodes, *n)
 		label = *bench
 	default:
-		fmt.Fprintln(os.Stderr, "traceinfo: one of -bench, -kernel or -trace is required")
+		fmt.Fprintln(os.Stderr, "traceinfo: one of -bench or -trace is required")
 		os.Exit(2)
 	}
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"d2m/internal/core"
 )
 
 // fastOpt keeps unit-test runtime reasonable while remaining long enough
@@ -17,6 +19,12 @@ var fastOpt = Options{Warmup: 100_000, Measure: 300_000}
 // shape.
 func runSim(kind Kind, bench string, opt Options) (Result, error) {
 	out, err := Run(context.Background(), RunSpec{Kind: kind, Benchmark: bench, Options: opt})
+	return out.Result, err
+}
+
+// runWorkload runs a custom workload spec through Run.
+func runWorkload(kind Kind, w WorkloadSpec, opt Options) (Result, error) {
+	out, err := Run(context.Background(), RunSpec{Kind: kind, Workload: &w, Options: opt})
 	return out.Result, err
 }
 
@@ -41,19 +49,79 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestRunValidation checks every run path rejects every invalid spec
+// with an error — never a zero Result, never a panic — for every
+// workload source, and accepts the valid one.
 func TestRunValidation(t *testing.T) {
-	if _, err := runSim(Base2L, "not-a-benchmark", fastOpt); err == nil {
-		t.Error("unknown benchmark accepted")
+	setTraceLib(t)
+	var enc bytes.Buffer
+	if _, err := RecordTrace("fft", 4, 4000, &enc); err != nil {
+		t.Fatal(err)
 	}
-	bad := fastOpt
-	bad.Nodes = 9
-	if _, err := runSim(Base2L, "fft", bad); err == nil {
-		t.Error("9 nodes accepted")
+	info, err := ImportTrace(&enc, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = fastOpt
-	bad.MDScale = 3
-	if _, err := runSim(D2MFS, "fft", bad); err == nil {
-		t.Error("MDScale 3 accepted")
+	w := exampleWorkload()
+	sources := []struct {
+		name string
+		spec RunSpec
+	}{
+		{"catalog", RunSpec{Benchmark: "fft"}},
+		{"kernel", RunSpec{Benchmark: KernelPrefix + "stencil"}},
+		{"trace", RunSpec{Benchmark: TracePrefix + info.ID}},
+		{"custom", RunSpec{Workload: &w}},
+	}
+	rows := []struct {
+		name   string
+		valid  bool
+		mutate func(*RunSpec)
+	}{
+		{"valid", true, func(*RunSpec) {}},
+		{"nodes 9", false, func(s *RunSpec) { s.Options.Nodes = 9 }},
+		{"MDScale 3", false, func(s *RunSpec) { s.Options.MDScale = 3 }},
+		{"Measure -5", false, func(s *RunSpec) { s.Options.Measure = -5 }},
+		{"Kind(99)", false, func(s *RunSpec) { s.Kind = Kind(99) }},
+		{"unknown topology", false, func(s *RunSpec) { s.Options.Topology = "hypercube" }},
+		{"unknown placement", false, func(s *RunSpec) { s.Options.Placement = "random" }},
+		{"Replicates -1", false, func(s *RunSpec) { s.Replicates = -1 }},
+	}
+	ctx := context.Background()
+	base := Options{Nodes: 4, Warmup: 1000, Measure: 2000}
+	for _, src := range sources {
+		for _, row := range rows {
+			spec := src.spec
+			spec.Kind, spec.Options = D2MNSR, base
+			row.mutate(&spec)
+			out, err := Run(ctx, spec)
+			if row.valid && err != nil {
+				t.Errorf("%s/%s: %v", src.name, row.name, err)
+			}
+			if !row.valid && err == nil {
+				t.Errorf("%s/%s: accepted (Result %+v)", src.name, row.name, out.Result)
+			}
+		}
+		// A group validates every lane, not only lane 0.
+		lanes := make([]GroupLane, 3)
+		for i := range lanes {
+			spec := src.spec
+			spec.Kind, spec.Options = D2MNSR, base
+			lanes[i] = GroupLane{Spec: spec}
+		}
+		lanes[1].Spec.Options.Measure = -5
+		if _, err := RunGroup(ctx, lanes); err == nil {
+			t.Errorf("%s: RunGroup accepted lane 1 with Measure -5", src.name)
+		}
+	}
+	for _, spec := range []RunSpec{
+		{Benchmark: "not-a-benchmark"},
+		{Benchmark: KernelPrefix + "no-such"},
+		{Benchmark: "fft", Workload: &w},
+	} {
+		spec.Options = base
+		if _, err := Run(ctx, spec); err == nil {
+			t.Errorf("source %q (custom %v) accepted", spec.Benchmark, spec.Workload != nil)
+		}
 	}
 }
 
@@ -99,7 +167,15 @@ func TestRunDeterminism(t *testing.T) {
 
 // TestPaperConfig pins the Table III configuration constants.
 func TestPaperConfig(t *testing.T) {
-	cfg := coreConfig(D2MNSR, Options{}.withDefaults())
+	geo := func(kind Kind) core.Config {
+		t.Helper()
+		cfg, err := geometry(kind, Options{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.(core.Config)
+	}
+	cfg := geo(D2MNSR)
 	if cfg.Nodes != 8 {
 		t.Errorf("nodes = %d", cfg.Nodes)
 	}
@@ -116,7 +192,7 @@ func TestPaperConfig(t *testing.T) {
 	if !cfg.NearSide || !cfg.Replication || !cfg.DynamicIndexing {
 		t.Error("D2M-NS-R must enable NS, replication and dynamic indexing")
 	}
-	fs := coreConfig(D2MFS, Options{}.withDefaults())
+	fs := geo(D2MFS)
 	if fs.NearSide || fs.Replication {
 		t.Error("D2M-FS must be far-side without replication")
 	}
@@ -393,7 +469,12 @@ func TestRecordAndReplay(t *testing.T) {
 	if err != nil || n != total {
 		t.Fatalf("RecordTrace = %d, %v", n, err)
 	}
-	replayed, err := RunTrace(D2MNSR, bytes.NewReader(buf.Bytes()), fastOpt)
+	setTraceLib(t)
+	info, err := ImportTrace(&buf, "fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := runSim(D2MNSR, TracePrefix+info.ID, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,14 +503,19 @@ func TestRecordTraceValidation(t *testing.T) {
 }
 
 func TestRunTraceValidation(t *testing.T) {
-	if _, err := RunTrace(Base2L, strings.NewReader("junk"), fastOpt); err == nil {
+	setTraceLib(t)
+	if _, err := ImportTrace(strings.NewReader("junk"), ""); err == nil {
 		t.Error("junk trace accepted")
 	}
 	var buf bytes.Buffer
 	RecordTrace("fft", 8, 100, &buf)
+	info, err := ImportTrace(&buf, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt := fastOpt
 	opt.Nodes = 2 // trace uses nodes 0..7
-	if _, err := RunTrace(Base2L, bytes.NewReader(buf.Bytes()), opt); err == nil {
+	if _, err := runSim(Base2L, TracePrefix+info.ID, opt); err == nil {
 		t.Error("trace with out-of-range nodes accepted")
 	}
 }
@@ -451,11 +537,11 @@ func exampleWorkload() WorkloadSpec {
 
 func TestRunCustomWorkload(t *testing.T) {
 	w := exampleWorkload()
-	base, err := RunCustom(Base2L, w, fastOpt)
+	base, err := runWorkload(Base2L, w, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsr, err := RunCustom(D2MNSR, w, fastOpt)
+	nsr, err := runWorkload(D2MNSR, w, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +552,7 @@ func TestRunCustomWorkload(t *testing.T) {
 		t.Errorf("D2M-NS-R (%d cycles) did not beat Base-2L (%d) on a typical workload", nsr.Cycles, base.Cycles)
 	}
 	// Determinism across calls.
-	again, _ := RunCustom(D2MNSR, w, fastOpt)
+	again, _ := runWorkload(D2MNSR, w, fastOpt)
 	if again.Cycles != nsr.Cycles {
 		t.Error("custom run not deterministic")
 	}
@@ -525,7 +611,7 @@ func TestBypassOption(t *testing.T) {
 	w.WarmFrac = 0.2
 	opt := fastOpt
 	opt.Bypass = true
-	r, err := RunCustom(D2MNSR, w, opt)
+	r, err := runWorkload(D2MNSR, w, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +619,7 @@ func TestBypassOption(t *testing.T) {
 		t.Error("no bypassed reads on a streaming workload with Bypass on")
 	}
 	opt.Bypass = false
-	r2, _ := RunCustom(D2MNSR, w, opt)
+	r2, _ := runWorkload(D2MNSR, w, opt)
 	if r2.BypassedReads != 0 {
 		t.Error("bypassed reads reported with Bypass off")
 	}
@@ -561,13 +647,13 @@ func TestPrefetchOption(t *testing.T) {
 	w.StreamBytes = 16 << 20
 	w.StrideLines = 1
 	w.StreamReuse = 2
-	base, err := RunCustom(D2MNS, w, fastOpt)
+	base, err := runWorkload(D2MNS, w, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := fastOpt
 	opt.Prefetch = true
-	pf, err := RunCustom(D2MNS, w, opt)
+	pf, err := runWorkload(D2MNS, w, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -842,8 +928,8 @@ func TestPlacementOptionErrors(t *testing.T) {
 	if _, err := runSim(D2MNS, "fft", bad); err == nil {
 		t.Error("bad placement accepted by Run")
 	}
-	if _, err := RunKernel(D2MNS, "bfs", bad); err == nil {
-		t.Error("bad placement accepted by RunKernel")
+	if _, err := runSim(D2MNS, KernelPrefix+"bfs", bad); err == nil {
+		t.Error("bad placement accepted on a kernel")
 	}
 	if _, err := RunMix(D2MNS, "fft", "fft", bad); err == nil {
 		t.Error("bad placement accepted by RunMix")

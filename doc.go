@@ -7,13 +7,15 @@
 //
 // The package offers six ready-made system kinds — the paper's Base-2L
 // and Base-3L baselines, the D2M-FS, D2M-NS and D2M-NS-R variants, and
-// the §III-A D2M-Hybrid — and two workload families: 45 synthetic
-// benchmarks calibrated to the paper's five suites, and eight
-// deterministic algorithmic kernels whose traces come from real index
-// arithmetic. Run one workload on one system:
+// the §III-A D2M-Hybrid — and four workload sources: 45 synthetic
+// benchmarks calibrated to the paper's five suites, eight deterministic
+// algorithmic kernels whose traces come from real index arithmetic
+// ("kernel:<name>"), stored traces ("trace:<id>"), and custom generator
+// specs (RunSpec.Workload). Run is the one entry point for all of them:
 //
 //	out, err := d2m.Run(ctx, d2m.RunSpec{Kind: d2m.D2MNSR, Benchmark: "tpc-c"})
-//	res, err := d2m.RunKernel(d2m.D2MNSR, "lu-inplace", d2m.Options{})
+//	out, err := d2m.Run(ctx, d2m.RunSpec{Kind: d2m.D2MNSR, Benchmark: "kernel:lu-inplace"})
+//	out, err := d2m.Run(ctx, d2m.RunSpec{Kind: d2m.D2MNSR, Workload: &spec})
 //
 // regenerate an entire figure or table of the paper:
 //
@@ -22,8 +24,8 @@
 // or go beyond it: co-schedule two programs and measure interference
 // (RunMix), sweep placement policies (PlacementSweep), compute exact
 // SRAM budgets (Storage), characterize a workload without any cache
-// model (AnalyzeBenchmark), or record and replay binary traces
-// (RecordTrace, RunTrace).
+// model (AnalyzeBenchmark), or record binary traces (RecordTrace) and
+// replay them (ImportTrace, then Run on "trace:<id>").
 //
 // The internal packages contain the machinery: internal/core is the
 // split-hierarchy protocol itself, internal/baseline the MESI directory

@@ -62,14 +62,18 @@ func ExampleBenchmarksOf() {
 }
 
 // Running an algorithmic kernel: a deterministic trace from real index
-// arithmetic rather than a statistical model.
-func ExampleRunKernel() {
-	res, err := d2m.RunKernel(d2m.D2MNSR, "stencil", d2m.Options{Warmup: 50_000, Measure: 100_000})
+// arithmetic rather than a statistical model, named "kernel:<name>".
+func ExampleRun_kernel() {
+	out, err := d2m.Run(context.Background(), d2m.RunSpec{
+		Kind:      d2m.D2MNSR,
+		Benchmark: "kernel:stencil",
+		Options:   d2m.Options{Warmup: 50_000, Measure: 100_000},
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Benchmark, res.Suite)
-	fmt.Println(res.Accesses)
+	fmt.Println(out.Result.Benchmark, out.Result.Suite)
+	fmt.Println(out.Result.Accesses)
 	// Output:
 	// stencil Kernel
 	// 100000

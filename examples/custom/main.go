@@ -2,7 +2,8 @@
 // workload from scratch (here: a streaming analytics kernel), load the
 // same definition from JSON, and explore the optimization space — cache
 // bypassing for the streaming phase, prefetching for the sequential
-// scans, and a mesh interconnect.
+// scans, and a mesh interconnect. A custom spec runs through d2m.Run
+// like any named benchmark: RunSpec.Workload carries it.
 //
 // Run with:
 //
@@ -10,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -44,10 +46,11 @@ func main() {
 	fmt.Printf("%-28s %10s %9s %9s %9s\n", "configuration", "cycles", "msgs/KI", "dram/KI", "bypassed")
 
 	show := func(label string, kind d2m.Kind, o d2m.Options) d2m.Result {
-		r, err := d2m.RunCustom(kind, loaded, o)
+		out, err := d2m.Run(context.Background(), d2m.RunSpec{Kind: kind, Workload: &loaded, Options: o})
 		if err != nil {
 			log.Fatal(err)
 		}
+		r := out.Result
 		ki := float64(r.Instructions) / 1000
 		fmt.Printf("%-28s %10d %9.1f %9.2f %9d\n",
 			label, r.Cycles, r.MsgsPerKI, float64(r.DRAMReads+r.DRAMWrites)/ki, r.BypassedReads)

@@ -4,7 +4,9 @@
 // address spaces, on a bandwidth-constrained fabric. The question is
 // how much the neighbour costs the database — the §IV-B argument that
 // near-side slices plus the D2M traffic cut turn into performance
-// isolation.
+// isolation. d2m.RunMix is a study API over d2m.Run's executor: its
+// solo and mixed runs use half-machine, address-remapped streams that
+// no single RunSpec describes.
 //
 // Run with:
 //

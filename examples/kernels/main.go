@@ -3,7 +3,8 @@
 // arithmetic — across the evaluated configurations, and zooms into the
 // in-place LU factorization: the ground-truth version of §IV-D's
 // power-of-two-stride conflict pathology that dynamic indexing exists
-// to fix.
+// to fix. A kernel runs through d2m.Run under the benchmark name
+// "kernel:<name>".
 //
 // Run with:
 //
@@ -11,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"d2m"
@@ -37,10 +39,11 @@ func main() {
 	fmt.Println()
 	fmt.Println("lu-inplace, the §IV-D pathology from real index arithmetic:")
 	for _, kind := range []d2m.Kind{d2m.Base2L, d2m.D2MFS, d2m.D2MNSR} {
-		r, err := d2m.RunKernel(kind, "lu-inplace", opt)
+		out, err := d2m.Run(context.Background(), d2m.RunSpec{Kind: kind, Benchmark: "kernel:lu-inplace", Options: opt})
 		if err != nil {
 			panic(err)
 		}
+		r := out.Result
 		fmt.Printf("  %-9s cycles %8d   L1-D miss %5.1f%%   avg miss latency %5.1f\n",
 			kind, r.Cycles, r.MissRatioD*100, r.AvgMissLatency)
 	}

@@ -665,12 +665,19 @@ func RenderTableII() string {
 // RenderTableIII prints the simulated system configuration.
 func RenderTableIII(opt Options) string {
 	opt = opt.withDefaults()
-	cfg := coreConfig(D2MNSR, opt)
+	nsr, err := geometry(D2MNSR, opt)
+	if err != nil {
+		panic(err) // a registered kind; this is a bug
+	}
+	fs, err := geometry(D2MFS, opt)
+	if err != nil {
+		panic(err)
+	}
+	cfg, far := nsr.(core.Config), fs.(core.Config)
 	t := report.NewTable("Table III: system configuration", "component", "value")
 	t.AddRowf("nodes", cfg.Nodes)
 	t.AddRow("L1 I/D", fmt.Sprintf("%d KB, %d-way, %d B lines", cfg.L1Sets*cfg.L1Ways*64/1024, cfg.L1Ways, 64))
 	t.AddRow("NS-LLC slice", fmt.Sprintf("%d KB, %d-way (x%d slices)", cfg.SliceSets*cfg.SliceWays*64/1024, cfg.SliceWays, cfg.Nodes))
-	far := coreConfig(D2MFS, opt)
 	t.AddRow("far LLC (D2M-FS, baselines)", fmt.Sprintf("%d MB, %d-way", far.LLCSets*far.LLCWays*64/(1<<20), far.LLCWays))
 	t.AddRow("region", "1 KB (16 lines)")
 	t.AddRow("MD1 / MD2 / MD3", fmt.Sprintf("%d / %d / %d region entries",
@@ -705,7 +712,7 @@ func D2DCoverage(opt Options, bench string) (CoverageReport, error) {
 	cfg.Seed = opt.Seed + 1
 	s := core.NewSystem(cfg)
 	defer s.Release()
-	engine := sim.NewEngine(sim.WrapCore(s), 1)
+	engine := sim.NewEngine(core.Instance(s), 1)
 	engine.Run(trace.NewInterleaver(sp.Streams(1)), opt.Warmup, opt.Measure)
 	st := s.Stats()
 	pct := func(num, den uint64) float64 {

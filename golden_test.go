@@ -51,8 +51,10 @@ var goldenOptionSets = []struct {
 
 var goldenBase = Options{Nodes: 4, Warmup: 2000, Measure: 6000}
 
-// Execution modes. A source is recorded in the modes its entry point
-// supported when the file was generated.
+// Execution modes. Each source is recorded in the modes its entry point
+// supported when the file was generated — kernels and custom specs had
+// their own entry points then — so the digest set, and the file, stay
+// fixed. The snapshot and lane matrices cover the other modes.
 const (
 	modeCold  = "cold"  // one fresh run
 	modeWarm  = "warm"  // the second of two runs sharing a warm cache (restored)
@@ -62,62 +64,51 @@ const (
 
 var allModes = []string{modeCold, modeWarm, modeGroup, modeRep}
 
-// goldenSource is one workload source: run executes the case's kind
-// and options in one mode and returns the Result.
+// goldenSource is one workload source: spec carries its Benchmark or
+// Workload, modes the execution modes it is recorded in.
 type goldenSource struct {
 	name  string
+	spec  RunSpec
 	modes []string
-	run   func(ctx context.Context, kind Kind, opt Options, mode string) (Result, error)
 }
 
-// runNamed runs a catalog or stored-trace benchmark in any mode.
-func runNamed(bench string) func(context.Context, Kind, Options, string) (Result, error) {
-	return func(ctx context.Context, kind Kind, opt Options, mode string) (Result, error) {
-		spec := RunSpec{Kind: kind, Benchmark: bench, Options: opt}
-		switch mode {
-		case modeWarm:
-			spec.Warm = newMapWarmCache()
-			if _, err := Run(ctx, spec); err != nil {
-				return Result{}, err
-			}
-		case modeGroup:
-			lanes := make([]GroupLane, 3)
-			for i, m := range []int{opt.Measure / 2, opt.Measure, opt.Measure * 3 / 2} {
-				s := spec
-				s.Options.Measure = m
-				lanes[i] = GroupLane{Spec: s}
-			}
-			outs, err := RunGroup(ctx, lanes)
-			if err != nil {
-				return Result{}, err
-			}
-			return outs[1].Output.Result, outs[1].Err
-		case modeRep:
-			spec.Replicates = 3
+// runGolden runs the source's spec for one kind and option set in one
+// mode.
+func runGolden(ctx context.Context, spec RunSpec, mode string) (Result, error) {
+	switch mode {
+	case modeWarm:
+		spec.Warm = newMapWarmCache()
+		if _, err := Run(ctx, spec); err != nil {
+			return Result{}, err
 		}
-		out, err := Run(ctx, spec)
-		return out.Result, err
+	case modeGroup:
+		opt := spec.Options
+		lanes := make([]GroupLane, 3)
+		for i, m := range []int{opt.Measure / 2, opt.Measure, opt.Measure * 3 / 2} {
+			s := spec
+			s.Options.Measure = m
+			lanes[i] = GroupLane{Spec: s}
+		}
+		outs, err := RunGroup(ctx, lanes)
+		if err != nil {
+			return Result{}, err
+		}
+		return outs[1].Output.Result, outs[1].Err
+	case modeRep:
+		spec.Replicates = 3
 	}
+	out, err := Run(ctx, spec)
+	return out.Result, err
 }
 
 func goldenSources(traceBench string) []goldenSource {
+	w := exampleWorkload()
 	return []goldenSource{
-		{"fft", allModes, runNamed("fft")},
-		{"tpc-c", allModes, runNamed("tpc-c")},
-		{"trace-tpc-c", allModes, runNamed(traceBench)},
-		{"kernel-stencil", []string{modeCold, modeWarm}, func(ctx context.Context, kind Kind, opt Options, mode string) (Result, error) {
-			if mode == modeCold {
-				return RunKernel(kind, "stencil", opt)
-			}
-			wc := newMapWarmCache()
-			if _, err := RunKernelContextWarm(ctx, kind, "stencil", opt, wc); err != nil {
-				return Result{}, err
-			}
-			return RunKernelContextWarm(ctx, kind, "stencil", opt, wc)
-		}},
-		{"custom-kvstore", []string{modeCold}, func(ctx context.Context, kind Kind, opt Options, mode string) (Result, error) {
-			return RunCustom(kind, exampleWorkload(), opt)
-		}},
+		{"fft", RunSpec{Benchmark: "fft"}, allModes},
+		{"tpc-c", RunSpec{Benchmark: "tpc-c"}, allModes},
+		{"trace-tpc-c", RunSpec{Benchmark: traceBench}, allModes},
+		{"kernel-stencil", RunSpec{Benchmark: KernelPrefix + "stencil"}, []string{modeCold, modeWarm}},
+		{"custom-kvstore", RunSpec{Workload: &w}, []string{modeCold}},
 	}
 }
 
@@ -144,20 +135,19 @@ func TestGolden(t *testing.T) {
 
 	type job struct {
 		name string
-		src  goldenSource
-		kind Kind
-		opt  Options
+		spec RunSpec
 		mode string
 	}
 	var jobs []job
 	for _, src := range goldenSources(TracePrefix + info.ID) {
 		for _, kind := range allKinds() {
 			for _, set := range goldenOptionSets {
-				opt := goldenBase
-				set.set(&opt)
+				spec := src.spec
+				spec.Kind, spec.Options = kind, goldenBase
+				set.set(&spec.Options)
 				for _, mode := range src.modes {
 					name := kind.String() + "/" + src.name + "/" + set.name + "/" + mode
-					jobs = append(jobs, job{name, src, kind, opt, mode})
+					jobs = append(jobs, job{name, spec, mode})
 				}
 			}
 		}
@@ -172,7 +162,7 @@ func TestGolden(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				res, err := j.src.run(context.Background(), j.kind, j.opt, j.mode)
+				res, err := runGolden(context.Background(), j.spec, j.mode)
 				mu.Lock()
 				if err != nil {
 					t.Errorf("%s: %v", j.name, err)

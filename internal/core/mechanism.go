@@ -170,6 +170,11 @@ func MechanismByOrder(order int) (*Mechanism, bool) {
 // coreInstance adapts a *System to MechInstance.
 type coreInstance struct{ s *System }
 
+// Instance adapts a D2M system built from a hand-made Config (outside
+// the registered kinds) to MechInstance, so the engine drives it like
+// any registered mechanism.
+func Instance(s *System) MechInstance { return coreInstance{s} }
+
 func (ci coreInstance) Access(a mem.Access) (uint64, bool) {
 	r := ci.s.Access(a)
 	return r.Latency, r.L1Hit
@@ -183,8 +188,8 @@ func (ci coreInstance) Restore(ms MechSnapshot) { ms.(*Snapshot).RestoreInto(ci.
 func (ci coreInstance) Underlying() any         { return ci.s }
 
 // mechConfig builds the shared part of every D2M kind's configuration
-// from the mechanism options, exactly as the root package's pre-registry
-// coreConfig did (field-for-field, so the refactor is byte-identical).
+// from the mechanism options; tweak sets the kind's feature flags. It is
+// the one kind→config map for the D2M family.
 func mechConfig(o MechOptions, tweak func(*Config)) Config {
 	cfg := DefaultConfig()
 	cfg.Nodes = o.Nodes
@@ -206,7 +211,7 @@ func registerD2M(name string, order int, nearHit bool, aliases []string, tweak f
 		Name: name, Aliases: aliases, Order: order,
 		D2M: true, ReportNearHit: nearHit,
 		New: func(o MechOptions) MechInstance {
-			return coreInstance{s: NewSystem(mechConfig(o, tweak))}
+			return Instance(NewSystem(mechConfig(o, tweak)))
 		},
 	})
 }

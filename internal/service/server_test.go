@@ -91,6 +91,36 @@ func TestEndToEndMatchesRun(t *testing.T) {
 	}
 }
 
+// TestKernelRunMatchesRun checks the kernels the capabilities document
+// lists are runnable: "kernel:<name>" is a benchmark name like any
+// other, and the server's result is byte-identical to d2m.Run's.
+func TestKernelRunMatchesRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	body := `{"kind":"d2m-ns-r","benchmark":"kernel:stencil","nodes":2,"warmup":2000,"measure":8000}`
+	code, st, _ := postRun(t, ts, body)
+	if code != http.StatusOK {
+		t.Fatalf("POST = %d, want 200 (%+v)", code, st)
+	}
+	if st.State != api.JobDone || st.Result == nil {
+		t.Fatalf("state = %s, result nil = %v", st.State, st.Result == nil)
+	}
+	want, err := d2m.Run(context.Background(), d2m.RunSpec{
+		Kind: d2m.D2MNSR, Benchmark: "kernel:stencil",
+		Options: d2m.Options{Nodes: 2, Warmup: 2000, Measure: 8000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(st.Result)
+	wantJSON, _ := json.Marshal(want.Result)
+	if !bytes.Equal(got, wantJSON) {
+		t.Errorf("server result differs from d2m.Run:\n got %s\nwant %s", got, wantJSON)
+	}
+	if code, _, _ := postRun(t, ts, `{"kind":"d2m-ns-r","benchmark":"kernel:no-such"}`); code != http.StatusBadRequest {
+		t.Errorf("unknown kernel: POST = %d, want 400", code)
+	}
+}
+
 // TestCacheHit checks a repeated identical request is served from the
 // cache without a second simulation, and that spelling differences
 // (kind case/dashes, explicit defaults) do not defeat the content

@@ -23,9 +23,9 @@ import (
 // identical statistics reset at the warmup boundary, then steps the
 // stream to the largest requested window, invoking sink(lane, report)
 // exactly when the lane's window completes. measures[i] is lane i's
-// measurement window (every entry must be >= 1, as Options.Validate
-// guarantees); lanes with equal windows capture at the same boundary
-// and receive identical reports.
+// measurement window (a window <= 0 captures at the warmup boundary
+// itself); lanes with equal windows capture at the same boundary and
+// receive identical reports. Measure is this walk with one lane.
 //
 // active reports whether a lane still wants its result; it is polled
 // together with ctx at every block boundary (at most BlockAccesses
@@ -69,30 +69,16 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 		}
 		return 0
 	}
-	limit := recompute()
 
 	// Lane-group capture happens at block boundaries: each refill is
 	// clipped to the nearest pending lane boundary, so the walk lands
 	// exactly on every boundary and the captured reports are the same
 	// bytes the scalar path produces at the same step.
 	bs, _ := iv.(trace.BlockStream)
-	for i := 0; i < limit; {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if limit = recompute(); i >= limit {
-			break
-		}
-		want := limit - i
-		if next < len(order) && measures[order[next]]-i < want {
-			want = measures[order[next]] - i
-		}
-		n := e.stepBlock(e.refillAny(bs, iv, e.clampEpoch(want)))
-		i += n
-		// The tick fires before any boundary capture at the same step,
-		// matching Measure, which ticks before building its final report.
-		e.advanceEpoch(n)
-		for next < len(order) && measures[order[next]] == i {
+	for i := 0; ; {
+		// The tick fires before any boundary capture at the same step:
+		// advanceEpoch runs at the end of the previous iteration.
+		for next < len(order) && measures[order[next]] <= i {
 			lane := order[next]
 			next++
 			if active(lane) {
@@ -100,10 +86,23 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 			}
 		}
 		if next == len(order) {
-			break
+			return nil
 		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		limit := recompute()
+		if i >= limit {
+			return nil
+		}
+		want := limit - i
+		if measures[order[next]]-i < want {
+			want = measures[order[next]] - i
+		}
+		n := e.stepBlock(e.refillAny(bs, iv, e.clampEpoch(want)))
+		i += n
+		e.advanceEpoch(n)
 	}
-	return nil
 }
 
 // laneReport finalizes the in-progress report at a lane boundary

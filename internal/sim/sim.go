@@ -7,8 +7,6 @@ package sim
 import (
 	"context"
 
-	"d2m/internal/baseline"
-	"d2m/internal/core"
 	"d2m/internal/mem"
 	"d2m/internal/trace"
 )
@@ -22,28 +20,6 @@ type Machine interface {
 	// hierarchy state preserved.
 	ResetMeasurement()
 }
-
-type coreMachine struct{ s *core.System }
-
-func (m coreMachine) Access(a mem.Access) (uint64, bool) {
-	r := m.s.Access(a)
-	return r.Latency, r.L1Hit
-}
-func (m coreMachine) ResetMeasurement() { m.s.ResetMeasurement() }
-
-// WrapCore adapts a D2M system to the Machine interface.
-func WrapCore(s *core.System) Machine { return coreMachine{s} }
-
-type baseMachine struct{ s *baseline.System }
-
-func (m baseMachine) Access(a mem.Access) (uint64, bool) {
-	r := m.s.Access(a)
-	return r.Latency, r.L1Hit
-}
-func (m baseMachine) ResetMeasurement() { m.s.ResetMeasurement() }
-
-// WrapBaseline adapts a baseline system to the Machine interface.
-func WrapBaseline(s *baseline.System) Machine { return baseMachine{s} }
 
 // EpochMachine is the optional interval hook a Machine may implement:
 // the engine calls EpochTick once per EpochLen accesses, in warmup and
@@ -325,39 +301,15 @@ func (e *Engine) refillAny(bs trace.BlockStream, iv trace.Stream, want int) []me
 // returns the report. Calling Warmup then Measure is exactly
 // RunContext; calling Measure directly on a snapshot-restored machine
 // produces byte-identical reports, because both paths perform the same
-// reset at the same boundary.
+// reset at the same boundary. It is MeasureLanes with one lane.
 func (e *Engine) Measure(ctx context.Context, iv trace.Stream, measure int) (Report, error) {
-	e.m.ResetMeasurement()
-	e.beginEpochPhase()
-	for i := range e.clock {
-		e.clock[i] = 0
-		e.issue[i] = 0
-		e.inFly[i].reset()
+	var rep Report
+	err := e.MeasureLanes(ctx, iv, []int{measure}, func(int) bool { return true },
+		func(_ int, r Report) { rep = r })
+	if err != nil {
+		return Report{}, err
 	}
-	e.report = Report{NodeCycles: make([]uint64, e.nodes), missLat: make([]uint64, missLatBuckets)}
-
-	// One dynamic dispatch per block (native Fill or buffered Next),
-	// then a tight loop over the buffer. The step sequence — and
-	// therefore the Report — is independent of how the blocks were
-	// delivered.
-	bs, _ := iv.(trace.BlockStream)
-	for done := 0; done < measure; {
-		if ctx.Err() != nil {
-			return Report{}, ctx.Err()
-		}
-		n := e.stepBlock(e.refillAny(bs, iv, e.clampEpoch(measure-done)))
-		done += n
-		e.advanceEpoch(n)
-	}
-
-	for i, c := range e.clock {
-		e.report.NodeCycles[i] = c
-		if c > e.report.Cycles {
-			e.report.Cycles = c
-		}
-	}
-	e.report.Instructions = e.report.FetchAccesses * InstructionsPerFetch
-	return e.report, nil
+	return rep, nil
 }
 
 // stepBlock processes one delivered block through the timing model and

@@ -3,7 +3,7 @@ package sim
 import (
 	"testing"
 
-	"d2m/internal/baseline"
+	_ "d2m/internal/baseline" // registers Base-2L
 	"d2m/internal/core"
 	"d2m/internal/mem"
 	"d2m/internal/trace"
@@ -128,13 +128,11 @@ func TestEndToEndDeterministic(t *testing.T) {
 		ccfg := core.DefaultConfig()
 		ccfg.Nodes = 4
 		cs := core.NewSystem(ccfg)
-		ce := NewEngine(WrapCore(cs), 4)
+		ce := NewEngine(core.Instance(cs), 4)
 		crep := ce.Run(trace.NewInterleaver(sp.Streams(4)), 5000, 20000)
 
-		bcfg := baseline.Base2L()
-		bcfg.Nodes = 4
-		bs := baseline.NewSystem(bcfg, false)
-		be := NewEngine(WrapBaseline(bs), 4)
+		base2L, _ := core.MechanismByName("Base-2L")
+		be := NewEngine(base2L.New(core.MechOptions{Nodes: 4}), 4)
 		brep := be.Run(trace.NewInterleaver(sp.Streams(4)), 5000, 20000)
 		return crep, brep
 	}

@@ -1,14 +1,9 @@
 package d2m
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"runtime"
-	"sync"
 
 	"d2m/internal/kernels"
-	"d2m/internal/trace"
 )
 
 // KernelInfo describes one algorithmic kernel workload.
@@ -17,10 +12,11 @@ type KernelInfo struct {
 	Description string
 }
 
-// Kernels lists the built-in algorithmic kernels: real computations
-// (blocked matrix multiply, in-place LU, Jacobi stencil, hash join,
-// BFS, a key-value store, CSR SpMV, bottom-up merge sort) whose access
-// streams come from the algorithms' actual index arithmetic. They complement the
+// Kernels lists the built-in algorithmic kernels, each runnable as the
+// benchmark name "kernel:<name>": real computations (blocked matrix
+// multiply, in-place LU, Jacobi stencil, hash join, BFS, a key-value
+// store, CSR SpMV, bottom-up merge sort) whose access streams come from
+// the algorithms' actual index arithmetic. They complement the
 // statistically calibrated Benchmarks() catalog with a ground-truth
 // axis — the lu-inplace kernel, notably, produces §IV-D's
 // power-of-two-stride conflict pathology from first principles.
@@ -31,75 +27,6 @@ func Kernels() []KernelInfo {
 		out = append(out, KernelInfo{Name: k.Name(), Description: k.Description()})
 	}
 	return out
-}
-
-// RunKernel simulates one algorithmic kernel (see Kernels) on one
-// configuration. Options are interpreted as in Run; Seed is ignored —
-// kernels are deterministic computations.
-func RunKernel(kind Kind, kernel string, opt Options) (Result, error) {
-	return RunKernelContextWarm(context.Background(), kind, kernel, opt, nil)
-}
-
-// RunKernelContext is RunKernel with cooperative cancellation,
-// matching Run.
-func RunKernelContext(ctx context.Context, kind Kind, kernel string, opt Options) (Result, error) {
-	return RunKernelContextWarm(ctx, kind, kernel, opt, nil)
-}
-
-// RunKernelContextWarm is RunKernelContext with warm-state reuse
-// through wc (see RunSpec.Warm). Kernel streams are closure-driven
-// generators that cannot be cloned, so a snapshot hit restores the
-// machine state and replays (without simulating) the warmup draws to
-// reposition the stream — still a large net win, since a replayed draw
-// skips the entire protocol simulation.
-func RunKernelContextWarm(ctx context.Context, kind Kind, kernel string, opt Options, wc WarmCache) (Result, error) {
-	opt = opt.withDefaults()
-	k, ok := kernels.ByName(kernel)
-	if !ok {
-		return Result{}, fmt.Errorf("d2m: unknown kernel %q (see Kernels())", kernel)
-	}
-	if opt.Nodes < 1 || opt.Nodes > 8 {
-		return Result{}, fmt.Errorf("d2m: Nodes = %d out of range 1..8", opt.Nodes)
-	}
-	if _, err := opt.placement(); err != nil {
-		return Result{}, err
-	}
-	if _, err := opt.topology(); err != nil {
-		return Result{}, err
-	}
-	res := Result{Kind: kind, Benchmark: k.Name(), Suite: "Kernel"}
-	mk := func() trace.Stream { return trace.NewInterleaver(k.Streams(opt.Nodes)) }
-	if err := res.runWarm(ctx, kind, opt, warmKey(kind, "kernel:"+k.Name(), opt), mk, wc); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// RecordKernelTrace writes `accesses` accesses of an algorithmic kernel
-// to w in the binary trace format, for replay with RunTrace or analysis
-// with AnalyzeTrace — the kernel counterpart of RecordTrace.
-func RecordKernelTrace(kernel string, nodes, accesses int, w io.Writer) (int, error) {
-	k, ok := kernels.ByName(kernel)
-	if !ok {
-		return 0, fmt.Errorf("d2m: unknown kernel %q (see Kernels())", kernel)
-	}
-	if nodes < 1 || nodes > 8 {
-		return 0, fmt.Errorf("d2m: nodes = %d out of range 1..8", nodes)
-	}
-	if accesses < 1 {
-		return 0, fmt.Errorf("d2m: accesses = %d", accesses)
-	}
-	tw, err := trace.NewWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	iv := trace.NewInterleaver(k.Streams(nodes))
-	for i := 0; i < accesses; i++ {
-		if err := tw.Append(iv.Next()); err != nil {
-			return i, err
-		}
-	}
-	return accesses, tw.Flush()
 }
 
 // KernelRow is one kernel's comparison across the evaluated
@@ -122,38 +49,11 @@ func KernelComparison(opt Options) []KernelRow {
 	opt = opt.withDefaults()
 	infos := Kernels()
 	kinds := Kinds()
-
-	type job struct{ ii, ki int }
-	results := make([][]Result, len(infos))
-	for i := range results {
-		results[i] = make([]Result, len(kinds))
+	benches := make([]string, len(infos))
+	for i, info := range infos {
+		benches[i] = KernelPrefix + info.Name
 	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(infos)*len(kinds) {
-		workers = len(infos) * len(kinds)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				r, err := RunKernel(kinds[j.ki], infos[j.ii].Name, opt)
-				if err != nil {
-					panic(err) // kernels come from the registry; this is a bug
-				}
-				results[j.ii][j.ki] = r
-			}
-		}()
-	}
-	for ii := range infos {
-		for ki := range kinds {
-			jobs <- job{ii, ki}
-		}
-	}
-	close(jobs)
-	wg.Wait()
+	results := runAll(kinds, opt, benches)
 
 	rows := make([]KernelRow, len(infos))
 	for ii, info := range infos {
@@ -164,9 +64,9 @@ func KernelComparison(opt Options) []KernelRow {
 			MsgsPerKI:   map[Kind]float64{},
 			DRAMPerKI:   map[Kind]float64{},
 		}
-		base := results[ii][0] // kinds[0] == Base2L
-		for ki, kind := range kinds {
-			r := results[ii][ki]
+		base := results[Base2L][ii]
+		for _, kind := range kinds {
+			r := results[kind][ii]
 			row.SpeedupPct[kind] = (float64(base.Cycles)/float64(r.Cycles) - 1) * 100
 			row.MsgsPerKI[kind] = r.MsgsPerKI
 			if instrK := float64(r.Instructions) / 1000; instrK > 0 {

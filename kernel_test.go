@@ -22,28 +22,28 @@ func TestKernelsList(t *testing.T) {
 }
 
 func TestRunKernelErrors(t *testing.T) {
-	if _, err := RunKernel(D2MFS, "no-such", fastOpt); err == nil {
+	if _, err := runSim(D2MFS, KernelPrefix+"no-such", fastOpt); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 	bad := fastOpt
 	bad.Nodes = 99
-	if _, err := RunKernel(D2MFS, "matmul", bad); err == nil {
+	if _, err := runSim(D2MFS, KernelPrefix+"matmul", bad); err == nil {
 		t.Error("bad node count accepted")
 	}
 	bad = fastOpt
 	bad.Topology = "hypercube"
-	if _, err := RunKernel(D2MFS, "matmul", bad); err == nil {
+	if _, err := runSim(D2MFS, KernelPrefix+"matmul", bad); err == nil {
 		t.Error("bad topology accepted")
 	}
 }
 
 func TestRunKernelDeterministic(t *testing.T) {
 	opt := Options{Warmup: 30_000, Measure: 60_000}
-	a, err := RunKernel(D2MNSR, "stencil", opt)
+	a, err := runSim(D2MNSR, KernelPrefix+"stencil", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunKernel(D2MNSR, "stencil", opt)
+	b, err := runSim(D2MNSR, KernelPrefix+"stencil", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,26 +112,35 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// A recorded kernel trace replays to the identical result as the live
-// stream, and characterizes identically.
+// A recorded kernel trace (format v2, like every recorded source)
+// replays to the identical result as the live stream, and
+// characterizes identically.
 func TestRecordKernelTrace(t *testing.T) {
 	var buf bytes.Buffer
 	opt := Options{Warmup: 30_000, Measure: 60_000}
-	n, err := RecordKernelTrace("spmv", 4, opt.Warmup+opt.Measure, &buf)
+	n, err := RecordTrace(KernelPrefix+"spmv", 4, opt.Warmup+opt.Measure, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != opt.Warmup+opt.Measure {
 		t.Fatalf("recorded %d accesses", n)
 	}
-	blob := buf.Bytes()
+	blob := append([]byte(nil), buf.Bytes()...)
+	if blob[7] != 2 { // the header magic ends in the format version
+		t.Fatalf("recorded trace format v%d, want v2", blob[7])
+	}
 
-	opt.Nodes = 4
-	live, err := RunKernel(D2MNSR, "spmv", opt)
+	setTraceLib(t)
+	info, err := ImportTrace(&buf, "spmv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := RunTrace(D2MNSR, bytes.NewReader(blob), opt)
+	opt.Nodes = 4
+	live, err := runSim(D2MNSR, KernelPrefix+"spmv", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := runSim(D2MNSR, TracePrefix+info.ID, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +157,13 @@ func TestRecordKernelTrace(t *testing.T) {
 		t.Fatalf("analysis saw %d accesses, want %d", an.Accesses, n)
 	}
 
-	if _, err := RecordKernelTrace("nope", 4, 10, &buf); err == nil {
+	if _, err := RecordTrace(KernelPrefix+"nope", 4, 10, &buf); err == nil {
 		t.Error("unknown kernel accepted")
 	}
-	if _, err := RecordKernelTrace("spmv", 0, 10, &buf); err == nil {
+	if _, err := RecordTrace(KernelPrefix+"spmv", 0, 10, &buf); err == nil {
 		t.Error("bad node count accepted")
 	}
-	if _, err := RecordKernelTrace("spmv", 4, 0, &buf); err == nil {
+	if _, err := RecordTrace(KernelPrefix+"spmv", 4, 0, &buf); err == nil {
 		t.Error("zero accesses accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package d2m
 
 import (
+	"context"
 	"fmt"
 
 	"d2m/internal/mem"
@@ -43,6 +44,9 @@ func RunMix(kind Kind, benchA, benchB string, opt Options) (MixResult, error) {
 	if opt.Nodes < 2 || opt.Nodes > 8 || opt.Nodes%2 != 0 {
 		return MixResult{}, fmt.Errorf("d2m: RunMix needs an even node count in 2..8, got %d", opt.Nodes)
 	}
+	if err := opt.Validate(); err != nil {
+		return MixResult{}, err
+	}
 	spA, ok := workloads.ByName(benchA)
 	if !ok {
 		return MixResult{}, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", benchA)
@@ -51,43 +55,54 @@ func RunMix(kind Kind, benchA, benchB string, opt Options) (MixResult, error) {
 	if !ok {
 		return MixResult{}, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", benchB)
 	}
-	if _, err := opt.placement(); err != nil {
-		return MixResult{}, err
-	}
-	if _, err := opt.topology(); err != nil {
-		return MixResult{}, err
-	}
 	half := opt.Nodes / 2
+	streamOpt := opt
+	streamOpt.Nodes = half
+	// measure runs one composed stream through the executor.
+	measure := func(opt Options, streams func() []trace.Stream) (*Result, error) {
+		src := source{stream: func(Options) trace.Stream { return trace.NewInterleaver(streams()) }}
+		rs, err := execute(context.Background(), kind, src, []Options{opt}, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		return rs[0], nil
+	}
 
 	// Solo baselines: each program alone on ITS half of the SAME
 	// machine (the other nodes idle), with the same per-node access
 	// budget as in the mixed run — so capacity and link count are
 	// identical across the comparison and only the neighbour changes.
-	streamOpt := opt
-	streamOpt.Nodes = half
 	soloOpt := opt
 	soloOpt.Warmup = opt.Warmup / 2
 	soloOpt.Measure = opt.Measure / 2
-	soloA := Result{}
-	soloA.measure(kind, soloOpt, trace.NewInterleaver(specStreams(spA, streamOpt)))
-	soloB := Result{}
-	soloB.measure(kind, soloOpt, trace.NewInterleaver(specStreams(spB, streamOpt)))
+	soloA, err := measure(soloOpt, func() []trace.Stream { return specStreams(spA, streamOpt) })
+	if err != nil {
+		return MixResult{}, err
+	}
+	soloB, err := measure(soloOpt, func() []trace.Stream { return specStreams(spB, streamOpt) })
+	if err != nil {
+		return MixResult{}, err
+	}
 
 	// Mixed run: program B's streams are remapped to the upper nodes
 	// and offset into a disjoint address space.
-	streams := make([]trace.Stream, opt.Nodes)
-	copy(streams, specStreams(spA, streamOpt))
-	for i, s := range specStreams(spB, streamOpt) {
-		s := s
-		streams[half+i] = trace.StreamFunc(func() mem.Access {
-			a := s.Next()
-			a.Node += half
-			a.Addr += asidStride
-			return a
-		})
+	mixed, err := measure(opt, func() []trace.Stream {
+		streams := make([]trace.Stream, opt.Nodes)
+		copy(streams, specStreams(spA, streamOpt))
+		for i, s := range specStreams(spB, streamOpt) {
+			s := s
+			streams[half+i] = trace.StreamFunc(func() mem.Access {
+				a := s.Next()
+				a.Node += half
+				a.Addr += asidStride
+				return a
+			})
+		}
+		return streams
+	})
+	if err != nil {
+		return MixResult{}, err
 	}
-	mixed := Result{}
-	mixed.measure(kind, opt, trace.NewInterleaver(streams))
 
 	res := MixResult{
 		Kind: kind, BenchA: spA.Name, BenchB: spB.Name,

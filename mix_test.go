@@ -22,6 +22,16 @@ func TestRunMixErrors(t *testing.T) {
 	if _, err := RunMix(Base2L, "tpc-c", "fft", bad); err == nil {
 		t.Error("bad topology accepted")
 	}
+	// Each must be an error, never a zero MixResult or a panic.
+	small := Options{Nodes: 4, Warmup: 1000, Measure: 2000}
+	if _, err := RunMix(Kind(99), "tpc-c", "fft", small); err == nil {
+		t.Error("Kind(99) accepted")
+	}
+	bad = small
+	bad.MDScale = 3
+	if _, err := RunMix(D2MNSR, "tpc-c", "fft", bad); err == nil {
+		t.Error("MDScale 3 accepted")
+	}
 }
 
 func TestRunMixDeterministicAndLabeled(t *testing.T) {

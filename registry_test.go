@@ -1,133 +1,17 @@
 package d2m
 
-// Registry exactness: the mechanism-registry run path must be
-// indistinguishable from the pre-registry per-kind construction. Two
-// pins hold this: the configuration a registered constructor builds
-// equals the legacy coreConfig/baselineConfig field for field, and a
-// run driven through the registry produces byte-identical Results to
-// the legacy inline path (reconstructed here exactly as measureContext
-// wrote it before the refactor).
+// Registry coverage: the mechanism registry is the one kind→config map,
+// so the root Kind constants, the advertised kind lists and the docs
+// must never drift from it. What the registered constructors build is
+// pinned by the golden Result digests (TestGolden).
 
 import (
-	"context"
-	"encoding/json"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 
-	"d2m/internal/baseline"
 	"d2m/internal/core"
-	"d2m/internal/energy"
-	"d2m/internal/sim"
 )
-
-// TestRegistryConfigEquivalence pins the registry constructors to the
-// legacy config builders: for every kind and a non-default option set,
-// the system built by the registry carries exactly the configuration
-// coreConfig/baselineConfig would have built.
-func TestRegistryConfigEquivalence(t *testing.T) {
-	opts := []Options{
-		{Nodes: 4, Warmup: 1000, Measure: 2000},
-		{Nodes: 8, Warmup: 1000, Measure: 2000, Seed: 9, MDScale: 2,
-			Bypass: true, Prefetch: true, Topology: "mesh", Placement: "spread"},
-	}
-	for _, kind := range allKinds() {
-		for oi, opt := range opts {
-			opt = opt.withDefaults()
-			mech, err := mechFor(kind)
-			if err != nil {
-				t.Fatalf("%v: %v", kind, err)
-			}
-			inst := mech.New(mechOptions(opt))
-			switch s := inst.Underlying().(type) {
-			case *baseline.System:
-				want := baselineConfig(kind, opt)
-				if got := s.Config(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%v opts[%d]: registry config %+v != baselineConfig %+v", kind, oi, got, want)
-				}
-			case *core.System:
-				want := coreConfig(kind, opt)
-				if got := s.Config(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%v opts[%d]: registry config %+v != coreConfig %+v", kind, oi, got, want)
-				}
-			default:
-				t.Fatalf("%v: unknown system type %T", kind, s)
-			}
-			inst.Release()
-		}
-	}
-}
-
-// legacyMeasure reconstructs the pre-registry measureContext for the
-// six pre-refactor kinds: per-kind construction through the legacy
-// config builders, the Wrap* adapters, and the old
-// kind==D2MNS||kind==D2MNSR near-hit gate. It exists only as the
-// reference half of the differential below.
-func legacyMeasure(t *testing.T, kind Kind, opt Options, bench string) Result {
-	t.Helper()
-	_, _, mk, err := benchStream(bench, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Result{Kind: kind, Benchmark: bench}
-	var flitHops uint64
-	switch kind {
-	case Base2L, Base3L:
-		s := baseline.NewSystem(baselineConfig(kind, opt), false)
-		defer s.Release()
-		engine := sim.NewEngine(sim.WrapBaseline(s), opt.Nodes)
-		rep, err := engine.RunContext(context.Background(), mk(), opt.Warmup, opt.Measure)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.fillCommon(rep)
-		r.fillBaseline(s, rep)
-		flitHops = s.Meter().Count(energy.OpNoCFlit)
-	default:
-		s := core.NewSystem(coreConfig(kind, opt))
-		defer s.Release()
-		engine := sim.NewEngine(sim.WrapCore(s), opt.Nodes)
-		rep, err := engine.RunContext(context.Background(), mk(), opt.Warmup, opt.Measure)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.fillCommon(rep)
-		mech, _ := mechFor(kind)
-		r.fillCore(s, rep, mech)
-		flitHops = s.Meter().Count(energy.OpNoCFlit)
-	}
-	r.applyBandwidth(opt, flitHops)
-	return r
-}
-
-// TestRegistryRunEquivalence is the byte-identity differential: for
-// every pre-refactor kind, a run through the mechanism registry equals
-// the legacy inline-construction run exactly. (The adaptive kinds have
-// no legacy path to compare against; their epoch behaviour is pinned
-// by the core-package tests and the snapshot exactness matrix.)
-func TestRegistryRunEquivalence(t *testing.T) {
-	opt := Options{Nodes: 2, Warmup: 2000, Measure: 5000, Seed: 3}.withDefaults()
-	for _, kind := range []Kind{Base2L, Base3L, D2MFS, D2MNS, D2MNSR, D2MHybrid} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			t.Parallel()
-			legacy := legacyMeasure(t, kind, opt, "tpc-c")
-			via, err := runOne(context.Background(), kind, "tpc-c", opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// runOne resolves the suite; align the reference before the
-			// byte comparison.
-			legacy.Suite = via.Suite
-			lj, _ := json.Marshal(legacy)
-			vj, _ := json.Marshal(via)
-			if string(lj) != string(vj) {
-				t.Errorf("registry run differs from legacy path:\n legacy   %s\n registry %s", lj, vj)
-			}
-		})
-	}
-}
 
 // TestRegistryCoverage checks the registry, the root Kind enum and the
 // advertised name list can never drift: orders are dense and match the

@@ -1,12 +1,14 @@
 package d2m
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 
 	"d2m/internal/baseline"
@@ -330,75 +332,18 @@ func mechFor(kind Kind) (*core.Mechanism, error) {
 	return m, nil
 }
 
-// baselineConfig builds the baseline configuration for a kind. The run
-// path constructs through the mechanism registry; this remains for the
-// storage model and tests (the registry-equivalence test pins the two
-// together).
-func baselineConfig(kind Kind, opt Options) baseline.Config {
-	cfg := baseline.Base2L()
-	if kind == Base3L {
-		cfg = baseline.Base3L()
-	}
-	cfg.Nodes = opt.Nodes
-	cfg.Topology, _ = opt.topology()
-	return cfg
-}
-
-// coreConfig builds the D2M configuration for a kind. Like
-// baselineConfig it is off the run path: the storage model and the
-// calibration experiments read geometries from it, and the
-// registry-equivalence test asserts it matches what the registry
-// constructs, field for field.
-func coreConfig(kind Kind, opt Options) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Nodes = opt.Nodes
-	cfg.Seed = opt.Seed + 1
-	cfg.MD2Pruning = true
-	switch kind {
-	case D2MFS:
-	case D2MNS:
-		cfg.NearSide = true
-	case D2MNSR:
-		cfg.NearSide = true
-		cfg.Replication = true
-		cfg.DynamicIndexing = true
-	case D2MHybrid:
-		cfg.NearSide = true
-		cfg.Replication = true
-		cfg.DynamicIndexing = true
-		cfg.TraditionalL1 = true
-	case D2MAdaptive:
-		cfg.NearSide = true
-		cfg.Replication = true
-		cfg.DynamicIndexing = true
-		cfg.AdaptiveWays = true
-		cfg.EpochLen = core.DefaultEpochLen
-	case D2MLevelPred:
-		cfg.NearSide = true
-		cfg.Replication = true
-		cfg.DynamicIndexing = true
-		cfg.LevelPred = true
-		cfg.PredEntries = core.DefaultPredEntries
-	default:
-		panic(fmt.Sprintf("d2m: coreConfig on %v", kind))
-	}
-	cfg.CacheBypass = opt.Bypass
-	cfg.Prefetch = opt.Prefetch
-	cfg.Placement, _ = opt.placement()
-	cfg.Topology, _ = opt.topology()
-	cfg.MD1Sets *= opt.MDScale
-	cfg.MD2Sets *= opt.MDScale
-	cfg.MD3Sets *= opt.MDScale
-	return cfg
-}
-
 // RunSpec describes one simulation for Run: the configuration kind,
 // the workload, the run options, and the execution knobs that used to
 // be separate entry points (replication and warm-state reuse).
 type RunSpec struct {
-	Kind      Kind
+	Kind Kind
+	// Benchmark names the workload: a catalog benchmark, a stored trace
+	// ("trace:<id>") or an algorithmic kernel ("kernel:<name>").
 	Benchmark string
-	Options   Options
+	// Workload, when non-nil, runs this custom generator instead; the
+	// spec then leaves Benchmark empty.
+	Workload *WorkloadSpec
+	Options  Options
 	// Replicates, when >= 2, runs the spec that many times with
 	// decorrelated seeds (Options.Seed+1 ..) and fills
 	// RunOutput.Replicated next to the mean-projected Result. 0 and 1
@@ -425,57 +370,128 @@ type RunOutput struct {
 }
 
 // Run simulates one RunSpec and returns the extracted metrics. It is
-// the package's single entry point: cancellation comes from ctx (the
-// simulation stops at the next engine checkpoint when ctx is done),
-// replication and warm-state reuse from the spec. The former
-// RunContext / RunContextWarm / ReplicateContext / ReplicateContextWarm
-// entry points were deprecated in v1.3 and removed in v1.4.
+// the package's single entry point: every workload source (see
+// RunSpec.Benchmark and RunSpec.Workload) runs through it, cancellation
+// comes from ctx (the simulation stops at the next engine checkpoint
+// when ctx is done), replication and warm-state reuse from the spec.
 func Run(ctx context.Context, spec RunSpec) (RunOutput, error) {
-	if spec.Replicates < 0 {
-		return RunOutput{}, fmt.Errorf("d2m: Run with Replicates = %d", spec.Replicates)
-	}
-	if spec.Replicates >= 2 {
-		agg, err := replicateContext(ctx, spec.Kind, spec.Benchmark, spec.Options, spec.Replicates, spec.Warm)
-		if err != nil {
-			return RunOutput{}, err
-		}
-		return RunOutput{Result: agg.MeanResult(), Replicated: &agg, Engine: EngineScalar}, nil
-	}
-	res, err := runSingle(ctx, spec.Kind, spec.Benchmark, spec.Options, spec.Warm)
+	opt, src, err := prepare(spec)
 	if err != nil {
 		return RunOutput{}, err
 	}
-	return RunOutput{Result: res, Engine: EngineScalar}, nil
+	return run(ctx, spec, opt, src)
 }
 
-// measure runs the stream on the kind's machine and fills the result.
-func (r *Result) measure(kind Kind, opt Options, src trace.Stream) {
-	r.measureContext(context.Background(), kind, opt, src)
+// prepare is the one validation every run path performs: the replicate
+// count, the options and the workload source. It returns the defaulted
+// options and the resolved source. The kind is checked when the
+// executor looks up its mechanism.
+func prepare(spec RunSpec) (Options, source, error) {
+	if spec.Replicates < 0 {
+		return Options{}, source{}, fmt.Errorf("d2m: Run with Replicates = %d", spec.Replicates)
+	}
+	opt := spec.Options.withDefaults()
+	src, err := resolve(spec, opt)
+	if err != nil {
+		return Options{}, source{}, err
+	}
+	if err := opt.Validate(); err != nil {
+		return Options{}, source{}, err
+	}
+	return opt, src, nil
 }
 
-// measureContext runs the stream on the kind's machine and fills the
-// result, abandoning the run when ctx is done. The machine is
-// constructed, driven and released through the mechanism registry, so
-// every registered kind takes the same path.
-func (r *Result) measureContext(ctx context.Context, kind Kind, opt Options, src trace.Stream) error {
+// run executes a prepared spec on the scalar path.
+func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput, error) {
+	if spec.Replicates >= 2 {
+		// A named source's aggregate carries the requested name; a custom
+		// spec's (which has none) its spec name.
+		label := cmp.Or(spec.Benchmark, src.name)
+		agg, err := replicate(ctx, spec.Kind, label, src, opt, spec.Replicates, spec.Warm)
+		if err != nil {
+			return RunOutput{}, err
+		}
+		res := agg.MeanResult()
+		res.Benchmark, res.Suite = src.name, src.suite
+		return RunOutput{Result: res, Replicated: &agg, Engine: EngineScalar}, nil
+	}
+	rs, err := execute(ctx, spec.Kind, src, []Options{opt}, spec.Warm, nil)
+	if err != nil {
+		return RunOutput{}, err
+	}
+	return RunOutput{Result: *rs[0], Engine: EngineScalar}, nil
+}
+
+// execute is the one executor behind every run path: Run, RunGroup,
+// replication and RunMix. It builds the kind's machine through the
+// mechanism registry and brings it to the warmup boundary — restoring
+// wc's snapshot for the warm identity when there is one, and otherwise
+// simulating the warmup and depositing a snapshot for its successors.
+// It then measures every lane's window in one walk (sim.MeasureLanes)
+// and extracts each lane's Result at that lane's boundary, reading the
+// flit-hop meter there so the lane's bandwidth stretch sees exactly the
+// traffic a lone run of that lane generates.
+//
+// lanes are validated, defaulted options sharing one warm identity:
+// lane 0 shapes the machine and the stream, and each lane contributes
+// its own Measure and LinkBandwidth. active (nil: every lane) reports
+// whether a lane still wants its result; a lane that drops out gets a
+// nil Result. A nil wc always warms from scratch.
+func execute(ctx context.Context, kind Kind, src source, lanes []Options, wc WarmCache, active func(lane int) bool) ([]*Result, error) {
 	mech, err := mechFor(kind)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	opt := lanes[0]
 	inst := mech.New(mechOptions(opt))
 	defer inst.Release() // recycle the hierarchy's arrays for the next run
 	engine := sim.NewEngine(inst, opt.Nodes)
-	rep, err := engine.RunContext(ctx, src, opt.Warmup, opt.Measure)
-	if err != nil {
-		return err
+
+	var snap *WarmSnapshot
+	var key string
+	if wc != nil {
+		key = warmKey(kind, src.scope, opt)
+		snap = wc.GetWarm(key)
 	}
-	r.fillCommon(rep)
-	flitHops, err := r.fillFromInstance(inst, rep, mech)
+	stream, err := warmedStream(ctx, engine, snap, func() trace.Stream { return src.stream(opt) }, opt.Warmup)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r.applyBandwidth(opt, flitHops)
-	return nil
+	if snap != nil {
+		inst.Restore(snap.state)
+	} else if wc != nil && wantWarm(wc, key) {
+		ws := &WarmSnapshot{key: key, warmup: opt.Warmup, state: inst.Snapshot()}
+		ws.finish(stream)
+		wc.PutWarm(ws)
+	}
+
+	measures := make([]int, len(lanes))
+	for i, l := range lanes {
+		measures[i] = l.Measure
+	}
+	if active == nil {
+		active = func(int) bool { return true }
+	}
+	out := make([]*Result, len(lanes))
+	var sinkErr error
+	err = engine.MeasureLanes(ctx, stream, measures, active, func(lane int, rep sim.Report) {
+		r := &Result{Kind: kind, Benchmark: src.name, Suite: src.suite}
+		r.fillCommon(rep)
+		flitHops, err := r.fillFromInstance(inst, rep, mech)
+		if err != nil {
+			sinkErr = err
+			return
+		}
+		r.applyBandwidth(lanes[lane], flitHops)
+		out[lane] = r
+	})
+	if err == nil {
+		err = sinkErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // fillFromInstance extracts the mechanism-family metrics from the
@@ -514,16 +530,6 @@ func (r *Result) applyBandwidth(opt Options, flitHops uint64) {
 		}
 		r.Cycles = uint64(bwCycles)
 	}
-}
-
-// specStreams builds the workload streams, applying the run seed.
-func specStreams(sp *workloads.Spec, opt Options) []trace.Stream {
-	if opt.Seed == 0 {
-		return sp.Streams(opt.Nodes)
-	}
-	copySpec := *sp
-	copySpec.Seed ^= opt.Seed * 0x9e3779b97f4a7c15
-	return copySpec.Streams(opt.Nodes)
 }
 
 func (r *Result) fillCommon(rep sim.Report) {
@@ -630,22 +636,6 @@ func Suites() []string { return workloads.Suites() }
 // advertised separately in the service's capabilities.
 const SuiteVector = workloads.SuiteVector
 
-// SuiteOf returns the suite of a benchmark: the catalog suite, or
-// SuiteTrace for a stored-trace reference ("trace:<id>").
-func SuiteOf(bench string) (string, bool) {
-	if id, ok := traceName(bench); ok {
-		if _, ok := TraceByID(id); ok {
-			return SuiteTrace, true
-		}
-		return "", false
-	}
-	sp, ok := workloads.ByName(bench)
-	if !ok {
-		return "", false
-	}
-	return sp.Suite, true
-}
-
 // BenchmarksOf returns the benchmarks of one suite, in catalog order.
 func BenchmarksOf(suite string) []string {
 	var out []string
@@ -655,17 +645,15 @@ func BenchmarksOf(suite string) []string {
 	return out
 }
 
-// RecordTrace generates a benchmark's access stream (interleaved across
-// nodes) and writes it as a v2 binary trace file (varint-delta records,
-// CRC-protected footer), usable with RunTrace, ImportTrace or external
-// tools.
+// RecordTrace generates a named source's access stream (interleaved
+// across nodes) and writes it as a v2 binary trace file (varint-delta
+// records, CRC-protected footer), usable with ImportTrace, AnalyzeTrace
+// or external tools. bench is any benchmark name Run accepts: a catalog
+// benchmark, "kernel:<name>" or "trace:<id>".
 func RecordTrace(bench string, nodes, accesses int, w io.Writer) (int, error) {
-	sp, ok := workloads.ByName(bench)
-	if !ok {
-		return 0, fmt.Errorf("d2m: unknown benchmark %q", bench)
-	}
-	if nodes < 1 || nodes > 8 {
-		return 0, fmt.Errorf("d2m: nodes = %d out of range 1..8", nodes)
+	src, err := namedStream(bench, nodes)
+	if err != nil {
+		return 0, err
 	}
 	if accesses < 1 {
 		return 0, fmt.Errorf("d2m: accesses = %d", accesses)
@@ -674,34 +662,12 @@ func RecordTrace(bench string, nodes, accesses int, w io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	iv := trace.NewInterleaver(sp.Streams(nodes))
 	for i := 0; i < accesses; i++ {
-		if err := fw.Append(iv.Next()); err != nil {
+		if err := fw.Append(src.Next()); err != nil {
 			return i, err
 		}
 	}
 	return accesses, fw.Close()
-}
-
-// RunTrace replays a recorded trace against a configuration. The trace
-// loops if shorter than warmup+measure. Suite-level metrics that depend
-// on the catalog (Suite) are blank.
-func RunTrace(kind Kind, r io.Reader, opt Options) (Result, error) {
-	opt = opt.withDefaults()
-	rd, err := trace.ReadTrace(r)
-	if err != nil {
-		return Result{}, err
-	}
-	rd.Loop = true
-	if max := rd.MaxNode(); max >= opt.Nodes {
-		return Result{}, fmt.Errorf("d2m: trace uses node %d but Nodes = %d", max, opt.Nodes)
-	}
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
-	}
-	res := Result{Kind: kind, Benchmark: "trace"}
-	res.measure(kind, opt, rd)
-	return res, nil
 }
 
 // Replicated runs one benchmark on one configuration n times with
@@ -730,7 +696,7 @@ func (r Replicated) MeanResult() Result {
 	suite, _ := SuiteOf(r.Benchmark)
 	return Result{
 		Kind:            r.Kind,
-		Benchmark:       r.Benchmark,
+		Benchmark:       strings.TrimPrefix(r.Benchmark, KernelPrefix),
 		Suite:           suite,
 		Cycles:          uint64(r.CyclesMean),
 		MsgsPerKI:       r.MsgsPerKIMean,
@@ -741,8 +707,8 @@ func (r Replicated) MeanResult() Result {
 	}
 }
 
-// replicateContext is the replication engine behind Run: the n seeded
-// runs are independent simulations, so they execute concurrently on a
+// replicate is the replication engine behind Run: the n seeded runs
+// are independent simulations, so they execute concurrently on a
 // bounded worker set (ExperimentWorkers, defaulting to GOMAXPROCS);
 // samples are gathered by seed index and aggregated in that fixed
 // order, so the result is byte-identical to running the seeds serially.
@@ -750,11 +716,8 @@ func (r Replicated) MeanResult() Result {
 // the lowest-indexed failed seed is returned (a context error only if
 // no seed failed on its own). wc, when non-nil, lets each seeded run
 // reuse a warm-state snapshot for its own (seed-specific) warm
-// identity.
-func replicateContext(ctx context.Context, kind Kind, bench string, opt Options, n int, wc WarmCache) (Replicated, error) {
-	if n < 1 {
-		return Replicated{}, fmt.Errorf("d2m: Replicate with n = %d", n)
-	}
+// identity. label is the aggregate's Benchmark.
+func replicate(ctx context.Context, kind Kind, label string, src source, opt Options, n int, wc WarmCache) (Replicated, error) {
 	workers := ExperimentWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -776,12 +739,13 @@ func replicateContext(ctx context.Context, kind Kind, bench string, opt Options,
 			for i := range idx {
 				o := opt
 				o.Seed = opt.Seed + uint64(i) + 1
-				r, err := runSingle(runCtx, kind, bench, o, wc)
+				rs, err := execute(runCtx, kind, src, []Options{o}, wc, nil)
 				if err != nil {
 					errs[i] = err
 					cancel() // a failed seed fails the aggregate; stop the rest
 					continue
 				}
+				r := rs[0]
 				samples[i] = repSample{
 					float64(r.Cycles), r.MsgsPerKI, r.EDP, r.MissRatioD, r.AvgMissLatency, r.PrivateMissFrac,
 				}
@@ -813,7 +777,7 @@ func replicateContext(ctx context.Context, kind Kind, bench string, opt Options,
 	if ctxErr != nil {
 		return Replicated{}, ctxErr
 	}
-	return aggregate(kind, bench, samples), nil
+	return aggregate(kind, label, samples), nil
 }
 
 // repSample holds the metrics of one replicated run that enter the

@@ -83,7 +83,9 @@ func (ws *WarmSnapshot) SizeBytes() int64 { return ws.bytes }
 // byte budget never reads zero for a degenerate snapshot.
 const streamOverheadBytes = 4096
 
-// WarmKey returns the warm identity of a benchmark run: the string key
+// WarmKey returns the warm identity of a named-source run (any
+// benchmark name Run accepts; LaneKey also covers custom specs): the
+// string key
 // under which runs share a warmup prefix. It covers everything that
 // shapes the machine and stream state at the warmup boundary — kind,
 // node count, warmup length, seed, metadata scale, the optimization
@@ -94,11 +96,6 @@ const streamOverheadBytes = 4096
 // explicit defaults share a key.
 func WarmKey(kind Kind, bench string, opt Options) string {
 	return warmKey(kind, "bench:"+bench, opt)
-}
-
-// KernelWarmKey is WarmKey for algorithmic kernel runs.
-func KernelWarmKey(kind Kind, kernel string, opt Options) string {
-	return warmKey(kind, "kernel:"+kernel, opt)
 }
 
 func warmKey(kind Kind, scope string, opt Options) string {
@@ -114,70 +111,6 @@ func warmKey(kind Kind, scope string, opt Options) string {
 	return fmt.Sprintf("%s|%s|n%d|w%d|s%d|md%d|b%t|p%t|%s|%s",
 		scope, kind, opt.Nodes, opt.Warmup, opt.Seed, opt.MDScale,
 		opt.Bypass, opt.Prefetch, topo, place)
-}
-
-// runSingle is the single-run engine behind Run: when wc holds a
-// snapshot for the run's warm identity, the warmup phase is replaced by
-// a state restore; when it does not, the run executes normally and
-// deposits a snapshot for its successors. A nil wc always warms from
-// scratch.
-func runSingle(ctx context.Context, kind Kind, bench string, opt Options, wc WarmCache) (Result, error) {
-	opt = opt.withDefaults()
-	name, suite, mk, err := benchStream(bench, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
-	}
-	res := Result{Kind: kind, Benchmark: name, Suite: suite}
-	if err := res.runWarm(ctx, kind, opt, warmKey(kind, "bench:"+name, opt), mk, wc); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// runWarm runs the simulation with warm-state reuse through wc;
-// mkStream rebuilds the access stream from position zero. With a nil
-// cache it is exactly measureContext on a fresh stream. The machine
-// comes from the mechanism registry; restore and capture go through
-// the MechInstance snapshot hooks, so every registered kind — baseline
-// or D2M — shares this one path.
-func (r *Result) runWarm(ctx context.Context, kind Kind, opt Options, key string, mkStream func() trace.Stream, wc WarmCache) error {
-	if wc == nil {
-		return r.measureContext(ctx, kind, opt, mkStream())
-	}
-	mech, err := mechFor(kind)
-	if err != nil {
-		return err
-	}
-	snap := wc.GetWarm(key)
-
-	inst := mech.New(mechOptions(opt))
-	defer inst.Release()
-	engine := sim.NewEngine(inst, opt.Nodes)
-	src, err := warmedStream(ctx, engine, snap, mkStream, opt.Warmup)
-	if err != nil {
-		return err
-	}
-	if snap != nil {
-		inst.Restore(snap.state)
-	} else if wantWarm(wc, key) {
-		ws := &WarmSnapshot{key: key, warmup: opt.Warmup, state: inst.Snapshot()}
-		ws.finish(src)
-		wc.PutWarm(ws)
-	}
-	rep, err := engine.Measure(ctx, src, opt.Measure)
-	if err != nil {
-		return err
-	}
-	r.fillCommon(rep)
-	flitHops, err := r.fillFromInstance(inst, rep, mech)
-	if err != nil {
-		return err
-	}
-	r.applyBandwidth(opt, flitHops)
-	return nil
 }
 
 // warmedStream produces the stream positioned at the warmup boundary.

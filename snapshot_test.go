@@ -2,9 +2,9 @@ package d2m
 
 // Warm-state snapshot exactness: restoring a snapshot must be
 // indistinguishable from simulating the warmup, for every kind and for
-// both workload families (calibrated benchmarks, whose streams are
-// cloned into the snapshot, and algorithmic kernels, whose streams are
-// replayed). "Indistinguishable" is tested at the strongest level
+// every workload source (calibrated benchmarks and custom specs, whose
+// streams are cloned into the snapshot, and algorithmic kernels, whose
+// streams are replayed). "Indistinguishable" is tested at the strongest level
 // available — the marshalled Result bytes.
 
 import (
@@ -72,59 +72,92 @@ func replicateN(ctx context.Context, kind Kind, bench string, opt Options, n int
 	return *out.Replicated, nil
 }
 
-// TestSnapshotExactnessMatrix runs every kind on a calibrated
-// benchmark and on an algorithmic kernel, three ways: fresh (no warm
-// cache), cold-through-cache (miss, deposits the snapshot), and
-// restored (hit). All three must produce byte-identical Results.
+// snapshotSources are the workload sources of the snapshot matrix: a
+// calibrated benchmark (streams cloned into the snapshot), two
+// algorithmic kernels (streams replayed) and a custom spec.
+func snapshotSources() []struct {
+	name string
+	spec RunSpec
+} {
+	w := exampleWorkload()
+	return []struct {
+		name string
+		spec RunSpec
+	}{
+		{"tpc-c", RunSpec{Benchmark: "tpc-c", Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000, Seed: 7}}},
+		{"matmul", RunSpec{Benchmark: KernelPrefix + "matmul", Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000}}},
+		{"stencil", RunSpec{Benchmark: KernelPrefix + "stencil", Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000}}},
+		{"custom", RunSpec{Workload: &w, Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000, Seed: 7}}},
+	}
+}
+
+// TestSnapshotExactnessMatrix runs every kind on every workload source
+// three ways: fresh (no warm cache), cold-through-cache (miss, deposits
+// the snapshot), and restored (hit). All three must produce
+// byte-identical Results.
 func TestSnapshotExactnessMatrix(t *testing.T) {
 	ctx := context.Background()
-	opt := Options{Nodes: 2, Warmup: 3000, Measure: 6000, Seed: 7}
-
 	for _, kind := range allKinds() {
-		kind := kind
-		t.Run(kind.String()+"/tpc-c", func(t *testing.T) {
-			t.Parallel()
-			fresh, err := runOne(ctx, kind, "tpc-c", opt)
+		for _, src := range snapshotSources() {
+			spec := src.spec
+			spec.Kind = kind
+			t.Run(kind.String()+"/"+src.name, func(t *testing.T) {
+				t.Parallel()
+				fresh, err := Run(ctx, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wc := newMapWarmCache()
+				warm := spec
+				warm.Warm = wc
+				first, err := Run(ctx, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err := Run(ctx, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wc.hits != 1 || wc.misses != 1 {
+					t.Fatalf("warm cache saw %d hits / %d misses, want 1 / 1", wc.hits, wc.misses)
+				}
+				assertSameResult(t, "cold-through-cache", fresh.Result, first.Result)
+				assertSameResult(t, "snapshot-restored", fresh.Result, second.Result)
+			})
+		}
+	}
+}
+
+// TestSnapshotCustomSpecsIsolated shares one warm cache between two
+// different custom specs with the same name and options: each must
+// warm its own snapshot and still equal its own cold run, so the warm
+// identity of a custom spec covers the spec itself.
+func TestSnapshotCustomSpecsIsolated(t *testing.T) {
+	ctx := context.Background()
+	a, b := exampleWorkload(), exampleWorkload()
+	b.WriteFrac = 0.05
+	opt := Options{Nodes: 2, Warmup: 3000, Measure: 6000}
+	wc := newMapWarmCache()
+	for round := 0; round < 2; round++ {
+		for _, w := range []*WorkloadSpec{&a, &b} {
+			cold, err := Run(ctx, RunSpec{Kind: D2MNSR, Workload: w, Options: opt})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wc := newMapWarmCache()
-			first, err := runOneWarm(ctx, kind, "tpc-c", opt, wc)
+			warm, err := Run(ctx, RunSpec{Kind: D2MNSR, Workload: w, Options: opt, Warm: wc})
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := runOneWarm(ctx, kind, "tpc-c", opt, wc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wc.hits != 1 || wc.misses != 1 {
-				t.Fatalf("warm cache saw %d hits / %d misses, want 1 / 1", wc.hits, wc.misses)
-			}
-			assertSameResult(t, "cold-through-cache", fresh, first)
-			assertSameResult(t, "snapshot-restored", fresh, second)
-		})
-		t.Run(kind.String()+"/matmul", func(t *testing.T) {
-			t.Parallel()
-			kopt := Options{Nodes: 2, Warmup: 3000, Measure: 6000}
-			fresh, err := RunKernel(kind, "matmul", kopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wc := newMapWarmCache()
-			first, err := RunKernelContextWarm(ctx, kind, "matmul", kopt, wc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			second, err := RunKernelContextWarm(ctx, kind, "matmul", kopt, wc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wc.hits != 1 || wc.misses != 1 {
-				t.Fatalf("warm cache saw %d hits / %d misses, want 1 / 1", wc.hits, wc.misses)
-			}
-			assertSameResult(t, "cold-through-cache", fresh, first)
-			assertSameResult(t, "snapshot-restored", fresh, second)
-		})
+			assertSameResult(t, "custom spec through a shared cache", cold.Result, warm.Result)
+		}
+	}
+	if wc.misses != 2 || wc.hits != 2 {
+		t.Errorf("cache saw %d hits / %d misses, want 2 / 2 (one snapshot per spec)", wc.hits, wc.misses)
+	}
+	ka, _ := LaneKey(RunSpec{Kind: D2MNSR, Workload: &a, Options: opt})
+	kb, _ := LaneKey(RunSpec{Kind: D2MNSR, Workload: &b, Options: opt})
+	if ka == kb {
+		t.Error("two different custom specs share a lane key")
 	}
 }
 

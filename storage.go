@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+
+	"d2m/internal/baseline"
+	"d2m/internal/core"
 )
 
 // This file reproduces the paper's §V-B storage argument: the metadata
@@ -94,6 +97,26 @@ func regionTagBits(sets int, virtual bool) int {
 // lruBits is the per-slot recency cost of an LRU stack over `ways`.
 func lruBits(ways int) int { return log2(ways) }
 
+// geometry builds a kind's machine through the mechanism registry and
+// returns its configuration — a baseline.Config or a core.Config — so
+// the geometry reports read the one kind→config map the runs use.
+func geometry(kind Kind, opt Options) (any, error) {
+	mech, err := mechFor(kind)
+	if err != nil {
+		return nil, err
+	}
+	inst := mech.New(mechOptions(opt))
+	defer inst.Release()
+	switch s := inst.Underlying().(type) {
+	case *baseline.System:
+		return s.Config(), nil
+	case *core.System:
+		return s.Config(), nil
+	default:
+		return nil, fmt.Errorf("d2m: mechanism %s exposes unknown system type %T", mech.Name, s)
+	}
+}
+
 // Storage computes the SRAM budget of one configuration under the
 // given Options (Nodes and MDScale are honoured; the rest is ignored).
 func Storage(kind Kind, opt Options) (StorageReport, error) {
@@ -104,6 +127,10 @@ func Storage(kind Kind, opt Options) (StorageReport, error) {
 	if opt.MDScale != 1 && opt.MDScale != 2 && opt.MDScale != 4 {
 		return StorageReport{}, fmt.Errorf("d2m: MDScale = %d, want 1, 2 or 4", opt.MDScale)
 	}
+	cfg, err := geometry(kind, opt)
+	if err != nil {
+		return StorageReport{}, err
+	}
 	rep := StorageReport{Kind: kind}
 	add := func(name string, count int, bitsEach int, data bool) {
 		rep.Items = append(rep.Items, StorageItem{
@@ -113,9 +140,8 @@ func Storage(kind Kind, opt Options) (StorageReport, error) {
 		})
 	}
 
-	switch kind {
-	case Base2L, Base3L:
-		c := baselineConfig(kind, opt)
+	switch c := cfg.(type) {
+	case baseline.Config:
 		n := c.Nodes
 		// Conventional caches: data + tag array (tag, MESI state, LRU).
 		l1Slots := c.L1Sets * c.L1Ways
@@ -139,8 +165,7 @@ func Storage(kind Kind, opt Options) (StorageReport, error) {
 		tlb2Entry := (vpnBits - log2(c.TLB2Sets)) + frameBits + 8
 		add("L2 TLBs", n*c.TLB2Sets*c.TLB2Ways, tlb2Entry, false)
 
-	default:
-		c := coreConfig(kind, opt)
+	case core.Config:
 		n := c.Nodes
 		// Tag-less data arrays: payload plus per-slot back-metadata
 		// (replacement pointer, master/dirty/excl state, recency).

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"d2m/internal/trace"
 	"d2m/internal/tracestore"
-	"d2m/internal/workloads"
 )
 
 // Trace ingestion: recorded access traces are first-class benchmarks.
@@ -123,34 +121,4 @@ func TracePath(id string) (string, bool) {
 // traceName extracts the trace id from a "trace:<id>" benchmark name.
 func traceName(bench string) (string, bool) {
 	return strings.CutPrefix(bench, TracePrefix)
-}
-
-// benchStream resolves a benchmark name — a catalog entry or a
-// "trace:<id>" reference — to its display name, suite and a stream
-// factory. Each factory call returns an independent stream at position
-// zero; trace streams read the stored file chunk-at-a-time (bounded
-// memory) and loop when shorter than warmup+measure.
-func benchStream(bench string, opt Options) (name, suite string, mk func() trace.Stream, err error) {
-	if id, ok := traceName(bench); ok {
-		lib := traceLibrary()
-		if lib == nil {
-			return "", "", nil, errNoTraceDir
-		}
-		fr0, info, err := lib.OpenReader(id)
-		if err != nil {
-			return "", "", nil, fmt.Errorf("d2m: unknown benchmark %q: %w", bench, err)
-		}
-		if info.Nodes > opt.Nodes {
-			return "", "", nil, fmt.Errorf("d2m: trace %s uses %d nodes but Nodes = %d", id, info.Nodes, opt.Nodes)
-		}
-		fr0.Loop = true
-		// fr0 stays parked at record zero; every run replays through its
-		// own clone, sharing the one cached file handle underneath.
-		return bench, SuiteTrace, func() trace.Stream { return fr0.Clone() }, nil
-	}
-	sp, ok := workloads.ByName(bench)
-	if !ok {
-		return "", "", nil, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", bench)
-	}
-	return sp.Name, sp.Suite, func() trace.Stream { return trace.NewInterleaver(specStreams(sp, opt)) }, nil
 }

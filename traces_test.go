@@ -71,14 +71,21 @@ func TestTraceBenchmarkRun(t *testing.T) {
 	}
 	assertSameResult(t, "trace replay", res, again)
 
-	// The stored-trace path (chunked FileReader) and the legacy RunTrace
-	// path (in-memory Reader) replay the same bytes: identical metrics.
-	direct, err := RunTrace(D2MNSR, bytes.NewReader(enc), opt)
+	// The stored-trace path (chunked FileReader) and an in-memory
+	// Reader over the same bytes replay identically.
+	inMemory := source{name: bench, suite: SuiteTrace, stream: func(Options) trace.Stream {
+		rd, err := trace.ReadTrace(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd.Loop = true
+		return rd
+	}}
+	direct, err := execute(ctx, D2MNSR, inMemory, []Options{opt.withDefaults()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct.Benchmark, direct.Suite = res.Benchmark, res.Suite
-	assertSameResult(t, "FileReader-vs-Reader", direct, res)
+	assertSameResult(t, "FileReader-vs-Reader", *direct[0], res)
 
 	// A trace wider than the machine is rejected.
 	if _, err := runOne(ctx, D2MNSR, bench, Options{Nodes: 1, Warmup: 1000, Measure: 1000}); err == nil {
@@ -208,10 +215,16 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 			t.Parallel()
 			for i, src := range append(sources, "trace") {
 				opt := Options{Nodes: 2, Warmup: 2000, Measure: 5000, Topology: topos[i%len(topos)]}.withDefaults()
-				block := Result{Kind: kind, Benchmark: src}
-				block.measure(kind, opt, mkStream(src, opt))
-				scalar := Result{Kind: kind, Benchmark: src}
-				scalar.measure(kind, opt, nextOnly{mkStream(src, opt)})
+				measure := func(s trace.Stream) Result {
+					rs, err := execute(context.Background(), kind,
+						source{name: src, stream: func(Options) trace.Stream { return s }}, []Options{opt}, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return *rs[0]
+				}
+				block := measure(mkStream(src, opt))
+				scalar := measure(nextOnly{mkStream(src, opt)})
 				bj, _ := json.Marshal(block)
 				sj, _ := json.Marshal(scalar)
 				if string(bj) != string(sj) {
@@ -268,11 +281,11 @@ func TestVectorSuite(t *testing.T) {
 	w0, w1 := w, w
 	w0.VectorLines = 0
 	w1.VectorLines = 1
-	r0, err := RunCustom(D2MNSR, w0, opt)
+	r0, err := runWorkload(D2MNSR, w0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunCustom(D2MNSR, w1, opt)
+	r1, err := runWorkload(D2MNSR, w1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +293,7 @@ func TestVectorSuite(t *testing.T) {
 	// And 8 is a different stream.
 	w8 := w
 	w8.VectorLines = 8
-	r8, err := RunCustom(D2MNSR, w8, opt)
+	r8, err := runWorkload(D2MNSR, w8, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

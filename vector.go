@@ -3,8 +3,6 @@ package d2m
 import (
 	"context"
 	"fmt"
-
-	"d2m/internal/sim"
 )
 
 // The vector engine: RunGroup executes a lane group — K RunSpecs that
@@ -17,10 +15,10 @@ import (
 // one machine, one stream and one warmup, and each lane's Result is
 // sampled at its own measurement boundary (sim.MeasureLanes).
 // LinkBandwidth, a pure post-processing stretch, is applied per lane
-// from the flit-hop count at that lane's boundary. The results are
-// byte-identical to the scalar path's, enforced by the lane
-// differential tests; the scalar path remains the fallback for
-// singleton and odd-shaped work.
+// from the flit-hop count at that lane's boundary. Run and RunGroup
+// share one executor (execute) — a scalar run is a one-lane walk — and
+// the results are byte-identical, enforced by the lane differential
+// tests.
 
 // Engine names for RunOutput.Engine and the service's engine hints.
 const (
@@ -55,16 +53,17 @@ func LaneKey(spec RunSpec) (string, bool) {
 	if spec.Replicates >= 2 {
 		return "", false
 	}
-	return WarmKey(spec.Kind, spec.Benchmark, spec.Options), true
+	return warmKey(spec.Kind, warmScope(spec), spec.Options), true
 }
 
 // RunGroup simulates a lane group in lockstep and returns one outcome
-// per lane, in lane order. Every lane must share the same LaneKey;
-// mixed groups are rejected outright (no partial results). A
-// single-lane group falls back to the scalar Run. ctx cancels the whole
-// group; each lane's GroupLane.Ctx cancels just that lane. Warm-state
-// reuse works as in Run: the group restores a snapshot for its shared
-// warm identity when one exists, and deposits one otherwise.
+// per lane, in lane order. Every lane must share the same LaneKey and
+// pass Run's validation; a mixed or invalid group is rejected outright
+// (no partial results). A single-lane group runs on the scalar path.
+// ctx cancels the whole group; each lane's GroupLane.Ctx cancels just
+// that lane. Warm-state reuse works as in Run: the group restores a
+// snapshot for its shared warm identity when one exists, and deposits
+// one otherwise.
 func RunGroup(ctx context.Context, lanes []GroupLane) ([]LaneOutcome, error) {
 	if len(lanes) == 0 {
 		return nil, nil
@@ -82,6 +81,22 @@ func RunGroup(ctx context.Context, lanes []GroupLane) ([]LaneOutcome, error) {
 			return nil, fmt.Errorf("d2m: RunGroup lanes 0 and %d have different lane keys (%q vs %q)", i+1, key0, k)
 		}
 	}
+	opts := make([]Options, len(lanes))
+	var src source
+	var wc WarmCache
+	for i, ln := range lanes {
+		opt, s, err := prepare(ln.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("d2m: RunGroup lane %d: %w", i, err)
+		}
+		opts[i] = opt
+		if i == 0 {
+			src = s
+		}
+		if wc == nil {
+			wc = ln.Spec.Warm
+		}
+	}
 
 	laneCtx := func(i int) context.Context {
 		if lanes[i].Ctx != nil {
@@ -89,94 +104,26 @@ func RunGroup(ctx context.Context, lanes []GroupLane) ([]LaneOutcome, error) {
 		}
 		return ctx
 	}
-
 	if len(lanes) == 1 {
-		out, err := Run(laneCtx(0), lanes[0].Spec)
+		out, err := run(laneCtx(0), lanes[0].Spec, opts[0], src)
 		return []LaneOutcome{{Output: out, Err: err}}, err
 	}
 
-	spec0 := lanes[0].Spec
-	opt0 := spec0.Options.withDefaults()
-	benchName, benchSuite, mk, err := benchStream(spec0.Benchmark, opt0)
+	rs, err := execute(ctx, lanes[0].Spec.Kind, src, opts, wc, func(i int) bool { return laneCtx(i).Err() == nil })
 	if err != nil {
 		return nil, err
 	}
-	if err := opt0.Validate(); err != nil {
-		return nil, err
-	}
-	var wc WarmCache
-	for _, ln := range lanes {
-		if ln.Spec.Warm != nil {
-			wc = ln.Spec.Warm
-			break
-		}
-	}
-
-	measures := make([]int, len(lanes))
-	for i, ln := range lanes {
-		measures[i] = ln.Spec.Options.withDefaults().Measure
-	}
-
 	outs := make([]LaneOutcome, len(lanes))
-	captured := make([]bool, len(lanes))
-	active := func(i int) bool { return laneCtx(i).Err() == nil }
-	key := warmKey(spec0.Kind, "bench:"+benchName, opt0)
-
-	// Mirror runWarm's registry template with MeasureLanes in place of
-	// Measure: the sink extracts each lane's Result from the shared
-	// machine at that lane's boundary, reading the flit-hop meter there
-	// so the per-lane bandwidth stretch sees exactly the traffic a
-	// scalar run of that lane would have generated.
-	mech, err := mechFor(spec0.Kind)
-	if err != nil {
-		return nil, err
-	}
-	inst := mech.New(mechOptions(opt0))
-	defer inst.Release()
-	engine := sim.NewEngine(inst, opt0.Nodes)
-	var snap *WarmSnapshot
-	if wc != nil {
-		snap = wc.GetWarm(key)
-	}
-	src, err := warmedStream(ctx, engine, snap, mk, opt0.Warmup)
-	if err != nil {
-		return nil, err
-	}
-	if snap != nil {
-		inst.Restore(snap.state)
-	} else if wc != nil && wantWarm(wc, key) {
-		ws := &WarmSnapshot{key: key, warmup: opt0.Warmup, state: inst.Snapshot()}
-		ws.finish(src)
-		wc.PutWarm(ws)
-	}
-	var sinkErr error
-	sink := func(lane int, rep sim.Report) {
-		r := Result{Kind: spec0.Kind, Benchmark: benchName, Suite: benchSuite}
-		r.fillCommon(rep)
-		flitHops, err := r.fillFromInstance(inst, rep, mech)
-		if err != nil {
-			sinkErr = err
-			return
-		}
-		r.applyBandwidth(lanes[lane].Spec.Options.withDefaults(), flitHops)
-		outs[lane] = LaneOutcome{Output: RunOutput{Result: r, Engine: EngineVector}}
-		captured[lane] = true
-	}
-	groupErr := engine.MeasureLanes(ctx, src, measures, active, sink)
-	if groupErr == nil {
-		groupErr = sinkErr
-	}
-	if groupErr != nil {
-		return nil, groupErr
-	}
-	for i := range outs {
-		if !captured[i] {
+	for i, r := range rs {
+		if r == nil {
 			err := laneCtx(i).Err()
 			if err == nil {
 				err = context.Canceled
 			}
 			outs[i] = LaneOutcome{Err: err}
+			continue
 		}
+		outs[i] = LaneOutcome{Output: RunOutput{Result: *r, Engine: EngineVector}}
 	}
 	return outs, nil
 }

@@ -17,14 +17,19 @@ import (
 // groupOf builds a lane group over one warm identity whose lanes vary
 // only in the measurement window and link bandwidth.
 func groupOf(kind Kind, bench string, base Options, windows []int, bands []float64) []GroupLane {
+	return specGroup(RunSpec{Kind: kind, Benchmark: bench, Options: base}, windows, bands)
+}
+
+// specGroup is groupOf over any workload source.
+func specGroup(base RunSpec, windows []int, bands []float64) []GroupLane {
 	lanes := make([]GroupLane, len(windows))
 	for i, m := range windows {
-		opt := base
-		opt.Measure = m
+		spec := base
+		spec.Options.Measure = m
 		if bands != nil {
-			opt.LinkBandwidth = bands[i]
+			spec.Options.LinkBandwidth = bands[i]
 		}
-		lanes[i] = GroupLane{Spec: RunSpec{Kind: kind, Benchmark: bench, Options: opt}}
+		lanes[i] = GroupLane{Spec: spec}
 	}
 	return lanes
 }
@@ -51,10 +56,17 @@ func assertLanesMatchScalar(t *testing.T, ctx context.Context, lanes []GroupLane
 }
 
 // TestLaneDifferentialMatrix is the vector/scalar differential over
-// kinds x topologies x options for the scheduler's lane-count shapes:
-// 1, 2, K equal windows, and K windows that don't divide each other.
+// kinds x sources x topologies x options for the scheduler's lane-count
+// shapes: 1, 2, K equal windows, and K windows that don't divide each
+// other.
 func TestLaneDifferentialMatrix(t *testing.T) {
 	ctx := context.Background()
+	w := exampleWorkload()
+	sources := []RunSpec{
+		{Benchmark: "tpc-c"},
+		{Benchmark: KernelPrefix + "stencil"},
+		{Workload: &w},
+	}
 	shapes := []struct {
 		name    string
 		windows []int
@@ -69,9 +81,12 @@ func TestLaneDifferentialMatrix(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, sh := range shapes {
-				base := Options{Nodes: 2, Warmup: 2000, Seed: 11}
-				assertLanesMatchScalar(t, ctx, groupOf(kind, "tpc-c", base, sh.windows, sh.bands))
+			for _, src := range sources {
+				for _, sh := range shapes {
+					base := src
+					base.Kind, base.Options = kind, Options{Nodes: 2, Warmup: 2000, Seed: 11}
+					assertLanesMatchScalar(t, ctx, specGroup(base, sh.windows, sh.bands))
+				}
 			}
 		})
 	}

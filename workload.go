@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"d2m/internal/trace"
 	"d2m/internal/workloads"
 )
 
 // WorkloadSpec is a user-defined synthetic workload, the public mirror of
 // the internal generator parameters. It can be written by hand, loaded
-// from JSON (ParseWorkload), and run on any configuration (RunCustom).
+// from JSON (ParseWorkload), and run on any configuration through
+// RunSpec.Workload.
 // See internal/workloads for the meaning of each knob; the catalog's 45
 // paper benchmarks are instances of the same model.
 type WorkloadSpec struct {
@@ -124,7 +124,7 @@ func (w WorkloadSpec) toInternal() *workloads.Spec {
 		seed = 0x5ee0
 	}
 	return &workloads.Spec{
-		Name: name, Suite: "Custom", Seed: seed,
+		Name: name, Suite: SuiteCustom, Seed: seed,
 		CodeBytes: w.CodeBytes, HotCodeBytes: w.HotCodeBytes,
 		HotJumpFrac: w.HotJumpFrac, RejumpFrac: w.RejumpFrac,
 		JumpProb: w.JumpProb, SharedCode: w.SharedCode,
@@ -140,26 +140,4 @@ func (w WorkloadSpec) toInternal() *workloads.Spec {
 		VectorLines:    w.VectorLines,
 		MigratoryLines: w.MigratoryLines, MigratoryFrac: w.MigratoryFrac,
 	}
-}
-
-// RunCustom simulates a user-defined workload on a configuration.
-func RunCustom(kind Kind, w WorkloadSpec, opt Options) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	opt = opt.withDefaults()
-	if opt.Nodes < 1 || opt.Nodes > 8 {
-		return Result{}, fmt.Errorf("d2m: Nodes = %d out of range 1..8", opt.Nodes)
-	}
-	if opt.MDScale != 1 && opt.MDScale != 2 && opt.MDScale != 4 {
-		return Result{}, fmt.Errorf("d2m: MDScale = %d, want 1, 2 or 4", opt.MDScale)
-	}
-	sp := w.toInternal()
-	if opt.Seed != 0 {
-		sp.Seed ^= opt.Seed * 0x9e3779b97f4a7c15
-	}
-	iv := trace.NewInterleaver(sp.Streams(opt.Nodes))
-	res := Result{Kind: kind, Benchmark: sp.Name, Suite: sp.Suite}
-	res.measure(kind, opt, iv)
-	return res, nil
 }
