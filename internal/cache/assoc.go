@@ -10,10 +10,14 @@ import "fmt"
 // Table is a set-associative table with true-LRU replacement. The caller
 // computes the set index (which is what allows D2M's dynamic indexing to
 // scramble it) and associates payloads via Index.
+//
+// A slot's validity is folded into its key: keys holds key+1 for a valid
+// slot and 0 for an invalid one, so a probe reads one array. The encoding
+// reserves the key ^uint64(0), which Put rejects; no caller can produce it,
+// since every key is a line, region or page number of a 64-bit address.
 type Table struct {
 	sets, ways int
-	keys       []uint64
-	valid      []bool
+	keys       []uint64 // key+1 per valid slot; 0 marks an invalid slot
 	stamp      []uint64 // per-slot LRU stamp; larger = more recent
 	clock      uint64
 }
@@ -32,7 +36,6 @@ func NewTable(sets, ways int) *Table {
 		sets:  sets,
 		ways:  ways,
 		keys:  make([]uint64, n),
-		valid: make([]bool, n),
 		stamp: make([]uint64, n),
 	}
 }
@@ -60,9 +63,14 @@ func (t *Table) Lookup(set int, key uint64) (way int, ok bool) {
 	// this is the single hottest loop under the protocol engine (every
 	// MD1/MD2/tag/directory probe lands here).
 	keys := t.keys[base : base+t.ways]
-	valid := t.valid[base : base+t.ways]
+	// key+1 wraps the reserved key ^uint64(0) to 0, the invalid marker;
+	// no slot can hold it.
+	want := key + 1
+	if want == 0 {
+		return -1, false
+	}
 	for w := range keys {
-		if keys[w] == key && valid[w] {
+		if keys[w] == want {
 			return w, true
 		}
 	}
@@ -89,32 +97,35 @@ func (t *Table) StampAt(i int) uint64 { return t.stamp[i] }
 
 // SlotKey is KeyAt addressed by flat slot index, for callers that
 // memoized the index.
-func (t *Table) SlotKey(i int) (uint64, bool) { return t.keys[i], t.valid[i] }
+func (t *Table) SlotKey(i int) (uint64, bool) {
+	k := t.keys[i]
+	return k - 1, k != 0
+}
 
 // KeyAt returns the key stored at (set, way) and whether the slot is
-// valid.
+// valid. An invalid slot reports key ^uint64(0).
 func (t *Table) KeyAt(set, way int) (uint64, bool) {
-	i := set*t.ways + way
-	return t.keys[i], t.valid[i]
+	return t.SlotKey(set*t.ways + way)
 }
 
 // Valid reports whether (set, way) holds a valid entry.
-func (t *Table) Valid(set, way int) bool { return t.valid[set*t.ways+way] }
+func (t *Table) Valid(set, way int) bool { return t.keys[set*t.ways+way] != 0 }
 
 // Put installs key at (set, way), marking it valid and most recently
 // used. Any previous occupant is overwritten; the caller is responsible
-// for having evicted it.
+// for having evicted it. Put panics on key ^uint64(0), which the key+1
+// encoding reserves for invalid slots.
 func (t *Table) Put(set, way int, key uint64) {
-	i := set*t.ways + way
-	t.keys[i] = key
-	t.valid[i] = true
+	if key == ^uint64(0) {
+		panic("cache: key ^uint64(0) is reserved")
+	}
+	t.keys[set*t.ways+way] = key + 1
 	t.Touch(set, way)
 }
 
 // Invalidate clears (set, way).
 func (t *Table) Invalidate(set, way int) {
 	i := set*t.ways + way
-	t.valid[i] = false
 	t.keys[i] = 0
 	t.stamp[i] = 0
 }
@@ -154,7 +165,7 @@ func (t *Table) VictimWayScoredIn(set, ways int, score func(way int) int) int {
 	bestScore := 0
 	var bestStamp uint64
 	for w := 0; w < ways; w++ {
-		if !t.valid[base+w] {
+		if t.keys[base+w] == 0 {
 			return w
 		}
 		s := 0
@@ -173,7 +184,7 @@ func (t *Table) CountValid(set int) int {
 	base := set * t.ways
 	n := 0
 	for w := 0; w < t.ways; w++ {
-		if t.valid[base+w] {
+		if t.keys[base+w] != 0 {
 			n++
 		}
 	}
@@ -185,8 +196,8 @@ func (t *Table) ForEach(fn func(set, way int, key uint64)) {
 	for s := 0; s < t.sets; s++ {
 		for w := 0; w < t.ways; w++ {
 			i := s*t.ways + w
-			if t.valid[i] {
-				fn(s, w, t.keys[i])
+			if k := t.keys[i]; k != 0 {
+				fn(s, w, k-1)
 			}
 		}
 	}

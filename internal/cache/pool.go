@@ -17,7 +17,6 @@ import (
 // equivalent to a fresh NewTable of the same geometry.
 func (t *Table) Reset() {
 	clear(t.keys)
-	clear(t.valid)
 	clear(t.stamp)
 	t.clock = 0
 }

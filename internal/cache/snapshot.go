@@ -1,5 +1,7 @@
 package cache
 
+import "unsafe"
+
 // Warm-state snapshots freeze a table mid-simulation and later restore
 // it into a pooled table of the same geometry. Clone allocates the copy
 // outside the pools (a snapshot owns its arrays for its whole lifetime
@@ -13,12 +15,10 @@ func (t *Table) Clone() *Table {
 		sets:  t.sets,
 		ways:  t.ways,
 		keys:  make([]uint64, len(t.keys)),
-		valid: make([]bool, len(t.valid)),
 		stamp: make([]uint64, len(t.stamp)),
 		clock: t.clock,
 	}
 	copy(cp.keys, t.keys)
-	copy(cp.valid, t.valid)
 	copy(cp.stamp, t.stamp)
 	return cp
 }
@@ -30,7 +30,6 @@ func (t *Table) CopyFrom(src *Table) {
 		panic("cache: CopyFrom geometry mismatch")
 	}
 	copy(t.keys, src.keys)
-	copy(t.valid, src.valid)
 	copy(t.stamp, src.stamp)
 	t.clock = src.clock
 }
@@ -38,5 +37,7 @@ func (t *Table) CopyFrom(src *Table) {
 // SizeBytes returns the table's approximate in-memory footprint, used
 // by the snapshot LRU's byte budget.
 func (t *Table) SizeBytes() int64 {
-	return int64(len(t.keys))*8 + int64(len(t.valid)) + int64(len(t.stamp))*8 + 32
+	return int64(unsafe.Sizeof(*t)) +
+		int64(len(t.keys))*int64(unsafe.Sizeof(t.keys[0])) +
+		int64(len(t.stamp))*int64(unsafe.Sizeof(t.stamp[0]))
 }

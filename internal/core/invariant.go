@@ -172,7 +172,7 @@ func (s *System) checkNodeEntries() error {
 				case LocL1, LocL2:
 					st := n.storeForLocal(li, ent)
 					sset := st.setFor(line, ent.scramble)
-					sl := st.at(sset, li.Way)
+					sl := st.at(sset, int(li.Way))
 					if !sl.valid || sl.line != line {
 						failure = fmt.Errorf("node %d: determinism: LI %v for %v, slot holds %v valid=%v", n.id, li, line, sl.line, sl.valid)
 						return
@@ -184,13 +184,13 @@ func (s *System) checkNodeEntries() error {
 					}
 					st := s.llcStore(li)
 					sset := st.setFor(line, ent.scramble)
-					sl := st.at(sset, li.Way)
+					sl := st.at(sset, int(li.Way))
 					if !sl.valid || sl.line != line {
 						failure = fmt.Errorf("node %d: determinism: LLC LI %v for %v, slot holds %v valid=%v", n.id, li, line, sl.line, sl.valid)
 						return
 					}
 				case LocNode:
-					if li.Node < 0 || li.Node >= s.cfg.Nodes {
+					if li.Node < 0 || int(li.Node) >= s.cfg.Nodes {
 						failure = fmt.Errorf("node %d: LI names node %d", n.id, li.Node)
 						return
 					}
@@ -273,7 +273,7 @@ func (s *System) checkDataStores() (map[*slot]bool, error) {
 					return
 				}
 				li := ent.li[sl.line.Index()]
-				if !li.Local() || li.Way != way || n.storeForLocal(li, ent) != st ||
+				if !li.Local() || int(li.Way) != way || n.storeForLocal(li, ent) != st ||
 					st.setFor(sl.line, ent.scramble) != set {
 					failure = fmt.Errorf("%s: line %v at (%d,%d) but LI says %v", st.name, sl.line, set, way, li)
 				}

@@ -216,7 +216,7 @@ func (n *node) localLineCount(ent *nodeRegion) int {
 			continue
 		}
 		if li.Kind == LocLLC && n.sys.llcIsLocal(li, n.id) && li.Way != WayUnresolved {
-			if sl := n.sys.slices[n.id].at(n.sys.slices[n.id].setFor(ent.region.Line(idx), ent.scramble), li.Way); sl.valid && !sl.master && sl.line == ent.region.Line(idx) {
+			if sl := n.sys.slices[n.id].at(n.sys.slices[n.id].setFor(ent.region.Line(idx), ent.scramble), int(li.Way)); sl.valid && !sl.master && sl.line == ent.region.Line(idx) {
 				count++
 			}
 		}

@@ -102,7 +102,7 @@ func (s *System) chooseSlice(n int) int {
 // installed in node n: a victim location in the LLC whose slice is chosen
 // now and whose exact slot is resolved at eviction time (WayUnresolved).
 func (s *System) allocRP(n int) Location {
-	return Location{Kind: LocLLC, Node: s.chooseSlice(n), Way: WayUnresolved}
+	return Location{Kind: LocLLC, Node: int8(s.chooseSlice(n)), Way: WayUnresolved}
 }
 
 // shouldReplicate decides whether a line just read from a remote NS-LLC

@@ -69,7 +69,7 @@ func TestServeConcreteChasesReplicaRP(t *testing.T) {
 	if loc.Kind != LocLLC {
 		t.Skip("replication did not create a slice replica in this geometry")
 	}
-	if sl := s.slices[1].at(s.slices[1].setFor(line, s.md3Probe(mem.RegionAddr(31)).scramble), loc.Way); sl.rp.Kind != LocNode {
+	if sl := s.slices[1].at(s.slices[1].setFor(line, s.md3Probe(mem.RegionAddr(31)).scramble), int(loc.Way)); sl.rp.Kind != LocNode {
 		t.Fatalf("setup: replica RP is %v, want a node referral", sl.rp)
 	}
 
@@ -194,7 +194,7 @@ func TestReferralCycleBreaksAtMemory(t *testing.T) {
 	oldLI := ent1.li[1] // the L1 location, carrying the way
 	st, set, sl := s.nodes[1].localSlot(ent1, 1)
 	rp := sl.rp
-	st.drop(set, oldLI.Way)
+	st.drop(set, int(oldLI.Way))
 	ent1.li[1] = rp
 	if rp != loc {
 		t.Fatalf("setup: L1 replica RP %v does not name the slice replica %v", rp, loc)

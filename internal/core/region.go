@@ -97,22 +97,23 @@ const (
 // key; we store the LIs, the Private bit, and the dynamic-indexing
 // scramble). The struct is shared between the node's MD1 and MD2 tables,
 // which models the Tracking Pointer: evicting the MD1 entry "copies the
-// LI information to MD2" by simply flipping active.
+// LI information to MD2" by simply flipping active. Fields are ordered
+// widest-first so the entry packs without padding holes.
 type nodeRegion struct {
 	region   mem.RegionAddr
-	li       [mem.LinesPerRegion]Location
-	private  bool
 	scramble uint64
-	active   activeStore
-	// instrStream records which L1 array (I or D) the region's
-	// L1-resident lines live in; a region's lines occupy one stream's
-	// array at a time (footnote 2: separate MD1-I/L1-I structures).
-	instrStream bool
+	li       [mem.LinesPerRegion]Location
 	// touches and installs drive the bypass predictor: a region whose
 	// lines are installed but rarely re-touched is streaming. Another
 	// example of "attaching properties to each region" (§IV-D).
 	touches  uint32
 	installs uint32
+	private  bool
+	active   activeStore
+	// instrStream records which L1 array (I or D) the region's
+	// L1-resident lines live in; a region's lines occupy one stream's
+	// array at a time (footnote 2: separate MD1-I/L1-I structures).
+	instrStream bool
 }
 
 // bypassMinInstalls and bypassReuseFactor parameterize the streaming
@@ -157,9 +158,9 @@ func newNodeRegion(r mem.RegionAddr, private bool, scramble uint64) *nodeRegion 
 // assigned when the entry is created (§IV-D).
 type dirRegion struct {
 	region   mem.RegionAddr
-	pb       uint16
-	li       [mem.LinesPerRegion]Location
 	scramble uint64
+	li       [mem.LinesPerRegion]Location
+	pb       uint16
 }
 
 func newDirRegion(r mem.RegionAddr, scramble uint64) *dirRegion {

@@ -13,8 +13,17 @@ import (
 // evictions can find the line's active metadata entry (the paper's
 // Tracking Pointer — constant-time in hardware, a region-keyed lookup in
 // the simulator) and so that the determinism invariant can be audited.
+// Fields are ordered widest-first so a slot packs into 24 bytes.
 type slot struct {
-	line   mem.LineAddr
+	line mem.LineAddr
+	// ver is the coherence-oracle version of the data the slot holds;
+	// maintained only when Config.CoherenceDebug is set, and used by
+	// tests to prove that every read observes the latest write.
+	ver uint64
+	// rp is the Replacement Pointer: for a master line, the victim
+	// location that becomes the new master on eviction (§III-B); for a
+	// replica, the current master location, enabling silent replacement.
+	rp     Location
 	valid  bool
 	dirty  bool
 	master bool
@@ -22,14 +31,6 @@ type slot struct {
 	// valid copies exist, so further writes are silent. Serving a
 	// remote read clears it.
 	excl bool
-	// rp is the Replacement Pointer: for a master line, the victim
-	// location that becomes the new master on eviction (§III-B); for a
-	// replica, the current master location, enabling silent replacement.
-	rp Location
-	// ver is the coherence-oracle version of the data the slot holds;
-	// maintained only when Config.CoherenceDebug is set, and used by
-	// tests to prove that every read observes the latest write.
-	ver uint64
 	// prefetched marks a line brought in by the prefetcher and not yet
 	// touched by a demand access.
 	prefetched bool

@@ -234,7 +234,7 @@ func (s *System) Meter() *energy.Meter { return s.meter }
 // llcEP returns the endpoint of the LLC store holding loc.
 func (s *System) llcEP(loc Location) noc.Endpoint {
 	if s.cfg.NearSide {
-		return noc.NodeEP(loc.Node)
+		return noc.NodeEP(int(loc.Node))
 	}
 	return noc.Hub
 }
@@ -291,7 +291,7 @@ func (s *System) llcStore(loc Location) *dataStore {
 // llcIsLocal reports whether the LLC location is in node's own slice
 // (always false for a far-side LLC).
 func (s *System) llcIsLocal(loc Location, nodeID int) bool {
-	return s.cfg.NearSide && loc.Node == nodeID
+	return s.cfg.NearSide && int(loc.Node) == nodeID
 }
 
 // --- MD3 access -----------------------------------------------------------

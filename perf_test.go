@@ -4,8 +4,9 @@ package d2m
 // BenchmarkEngineHotPath measures the protocol engine's per-access
 // throughput and allocation rate on a cold run (fresh engine, nothing
 // cached), and TestMain journals the numbers to the file named by
-// D2M_BENCH_OUT (the repo's BENCH_core.json) so later PRs can track
-// regressions:
+// D2M_BENCH_OUT (the repo's BENCH_core.json), with a host fingerprint
+// (CPU model, GOMAXPROCS, Go version), so later changes can track
+// regressions on the same machine:
 //
 //	D2M_BENCH_OUT=BENCH_core.json go test -run '^$' -bench 'BenchmarkEngineHotPath|BenchmarkTraceReplay' .
 //
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,6 +49,7 @@ func TestMain(m *testing.M) {
 		payload := map[string]interface{}{
 			"benchmark": bench,
 			"workload":  hotPathWorkload,
+			"host":      benchHost(),
 			"metrics":   coreBench.m,
 		}
 		data, _ := json.MarshalIndent(payload, "", "  ")
@@ -56,6 +59,31 @@ func TestMain(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// benchHost fingerprints the machine a journal was measured on, so two
+// journals are only compared when they come from the same host.
+func benchHost() map[string]interface{} {
+	return map[string]interface{}{
+		"cpu":        cpuModel(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+		"go":         runtime.Version(),
+	}
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or the
+// architecture where that file is missing.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
 }
 
 // hotPathWorkload describes the measured simulation; measure is b.N.
