@@ -1,11 +1,10 @@
 // Package api holds the v1 wire contract of the d2m service: request
 // and response shapes, the structured error envelope, the capabilities
-// document, and the API revision string. It is the single definition
-// that both the scheduler shards (internal/service) and the cluster
-// gateway (internal/cluster) serve, so the two can never drift apart —
-// before this package the gateway imported the server's types, coupling
-// the transports. The package depends only on the root d2m types; it
-// knows nothing about scheduling or HTTP routing beyond status mapping.
+// document, and the API revision string. The HTTP layer in
+// internal/service renders it in both single-process and cluster mode,
+// and the cluster gateway decodes shard replies with it. The package
+// depends only on the root d2m types; it knows nothing about
+// scheduling or HTTP routing beyond status mapping.
 package api
 
 import (
@@ -326,6 +325,15 @@ func Errorf(code ErrCode, format string, args ...interface{}) *Error {
 	return &Error{Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
+// Unauthorized is the 401 for a missing (key == "") or unknown API
+// key.
+func Unauthorized(key string) *Error {
+	if key == "" {
+		return Errorf(ErrUnauthorized, "missing X-API-Key header")
+	}
+	return Errorf(ErrUnauthorized, "unknown API key")
+}
+
 // ErrorInfo is the structured half of the envelope. RetryAfterMS,
 // Tenant and Limit appear on 429s (API v1.6): rate_limited carries all
 // three (whose budget ran out and at what sustained rate), overloaded
@@ -339,20 +347,18 @@ type ErrorInfo struct {
 	Limit        float64 `json:"limit,omitempty"`
 }
 
+// Err is the Error that renders as this envelope, so a relayed
+// rejection renders byte-identically to the original.
+func (i ErrorInfo) Err() *Error {
+	return &Error{Code: i.Code, Message: i.Message,
+		RetryAfterMS: i.RetryAfterMS, Tenant: i.Tenant, Limit: i.Limit}
+}
+
 // ErrorBody is the JSON error envelope:
 //
 //	{"error": {"code": "...", "message": "..."}}
 type ErrorBody struct {
 	Error ErrorInfo `json:"error"`
-}
-
-// ErrorCode extracts the wire code from an error produced by this
-// package's validation helpers; any other error reads as ErrInternal.
-func ErrorCode(err error) ErrCode {
-	if ae, ok := err.(*Error); ok {
-		return ae.Code
-	}
-	return ErrInternal
 }
 
 // WriteErr renders err through the envelope at its mapped status. An
@@ -372,12 +378,6 @@ func WriteErr(w http.ResponseWriter, err error) {
 			RetryAfterMS: ae.RetryAfterMS, Tenant: ae.Tenant, Limit: ae.Limit,
 		},
 	})
-}
-
-// WriteError renders an error envelope with the given code at its
-// mapped HTTP status.
-func WriteError(w http.ResponseWriter, code ErrCode, format string, args ...interface{}) {
-	WriteErr(w, Errorf(code, format, args...))
 }
 
 // WriteJSON renders v as indented JSON at the given status.

@@ -12,9 +12,7 @@ import (
 // GET /v1/sweeps/{id} stream state transitions when the client asks
 // for text/event-stream, instead of being polled. Event ids are dense
 // and deterministic per resource, so a reconnect with Last-Event-ID
-// resumes exactly where the previous stream broke — the shard and the
-// gateway share this framing, which is why it lives in the wire
-// package.
+// resumes exactly where the previous stream broke.
 
 // AcceptsSSE reports whether the request negotiated an event stream:
 // an Accept header listing text/event-stream.
@@ -67,13 +65,6 @@ func (s *SSEWriter) Event(id int, event string, v interface{}) error {
 	if err != nil {
 		return err
 	}
-	return s.Raw(id, event, data)
-}
-
-// Raw writes one event whose data bytes are already framed as a
-// single line (no newlines). The gateway's job-stream proxy uses this
-// to relay shard events after rewriting ids.
-func (s *SSEWriter) Raw(id int, event string, data []byte) error {
 	if _, err := fmt.Fprintf(s.w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data); err != nil {
 		return err
 	}

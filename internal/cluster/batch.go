@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -9,120 +9,44 @@ import (
 	"d2m"
 	"d2m/internal/api"
 	"d2m/internal/service"
-	"d2m/internal/service/sched"
 )
 
-// POST /v1/batch at the gateway: the batch is validated whole (any bad
-// run rejects it, nothing is forwarded), cached slots are served from
-// the gateway's result cache, and the remaining runs are partitioned
-// by warm-identity ring owner into per-shard sub-batches that forward
-// concurrently. Each shard's admission keeps its all-or-nothing
-// guarantee; across shards the gateway composes them conservatively:
-// if ANY sub-batch is rejected 429, the whole batch answers 429 (with
-// the largest Retry-After any shard asked for) and no partial results
-// are returned. Sub-batches that were admitted run to completion on
-// their shards and land in the content-addressed caches, so the
-// client's retry re-serves those runs without recomputation and
-// converges on the full batch.
-
-// batchSlot is one run's routing state while the batch is in flight.
-type batchSlot struct {
-	raw  json.RawMessage // original wire form, forwarded verbatim
-	key  string          // canonical cache key
-	warm string          // warm-identity shard key
-	kind d2m.Kind
-	st   api.JobStatus
-	done bool
-}
-
-// rawBatch decodes the batch envelope but keeps each run's original
-// bytes, so sub-batches forward exactly what the client sent (the
-// shard re-validates; the gateway never re-encodes a request).
-type rawBatch struct {
-	Runs []json.RawMessage `json:"runs"`
-}
-
-func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var raw rawBatch
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
-		api.WriteError(w, api.ErrInvalidRequest, "bad request body: %v", err)
-		return
-	}
-	if len(raw.Runs) == 0 {
-		api.WriteError(w, api.ErrInvalidRequest, "batch has no runs")
-		return
-	}
-	if len(raw.Runs) > service.MaxBatchRuns {
-		api.WriteError(w, api.ErrInvalidRequest,
-			"batch has %d runs, limit is %d", len(raw.Runs), service.MaxBatchRuns)
-		return
-	}
-
-	// Validate every run gateway-side before forwarding any, mirroring
-	// the shard's all-or-nothing admission check.
-	slots := make([]batchSlot, len(raw.Runs))
-	for i, rr := range raw.Runs {
-		var req api.RunRequest
-		d := json.NewDecoder(bytes.NewReader(rr))
-		d.DisallowUnknownFields()
-		if err := d.Decode(&req); err != nil {
-			api.WriteError(w, api.ErrInvalidRequest, "runs[%d]: bad run: %v", i, err)
-			return
-		}
-		if req.Async {
-			api.WriteError(w, api.ErrInvalidRequest,
-				"runs[%d]: async is not supported in batches; use POST /v1/run", i)
-			return
-		}
-		kind, bench, opt, reps, _, err := req.Normalize()
-		if err != nil {
-			api.WriteError(w, api.ErrorCode(err), "runs[%d]: %v", i, err)
-			return
-		}
-		slots[i] = batchSlot{
-			raw:  rr,
-			key:  sched.CacheKey(kind, bench, opt, reps),
-			warm: d2m.WarmKey(kind, bench, opt),
-			kind: kind,
-		}
-	}
-
-	// Serve what the gateway already knows.
-	for i := range slots {
-		if rec, ok := g.cache.get(slots[i].key); ok {
+// Batch serves cached slots from the gateway's result cache and
+// partitions the remaining runs by warm-identity ring owner into
+// per-shard sub-batches that forward concurrently. Each shard's
+// admission keeps its all-or-nothing guarantee; across shards the
+// gateway composes them conservatively: if ANY sub-batch is rejected
+// (429 included, with its Retry-After), the whole batch answers with
+// that rejection and no partial results. Sub-batches that were
+// admitted run to completion on their shards and land in the
+// content-addressed caches, so the client's retry re-serves those runs
+// without recomputation and converges on the full batch.
+func (g *Gateway) Batch(ctx context.Context, apiKey string, runs []service.Run) ([]api.JobStatus, error) {
+	sts := make([]api.JobStatus, len(runs))
+	done := make([]bool, len(runs))
+	for i, run := range runs {
+		if res, rep, ok := g.cache.Get(run.CacheKey()); ok {
 			g.metrics.CacheHits.Add(1)
-			res := rec.Result
-			slots[i].st = api.JobStatus{
-				State: api.JobDone, Kind: rec.Kind, Benchmark: rec.Benchmark,
-				Cached: true, Result: &res, Replicated: rec.Replicated,
-			}
-			slots[i].done = true
+			sts[i], done[i] = run.CachedStatus(res, rep), true
 		}
 	}
 
 	// Forward the rest, re-partitioning by live ring owner each round so
 	// a shard lost mid-batch fails over instead of failing the batch.
-	// The caller's API key rides along on every sub-batch: the shards
-	// hold the tenant registry and their admission answers (401, 429
-	// rate_limited) relay back unchanged.
-	apiKey := r.Header.Get("X-API-Key")
 	type subResult struct {
-		idxs    []int
-		fr      forwardResult
-		deliver bool // fr holds a terminal response for these slots
+		idxs []int
+		fr   forwardResult
+		err  error // the shard was lost; these slots retry next round
 	}
-	for attempt := 0; attempt < g.maxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		groups := map[string][]int{}
-		for i := range slots {
-			if slots[i].done {
+		for i, run := range runs {
+			if done[i] {
 				continue
 			}
-			owners := g.peers.owners(slots[i].warm, 1)
+			owners := g.peers.owners(d2m.WarmKey(run.Kind, run.Bench, run.Options), 1)
 			if len(owners) == 0 {
-				api.WriteError(w, api.ErrDraining, "no scheduler shard available")
-				return
+				return nil, errNoShard
 			}
 			groups[owners[0].Name] = append(groups[owners[0].Name], i)
 		}
@@ -137,49 +61,35 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func(p Peer, idxs []int) {
 				defer wg.Done()
-				body := encodeSubBatch(slots, idxs)
-				fr, err := g.do(r.Context(), p, http.MethodPost, "/v1/batch", body, apiKey)
-				if err != nil {
-					g.peers.setState(p.Name, PeerDown)
-					g.logf("peer %s is down (%v)", p.Name, err)
-					results <- subResult{idxs: idxs}
-					return
+				sub := api.BatchRequest{Runs: make([]api.RunRequest, len(idxs))}
+				for k, i := range idxs {
+					sub.Runs[k] = runs[i].Req
 				}
-				if isDrainingResponse(fr) {
-					g.peers.setState(p.Name, PeerDraining)
-					g.logf("peer %s is draining", p.Name)
-					results <- subResult{idxs: idxs}
-					return
-				}
-				results <- subResult{idxs: idxs, fr: fr, deliver: true}
+				body, _ := json.Marshal(sub) // plain fields: cannot fail
+				fr, err := g.try(ctx, p, http.MethodPost, "/v1/batch", body, apiKey)
+				results <- subResult{idxs: idxs, fr: fr, err: err}
 			}(p, idxs)
 		}
 		wg.Wait()
 		close(results)
 		g.metrics.BatchesForwarded.Add(uint64(len(groups)))
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 
 		for sub := range results {
-			if !sub.deliver {
-				continue // shard lost; these slots retry next attempt
-			}
-			if sub.fr.status == http.StatusTooManyRequests {
-				// One overloaded shard rejects the whole batch: relay the
-				// 429 (keeping its Retry-After) so the client's view stays
-				// all-or-nothing.
-				relay(w, sub.fr)
-				return
+			if sub.err != nil {
+				continue
 			}
 			if sub.fr.status != http.StatusOK {
-				relay(w, sub.fr)
-				return
+				return nil, shardError(sub.fr)
 			}
 			var body struct {
 				Results []api.JobStatus `json:"results"`
 			}
 			if err := json.Unmarshal(sub.fr.body, &body); err != nil || len(body.Results) != len(sub.idxs) {
-				api.WriteError(w, api.ErrInternal,
+				return nil, api.Errorf(api.ErrInternal,
 					"shard %s returned a malformed batch response", sub.fr.peer.Name)
-				return
 			}
 			for k, i := range sub.idxs {
 				st := body.Results[k]
@@ -187,38 +97,16 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 					st.ID = routedID(st.ID, sub.fr.peer)
 				}
 				if st.State == api.JobDone && st.Result != nil {
-					g.cache.learn(slots[i].key, slots[i].kind, st.Benchmark, *st.Result, st.Replicated)
+					g.cache.Put(runs[i].CacheKey(), *st.Result, st.Replicated)
 				}
-				slots[i].st = st
-				slots[i].done = true
+				sts[i], done[i] = st, true
 			}
 		}
 	}
-
-	out := struct {
-		Results []api.JobStatus `json:"results"`
-	}{Results: make([]api.JobStatus, len(slots))}
-	for i := range slots {
-		if !slots[i].done {
-			api.WriteError(w, api.ErrDraining, "no scheduler shard available")
-			return
+	for i := range done {
+		if !done[i] {
+			return nil, errNoShard
 		}
-		out.Results[i] = slots[i].st
 	}
-	api.WriteJSON(w, http.StatusOK, out)
-}
-
-// encodeSubBatch renders a per-shard batch body from the original run
-// bytes of the chosen slots.
-func encodeSubBatch(slots []batchSlot, idxs []int) []byte {
-	var b bytes.Buffer
-	b.WriteString(`{"runs":[`)
-	for k, i := range idxs {
-		if k > 0 {
-			b.WriteByte(',')
-		}
-		b.Write(slots[i].raw)
-	}
-	b.WriteString(`]}`)
-	return b.Bytes()
+	return sts, nil
 }

@@ -42,15 +42,12 @@ func newShard(t *testing.T, name string, cfg service.Config) (Peer, *service.Ser
 	return Peer{Name: name, URL: ts.URL}, s, ts
 }
 
-// newGatewayServer starts a gateway over the given peers with
-// test-friendly probe and poll cadence.
+// newGatewayServer starts a gateway over the given peers with a
+// test-friendly probe cadence.
 func newGatewayServer(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
 	t.Helper()
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 100 * time.Millisecond
-	}
-	if cfg.SweepPoll == 0 {
-		cfg.SweepPoll = 5 * time.Millisecond
 	}
 	g, err := New(cfg)
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +18,6 @@ import (
 	"d2m"
 	"d2m/internal/api"
 	"d2m/internal/service"
-	"d2m/internal/service/sched"
 )
 
 // Config sizes the gateway. Peers is mandatory; everything else has a
@@ -30,62 +31,67 @@ type Config struct {
 	Peers []Peer
 	// ProbeInterval is the readiness-probe period. Zero means 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /readyz probe. Zero means 2s.
-	ProbeTimeout time.Duration
-	// MaxAttempts bounds how many distinct shards one submission may be
-	// offered (the ring owner plus failover successors). Zero means 3.
-	MaxAttempts int
-	// CacheEntries is the gateway result-cache LRU capacity. Zero
-	// means 4096.
-	CacheEntries int
 	// MergeStores lists shard journal paths to replay into the gateway
 	// cache at startup (one JSONL journal per shard): a fleet restart
 	// then resumes from the union of what any shard completed, even for
 	// keys the ring now assigns to a different shard.
 	MergeStores []string
-	// SweepPoll is the sub-sweep polling period. Zero means 25ms.
-	SweepPoll time.Duration
 	// Logf, when non-nil, receives gateway lifecycle log lines (peer
 	// state changes, sweep remaps).
 	Logf func(format string, args ...interface{})
-	// Client is the HTTP client used for forwarding and probing. Nil
-	// means a default client with no overall timeout (synchronous runs
-	// are legitimately long; cancellation flows through request
-	// contexts).
-	Client *http.Client
 }
 
+const (
+	// probeTimeout bounds one readiness probe and capabilities fetch.
+	probeTimeout = 2 * time.Second
+	// maxAttempts bounds how many distinct shards one submission may be
+	// offered: the ring owner plus failover successors.
+	maxAttempts = 3
+	// cacheEntries is the gateway result-cache capacity.
+	cacheEntries = 4096
+)
+
+// client forwards and probes. It has no overall timeout: synchronous
+// runs are legitimately long, and cancellation flows through request
+// contexts.
+var client = &http.Client{}
+
 // Gateway fronts a fleet of scheduler shards behind the single-server
-// v1 API: submissions are consistent-hashed by warm-identity key onto
-// shards, responses stream back with job ids rewritten to the routable
-// <localid>@<shard> form, and sweeps are expanded once at the gateway
-// and fanned out shard-local so snapshot reuse and coalescing never
-// split across processes.
+// v1 API. It is the cluster-mode service.Backend under the service's
+// own HTTP layer: submissions are consistent-hashed by warm-identity
+// key onto shards, replies come back with job ids rewritten to the
+// routable <localid>@<shard> form, and sweep cells are partitioned by
+// ring owner into shard-local sub-sweeps, so snapshot reuse and
+// coalescing never split across processes. The shards stay the
+// admission authority: the caller's X-API-Key rides along on every
+// hop.
 type Gateway struct {
 	peers         *peerSet
-	cache         *resultCache
-	client        *http.Client
-	mux           *http.ServeMux
-	maxAttempts   int
+	cache         *service.ResultCache
+	handler       http.Handler
 	probeInterval time.Duration
-	probeTimeout  time.Duration
-	sweepPoll     time.Duration
 	logf          func(string, ...interface{})
 
+	// ctx ends at Shutdown, stopping the prober and every fleet sweep;
+	// wg tracks both, and mu keeps sweep work from joining wg once ctx
+	// has ended.
 	ctx    context.Context
 	cancel context.CancelFunc
+	mu     sync.Mutex
 	wg     sync.WaitGroup
 
 	metrics gatewayMetrics
 
-	mu          sync.Mutex
-	sweeps      map[string]*gatewaySweep
-	nextSweepID atomic.Uint64
-
-	// compatMu guards compatOK: the per-peer verdict of the one-time
-	// API-revision check the prober runs against /v1/capabilities.
+	// compatMu guards compat: the per-peer verdict of the one-time
+	// capabilities check the prober runs.
 	compatMu sync.Mutex
-	compatOK map[string]bool
+	compat   map[string]peerCaps
+}
+
+// peerCaps is what the prober learned from a peer's capabilities.
+type peerCaps struct {
+	ok      bool // same API revision and every gateway kind
+	tenancy bool // the peer enforces X-API-Key tenants
 }
 
 // gatewayMetrics are the gateway's own counters, rendered on
@@ -112,32 +118,12 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 4096
-	}
-	if cfg.SweepPoll <= 0 {
-		cfg.SweepPoll = 25 * time.Millisecond
-	}
 	g := &Gateway{
 		peers:         newPeerSet(cfg.Peers),
-		cache:         newResultCache(cfg.CacheEntries),
-		client:        cfg.Client,
-		maxAttempts:   cfg.MaxAttempts,
+		cache:         service.NewResultCache(cacheEntries),
 		probeInterval: cfg.ProbeInterval,
-		probeTimeout:  cfg.ProbeTimeout,
-		sweepPoll:     cfg.SweepPoll,
 		logf:          cfg.Logf,
-		sweeps:        make(map[string]*gatewaySweep),
-		compatOK:      make(map[string]bool),
-	}
-	if g.client == nil {
-		g.client = &http.Client{}
+		compat:        make(map[string]peerCaps),
 	}
 	if g.logf == nil {
 		g.logf = func(string, ...interface{}) {}
@@ -148,7 +134,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("cluster: merge store %s: %w", path, err)
 		}
 		for _, rec := range recs {
-			g.cache.put(rec.Key, rec)
+			g.cache.Put(rec.Key, rec.Result, rec.Replicated)
 		}
 		g.metrics.StoreLoaded.Add(uint64(len(recs)))
 	}
@@ -156,37 +142,21 @@ func New(cfg Config) (*Gateway, error) {
 	g.probeAll(g.ctx)
 	g.wg.Add(1)
 	go g.prober()
-
-	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("POST /v1/run", g.handleRun)
-	g.mux.HandleFunc("POST /v1/batch", g.handleBatch)
-	g.mux.HandleFunc("GET /v1/jobs", g.handleJobs)
-	g.mux.HandleFunc("GET /v1/jobs/{id}", g.handleJob)
-	g.mux.HandleFunc("DELETE /v1/jobs/{id}", g.handleJobCancel)
-	g.mux.HandleFunc("POST /v1/sweeps", g.handleSweepCreate)
-	g.mux.HandleFunc("GET /v1/sweeps", g.handleSweeps)
-	g.mux.HandleFunc("GET /v1/sweeps/{id}", g.handleSweepGet)
-	g.mux.HandleFunc("DELETE /v1/sweeps/{id}", g.handleSweepDelete)
-	g.mux.HandleFunc("POST /v1/traces", g.handleTraceUpload)
-	g.mux.HandleFunc("GET /v1/traces", g.handleTraceList)
-	g.mux.HandleFunc("GET /v1/traces/{id}", g.handleTraceGet)
-	g.mux.HandleFunc("GET /v1/traces/{id}/raw", g.handleTraceRaw)
-	g.mux.HandleFunc("GET /v1/capabilities", g.handleCapabilities)
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
-	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
+	g.handler = service.NewHandler(g)
 	return g, nil
 }
 
-// Handler returns the gateway's HTTP handler (the same v1 surface the
-// shards serve).
-func (g *Gateway) Handler() http.Handler { return g.mux }
+// Handler returns the gateway's HTTP handler: the v1 surface a shard
+// serves, minus the shard-only /admin routes.
+func (g *Gateway) Handler() http.Handler { return g.handler }
 
-// Shutdown stops the prober and abandons outstanding sweep
-// orchestration. The shards are not touched: their queued and running
-// jobs finish and land in their journals.
+// Shutdown stops the prober and cancels outstanding fleet sweeps,
+// waiting for both. Runs and batches already forwarded are not
+// touched: the shards finish them and land them in their journals.
 func (g *Gateway) Shutdown(ctx context.Context) error {
+	g.mu.Lock()
 	g.cancel()
+	g.mu.Unlock()
 	done := make(chan struct{})
 	go func() { g.wg.Wait(); close(done) }()
 	select {
@@ -197,33 +167,42 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}
 }
 
+// begin registers sweep work with Shutdown's wait; it returns false
+// once Shutdown has begun.
+func (g *Gateway) begin() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ctx.Err() != nil {
+		return false
+	}
+	g.wg.Add(1)
+	return true
+}
+
 // ---------------------------------------------------------------------------
 // Forwarding.
 
-// forwardResult is one relayed shard response, buffered so the gateway
-// can rewrite job ids before answering the client.
+// forwardResult is one buffered shard response.
 type forwardResult struct {
 	status int
-	header http.Header
 	body   []byte
 	peer   Peer
 }
 
-// errNoShard is returned when no live shard could take the request.
-var errNoShard = fmt.Errorf("cluster: no shard available")
+// errNoShard answers requests no live shard could take.
+var errNoShard = api.Errorf(api.ErrDraining, "no scheduler shard available")
 
-// do issues one forwarded request to a specific peer. apiKey, when
-// non-empty, rides along as X-API-Key: with a tenant-configured fleet
-// the shard is the authority on admission, so the gateway forwards the
-// caller's credential on every hop instead of holding its own registry.
-func (g *Gateway) do(ctx context.Context, p Peer, method, path string, body []byte, apiKey string) (forwardResult, error) {
+// newRequest builds a request to p carrying the caller's API key: with
+// a tenant-configured fleet the shard is the authority on admission,
+// so the key is forwarded on every hop.
+func newRequest(ctx context.Context, p Peer, method, path string, body []byte, apiKey string) (*http.Request, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, p.URL+path, rd)
 	if err != nil {
-		return forwardResult{}, err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -231,7 +210,12 @@ func (g *Gateway) do(ctx context.Context, p Peer, method, path string, body []by
 	if apiKey != "" {
 		req.Header.Set("X-API-Key", apiKey)
 	}
-	resp, err := g.client.Do(req)
+	return req, nil
+}
+
+// send issues req to p and buffers the answer.
+func send(req *http.Request, p Peer) (forwardResult, error) {
+	resp, err := client.Do(req)
 	if err != nil {
 		return forwardResult{}, err
 	}
@@ -240,75 +224,98 @@ func (g *Gateway) do(ctx context.Context, p Peer, method, path string, body []by
 	if err != nil {
 		return forwardResult{}, err
 	}
-	return forwardResult{status: resp.StatusCode, header: resp.Header, body: buf, peer: p}, nil
+	return forwardResult{status: resp.StatusCode, body: buf, peer: p}, nil
 }
 
-// isDrainingResponse reports whether a shard response is the 503
-// draining envelope (as opposed to some other 503).
-func isDrainingResponse(fr forwardResult) bool {
-	if fr.status != http.StatusServiceUnavailable {
-		return false
+// do issues one forwarded request to a specific peer.
+func do(ctx context.Context, p Peer, method, path string, body []byte, apiKey string) (forwardResult, error) {
+	req, err := newRequest(ctx, p, method, path, body, apiKey)
+	if err != nil {
+		return forwardResult{}, err
 	}
+	return send(req, p)
+}
+
+// shardError is the error a shard's non-success answer renders as: its
+// own envelope, so status, code and Retry-After relay unchanged.
+func shardError(fr forwardResult) *api.Error {
 	var eb api.ErrorBody
-	if json.Unmarshal(fr.body, &eb) != nil {
-		return false
+	if json.Unmarshal(fr.body, &eb) != nil || eb.Error.Code == "" {
+		return api.Errorf(api.ErrInternal, "shard %s answered HTTP %d", fr.peer.Name, fr.status)
 	}
-	return eb.Error.Code == api.ErrDraining
+	return eb.Error.Err()
+}
+
+// shardReply decodes a shard's job-shaped answer: a status comes back
+// with its id routed, and anything else (an error envelope does not
+// decode as a status) as the shard's error.
+func shardReply(fr forwardResult) (api.JobStatus, error) {
+	var st api.JobStatus
+	if json.Unmarshal(fr.body, &st) != nil {
+		return st, shardError(fr)
+	}
+	if st.ID != "" {
+		st.ID = routedID(st.ID, fr.peer)
+	}
+	return st, nil
+}
+
+// try forwards one request to p. A transport failure marks p Down and
+// a draining rejection marks it Draining; both are errors after which
+// the caller offers the request to another shard (safe:
+// submissions are content-addressed and idempotent).
+func (g *Gateway) try(ctx context.Context, p Peer, method, path string, body []byte, apiKey string) (forwardResult, error) {
+	fr, err := do(ctx, p, method, path, body, apiKey)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return fr, ctx.Err()
+	case err != nil:
+		g.peers.setState(p.Name, PeerDown)
+		g.logf("peer %s is down (%v)", p.Name, err)
+		return fr, err
+	case fr.status == http.StatusServiceUnavailable && shardError(fr).Code == api.ErrDraining:
+		g.peers.setState(p.Name, PeerDraining)
+		g.logf("peer %s is draining", p.Name)
+		return fr, errNoShard
+	}
+	return fr, nil
 }
 
 // forwardKey routes one request by warm-identity key: the ring owner
 // first, then failover successors, at most maxAttempts distinct
-// shards. A transport error marks the shard Down; a draining rejection
-// marks it Draining; both advance to the next candidate (safe to
-// retry: submissions are content-addressed and idempotent). Every
-// other response — including 429 with its Retry-After — is relayed
-// as-is.
+// shards. Every answer but a lost or draining shard — including 429
+// with its Retry-After — is returned as-is.
 func (g *Gateway) forwardKey(ctx context.Context, key, method, path string, body []byte, apiKey string) (forwardResult, error) {
-	for attempt := 0; attempt < g.maxAttempts; attempt++ {
-		owners := g.peers.owners(key, g.maxAttempts)
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		owners := g.peers.owners(key, maxAttempts)
 		if len(owners) == 0 {
 			return forwardResult{}, errNoShard
 		}
-		idx := attempt
-		if idx >= len(owners) {
-			idx = len(owners) - 1
-		}
-		p := owners[idx]
 		if attempt > 0 {
 			g.metrics.Failovers.Add(1)
 		}
-		fr, err := g.do(ctx, p, method, path, body, apiKey)
-		if err != nil {
-			if ctx.Err() != nil {
-				return forwardResult{}, ctx.Err()
-			}
-			g.peers.setState(p.Name, PeerDown)
-			g.logf("peer %s is down (%v)", p.Name, err)
-			continue
+		fr, err := g.try(ctx, owners[min(attempt, len(owners)-1)], method, path, body, apiKey)
+		if err == nil || ctx.Err() != nil {
+			return fr, err
 		}
-		if isDrainingResponse(fr) {
-			g.peers.setState(p.Name, PeerDraining)
-			g.logf("peer %s is draining", p.Name)
-			continue
-		}
-		return fr, nil
 	}
 	return forwardResult{}, errNoShard
 }
 
-// relay writes a buffered shard response through to the client,
-// preserving the status and the Retry-After header.
-func relay(w http.ResponseWriter, fr forwardResult) {
-	if ra := fr.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+// read decodes GET path from the first reachable shard into v; a
+// homogeneous fleet answers alike everywhere.
+func (g *Gateway) read(ctx context.Context, path, apiKey string, v interface{}) error {
+	for _, p := range g.peers.live() {
+		fr, err := do(ctx, p, http.MethodGet, path, nil, apiKey)
+		if err != nil {
+			continue
+		}
+		if fr.status != http.StatusOK {
+			return shardError(fr)
+		}
+		return json.Unmarshal(fr.body, v)
 	}
-	ct := fr.header.Get("Content-Type")
-	if ct == "" {
-		ct = "application/json"
-	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(fr.status)
-	w.Write(fr.body)
+	return errNoShard
 }
 
 // ---------------------------------------------------------------------------
@@ -326,192 +333,158 @@ func splitRouted(id string) (local, peer string, ok bool) {
 	return id[:i], id[i+1:], true
 }
 
+// route resolves a routed job id to its shard. Draining and down
+// shards still resolve: status and cancel for in-flight jobs on a
+// draining shard must keep working.
+func (g *Gateway) route(id string) (Peer, string, error) {
+	local, name, ok := splitRouted(id)
+	if !ok {
+		return Peer{}, "", api.Errorf(api.ErrNotFound, "unknown job id %q", id)
+	}
+	p, ok := g.peers.byName(name)
+	if !ok {
+		return Peer{}, "", api.Errorf(api.ErrNotFound, "unknown shard %q in job id %q", name, id)
+	}
+	return p, local, nil
+}
+
 // ---------------------------------------------------------------------------
-// HTTP handlers.
+// The remote Backend.
 
-const maxBodyBytes = 4 << 20
+var _ service.Backend = (*Gateway)(nil)
 
-func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// Auth leaves admission to the shards, which hold the tenant registry
+// and charge every forwarded submission, so n is not charged here. On
+// a tenant-configured fleet it still checks the key against one shard
+// — its capabilities name a tenant only for a valid key — so what the
+// gateway answers by itself (sweeps, listings, cached results) gets
+// the 401 a shard would give. The caller value is the raw key.
+func (g *Gateway) Auth(ctx context.Context, apiKey string, n int) (string, error) {
+	if !g.tenancy() {
+		return apiKey, nil
+	}
+	if apiKey == "" {
+		return "", api.Unauthorized(apiKey)
+	}
+	caps, err := g.Capabilities(ctx, apiKey)
 	if err != nil {
-		api.WriteError(w, api.ErrInvalidRequest, "bad request body: %v", err)
-		return
+		return "", err
 	}
-	var req api.RunRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		api.WriteError(w, api.ErrInvalidRequest, "bad request body: %v", err)
-		return
+	if caps.Tenancy != nil && caps.Tenancy.Tenant == "" {
+		return "", api.Unauthorized(apiKey)
 	}
-	kind, bench, opt, reps, _, err := req.Normalize()
-	if err != nil {
-		api.WriteError(w, api.ErrorCode(err), "%v", err)
-		return
-	}
+	return apiKey, nil
+}
 
-	key := sched.CacheKey(kind, bench, opt, reps)
-	if rec, ok := g.cache.get(key); ok {
+// Draining is false: a gateway has no admission of its own to close.
+func (g *Gateway) Draining() bool { return false }
+
+// Run serves a run from the gateway cache or forwards it to the ring
+// owner of its warm identity.
+func (g *Gateway) Run(ctx context.Context, apiKey string, run service.Run) (api.JobStatus, error) {
+	key := run.CacheKey()
+	if res, rep, ok := g.cache.Get(key); ok {
 		g.metrics.CacheHits.Add(1)
-		res := rec.Result
-		api.WriteJSON(w, http.StatusOK, api.JobStatus{
-			State: api.JobDone, Kind: rec.Kind, Benchmark: rec.Benchmark,
-			Cached: true, Result: &res, Replicated: rec.Replicated,
-		})
-		return
+		return run.CachedStatus(res, rep), nil
 	}
-
-	fr, err := g.forwardKey(r.Context(), d2m.WarmKey(kind, bench, opt), http.MethodPost, "/v1/run", raw, r.Header.Get("X-API-Key"))
+	body, _ := json.Marshal(run.Req) // plain fields: cannot fail
+	fr, err := g.forwardKey(ctx, d2m.WarmKey(run.Kind, run.Bench, run.Options), http.MethodPost, "/v1/run", body, apiKey)
 	if err != nil {
-		api.WriteError(w, api.ErrDraining, "no scheduler shard available")
-		return
+		return api.JobStatus{}, err
 	}
 	g.metrics.RunsForwarded.Add(1)
-	if fr.status != http.StatusOK && fr.status != http.StatusAccepted {
-		relay(w, fr)
-		return
+	st, err := shardReply(fr)
+	if err == nil && st.State == api.JobDone && st.Result != nil {
+		g.cache.Put(key, *st.Result, st.Replicated)
 	}
-	var st api.JobStatus
-	if err := json.Unmarshal(fr.body, &st); err != nil {
-		api.WriteError(w, api.ErrInternal, "bad shard response: %v", err)
-		return
-	}
-	if st.ID != "" {
-		st.ID = routedID(st.ID, fr.peer)
-	}
-	if st.State == api.JobDone && st.Result != nil {
-		g.cache.learn(key, kind, bench, *st.Result, st.Replicated)
-	}
-	api.WriteJSON(w, fr.status, st)
+	return st, err
 }
 
-func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
-	g.routeJob(w, r, http.MethodGet)
+func (g *Gateway) Job(ctx context.Context, apiKey, id string) (api.JobStatus, error) {
+	return g.jobCall(ctx, http.MethodGet, apiKey, id)
 }
 
-func (g *Gateway) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	g.routeJob(w, r, http.MethodDelete)
+func (g *Gateway) CancelJob(ctx context.Context, apiKey, id string) (api.JobStatus, error) {
+	return g.jobCall(ctx, http.MethodDelete, apiKey, id)
 }
 
-// routeJob forwards a job status or cancel request to the shard named
-// in the routed id. Draining and down shards are still tried: status
-// for in-flight jobs on a draining shard must keep working, and a
-// down shard simply yields a 404-equivalent transport error.
-func (g *Gateway) routeJob(w http.ResponseWriter, r *http.Request, method string) {
-	id := r.PathValue("id")
-	local, peerName, ok := splitRouted(id)
-	if !ok {
-		api.WriteError(w, api.ErrNotFound, "unknown job id %q", id)
-		return
-	}
-	p, ok := g.peers.byName(peerName)
-	if !ok {
-		api.WriteError(w, api.ErrNotFound, "unknown shard %q in job id %q", peerName, id)
-		return
-	}
-	if method == http.MethodGet && api.AcceptsSSE(r) {
-		g.streamJobProxy(w, r, p, local)
-		return
-	}
-	fr, err := g.do(r.Context(), p, method, "/v1/jobs/"+local, nil, r.Header.Get("X-API-Key"))
+// jobCall forwards a job status or cancel request to the shard named
+// in the routed id.
+func (g *Gateway) jobCall(ctx context.Context, method, apiKey, id string) (api.JobStatus, error) {
+	p, local, err := g.route(id)
 	if err != nil {
-		api.WriteError(w, api.ErrInternal, "shard %s unreachable: %v", p.Name, err)
-		return
+		return api.JobStatus{}, err
 	}
-	var st api.JobStatus
-	if json.Unmarshal(fr.body, &st) == nil && st.ID != "" {
-		st.ID = routedID(st.ID, p)
-		api.WriteJSON(w, fr.status, st)
-		return
+	fr, err := do(ctx, p, method, "/v1/jobs/"+local, nil, apiKey)
+	if err != nil {
+		return api.JobStatus{}, api.Errorf(api.ErrInternal, "shard %s unreachable: %v", p.Name, err)
 	}
-	relay(w, fr)
+	return shardReply(fr)
 }
 
-// jobListBody mirrors the shard's GET /v1/jobs page shape.
-type jobListBody struct {
-	Jobs       []api.JobStatus `json:"jobs"`
-	NextCursor string          `json:"next_cursor,omitempty"`
-}
-
-// handleJobs merges the fleet's job listings: every Up or Draining
-// shard is asked for its newest jobs, ids are rewritten to routable
-// form, and the merged list is sorted newest-first per shard order.
-// Cursors do not span shards; the merged listing caps at the requested
-// limit without one.
-func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
-	limit := 50
-	if v := r.URL.Query().Get("limit"); v != "" {
-		fmt.Sscanf(v, "%d", &limit)
-		if limit < 1 || limit > 500 {
-			limit = 50
-		}
+// Jobs merges the fleet's job listings: every Up or Draining shard is
+// asked for its newest jobs, ids are rewritten to routable form, and
+// the merged list is sorted newest-first per shard order. Cursors do
+// not span shards; the merged listing caps at the requested limit
+// without one.
+func (g *Gateway) Jobs(ctx context.Context, apiKey string, q service.JobQuery) (service.JobList, error) {
+	v := url.Values{"limit": {strconv.Itoa(q.Limit)}}
+	if q.State != "" {
+		v.Set("state", string(q.State))
 	}
-	merged := jobListBody{Jobs: []api.JobStatus{}}
-	for _, entry := range g.peers.snapshot() {
-		if entry.State == PeerDown {
-			continue
-		}
-		fr, err := g.do(r.Context(), entry.Peer, http.MethodGet, "/v1/jobs?"+r.URL.RawQuery, nil, r.Header.Get("X-API-Key"))
+	if local, _, ok := splitRouted(q.Cursor); ok {
+		v.Set("cursor", local)
+	}
+	merged := service.JobList{Jobs: []api.JobStatus{}}
+	for _, p := range g.peers.live() {
+		fr, err := do(ctx, p, http.MethodGet, "/v1/jobs?"+v.Encode(), nil, apiKey)
 		if err != nil || fr.status != http.StatusOK {
 			continue
 		}
-		var page jobListBody
+		var page service.JobList
 		if json.Unmarshal(fr.body, &page) != nil {
 			continue
 		}
 		for i := range page.Jobs {
-			page.Jobs[i].ID = routedID(page.Jobs[i].ID, entry.Peer)
+			page.Jobs[i].ID = routedID(page.Jobs[i].ID, p)
 		}
 		merged.Jobs = append(merged.Jobs, page.Jobs...)
 	}
 	sort.SliceStable(merged.Jobs, func(a, b int) bool { return merged.Jobs[a].ID > merged.Jobs[b].ID })
-	if len(merged.Jobs) > limit {
-		merged.Jobs = merged.Jobs[:limit]
+	if len(merged.Jobs) > q.Limit {
+		merged.Jobs = merged.Jobs[:q.Limit]
 	}
-	api.WriteJSON(w, http.StatusOK, merged)
+	return merged, nil
 }
 
-// handleCapabilities relays the capability catalog from the first
-// reachable shard (the catalog is identical across a homogeneous
-// fleet).
-func (g *Gateway) handleCapabilities(w http.ResponseWriter, r *http.Request) {
-	for _, entry := range g.peers.snapshot() {
-		if entry.State == PeerDown {
-			continue
-		}
-		fr, err := g.do(r.Context(), entry.Peer, http.MethodGet, "/v1/capabilities", nil, r.Header.Get("X-API-Key"))
-		if err == nil && fr.status == http.StatusOK {
-			relay(w, fr)
-			return
-		}
-	}
-	api.WriteError(w, api.ErrDraining, "no scheduler shard available")
+// Capabilities relays the catalog of the first reachable shard (it is
+// identical across a homogeneous fleet).
+func (g *Gateway) Capabilities(ctx context.Context, apiKey string) (api.Capabilities, error) {
+	var caps api.Capabilities
+	err := g.read(ctx, "/v1/capabilities", apiKey, &caps)
+	return caps, err
 }
 
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) Health() interface{} {
 	up, draining, down := g.peers.counts()
-	api.WriteJSON(w, http.StatusOK, map[string]interface{}{
+	return map[string]interface{}{
 		"status": "ok",
 		"mode":   "gateway",
 		"peers":  map[string]int{"up": up, "draining": draining, "down": down},
-		"cached": g.cache.len(),
-	})
-}
-
-// handleReadyz: the gateway is ready when at least one shard can take
-// work.
-func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	up, _, _ := g.peers.counts()
-	if up == 0 {
-		api.WriteJSON(w, http.StatusServiceUnavailable,
-			map[string]interface{}{"status": "no shards"})
-		return
+		"cached": g.cache.Len(),
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]interface{}{"status": "ok"})
 }
 
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+// Readiness: the gateway is ready when at least one shard can take
+// work.
+func (g *Gateway) Readiness() (string, bool) {
+	if up, _, _ := g.peers.counts(); up == 0 {
+		return "no shards", false
+	}
+	return "ok", true
+}
+
+func (g *Gateway) WriteMetrics(w io.Writer) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}

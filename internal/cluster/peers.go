@@ -192,10 +192,22 @@ func (ps *peerSet) snapshot() []struct {
 	return out
 }
 
+// live lists the peers that answer HTTP (Up or Draining), in
+// configuration order.
+func (ps *peerSet) live() []Peer {
+	var out []Peer
+	for _, entry := range ps.snapshot() {
+		if entry.State != PeerDown {
+			out = append(out, entry.Peer)
+		}
+	}
+	return out
+}
+
 // probe checks one peer's /readyz: 200 is Up, any other HTTP answer is
 // Draining (the shard is alive but not admitting — draining or still
 // replaying its journal), and a transport error is Down.
-func probe(ctx context.Context, client *http.Client, p Peer) PeerState {
+func probe(ctx context.Context, p Peer) PeerState {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.URL+"/readyz", nil)
 	if err != nil {
 		return PeerDown
@@ -218,21 +230,22 @@ func probe(ctx context.Context, client *http.Client, p Peer) PeerState {
 // request for a kind it does not know, after the gateway already
 // admitted it). A mismatched shard is kept out of the ring (Down) —
 // routing to it would relay responses in a shape the gateway does not
-// speak — and the mismatch is logged. The verdict is cached per peer,
-// so the fleet pays one capabilities fetch per shard, not one per
-// probe round; a fetch that fails outright reads as Down and is
+// speak — and the mismatch is logged. The same fetch records whether
+// the peer enforces tenants (see Auth). The verdict is cached per
+// peer, so the fleet pays one capabilities fetch per shard, not one
+// per probe round; a fetch that fails outright reads as Down and is
 // retried on the next round.
 func (g *Gateway) verifyPeer(ctx context.Context, p Peer) PeerState {
 	g.compatMu.Lock()
-	ok, seen := g.compatOK[p.Name]
+	pc, seen := g.compat[p.Name]
 	g.compatMu.Unlock()
 	if seen {
-		if ok {
+		if pc.ok {
 			return PeerUp
 		}
 		return PeerDown
 	}
-	fr, err := g.do(ctx, p, http.MethodGet, "/v1/capabilities", nil, "")
+	fr, err := do(ctx, p, http.MethodGet, "/v1/capabilities", nil, "")
 	if err != nil || fr.status != http.StatusOK {
 		return PeerDown
 	}
@@ -250,12 +263,24 @@ func (g *Gateway) verifyPeer(ctx context.Context, p Peer) PeerState {
 			p.Name, missing)
 	}
 	g.compatMu.Lock()
-	g.compatOK[p.Name] = compatible
+	g.compat[p.Name] = peerCaps{ok: compatible, tenancy: caps.Tenancy != nil}
 	g.compatMu.Unlock()
 	if !compatible {
 		return PeerDown
 	}
 	return PeerUp
+}
+
+// tenancy reports whether any compatible peer enforces tenants.
+func (g *Gateway) tenancy() bool {
+	g.compatMu.Lock()
+	defer g.compatMu.Unlock()
+	for _, pc := range g.compat {
+		if pc.ok && pc.tenancy {
+			return true
+		}
+	}
+	return false
 }
 
 // missingKinds returns the gateway's kinds that a peer's advertised
@@ -285,9 +310,9 @@ func (g *Gateway) probeAll(ctx context.Context) bool {
 	ch := make(chan res, len(g.peers.peers))
 	for _, p := range g.peers.peers {
 		go func(p Peer) {
-			pctx, cancel := context.WithTimeout(ctx, g.probeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
-			st := probe(pctx, g.client, p)
+			st := probe(pctx, p)
 			if st == PeerUp {
 				st = g.verifyPeer(pctx, p)
 			}

@@ -54,9 +54,18 @@ type sseEvent struct {
 
 func openSSE(t *testing.T, url string, lastID int) *http.Response {
 	t.Helper()
+	return openSSEKey(t, url, "", lastID)
+}
+
+// openSSEKey is openSSE with an optional X-API-Key.
+func openSSEKey(t *testing.T, url, key string, lastID int) *http.Response {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if key != "" {
+		req.Header.Set("X-API-Key", key)
 	}
 	req.Header.Set("Accept", "text/event-stream")
 	if lastID >= 1 {
@@ -168,7 +177,7 @@ func TestGatewayForwardsTenantKey(t *testing.T) {
 	}
 	// The sub-sweep hops carry the key too — the sweep completes
 	// instead of dying on shard-side 401s.
-	resp := openSSE(t, gts.URL+"/v1/sweeps/"+st.ID, 0)
+	resp := openSSEKey(t, gts.URL+"/v1/sweeps/"+st.ID, "ka", 0)
 	defer resp.Body.Close()
 	events := readEvents(t, resp.Body, st.Total+2, "sweep")
 	if len(events) == 0 || events[len(events)-1].event != "sweep" {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -14,253 +13,85 @@ import (
 	"d2m/internal/service/sched"
 )
 
-// Fleet sweeps: POST /v1/sweeps at the gateway expands the grid ONCE
-// (the same validation path a shard runs), then partitions the cells
+// Fleet sweeps: the HTTP layer expands the grid once, exactly as a
+// shard would, and hands the cells to RunCells, which partitions them
 // by warm-identity ring owner and submits each shard one sub-sweep
-// through the explicit-Cells form of the same endpoint. Every cell of
-// a warm identity lands on one shard, so snapshot reuse and
-// single-flight coalescing work exactly as in a single process — the
-// fleet never splits a warm chain. The orchestrator polls sub-sweeps
-// (?cells=1), merges per-cell outcomes, and when a shard drains or
-// dies mid-sweep, resubmits its unfinished cells to the remapped ring
-// owners — the sweep survives losing a shard as long as one remains.
+// through the explicit-Cells form of POST /v1/sweeps. Every cell of a
+// warm identity lands on one shard, so snapshot reuse and single-flight
+// coalescing work exactly as in a single process — the fleet never
+// splits a warm chain. Each sub-sweep's event stream settles cells as
+// they finish; when a shard drains or dies mid-sweep, its unfinished
+// cells are resubmitted to the remapped ring owners — the sweep
+// survives losing a shard as long as one remains.
 
-// gatewaySweep is the gateway's record of one fleet sweep.
-type gatewaySweep struct {
-	id        string
-	apiKey    string // caller credential, forwarded on every sub-sweep hop
-	baseline  d2m.Kind
-	reps      int
-	engine    string // normalized engine hint, forwarded to sub-sweeps
-	timeoutMS int64
-	cells     []d2m.SweepCell
-	keys      []string // canonical cache key per cell
-	warm      []string // warm-identity shard key per cell
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	doneCh chan struct{}
-
-	mu       sync.Mutex
-	state    service.SweepState
-	outcome  []service.SweepCellStatus // State=="" means unresolved
-	done     int
-	cached   int
-	failed   int
-	canceled int
-	created  time.Time
-	finished time.Time
-	summary  *service.SweepSummary
-	// events mirrors the shard-side SSE event log: cell indexes in
-	// settle order, with eventsCh closed and replaced on every append
-	// so streamers wake without being tracked. The gateway settles
-	// whole sub-sweep slices at once, so its settle order differs from
-	// any one shard's — but the framing and payloads are identical.
-	events   []int
-	eventsCh chan struct{}
-}
-
-// settle records one cell's terminal outcome exactly once.
-func (sw *gatewaySweep) settle(i int, cs service.SweepCellStatus) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	sw.settleLocked(i, cs)
-}
-
-func (sw *gatewaySweep) settleLocked(i int, cs service.SweepCellStatus) {
-	if sw.outcome[i].State != "" {
-		return
+// RunCells drives a fleet sweep to completion: rounds of
+// partition-by-owner and sub-sweep submission until every cell
+// settles or no shard remains. Cells stranded by a shard that drained
+// or died rejoin the pending set and remap to the ring's new owners
+// next round — bounded by one round per fleet member plus one, which
+// covers shards failing one after another. Gateway shutdown cancels
+// the sweep like a DELETE does.
+func (g *Gateway) RunCells(ctx context.Context, apiKey string, cells []d2m.SweepCell, spec service.CellSpec, settle func(int, service.CellOutcome)) error {
+	if g.begin() {
+		defer g.wg.Done()
 	}
-	sw.outcome[i] = cs
-	switch cs.State {
-	case api.JobDone:
-		sw.done++
-		if cs.Cached {
-			sw.cached++
-		}
-	case api.JobCanceled:
-		sw.canceled++
-	default:
-		sw.failed++
-	}
-	sw.events = append(sw.events, i)
-	close(sw.eventsCh)
-	sw.eventsCh = make(chan struct{})
-}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(g.ctx, cancel)()
+	g.metrics.SweepsAccepted.Add(1)
 
-// pending lists the unresolved cell indexes.
-func (sw *gatewaySweep) pending() []int {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	var out []int
-	for i := range sw.outcome {
-		if sw.outcome[i].State == "" {
-			out = append(out, i)
+	keys := make([]string, len(cells))
+	var (
+		mu      sync.Mutex
+		settled = make([]bool, len(cells))
+	)
+	settleOnce := func(i int, cs service.SweepCellStatus) {
+		mu.Lock()
+		first := !settled[i]
+		settled[i] = true
+		mu.Unlock()
+		if first {
+			settle(i, service.CellOutcome{SweepCellStatus: cs})
 		}
 	}
-	return out
-}
-
-// status snapshots the sweep's JSON view in the same shape a shard
-// renders (no ETA: cell latencies live on the shards).
-func (sw *gatewaySweep) status() service.SweepStatus {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	st := service.SweepStatus{
-		ID: sw.id, State: sw.state, Total: len(sw.cells),
-		Done: sw.done, Cached: sw.cached, Failed: sw.failed, Canceled: sw.canceled,
-		Summary: sw.summary,
-	}
-	end := time.Now()
-	if !sw.finished.IsZero() {
-		end = sw.finished
-	}
-	st.ElapsedMS = float64(end.Sub(sw.created)) / float64(time.Millisecond)
-	return st
-}
-
-// cellStatuses snapshots the ?cells=1 view; unresolved cells read as
-// queued, mirroring the shard's rendering.
-func (sw *gatewaySweep) cellStatuses() []service.SweepCellStatus {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	out := make([]service.SweepCellStatus, len(sw.outcome))
-	copy(out, sw.outcome)
-	for i := range out {
-		if out[i].State == "" {
-			out[i].State = api.JobQueued
+	pending := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []int
+		for i, ok := range settled {
+			if !ok {
+				out = append(out, i)
+			}
 		}
+		return out
 	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// HTTP handlers.
-
-func (g *Gateway) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
-	var req service.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		api.WriteError(w, api.ErrInvalidRequest, "bad request body: %v", err)
-		return
-	}
-	cells, baseline, reps, engine, err := service.ExpandSweep(req)
-	if err != nil {
-		api.WriteError(w, api.ErrorCode(err), "%v", err)
-		return
-	}
-
-	sw := &gatewaySweep{
-		id:        fmt.Sprintf("gs%08d", g.nextSweepID.Add(1)),
-		apiKey:    r.Header.Get("X-API-Key"),
-		baseline:  baseline,
-		reps:      reps,
-		engine:    engine,
-		timeoutMS: req.TimeoutMS,
-		cells:     cells,
-		keys:      make([]string, len(cells)),
-		warm:      make([]string, len(cells)),
-		outcome:   make([]service.SweepCellStatus, len(cells)),
-		doneCh:    make(chan struct{}),
-		eventsCh:  make(chan struct{}),
-		state:     service.SweepRunning,
-		created:   time.Now(),
-	}
-	sw.ctx, sw.cancel = context.WithCancel(g.ctx)
 	for i, c := range cells {
-		sw.keys[i] = sched.CacheKey(c.Kind, c.Benchmark, c.Options, reps)
-		sw.warm[i] = d2m.WarmKey(c.Kind, c.Benchmark, c.Options)
+		keys[i] = sched.CacheKey(c.Kind, c.Benchmark, c.Options, spec.Replicates)
 		// Cells the gateway has already seen (this run or a merged
 		// journal) settle without touching any shard.
-		if rec, ok := g.cache.get(sw.keys[i]); ok {
+		if res, _, ok := g.cache.Get(keys[i]); ok {
 			g.metrics.CacheHits.Add(1)
-			res := rec.Result
-			sw.settle(i, service.SweepCellStatus{
-				State: api.JobDone, Cached: true, Result: &res,
-			})
+			settleOnce(i, service.SweepCellStatus{State: api.JobDone, Cached: true, Result: &res})
 		}
 	}
 
-	g.mu.Lock()
-	g.sweeps[sw.id] = sw
-	g.mu.Unlock()
-	g.metrics.SweepsAccepted.Add(1)
-	g.wg.Add(1)
-	go g.runSweep(sw)
-	api.WriteJSON(w, http.StatusAccepted, sw.status())
-}
-
-func (g *Gateway) lookupSweep(w http.ResponseWriter, r *http.Request) *gatewaySweep {
-	g.mu.Lock()
-	sw, ok := g.sweeps[r.PathValue("id")]
-	g.mu.Unlock()
-	if !ok {
-		api.WriteError(w, api.ErrNotFound, "unknown sweep id %q", r.PathValue("id"))
-		return nil
-	}
-	return sw
-}
-
-func (g *Gateway) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw := g.lookupSweep(w, r)
-	if sw == nil {
-		return
-	}
-	if api.AcceptsSSE(r) {
-		g.streamSweep(w, r, sw)
-		return
-	}
-	st := sw.status()
-	if r.URL.Query().Get("cells") == "1" {
-		st.Cells = sw.cellStatuses()
-	}
-	api.WriteJSON(w, http.StatusOK, st)
-}
-
-// handleSweepDelete cancels a fleet sweep: the orchestrator cancels
-// its active sub-sweeps on the shards and settles the remainder as
-// canceled. Deleting a settled sweep is a no-op returning its status.
-func (g *Gateway) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
-	sw := g.lookupSweep(w, r)
-	if sw == nil {
-		return
-	}
-	sw.cancel()
-	api.WriteJSON(w, http.StatusOK, sw.status())
-}
-
-// ---------------------------------------------------------------------------
-// Orchestration.
-
-// runSweep drives a fleet sweep to completion: rounds of
-// partition-by-owner, sub-sweep submission, and polling, until every
-// cell settles or no shard remains. Cells stranded by a shard that
-// drained or died rejoin the pending set and remap to the ring's new
-// owners next round — bounded by one round per fleet member plus one,
-// which covers shards failing one after another.
-func (g *Gateway) runSweep(sw *gatewaySweep) {
-	defer g.wg.Done()
-	maxRounds := len(g.peers.peers) + 1
-	for round := 0; round < maxRounds && sw.ctx.Err() == nil; round++ {
-		pending := sw.pending()
-		if len(pending) == 0 {
+	for round := 0; round <= len(g.peers.peers) && ctx.Err() == nil; round++ {
+		left := pending()
+		if len(left) == 0 {
 			break
 		}
 		groups := map[string][]int{}
-		for _, i := range pending {
-			owners := g.peers.owners(sw.warm[i], 1)
-			if len(owners) == 0 {
-				continue // no live shard right now
+		for _, i := range left {
+			if owners := g.peers.owners(d2m.WarmKey(cells[i].Kind, cells[i].Benchmark, cells[i].Options), 1); len(owners) > 0 {
+				groups[owners[0].Name] = append(groups[owners[0].Name], i)
 			}
-			groups[owners[0].Name] = append(groups[owners[0].Name], i)
 		}
 		if len(groups) == 0 {
-			break // fleet is gone; remaining cells settle as canceled
+			break // fleet is gone; the remaining cells settle canceled
 		}
 		if round > 0 {
-			g.metrics.CellsRemapped.Add(uint64(len(pending)))
-			g.logf("sweep %s: remapping %d cells (round %d)", sw.id, len(pending), round)
+			g.metrics.CellsRemapped.Add(uint64(len(left)))
+			g.logf("sweep: remapping %d cells (round %d)", len(left), round)
 		}
 		var wg sync.WaitGroup
 		for name, idxs := range groups {
@@ -268,54 +99,58 @@ func (g *Gateway) runSweep(sw *gatewaySweep) {
 			wg.Add(1)
 			go func(p Peer, idxs []int) {
 				defer wg.Done()
-				g.runSubSweep(sw, p, idxs)
+				g.subSweep(ctx, apiKey, p, cells, idxs, spec, func(k int, cs service.SweepCellStatus) {
+					i := idxs[k]
+					if cs.State == api.JobDone && cs.Result != nil {
+						g.cache.Put(keys[i], *cs.Result, nil)
+					}
+					settleOnce(i, cs)
+				})
 			}(p, idxs)
 		}
 		wg.Wait()
 	}
-	g.finalizeSweep(sw)
+
+	err := ctx.Err()
+	if err == nil {
+		err = errNoShard
+	}
+	left := pending()
+	for _, i := range left {
+		settleOnce(i, service.SweepCellStatus{State: api.JobCanceled, Error: err.Error()})
+	}
+	if len(left) == 0 {
+		return nil
+	}
+	return err
 }
 
-// runSubSweep submits one shard-local slice of the sweep and polls it
-// to settlement. Any shard loss returns with the slice's unsettled
-// cells still pending; the next round remaps them.
-func (g *Gateway) runSubSweep(sw *gatewaySweep, p Peer, idxs []int) {
+// subSweep submits one shard-local slice of the sweep and follows its
+// event stream, reporting each done or failed cell by its index in
+// idxs. Canceled cells (the shard started draining mid-sweep) are not
+// reported, and neither is anything after a lost shard or a broken
+// stream: those cells stay pending and remap next round.
+func (g *Gateway) subSweep(ctx context.Context, apiKey string, p Peer, cells []d2m.SweepCell, idxs []int, spec service.CellSpec, report func(k int, cs service.SweepCellStatus)) {
 	sub := service.SweepRequest{
 		Cells:      make([]d2m.SweepCell, len(idxs)),
-		TimeoutMS:  sw.timeoutMS,
-		Replicates: sw.reps,
-		Engine:     sw.engine,
+		TimeoutMS:  spec.TimeoutMS,
+		Replicates: spec.Replicates,
+		Engine:     spec.Engine,
 	}
 	for k, i := range idxs {
-		sub.Cells[k] = sw.cells[i]
+		sub.Cells[k] = cells[i]
 	}
-	body, err := json.Marshal(sub)
+	body, _ := json.Marshal(sub) // plain fields: cannot fail
+	fr, err := g.try(ctx, p, http.MethodPost, "/v1/sweeps", body, apiKey)
 	if err != nil {
-		return
-	}
-	fr, err := g.do(sw.ctx, p, http.MethodPost, "/v1/sweeps", body, sw.apiKey)
-	if err != nil {
-		if sw.ctx.Err() == nil {
-			g.peers.setState(p.Name, PeerDown)
-			g.logf("peer %s is down (%v)", p.Name, err)
-		}
-		return
-	}
-	if isDrainingResponse(fr) {
-		g.peers.setState(p.Name, PeerDraining)
-		g.logf("peer %s is draining", p.Name)
 		return
 	}
 	if fr.status != http.StatusAccepted {
-		// A validation rejection cannot heal by remapping: settle the
-		// slice as failed so the sweep terminates with the shard's error.
-		var eb api.ErrorBody
-		msg := fmt.Sprintf("shard %s rejected sub-sweep (HTTP %d)", p.Name, fr.status)
-		if json.Unmarshal(fr.body, &eb) == nil && eb.Error.Message != "" {
-			msg = eb.Error.Message
-		}
-		for _, i := range idxs {
-			sw.settle(i, service.SweepCellStatus{State: api.JobFailed, Error: msg})
+		// A rejection cannot heal by remapping: settle the slice as
+		// failed so the sweep terminates with the shard's error.
+		msg := shardError(fr).Message
+		for k := range idxs {
+			report(k, service.SweepCellStatus{State: api.JobFailed, Error: msg})
 		}
 		return
 	}
@@ -323,95 +158,40 @@ func (g *Gateway) runSubSweep(sw *gatewaySweep, p Peer, idxs []int) {
 	if err := json.Unmarshal(fr.body, &st); err != nil || st.ID == "" {
 		return
 	}
-	subID := st.ID
-
-	t := time.NewTicker(g.sweepPoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-sw.ctx.Done():
+	defer func() {
+		if ctx.Err() != nil {
 			// Gateway-side cancel: release the shard's cells too.
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			g.do(ctx, p, http.MethodDelete, "/v1/sweeps/"+subID, nil, sw.apiKey)
+			dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			do(dctx, p, http.MethodDelete, "/v1/sweeps/"+st.ID, nil, apiKey)
 			cancel()
-			return
-		case <-t.C:
 		}
-		fr, err := g.do(sw.ctx, p, http.MethodGet, "/v1/sweeps/"+subID+"?cells=1", nil, sw.apiKey)
-		if err != nil {
-			if sw.ctx.Err() == nil {
-				g.peers.setState(p.Name, PeerDown)
-				g.logf("peer %s is down (%v)", p.Name, err)
-			}
-			return
-		}
-		if fr.status != http.StatusOK {
-			return // sub-sweep vanished (shard restarted); remap
-		}
-		var cur service.SweepStatus
-		if err := json.Unmarshal(fr.body, &cur); err != nil {
-			return
-		}
-		if cur.State == service.SweepRunning {
-			continue
-		}
-		// Settled: merge the per-cell outcomes. Done and failed cells
-		// are terminal; canceled cells (the shard started draining
-		// mid-sweep) stay pending and remap next round.
-		if len(cur.Cells) != len(idxs) {
-			return
-		}
-		for k, i := range idxs {
-			cs := cur.Cells[k]
-			switch cs.State {
-			case api.JobDone:
-				if cs.Result != nil {
-					c := sw.cells[i]
-					g.cache.learn(sw.keys[i], c.Kind, c.Benchmark, *cs.Result, nil)
+	}()
+
+	events, err := stream(ctx, p, "/v1/sweeps/"+st.ID, apiKey, 0)
+	if _, answered := err.(*api.Error); answered {
+		return // an answer but no stream: the sub-sweep vanished (shard restarted)
+	}
+	terminal := false
+	if err == nil {
+		defer events.Close()
+		err = scanEvents(events, func(_ int, event string, data []byte) error {
+			var ev service.SweepCellEvent
+			switch {
+			case event == "sweep":
+				terminal = true
+			case event == "cell" && json.Unmarshal(data, &ev) == nil && ev.Index >= 0 && ev.Index < len(idxs):
+				if ev.Cell.State == api.JobDone || ev.Cell.State == api.JobFailed {
+					report(ev.Index, ev.Cell)
 				}
-				sw.settle(i, cs)
-			case api.JobFailed:
-				sw.settle(i, cs)
 			}
-		}
-		return
+			return nil
+		})
 	}
-}
-
-// finalizeSweep aggregates the settled cells into the same summary a
-// single shard computes — d2m.SummarizeSweep over the full grid — so
-// a fleet sweep's summary is byte-identical to the single-process one.
-func (g *Gateway) finalizeSweep(sw *gatewaySweep) {
-	sw.mu.Lock()
-	for i := range sw.outcome {
-		if sw.outcome[i].State == "" {
-			sw.settleLocked(i, service.SweepCellStatus{
-				State: api.JobCanceled, Error: "no scheduler shard available",
-			})
-		}
+	if !terminal && ctx.Err() == nil {
+		// A lost connection or a stream that breaks before its
+		// terminal event is a lost shard; the prober restores it if it
+		// is still alive.
+		g.peers.setState(p.Name, PeerDown)
+		g.logf("peer %s is down (sweep stream: %v)", p.Name, err)
 	}
-	results := make([]*d2m.Result, len(sw.cells))
-	for i := range sw.outcome {
-		if sw.outcome[i].State == api.JobDone {
-			results[i] = sw.outcome[i].Result
-		}
-	}
-	interrupted := sw.canceled > 0 || sw.ctx.Err() != nil
-	sw.mu.Unlock()
-
-	summary := &service.SweepSummary{
-		Baseline: sw.baseline.String(),
-		Kinds:    d2m.SummarizeSweep(sw.baseline, sw.cells, results),
-	}
-	sw.mu.Lock()
-	sw.summary = summary
-	sw.finished = time.Now()
-	if interrupted {
-		sw.state = service.SweepCanceled
-	} else {
-		sw.state = service.SweepDone
-	}
-	sw.mu.Unlock()
-	sw.cancel()
-	close(sw.doneCh)
 }

@@ -1,10 +1,13 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 
+	"d2m"
 	"d2m/internal/api"
 )
 
@@ -13,107 +16,83 @@ import (
 // fan one upload out to EVERY shard without coordination: each shard
 // validates and stores the same bytes under the same id, and any shard
 // the ring later routes a "trace:<id>" run to can replay it locally.
-// Reads (list/get/raw) relay from the first reachable shard, since a
-// fanned-out library is identical fleet-wide.
+// Reads relay from the first reachable shard, since a fanned-out
+// library is identical fleet-wide.
 
-// maxTraceBodyBytes mirrors the shard-side upload bound.
-const maxTraceBodyBytes = 1 << 30
-
-// handleTraceUpload is POST /v1/traces: buffer the upload once, then
-// ingest it on every live shard. All shards must accept — a partial
-// fan-out would leave "trace:<id>" runnable on some of the ring only —
-// so any rejection or unreachable shard fails the upload (retry is
-// safe: stores are idempotent).
-func (g *Gateway) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBodyBytes))
+// PutTrace buffers the upload once, then ingests it on every live
+// shard. All shards must accept — a partial fan-out would leave
+// "trace:<id>" runnable on some of the ring only — so any rejection or
+// unreachable shard fails the upload (retry is safe: stores are
+// idempotent).
+func (g *Gateway) PutTrace(ctx context.Context, apiKey string, body io.Reader, name string, csv bool) (d2m.TraceInfo, error) {
+	var info d2m.TraceInfo
+	buf, err := io.ReadAll(body)
 	if err != nil {
-		api.WriteError(w, api.ErrInvalidRequest, "bad request body: %v", err)
-		return
+		return info, api.Errorf(api.ErrInvalidRequest, "bad request body: %v", err)
 	}
 	path := "/v1/traces"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
+	if name != "" {
+		path += "?name=" + url.QueryEscape(name)
 	}
-	var accepted *forwardResult
-	for _, entry := range g.peers.snapshot() {
-		if entry.State == PeerDown {
-			continue
-		}
-		fr, err := g.doUpload(r, entry.Peer, path, body)
+	accepted := false
+	for _, p := range g.peers.live() {
+		req, err := newRequest(ctx, p, http.MethodPost, path, buf, apiKey)
 		if err != nil {
-			api.WriteError(w, api.ErrInternal,
-				"shard %s unreachable during trace fan-out: %v (retry; uploads are idempotent)", entry.Name, err)
-			return
+			return info, err
+		}
+		if csv {
+			req.Header.Set("Content-Type", "text/csv")
+		}
+		fr, err := send(req, p)
+		if err != nil {
+			return info, api.Errorf(api.ErrInternal,
+				"shard %s unreachable during trace fan-out: %v (retry; uploads are idempotent)", p.Name, err)
 		}
 		if fr.status != http.StatusOK {
-			relay(w, fr) // the shard's rejection (torn, corrupt, ...) verbatim
-			return
+			return info, shardError(fr) // the shard's rejection (torn, corrupt, ...)
 		}
-		if accepted == nil {
-			accepted = &fr
+		if !accepted {
+			if err := json.Unmarshal(fr.body, &info); err != nil {
+				return info, api.Errorf(api.ErrInternal, "bad shard response: %v", err)
+			}
+			accepted = true
 		}
 	}
-	if accepted == nil {
-		api.WriteError(w, api.ErrDraining, "no scheduler shard available")
-		return
+	if !accepted {
+		return info, errNoShard
 	}
 	g.metrics.TracesForwarded.Add(1)
-	relay(w, *accepted)
+	return info, nil
 }
 
-// doUpload forwards one trace upload to a peer, preserving the
-// client's Content-Type (text/csv selects CSV ingestion shard-side).
-func (g *Gateway) doUpload(r *http.Request, p Peer, path string, body []byte) (forwardResult, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, p.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return forwardResult{}, err
+func (g *Gateway) Traces(ctx context.Context, apiKey string) ([]d2m.TraceInfo, error) {
+	var body struct {
+		Traces []d2m.TraceInfo `json:"traces"`
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	if key := r.Header.Get("X-API-Key"); key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return forwardResult{}, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return forwardResult{}, err
-	}
-	return forwardResult{status: resp.StatusCode, header: resp.Header, body: buf, peer: p}, nil
+	err := g.read(ctx, "/v1/traces", apiKey, &body)
+	return body.Traces, err
 }
 
-// relayTraceRead serves a trace read endpoint from the first reachable
-// shard; the fanned-out library is identical across the fleet.
-func (g *Gateway) relayTraceRead(w http.ResponseWriter, r *http.Request, path string) {
-	for _, entry := range g.peers.snapshot() {
-		if entry.State == PeerDown {
-			continue
-		}
-		fr, err := g.do(r.Context(), entry.Peer, http.MethodGet, path, nil, r.Header.Get("X-API-Key"))
+func (g *Gateway) Trace(ctx context.Context, apiKey, id string) (d2m.TraceInfo, error) {
+	var info d2m.TraceInfo
+	err := g.read(ctx, "/v1/traces/"+id, apiKey, &info)
+	return info, err
+}
+
+// TraceRaw streams the stored file from the first reachable shard.
+func (g *Gateway) TraceRaw(ctx context.Context, apiKey, id string) (io.ReadCloser, error) {
+	for _, p := range g.peers.live() {
+		req, err := newRequest(ctx, p, http.MethodGet, "/v1/traces/"+id+"/raw", nil, apiKey)
 		if err != nil {
-			continue
+			return nil, err
 		}
-		relay(w, fr)
-		return
+		resp, err := open(req, p)
+		if err == nil {
+			return resp.Body, nil
+		}
+		if _, answered := err.(*api.Error); answered {
+			return nil, err
+		}
 	}
-	api.WriteError(w, api.ErrDraining, "no scheduler shard available")
-}
-
-// handleTraceList is GET /v1/traces.
-func (g *Gateway) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	g.relayTraceRead(w, r, "/v1/traces")
-}
-
-// handleTraceGet is GET /v1/traces/{id}.
-func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	g.relayTraceRead(w, r, "/v1/traces/"+r.PathValue("id"))
-}
-
-// handleTraceRaw is GET /v1/traces/{id}/raw.
-func (g *Gateway) handleTraceRaw(w http.ResponseWriter, r *http.Request) {
-	g.relayTraceRead(w, r, "/v1/traces/"+r.PathValue("id")+"/raw")
+	return nil, errNoShard
 }

@@ -2,13 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"sync"
 
-	"d2m"
 	"d2m/internal/api"
 	"d2m/internal/service/sched"
 )
@@ -33,8 +32,8 @@ type BatchRequest = api.BatchRequest
 // cannot swallow the whole queue several times over.
 const MaxBatchRuns = 256
 
-// batchBody is the POST /v1/batch response: one api.JobStatus per run, in
-// request order.
+// batchBody is the POST /v1/batch response shape: one api.JobStatus
+// per run, in request order (handleBatch streams it).
 type batchBody struct {
 	Results []api.JobStatus `json:"results"`
 }
@@ -50,12 +49,9 @@ var batchEncoders = sync.Pool{
 	New: func() interface{} { return new(bytes.Buffer) },
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (f *front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		api.WriteErr(w, api.Errorf(api.ErrInvalidRequest, "bad request body: %v", err))
+	if !decode(w, r, maxBatchBodyBytes, &req) {
 		return
 	}
 	if len(req.Runs) == 0 {
@@ -69,71 +65,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Validate every run before admitting any: a batch either enters
-	// the queue whole or not at all. The canonical identities ride
-	// along for rendering cached slots. The tenant bucket is charged
-	// one token per run, after validation — an invalid batch costs
-	// nothing.
-	subs := make([]sched.Submission, len(req.Runs))
-	kinds := make([]d2m.Kind, len(req.Runs))
-	benches := make([]string, len(req.Runs))
+	// the queue whole or not at all. The caller is charged one token
+	// per run, after validation — an invalid batch costs nothing.
+	runs := make([]Run, len(req.Runs))
 	for i, rr := range req.Runs {
 		if rr.Async {
 			api.WriteErr(w, api.Errorf(api.ErrInvalidRequest,
 				"runs[%d]: async is not supported in batches; use POST /v1/run", i))
 			return
 		}
-		kind, bench, opt, reps, engine, err := rr.Normalize()
+		run, err := newRun(rr)
 		if err != nil {
 			ae := err.(*api.Error)
 			api.WriteErr(w, api.Errorf(ae.Code, "runs[%d]: %s", i, ae.Message))
 			return
 		}
-		subs[i] = submission(kind, bench, opt, reps, engine, rr.TimeoutMS, false, "")
-		kinds[i], benches[i] = kind, bench
+		runs[i] = run
 	}
-	tenant, ok := s.admitTenant(w, r, len(req.Runs))
+	caller, ok := f.caller(w, r, len(runs))
 	if !ok {
 		return
 	}
-	for i := range subs {
-		subs[i].Tenant = tenant
-	}
-
-	adms, err := s.sched.SubmitGroup(subs)
+	sts, err := f.b.Batch(r.Context(), caller, runs)
 	if err != nil {
-		var qfe *sched.QueueFullError
-		switch {
-		case errors.As(err, &qfe):
-			s.metrics.JobsRejected.Add(uint64(qfe.Jobs))
-			api.WriteErr(w, s.queueFullError(sched.Interactive, tenant))
-		case errors.Is(err, sched.ErrDraining):
-			api.WriteErr(w, errDraining)
-		default:
-			api.WriteErr(w, err)
-		}
+		writeResult(w, r, 0, nil, err)
 		return
-	}
-	s.metrics.BatchesAccepted.Add(1)
-	s.metrics.BatchRuns.Add(uint64(len(req.Runs)))
-
-	// Collect in request order. On client disconnect, release the hold
-	// on every job not yet collected — each slot took its own waiter
-	// reference at admission, so releasing per slot is exact even when
-	// several slots coalesced onto one job.
-	for i := range adms {
-		if adms[i].Cached {
-			continue
-		}
-		select {
-		case <-adms[i].Job.Done():
-		case <-r.Context().Done():
-			for k := i; k < len(adms); k++ {
-				if !adms[k].Cached {
-					s.sched.Release(adms[k].Job)
-				}
-			}
-			return
-		}
 	}
 
 	// Stream the results: elements are encoded one at a time through
@@ -141,22 +97,54 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, `{"results":[`)
-	for i := range adms {
+	for i := range sts {
 		if i > 0 {
 			io.WriteString(w, ",")
 		}
-		var st api.JobStatus
-		if adms[i].Cached {
-			st = cachedStatus(kinds[i], benches[i], adms[i])
-		} else {
-			st = jobStatus(adms[i].Job.Info())
-		}
 		buf := batchEncoders.Get().(*bytes.Buffer)
 		buf.Reset()
-		if err := json.NewEncoder(buf).Encode(st); err == nil {
+		if err := json.NewEncoder(buf).Encode(sts[i]); err == nil {
 			w.Write(bytes.TrimRight(buf.Bytes(), "\n"))
 		}
 		batchEncoders.Put(buf)
 	}
 	io.WriteString(w, "]}\n")
+}
+
+// Batch admits the runs through sched.SubmitGroup and collects them in
+// request order. On client disconnect it releases the hold on every
+// job not yet collected — each slot took its own waiter reference at
+// admission, so releasing per slot is exact even when several slots
+// coalesced onto one job.
+func (s *Server) Batch(ctx context.Context, tenant string, runs []Run) ([]api.JobStatus, error) {
+	subs := make([]sched.Submission, len(runs))
+	for i, run := range runs {
+		subs[i] = submission(run, tenant)
+	}
+	adms, err := s.sched.SubmitGroup(subs)
+	if err != nil {
+		return nil, s.admissionError(err, sched.Interactive, tenant)
+	}
+	s.metrics.BatchesAccepted.Add(1)
+	s.metrics.BatchRuns.Add(uint64(len(runs)))
+
+	sts := make([]api.JobStatus, len(adms))
+	for i := range adms {
+		if adms[i].Cached {
+			sts[i] = runs[i].CachedStatus(adms[i].Result, adms[i].Replicated)
+			continue
+		}
+		select {
+		case <-adms[i].Job.Done():
+			sts[i] = jobStatus(adms[i].Job.Info())
+		case <-ctx.Done():
+			for k := i; k < len(adms); k++ {
+				if !adms[k].Cached {
+					s.sched.Release(adms[k].Job)
+				}
+			}
+			return nil, ctx.Err()
+		}
+	}
+	return sts, nil
 }

@@ -5,23 +5,16 @@ import (
 	"sync"
 
 	"d2m"
-	"d2m/internal/service/sched"
 )
 
-// cacheKey is the content address of a simulation: the hash of the
-// canonical (kind, benchmark, defaulted Options, replicates) tuple,
-// computed by the scheduler (sched.CacheKey) so the transport, the
-// sweep orchestrator, and tests all agree with the admission pipeline.
-func cacheKey(kind d2m.Kind, bench string, opt d2m.Options, reps int) string {
-	return sched.CacheKey(kind, bench, opt, reps)
-}
-
-// resultCache is a bounded LRU of completed simulation results, keyed
-// by the content address of the request (cacheKey). A Result is a few
-// hundred bytes of counters, so even the default capacity is cheap;
-// the bound exists so a seed-sweeping client cannot grow the server
-// without limit.
-type resultCache struct {
+// ResultCache is a bounded LRU of completed simulation results, keyed
+// by the content address of the request (sched.CacheKey). A Result is
+// a few hundred bytes of counters, so even the default capacity is
+// cheap; the bound exists so a seed-sweeping client cannot grow the
+// server without limit. A single-process server consults it at
+// admission; the cluster gateway keeps one of its own, seeded from
+// the shards' merged journals and fed by every result it relays.
+type ResultCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used; values are *cacheEntry
@@ -34,17 +27,19 @@ type cacheEntry struct {
 	rep *d2m.Replicated // non-nil for replicated jobs
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{
+// NewResultCache returns an empty cache holding at most capacity
+// results.
+func NewResultCache(capacity int) *ResultCache {
+	return &ResultCache{
 		cap:   capacity,
 		order: list.New(),
-		byKey: make(map[string]*list.Element, capacity),
+		byKey: make(map[string]*list.Element),
 	}
 }
 
-// get returns the cached result for key (plus the replicate aggregate
+// Get returns the cached result for key (plus the replicate aggregate
 // for replicated jobs) and refreshes its recency.
-func (c *resultCache) get(key string) (d2m.Result, *d2m.Replicated, bool) {
+func (c *ResultCache) Get(key string) (d2m.Result, *d2m.Replicated, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -56,9 +51,9 @@ func (c *resultCache) get(key string) (d2m.Result, *d2m.Replicated, bool) {
 	return ent.res, ent.rep, true
 }
 
-// put stores a result, evicting the least recently used entry when the
+// Put stores a result, evicting the least recently used entry when the
 // cache is full. rep is nil for single-run jobs.
-func (c *resultCache) put(key string, res d2m.Result, rep *d2m.Replicated) {
+func (c *ResultCache) Put(key string, res d2m.Result, rep *d2m.Replicated) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
@@ -75,8 +70,8 @@ func (c *resultCache) put(key string, res d2m.Result, rep *d2m.Replicated) {
 	}
 }
 
-// len reports the number of cached results.
-func (c *resultCache) len() int {
+// Len reports the number of cached results.
+func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

@@ -7,21 +7,20 @@
 // internal/service/sched; this package contributes request validation,
 // tenant authentication and token-bucket admission, the result cache
 // and JSONL journal, the warm-snapshot store, the sweep orchestrator,
-// SSE result streaming, and Prometheus-style metrics. The wire types
-// live in internal/api (shared with the cluster gateway).
-// cmd/d2mserver is the thin binary around it.
+// SSE result streaming, and Prometheus-style metrics. The HTTP layer
+// (http.go) runs on the Backend interface, which Server implements
+// locally and the cluster gateway implements over a ring of shards, so
+// one set of handlers serves both modes. The wire types live in
+// internal/api. cmd/d2mserver is the thin binary around it.
 package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"d2m"
@@ -100,6 +99,10 @@ type Config struct {
 // Config.SnapshotMemBytes is zero.
 const defaultSnapshotMemBytes = 256 << 20
 
+// defaultMaxSweeps is the settled-sweep history kept when
+// Config.MaxSweeps is zero, and always by the cluster gateway.
+const defaultMaxSweeps = 256
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -114,7 +117,7 @@ func (c Config) withDefaults() Config {
 		c.MaxJobs = 4096
 	}
 	if c.MaxSweeps <= 0 {
-		c.MaxSweeps = 256
+		c.MaxSweeps = defaultMaxSweeps
 	}
 	if c.SnapshotMemBytes == 0 {
 		c.SnapshotMemBytes = defaultSnapshotMemBytes
@@ -124,32 +127,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP transport of the simulation service: handlers
-// that marshal requests into sched.Submissions and results back out.
-// The execution engine — job ledger, priority queues, worker pool,
-// admission pipeline — lives in the embedded sched.Scheduler; the
-// server contributes the result cache, the journal, the warm-snapshot
-// cache, and the sweep orchestrator on top.
+// Server is the single-process service: the v1 HTTP layer over a
+// local Backend that runs jobs on the embedded sched.Scheduler (job
+// ledger, priority queues, worker pool, admission pipeline) and
+// contributes the result cache, the journal, the warm-snapshot cache
+// and tenant admission on top.
 type Server struct {
-	cfg         Config
-	runner      func(context.Context, d2m.Kind, string, d2m.Options) (d2m.Result, error)
-	replicator  func(context.Context, d2m.Kind, string, d2m.Options, int) (d2m.Replicated, error)
-	sched       *sched.Scheduler
-	metrics     *Metrics
-	cache       *resultCache
-	snapshots   *snapshotCache // nil when SnapshotMemBytes < 0
-	store       *resultStore   // nil without Config.StorePath
-	mux         *http.ServeMux
-	tenants     *tenantRegistry // nil in single-tenant mode
-	nextSweepID atomic.Uint64
-	ready       chan struct{} // closed once journal replay has landed
-
-	baseCtx    context.Context // parent of every sweep context
-	baseCancel context.CancelFunc
-
-	mu           sync.Mutex
-	sweeps       map[string]*sweep
-	sweepRetired []string // settled sweep ids, oldest first
+	cfg        Config
+	runner     func(context.Context, d2m.Kind, string, d2m.Options) (d2m.Result, error)
+	replicator func(context.Context, d2m.Kind, string, d2m.Options, int) (d2m.Replicated, error)
+	sched      *sched.Scheduler
+	metrics    *Metrics
+	cache      *ResultCache
+	snapshots  *snapshotCache  // nil when SnapshotMemBytes < 0
+	store      *resultStore    // nil without Config.StorePath
+	tenants    *tenantRegistry // nil in single-tenant mode
+	front      *front
+	ready      chan struct{} // closed once journal replay has landed
 }
 
 // serverSink adapts the result cache and journal to sched.ResultSink:
@@ -159,11 +153,11 @@ type Server struct {
 type serverSink struct{ s *Server }
 
 func (k serverSink) Lookup(key string) (d2m.Result, *d2m.Replicated, bool) {
-	return k.s.cache.get(key)
+	return k.s.cache.Get(key)
 }
 
 func (k serverSink) Settle(key string, res d2m.Result, rep *d2m.Replicated) {
-	k.s.cache.put(key, res, rep)
+	k.s.cache.Put(key, res, rep)
 	if k.s.store == nil {
 		return
 	}
@@ -187,8 +181,7 @@ func New(cfg Config) (*Server, error) {
 		runner:     cfg.Runner,
 		replicator: cfg.Replicator,
 		metrics:    &Metrics{Shard: cfg.ShardName},
-		cache:      newResultCache(cfg.CacheEntries),
-		sweeps:     make(map[string]*sweep),
+		cache:      NewResultCache(cfg.CacheEntries),
 		ready:      make(chan struct{}),
 	}
 	if cfg.SnapshotMemBytes > 0 {
@@ -240,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 				return
 			}
 			for _, rec := range recs {
-				s.cache.put(rec.Key, rec.Result, rec.Replicated)
+				s.cache.Put(rec.Key, rec.Result, rec.Replicated)
 			}
 			s.metrics.StoreLoaded.Add(uint64(len(recs)))
 		}()
@@ -288,27 +281,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.sched = sc
 
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepCreate)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweeps)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepDelete)
-	s.mux.HandleFunc("POST /v1/traces", s.handleTraceUpload)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraceList)
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
-	s.mux.HandleFunc("GET /v1/traces/{id}/raw", s.handleTraceRaw)
-	s.mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("POST /admin/drain", s.handleDrain)
-	s.mux.HandleFunc("POST /admin/undrain", s.handleUndrain)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.front = newFront(s, s.metrics, cfg.Workers, cfg.MaxSweeps)
+	s.front.mux.HandleFunc("POST /admin/drain", s.handleDrain)
+	s.front.mux.HandleFunc("POST /admin/undrain", s.handleUndrain)
 	return s, nil
 }
 
@@ -319,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Ready() <-chan struct{} { return s.ready }
 
 // Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.front.mux }
 
 // Metrics exposes the service counters (tests and expvar publication).
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -362,7 +337,7 @@ func (s *Server) engines() []string {
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.sched.Shutdown(ctx)
 	if err != nil {
-		s.baseCancel() // abort outstanding sweeps too
+		s.front.baseCancel() // abort outstanding sweeps too
 	}
 	// Workers have exited, so nothing appends to the store anymore.
 	if s.store != nil {
@@ -372,47 +347,52 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // ---------------------------------------------------------------------------
-// Admission plumbing shared by the handlers.
+// The local Backend: the scheduler calls behind every handler.
+
+var _ Backend = (*Server)(nil)
 
 var errDraining = &api.Error{Code: api.ErrDraining, Message: "server is draining"}
 
-// submission maps a validated request onto the scheduler's admission
-// type. All transport-submitted runs (single and batch) are
-// interactive; sweep cells enter as bulk through the sweep feeder.
-func submission(kind d2m.Kind, bench string, opt d2m.Options, reps int, engine string, timeoutMS int64, detached bool, tenant string) sched.Submission {
+// submission maps a validated run onto the scheduler's admission type.
+// All transport-submitted runs (single and batch) are interactive;
+// sweep cells enter as bulk through RunCells.
+func submission(run Run, tenant string) sched.Submission {
 	return sched.Submission{
-		Kind:       kind,
-		Benchmark:  bench,
-		Options:    opt,
-		Replicates: reps,
-		Engine:     engine,
+		Kind:       run.Kind,
+		Benchmark:  run.Bench,
+		Options:    run.Options,
+		Replicates: run.Reps,
+		Engine:     run.Engine,
 		Priority:   sched.Interactive,
-		Timeout:    time.Duration(timeoutMS) * time.Millisecond,
-		Detached:   detached,
+		Timeout:    time.Duration(run.Req.TimeoutMS) * time.Millisecond,
+		Detached:   run.Req.Async,
 		Tenant:     tenant,
 	}
 }
 
-// queueFullError builds the 429 overloaded envelope for a full class
-// queue: retry_after_ms carries the scheduler's backoff estimate (the
-// Retry-After header is derived from it), and tenant names the limited
-// party under multi-tenancy — the per-tenant queue bound means the
-// rejection is tenant-local, not global.
-func (s *Server) queueFullError(p sched.Priority, tenant string) *api.Error {
+// admissionError maps a scheduler admission error onto the wire: 503
+// for drain, a counted 429 for a full class queue. retry_after_ms
+// carries the scheduler's backoff estimate (the Retry-After header is
+// derived from it), and tenant names the limited party under
+// multi-tenancy — the per-tenant queue bound makes the rejection
+// tenant-local. A group rejection counts the jobs it rolled back.
+func (s *Server) admissionError(err error, p sched.Priority, tenant string) error {
+	var group *sched.QueueFullError
+	switch {
+	case errors.Is(err, sched.ErrDraining):
+		return errDraining
+	case errors.As(err, &group):
+		s.metrics.JobsRejected.Add(uint64(group.Jobs))
+	case errors.Is(err, sched.ErrQueueFull):
+		s.metrics.JobsRejected.Add(1)
+	default:
+		return err
+	}
 	return &api.Error{
 		Code:         api.ErrOverloaded,
 		Message:      "job queue is full",
 		RetryAfterMS: s.sched.RetryAfter(p).Milliseconds(),
 		Tenant:       tenant,
-	}
-}
-
-// cachedStatus renders an admission settled from the result cache.
-func cachedStatus(kind d2m.Kind, bench string, adm sched.Admission) api.JobStatus {
-	res := adm.Result
-	return api.JobStatus{
-		State: api.JobDone, Kind: kind.String(), Benchmark: bench,
-		Cached: true, Result: &res, Replicated: adm.Replicated,
 	}
 }
 
@@ -445,191 +425,87 @@ func jobStatus(in sched.Info) api.JobStatus {
 	return st
 }
 
-// writeAdmissionError maps a scheduler admission error onto the wire:
-// 503 for drain, counted 429 (retry_after_ms in the envelope, header
-// derived) for a full class queue. rejected is the number of jobs the
-// rejection rolled back (1 for a single run; the created-job count for
-// a batch).
-func (s *Server) writeAdmissionError(w http.ResponseWriter, err error, p sched.Priority, rejected int, tenant string) {
-	switch {
-	case errors.Is(err, sched.ErrDraining):
-		api.WriteErr(w, errDraining)
-	case errors.Is(err, sched.ErrQueueFull):
-		s.metrics.JobsRejected.Add(uint64(rejected))
-		api.WriteErr(w, s.queueFullError(p, tenant))
-	default:
-		api.WriteErr(w, err)
-	}
+func unknownJob(id string) error {
+	return api.Errorf(api.ErrNotFound, "unknown job id %q", id)
 }
 
-// ---------------------------------------------------------------------------
-// HTTP handlers.
+// Draining reports whether admission is closed.
+func (s *Server) Draining() bool { return s.sched.Draining() }
 
-const maxBodyBytes = 1 << 20
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req api.RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		api.WriteErr(w, api.Errorf(api.ErrInvalidRequest, "bad request body: %v", err))
-		return
-	}
-	kind, bench, opt, reps, engine, err := req.Normalize()
+// Run submits one run. A synchronous run waits for its job; if ctx
+// ends first (the client went away), the hold on the job is released,
+// cancelling it when this was the last interested party.
+func (s *Server) Run(ctx context.Context, tenant string, run Run) (api.JobStatus, error) {
+	adm, err := s.sched.Submit(submission(run, tenant))
 	if err != nil {
-		api.WriteErr(w, err)
-		return
-	}
-	tenant, ok := s.admitTenant(w, r, 1)
-	if !ok {
-		return
-	}
-
-	adm, err := s.sched.Submit(submission(kind, bench, opt, reps, engine, req.TimeoutMS, req.Async, tenant))
-	if err != nil {
-		s.writeAdmissionError(w, err, sched.Interactive, 1, tenant)
-		return
+		return api.JobStatus{}, s.admissionError(err, sched.Interactive, tenant)
 	}
 	if adm.Cached {
-		writeJSON(w, http.StatusOK, cachedStatus(kind, bench, adm))
-		return
+		return run.CachedStatus(adm.Result, adm.Replicated), nil
 	}
 	j := adm.Job
-
-	if req.Async {
-		writeJSON(w, http.StatusAccepted, jobStatus(j.Info()))
-		return
+	if run.Req.Async {
+		return jobStatus(j.Info()), nil
 	}
-
 	select {
 	case <-j.Done():
-		st := jobStatus(j.Info())
-		writeJSON(w, statusCode(st.State), st)
-	case <-r.Context().Done():
-		// The client went away; free our hold on the job (cancelling
-		// it if we were the last interested party). Nobody is left to
-		// read the response.
+		return jobStatus(j.Info()), nil
+	case <-ctx.Done():
 		s.sched.Release(j)
+		return api.JobStatus{}, ctx.Err()
 	}
 }
 
-// statusCode maps a settled job state to its HTTP status.
-func statusCode(st api.JobState) int {
-	switch st {
-	case api.JobDone:
-		return http.StatusOK
-	case api.JobCanceled:
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	j, ok := s.sched.Lookup(r.PathValue("id"))
+func (s *Server) Job(_ context.Context, _, id string) (api.JobStatus, error) {
+	j, ok := s.sched.Lookup(id)
 	if !ok {
-		api.WriteErr(w, api.Errorf(api.ErrNotFound, "unknown job id %q", r.PathValue("id")))
-		return
+		return api.JobStatus{}, unknownJob(id)
 	}
-	if api.AcceptsSSE(r) {
-		s.streamJob(w, r, j)
-		return
-	}
-	writeJSON(w, http.StatusOK, jobStatus(j.Info()))
+	return jobStatus(j.Info()), nil
 }
 
-// handleJobCancel is DELETE /v1/jobs/{id}: a queued job settles
-// canceled immediately (and never occupies a worker); a running job's
-// context is cancelled so the simulation aborts at its next engine
-// checkpoint. Cancelling a settled job is a 409 conflict carrying the
-// terminal state.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	id := r.PathValue("id")
+func (s *Server) CancelJob(_ context.Context, _, id string) (api.JobStatus, error) {
 	j, err := s.sched.Cancel(id)
 	switch {
 	case errors.Is(err, sched.ErrUnknownJob):
-		api.WriteErr(w, api.Errorf(api.ErrNotFound, "unknown job id %q", id))
+		return api.JobStatus{}, unknownJob(id)
 	case errors.Is(err, sched.ErrSettled):
-		api.WriteErr(w, api.Errorf(api.ErrConflict,
-			"job %q already settled (%s)", id, j.Info().State))
+		return api.JobStatus{}, api.Errorf(api.ErrConflict,
+			"job %q already settled (%s)", id, j.Info().State)
 	case err != nil:
-		api.WriteErr(w, err)
-	default:
-		writeJSON(w, http.StatusOK, jobStatus(j.Info()))
+		return api.JobStatus{}, err
 	}
+	return jobStatus(j.Info()), nil
 }
 
-// jobListBody is the GET /v1/jobs response page.
-type jobListBody struct {
-	Jobs []api.JobStatus `json:"jobs"`
-	// NextCursor, when set, fetches the next (older) page via
-	// ?cursor=.
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// handleJobs lists known jobs (live and settled history) newest first,
-// with an optional state filter and limit/cursor pagination. Results
-// are omitted from list entries; fetch a job by id for its payload.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	q := r.URL.Query()
-	limit := 50
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			api.WriteErr(w, api.Errorf(api.ErrInvalidRequest, "bad limit %q", v))
-			return
-		}
-		if n > 500 {
-			n = 500
-		}
-		limit = n
-	}
-	filter := api.JobState(q.Get("state"))
-	switch filter {
-	case "", api.JobQueued, api.JobRunning, api.JobDone, api.JobFailed, api.JobCanceled:
-	default:
-		api.WriteErr(w, api.Errorf(api.ErrInvalidRequest,
-			"bad state %q (want queued, running, done, failed or canceled)", filter))
-		return
-	}
-	cursor := q.Get("cursor")
-
-	// Jobs() is ascending by id; ids are zero-padded and monotonic, so
-	// walking it backwards is newest first and the cursor is the last
-	// id of the prior page.
+// Jobs pages the scheduler's ledger. Its ids are zero-padded and
+// monotonic, so walking them in reverse is newest first and the
+// cursor is the last id of the prior page.
+func (s *Server) Jobs(_ context.Context, _ string, q JobQuery) (JobList, error) {
 	infos := s.sched.Jobs()
 	sort.Slice(infos, func(a, b int) bool { return infos[a].ID < infos[b].ID })
-	body := jobListBody{Jobs: []api.JobStatus{}}
+	list := JobList{Jobs: []api.JobStatus{}}
 	for i := len(infos) - 1; i >= 0; i-- {
 		in := infos[i]
-		if cursor != "" && in.ID >= cursor {
+		if q.Cursor != "" && in.ID >= q.Cursor {
 			continue
 		}
-		if filter != "" && api.JobState(in.State) != filter {
+		if q.State != "" && api.JobState(in.State) != q.State {
 			continue
 		}
-		if len(body.Jobs) == limit {
-			body.NextCursor = body.Jobs[limit-1].ID
+		if len(list.Jobs) == q.Limit {
+			list.NextCursor = list.Jobs[q.Limit-1].ID
 			break
 		}
 		st := jobStatus(in)
 		st.Result = nil // listings stay small; GET /v1/jobs/{id} has the payload
-		body.Jobs = append(body.Jobs, st)
+		list.Jobs = append(list.Jobs, st)
 	}
-	writeJSON(w, http.StatusOK, body)
+	return list, nil
 }
 
-func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
-	body := api.Capabilities{
+func (s *Server) Capabilities(_ context.Context, key string) (api.Capabilities, error) {
+	caps := api.Capabilities{
 		APIRevision:   api.Revision,
 		Engines:       s.engines(),
 		MaxLanes:      s.sched.MaxLanes(),
@@ -641,84 +517,66 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		MaxReplicates: api.MaxReplicates,
 		SSE:           true,
 		SweepsList:    true,
-		Tenancy:       s.tenancyCaps(r),
+		Tenancy:       s.tenancyCaps(key),
 		Traces:        d2m.TraceDirSet(),
 	}
 	for _, suite := range d2m.Suites() {
-		body.Suites[suite] = d2m.BenchmarksOf(suite)
+		caps.Suites[suite] = d2m.BenchmarksOf(suite)
 	}
 	// The Vector extras suite rides along outside the paper's five-suite
 	// catalog: advertised here so clients can discover the vec-* names.
-	body.Suites[d2m.SuiteVector] = d2m.BenchmarksOf(d2m.SuiteVector)
+	caps.Suites[d2m.SuiteVector] = d2m.BenchmarksOf(d2m.SuiteVector)
 	for _, k := range d2m.Kernels() {
-		body.Kernels = append(body.Kernels, api.KernelCap{Name: k.Name, Description: k.Description})
+		caps.Kernels = append(caps.Kernels, api.KernelCap{Name: k.Name, Description: k.Description})
 	}
-	writeJSON(w, http.StatusOK, body)
+	return caps, nil
 }
 
-// handleHealthz is pure liveness: it answers 200 as long as the
-// process serves HTTP, even while draining (the status field says so).
-// Routability — "should this process receive new work?" — moved to
-// /readyz in API v1.4; before that, /healthz answered 503 while
-// draining and conflated the two.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// Health reports liveness detail; /healthz answers 200 even while
+// draining. Routability moved to /readyz in API v1.4.
+func (s *Server) Health() interface{} {
 	status := "ok"
 	if s.sched.Draining() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	return map[string]interface{}{
 		"status":  status,
 		"queued":  s.metrics.Queued.Load(),
 		"running": s.metrics.Running.Load(),
-		"cached":  s.cache.len(),
-	})
+		"cached":  s.cache.Len(),
+	}
 }
 
-// handleReadyz is readiness: 503 while the journal replay is still
-// populating the cache or while admission is draining, 200 otherwise.
-// The cluster gateway's prober keys its hash ring on exactly this.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// Readiness is 503 while the journal replay is still populating the
+// cache or while admission is draining.
+func (s *Server) Readiness() (string, bool) {
 	select {
 	case <-s.ready:
 	default:
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]interface{}{"status": "replaying"})
-		return
+		return "replaying", false
 	}
 	if s.sched.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]interface{}{"status": "draining"})
-		return
+		return "draining", false
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok"})
+	return "ok", true
 }
+
+func (s *Server) WriteMetrics(w io.Writer) { s.metrics.WritePrometheus(w) }
 
 // handleDrain (POST /admin/drain) closes admission reversibly: new
 // submissions get 503 draining while queued and running jobs keep
 // flowing, and /readyz flips to 503 so the gateway remaps this shard's
 // hash range. POST /admin/undrain reopens admission — unless the
-// server is shutting down, which is final.
+// server is shutting down, which is final. Only a single-process
+// server has these routes.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.sched.SetDraining(true)
-	writeJSON(w, http.StatusOK, map[string]interface{}{"draining": true})
+	api.WriteJSON(w, http.StatusOK, map[string]interface{}{"draining": true})
 }
 
 func (s *Server) handleUndrain(w http.ResponseWriter, r *http.Request) {
 	s.sched.SetDraining(false)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	api.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"draining": s.sched.Draining(), // still true if shutdown won
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -17,6 +17,7 @@ import (
 
 	"d2m"
 	"d2m/internal/api"
+	"d2m/internal/service/sched"
 )
 
 // newTestServer builds a service with the given config and an HTTP
@@ -610,7 +611,7 @@ func TestJobsList(t *testing.T) {
 			t.Fatalf("seed %d: code %d, want %d", seed, code, want)
 		}
 	}
-	getList := func(query string) jobListBody {
+	getList := func(query string) JobList {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/jobs" + query)
 		if err != nil {
@@ -620,7 +621,7 @@ func TestJobsList(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /v1/jobs%s = %d", query, resp.StatusCode)
 		}
-		var body jobListBody
+		var body JobList
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
@@ -787,21 +788,21 @@ func TestMetricsAndHealthz(t *testing.T) {
 
 // TestResultCacheLRU checks the bound and eviction order of the cache.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", d2m.Result{Cycles: 1}, nil)
-	c.put("b", d2m.Result{Cycles: 2}, nil)
-	if _, _, ok := c.get("a"); !ok { // refresh a; b is now LRU
+	c := NewResultCache(2)
+	c.Put("a", d2m.Result{Cycles: 1}, nil)
+	c.Put("b", d2m.Result{Cycles: 2}, nil)
+	if _, _, ok := c.Get("a"); !ok { // refresh a; b is now LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", d2m.Result{Cycles: 3}, nil)
-	if _, _, ok := c.get("b"); ok {
+	c.Put("c", d2m.Result{Cycles: 3}, nil)
+	if _, _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, _, ok := c.get("a"); !ok {
+	if _, _, ok := c.Get("a"); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.Len())
 	}
 }
 
@@ -809,20 +810,20 @@ func TestResultCacheLRU(t *testing.T) {
 // and handling knobs but distinguishes simulation parameters.
 func TestCacheKeyCanonical(t *testing.T) {
 	base := d2m.Options{Nodes: 4}.WithDefaults()
-	k1 := cacheKey(d2m.D2MNSR, "tpc-c", d2m.Options{Nodes: 4}, 0)
-	k2 := cacheKey(d2m.D2MNSR, "tpc-c", base, 0)
+	k1 := sched.CacheKey(d2m.D2MNSR, "tpc-c", d2m.Options{Nodes: 4}, 0)
+	k2 := sched.CacheKey(d2m.D2MNSR, "tpc-c", base, 0)
 	if k1 != k2 {
 		t.Error("defaulted and explicit options hash differently")
 	}
-	if cacheKey(d2m.D2MNSR, "tpc-c", base, 0) == cacheKey(d2m.D2MNS, "tpc-c", base, 0) {
+	if sched.CacheKey(d2m.D2MNSR, "tpc-c", base, 0) == sched.CacheKey(d2m.D2MNS, "tpc-c", base, 0) {
 		t.Error("different kinds share a key")
 	}
 	seeded := base
 	seeded.Seed = 1
-	if cacheKey(d2m.D2MNSR, "tpc-c", base, 0) == cacheKey(d2m.D2MNSR, "tpc-c", seeded, 0) {
+	if sched.CacheKey(d2m.D2MNSR, "tpc-c", base, 0) == sched.CacheKey(d2m.D2MNSR, "tpc-c", seeded, 0) {
 		t.Error("different seeds share a key")
 	}
-	if cacheKey(d2m.D2MNSR, "tpc-c", base, 0) == cacheKey(d2m.D2MNSR, "tpc-c", base, 8) {
+	if sched.CacheKey(d2m.D2MNSR, "tpc-c", base, 0) == sched.CacheKey(d2m.D2MNSR, "tpc-c", base, 8) {
 		t.Error("replicated and single-run jobs share a key")
 	}
 }

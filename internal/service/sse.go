@@ -1,10 +1,10 @@
 package service
 
 import (
+	"context"
 	"net/http"
 
 	"d2m/internal/api"
-	"d2m/internal/service/sched"
 )
 
 // Live result streaming (API v1.6). GET /v1/jobs/{id} and
@@ -17,19 +17,18 @@ import (
 // where the broken stream stopped, and the union of events any client
 // sees is independent of when it connected. Every data line is
 // json.Marshal of the same value the polling path returns, which is
-// what lets the cluster gateway relay shard streams byte-for-byte.
+// what lets the cluster gateway relay shard job streams and follow
+// shard sub-sweeps.
 
-// streamJob pushes a job's state transitions. The channels behind the
+// WatchJob pushes a job's state transitions. The channels behind the
 // waits are the scheduler's own lifecycle signals: Started closes when
 // a worker claims the job, Done when it settles (jobs canceled while
 // queued settle without ever starting, hence every wait watches both).
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *sched.Job) {
-	out, ok := api.NewSSEWriter(w)
+func (s *Server) WatchJob(ctx context.Context, _, id string, last int, emit func(int, api.JobStatus) error) error {
+	j, ok := s.sched.Lookup(id)
 	if !ok {
-		writeJSON(w, http.StatusOK, jobStatus(j.Info()))
-		return
+		return unknownJob(id)
 	}
-	last := api.LastEventID(r)
 	if last < 1 {
 		// Event 1: the queued snapshot — skipped when the job is
 		// already past it.
@@ -37,8 +36,8 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *sched.Job)
 		case <-j.Started():
 		case <-j.Done():
 		default:
-			if err := out.Event(1, "state", jobStatus(j.Info())); err != nil {
-				return
+			if err := emit(1, jobStatus(j.Info())); err != nil {
+				return err
 			}
 		}
 	}
@@ -49,26 +48,25 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *sched.Job)
 			select {
 			case <-j.Done():
 			default:
-				if err := out.Event(2, "state", jobStatus(j.Info())); err != nil {
-					return
+				if err := emit(2, jobStatus(j.Info())); err != nil {
+					return err
 				}
 			}
-		case <-r.Context().Done():
-			return
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 	select {
 	case <-j.Done():
-	case <-r.Context().Done():
-		return
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	out.Event(3, "state", jobStatus(j.Info()))
+	return emit(3, jobStatus(j.Info()))
 }
 
 // SweepCellEvent is the data payload of a sweep stream's "cell" event:
 // which grid point settled, and its state rendered exactly as the
-// ?cells=1 slot would be. Exported so the cluster gateway emits the
-// identical shape when it replays a fleet sweep's merged event log.
+// ?cells=1 slot would be.
 type SweepCellEvent struct {
 	Index int             `json:"index"`
 	Cell  SweepCellStatus `json:"cell"`
@@ -78,10 +76,10 @@ type SweepCellEvent struct {
 // and then follows the live tail. The log (sweep.events) is
 // append-only and the broadcast channel is swapped under the same
 // lock, so the snapshot-then-wait loop can never miss an append.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
+func (f *front) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
 	out, ok := api.NewSSEWriter(w)
 	if !ok {
-		writeJSON(w, http.StatusOK, sw.status(s.cfg.Workers))
+		api.WriteJSON(w, http.StatusOK, sw.status(f.workers))
 		return
 	}
 	last := api.LastEventID(r)
@@ -105,7 +103,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) 
 		}
 		if settled {
 			// Terminal event: the full status, summary included.
-			out.Event(n+1, "sweep", sw.status(s.cfg.Workers))
+			out.Event(n+1, "sweep", sw.status(f.workers))
 			return
 		}
 		select {

@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,14 +14,17 @@ import (
 )
 
 // This file is the sweep orchestrator: POST /v1/sweeps expands a
-// parameter grid (d2m.SweepSpec) into cells and pushes them through
-// the same admission path as POST /v1/run — result-cache lookup,
-// single-flight coalescing, bounded queue — so overlapping sweeps and
-// repeat runs share simulations. A full queue parks the feeder until a
-// worker frees a slot (sweeps degrade by waiting, never by erroring),
-// DELETE cancels every outstanding cell through the job-context
-// plumbing, and with a configured result store a resubmitted sweep
-// resumes from persisted cells instead of recomputing them.
+// parameter grid (d2m.SweepSpec) into cells, keeps the sweep record
+// (progress, per-cell view, SSE event log, summary, bounded history)
+// and hands the cells to the Backend. Locally, RunCells pushes them
+// through the same admission path as POST /v1/run — result-cache
+// lookup, single-flight coalescing, bounded queue — so overlapping
+// sweeps and repeat runs share simulations. A full queue parks the
+// feeder until a worker frees a slot (sweeps degrade by waiting, never
+// by erroring), DELETE cancels every outstanding cell through the
+// job-context plumbing, and with a configured result store a
+// resubmitted sweep resumes from persisted cells instead of
+// recomputing them.
 
 // SweepRequest is the body of POST /v1/sweeps: the grid axes of
 // d2m.SweepSpec (flattened) plus service-level handling knobs.
@@ -90,8 +91,7 @@ type SweepStatus struct {
 	ETAMS   float64       `json:"eta_ms,omitempty"`
 	Summary *SweepSummary `json:"summary,omitempty"`
 	// Cells is the per-cell view, present only with ?cells=1 on GET:
-	// one entry per grid point in expansion order. The gateway merges
-	// shard sub-sweeps from exactly this.
+	// one entry per grid point in expansion order.
 	Cells []SweepCellStatus `json:"cells,omitempty"`
 }
 
@@ -104,33 +104,22 @@ type SweepCellStatus struct {
 	Error  string       `json:"error,omitempty"`
 }
 
-// cellOutcome is one grid point's settled state.
-type cellOutcome struct {
-	state  api.JobState
-	cached bool
-	result *d2m.Result
-	err    error
-	runSec float64 // simulation seconds (non-cached cells)
-}
-
-// sweep is the server's internal record of one accepted sweep.
+// sweep is the HTTP layer's record of one accepted sweep; its cells
+// run on the Backend (RunCells), which reports each as it settles.
 type sweep struct {
 	id       string
-	tenant   string // admitting tenant; "" in single-tenant mode
+	caller   string // Backend caller value of the creating request
 	baseline d2m.Kind
-	timeout  int64
-	reps     int    // canonical replicate count per cell; 0 = single run
-	engine   string // normalized engine hint; "" = auto
+	spec     CellSpec
 	cells    []d2m.SweepCell
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
 	doneCh chan struct{}
 
 	mu       sync.Mutex
 	state    SweepState
-	outcome  []cellOutcome
+	outcome  []SweepCellStatus // State "" = not settled yet
 	done     int
 	cached   int
 	failed   int
@@ -149,19 +138,24 @@ type sweep struct {
 	eventsCh chan struct{}
 }
 
-// settleCell records one cell's outcome exactly once.
-func (sw *sweep) settleCell(i int, out cellOutcome, m *Metrics) {
+// settleCell records one cell's outcome; later reports for a settled
+// cell are ignored.
+func (sw *sweep) settleCell(i int, out CellOutcome, m *Metrics) {
 	sw.mu.Lock()
-	sw.outcome[i] = out
-	switch out.state {
+	defer sw.mu.Unlock()
+	if sw.outcome[i].State != "" {
+		return
+	}
+	sw.outcome[i] = out.SweepCellStatus
+	switch out.State {
 	case api.JobDone:
 		sw.done++
 		m.SweepCellsDone.Add(1)
-		if out.cached {
+		if out.Cached {
 			sw.cached++
 			m.SweepCellsCached.Add(1)
 		} else {
-			sw.runSecs += out.runSec
+			sw.runSecs += out.RunSec
 			sw.runCells++
 		}
 	case api.JobCanceled:
@@ -174,7 +168,6 @@ func (sw *sweep) settleCell(i int, out cellOutcome, m *Metrics) {
 	sw.events = append(sw.events, i)
 	close(sw.eventsCh)
 	sw.eventsCh = make(chan struct{})
-	sw.mu.Unlock()
 }
 
 // status snapshots the sweep's JSON view.
@@ -205,87 +198,75 @@ func (sw *sweep) status(workers int) SweepStatus {
 // ---------------------------------------------------------------------------
 // HTTP handlers.
 
-// ExpandSweep resolves a sweep request to its validated cell list,
-// baseline kind, canonical replicate count, and normalized engine hint
-// — the exact validation path POST /v1/sweeps runs before accepting.
-// Exported for the cluster gateway, which expands a fleet sweep once
-// and hands each shard its warm-identity-local slice via the Cells
-// field.
-func ExpandSweep(req SweepRequest) ([]d2m.SweepCell, d2m.Kind, int, string, error) {
+// expandSweep resolves a request to its validated cell list, baseline
+// kind, and the handling every cell shares.
+func expandSweep(req SweepRequest) ([]d2m.SweepCell, d2m.Kind, CellSpec, error) {
 	// Unknown benchmarks carry their own code, matching POST /v1/run.
 	for _, b := range req.Benchmarks {
 		if _, ok := d2m.SuiteOf(b); !ok {
-			return nil, 0, 0, "", api.Errorf(api.ErrUnknownBenchmark,
+			return nil, 0, CellSpec{}, api.Errorf(api.ErrUnknownBenchmark,
 				"d2m: unknown benchmark %q (see GET /v1/capabilities)", b)
 		}
 	}
 	cells, err := sweepCells(req)
 	if err != nil {
-		return nil, 0, 0, "", err
+		return nil, 0, CellSpec{}, err
 	}
 	baseline, err := resolveBaseline(req.Baseline, cells)
 	if err != nil {
-		return nil, 0, 0, "", err
+		return nil, 0, CellSpec{}, err
 	}
 	reps, err := api.NormalizeReplicates(req.Replicates)
 	if err != nil {
-		return nil, 0, 0, "", err
+		return nil, 0, CellSpec{}, err
 	}
 	engine, err := api.NormalizeEngine(req.Engine)
 	if err != nil {
-		return nil, 0, 0, "", err
+		return nil, 0, CellSpec{}, err
 	}
-	return cells, baseline, reps, engine, nil
+	return cells, baseline, CellSpec{Replicates: reps, Engine: engine, TimeoutMS: req.TimeoutMS}, nil
 }
 
-func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
+func (f *front) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		api.WriteErr(w, api.Errorf(api.ErrInvalidRequest, "bad request body: %v", err))
+	if !decode(w, r, maxBodyBytes, &req) {
 		return
 	}
-	cells, baseline, reps, engine, err := ExpandSweep(req)
+	cells, baseline, spec, err := expandSweep(req)
 	if err != nil {
 		api.WriteErr(w, err)
 		return
 	}
-	// The bucket is charged one token per cell, after validation: a
+	// The caller is charged one token per cell, after validation: a
 	// sweep is a bulk submission of its whole grid.
-	tenant, ok := s.admitTenant(w, r, len(cells))
+	caller, ok := f.caller(w, r, len(cells))
 	if !ok {
 		return
 	}
-
+	if f.b.Draining() {
+		api.WriteErr(w, errDraining)
+		return
+	}
 	sw := &sweep{
-		id:       fmt.Sprintf("s%08d", s.nextSweepID.Add(1)),
-		tenant:   tenant,
+		id:       fmt.Sprintf("s%08d", f.nextSweepID.Add(1)),
+		caller:   caller,
 		baseline: baseline,
-		timeout:  req.TimeoutMS,
-		reps:     reps,
-		engine:   engine,
+		spec:     spec,
 		cells:    cells,
-		outcome:  make([]cellOutcome, len(cells)),
+		outcome:  make([]SweepCellStatus, len(cells)),
 		doneCh:   make(chan struct{}),
 		eventsCh: make(chan struct{}),
 		state:    SweepRunning,
 		created:  time.Now(),
 	}
-	sw.ctx, sw.cancel = context.WithCancel(s.baseCtx)
-
-	if s.sched.Draining() {
-		sw.cancel()
-		api.WriteErr(w, errDraining)
-		return
-	}
-	s.mu.Lock()
-	s.sweeps[sw.id] = sw
-	s.mu.Unlock()
-	s.metrics.SweepsAccepted.Add(1)
-	s.metrics.SweepsActive.Add(1)
-	go s.runSweep(sw)
-	writeJSON(w, http.StatusAccepted, sw.status(s.cfg.Workers))
+	sw.ctx, sw.cancel = context.WithCancel(f.baseCtx)
+	f.mu.Lock()
+	f.sweeps[sw.id] = sw
+	f.mu.Unlock()
+	f.metrics.SweepsAccepted.Add(1)
+	f.metrics.SweepsActive.Add(1)
+	go f.runSweep(sw)
+	api.WriteJSON(w, http.StatusAccepted, sw.status(f.workers))
 }
 
 // sweepCells resolves a request's cell list: the grid expansion in the
@@ -352,10 +333,15 @@ func resolveBaseline(name string, cells []d2m.SweepCell) (d2m.Kind, error) {
 		"baseline %q is not one of the sweep's kinds", name)
 }
 
-func (s *Server) lookupSweep(w http.ResponseWriter, r *http.Request) *sweep {
-	s.mu.Lock()
-	sw, ok := s.sweeps[r.PathValue("id")]
-	s.mu.Unlock()
+// lookupSweep authenticates the request and finds its sweep; on
+// failure it has written the error.
+func (f *front) lookupSweep(w http.ResponseWriter, r *http.Request) *sweep {
+	if _, ok := f.caller(w, r, 0); !ok {
+		return nil
+	}
+	f.mu.Lock()
+	sw, ok := f.sweeps[r.PathValue("id")]
+	f.mu.Unlock()
 	if !ok {
 		api.WriteErr(w, api.Errorf(api.ErrNotFound, "unknown sweep id %q", r.PathValue("id")))
 		return nil
@@ -363,29 +349,25 @@ func (s *Server) lookupSweep(w http.ResponseWriter, r *http.Request) *sweep {
 	return sw
 }
 
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	sw := s.lookupSweep(w, r)
+func (f *front) handleSweepGet(w http.ResponseWriter, r *http.Request) {
+	sw := f.lookupSweep(w, r)
 	if sw == nil {
 		return
 	}
 	if api.AcceptsSSE(r) {
-		s.streamSweep(w, r, sw)
+		f.streamSweep(w, r, sw)
 		return
 	}
-	st := sw.status(s.cfg.Workers)
+	st := sw.status(f.workers)
 	if r.URL.Query().Get("cells") == "1" {
 		st.Cells = sw.cellStatuses()
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 // cellStatuses snapshots the per-cell view in expansion order. A cell
 // not yet settled reads as queued — the sweep does not track the
-// queued/running transition per cell, and the distinction does not
-// matter to the merge consumers.
+// queued/running transition per cell.
 func (sw *sweep) cellStatuses() []SweepCellStatus {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -405,13 +387,9 @@ func (sw *sweep) cellStatus(i int) SweepCellStatus {
 }
 
 func (sw *sweep) cellStatusLocked(i int) SweepCellStatus {
-	oc := sw.outcome[i]
-	cs := SweepCellStatus{State: oc.state, Cached: oc.cached, Result: oc.result}
+	cs := sw.outcome[i]
 	if cs.State == "" {
 		cs.State = api.JobQueued
-	}
-	if oc.err != nil {
-		cs.Error = oc.err.Error()
 	}
 	return cs
 }
@@ -430,8 +408,8 @@ type SweepList struct {
 // the last id of the previous page: the next page starts strictly
 // below it. Retired sweeps fall out of the listing with the lookup
 // table.
-func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
+func (f *front) handleSweeps(w http.ResponseWriter, r *http.Request) {
+	if _, ok := f.caller(w, r, 0); !ok {
 		return
 	}
 	q := r.URL.Query()
@@ -445,26 +423,19 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 			"unknown state %q: want running, done, or canceled", st))
 		return
 	}
-	limit := 50
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			api.WriteErr(w, api.Errorf(api.ErrInvalidRequest, "bad limit %q", raw))
-			return
-		}
-		limit = n
-		if limit > 500 {
-			limit = 500
-		}
+	limit, err := parseLimit(q)
+	if err != nil {
+		api.WriteErr(w, err)
+		return
 	}
 	cursor := q.Get("cursor")
 
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.sweeps))
-	for id := range s.sweeps {
+	f.mu.Lock()
+	ids := make([]string, 0, len(f.sweeps))
+	for id := range f.sweeps {
 		ids = append(ids, id)
 	}
-	s.mu.Unlock()
+	f.mu.Unlock()
 	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
 
 	list := SweepList{Sweeps: []SweepStatus{}}
@@ -472,13 +443,13 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		if cursor != "" && id >= cursor {
 			continue
 		}
-		s.mu.Lock()
-		sw, ok := s.sweeps[id]
-		s.mu.Unlock()
+		f.mu.Lock()
+		sw, ok := f.sweeps[id]
+		f.mu.Unlock()
 		if !ok {
 			continue // retired between snapshot and render
 		}
-		st := sw.status(s.cfg.Workers)
+		st := sw.status(f.workers)
 		if filter != "" && st.State != filter {
 			continue
 		}
@@ -489,81 +460,94 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		}
 		list.Sweeps = append(list.Sweeps, st)
 	}
-	writeJSON(w, http.StatusOK, list)
+	api.WriteJSON(w, http.StatusOK, list)
 }
 
-// handleSweepDelete cancels a sweep: the feeder stops, every
-// outstanding cell's job context is released (cancelling simulations
-// whose only waiter was this sweep), and the sweep settles as
-// canceled. Deleting a settled sweep is a no-op returning its status.
-func (s *Server) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	sw := s.lookupSweep(w, r)
+// handleSweepDelete cancels a sweep: the backend stops feeding it,
+// every outstanding cell is released (cancelling simulations whose
+// only waiter was this sweep), and the sweep settles as canceled.
+// Deleting a settled sweep is a no-op returning its status.
+func (f *front) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
+	sw := f.lookupSweep(w, r)
 	if sw == nil {
 		return
 	}
 	sw.cancel()
-	writeJSON(w, http.StatusOK, sw.status(s.cfg.Workers))
+	api.WriteJSON(w, http.StatusOK, sw.status(f.workers))
 }
 
 // ---------------------------------------------------------------------------
 // Execution.
 
-// runSweep feeds every cell through the shared admission pipeline in
-// the bulk class and, once all have settled, aggregates the summary.
-// Consecutive cells sharing a warm identity (typically the innermost
-// link-bandwidth axis of the grid) are submitted together through
-// SubmitGroupWait, so they arrive as one leader-plus-chain unit a
-// worker can gather into a lockstep lane group. The parking loop on a
-// full bulk queue means a sweep larger than the queue degrades by
-// waiting, never by failing, and the bulk class's bounded dequeue
-// share keeps a large sweep from starving interactive requests.
-func (s *Server) runSweep(sw *sweep) {
-	maxChunk := s.sched.MaxLanes()
-	if maxChunk > s.cfg.QueueDepth {
-		maxChunk = s.cfg.QueueDepth
+// runSweep runs the cells on the backend and, once all have settled,
+// aggregates the summary.
+func (f *front) runSweep(sw *sweep) {
+	err := f.b.RunCells(sw.ctx, sw.caller, sw.cells, sw.spec, func(i int, out CellOutcome) {
+		sw.settleCell(i, out, f.metrics)
+	})
+	if err != nil {
+		sw.cancel()
 	}
-	if sw.reps >= 2 || sw.engine == d2m.EngineScalar {
+	f.finalizeSweep(sw)
+}
+
+// RunCells feeds every cell through the shared admission pipeline in
+// the bulk class. Consecutive cells sharing a warm identity (typically
+// the innermost link-bandwidth axis of the grid) are submitted
+// together through SubmitGroupWait, so they arrive as one
+// leader-plus-chain unit a worker can gather into a lockstep lane
+// group. The parking loop on a full bulk queue means a sweep larger
+// than the queue degrades by waiting, never by failing, and the bulk
+// class's bounded dequeue share keeps a large sweep from starving
+// interactive requests.
+func (s *Server) RunCells(ctx context.Context, tenant string, cells []d2m.SweepCell, spec CellSpec, settle func(int, CellOutcome)) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	maxChunk := min(s.sched.MaxLanes(), s.cfg.QueueDepth)
+	if spec.Replicates >= 2 || spec.Engine == d2m.EngineScalar {
 		// Replicated cells are lane-ineligible; a scalar hint opts the
 		// whole sweep out of grouping.
 		maxChunk = 1
 	}
-	for i := 0; i < len(sw.cells); {
-		if sw.ctx.Err() != nil {
-			sw.settleCell(i, cellOutcome{state: api.JobCanceled, err: sw.ctx.Err()}, s.metrics)
+	var (
+		wg     sync.WaitGroup
+		failed error
+	)
+	for i := 0; i < len(cells); {
+		if ctx.Err() != nil {
+			settle(i, canceledCell(ctx.Err()))
 			i++
 			continue
 		}
 		end := i + 1
 		if maxChunk > 1 {
-			key := d2m.WarmKey(sw.cells[i].Kind, sw.cells[i].Benchmark, sw.cells[i].Options)
-			for end < len(sw.cells) && end-i < maxChunk &&
-				d2m.WarmKey(sw.cells[end].Kind, sw.cells[end].Benchmark, sw.cells[end].Options) == key {
+			key := d2m.WarmKey(cells[i].Kind, cells[i].Benchmark, cells[i].Options)
+			for end < len(cells) && end-i < maxChunk &&
+				d2m.WarmKey(cells[end].Kind, cells[end].Benchmark, cells[end].Options) == key {
 				end++
 			}
 		}
 		subs := make([]sched.Submission, end-i)
 		for k := range subs {
-			cell := sw.cells[i+k]
+			cell := cells[i+k]
 			subs[k] = sched.Submission{
 				Kind:       cell.Kind,
 				Benchmark:  cell.Benchmark,
 				Options:    cell.Options,
-				Replicates: sw.reps,
-				Engine:     sw.engine,
+				Replicates: spec.Replicates,
+				Engine:     spec.Engine,
 				Priority:   sched.Bulk,
-				Tenant:     sw.tenant,
-				Timeout:    time.Duration(sw.timeout) * time.Millisecond,
+				Tenant:     tenant,
+				Timeout:    time.Duration(spec.TimeoutMS) * time.Millisecond,
 			}
 		}
-		adms, err := s.sched.SubmitGroupWait(sw.ctx, subs)
+		adms, err := s.sched.SubmitGroupWait(ctx, subs)
 		if err != nil {
 			// Draining (or canceled mid-wait): abandon the remainder.
-			sw.cancel()
+			cancel()
+			failed = err
 			for k := i; k < end; k++ {
-				sw.settleCell(k, cellOutcome{state: api.JobCanceled, err: err}, s.metrics)
+				settle(k, canceledCell(err))
 			}
 			i = end
 			continue
@@ -571,46 +555,52 @@ func (s *Server) runSweep(sw *sweep) {
 		for k := range adms {
 			if adms[k].Cached {
 				r := adms[k].Result
-				sw.settleCell(i+k, cellOutcome{state: api.JobDone, cached: true, result: &r}, s.metrics)
+				settle(i+k, CellOutcome{SweepCellStatus: SweepCellStatus{State: api.JobDone, Cached: true, Result: &r}})
 				continue
 			}
-			sw.wg.Add(1)
-			go s.collectCell(sw, i+k, adms[k].Job)
+			wg.Add(1)
+			go func(i int, j *sched.Job) {
+				defer wg.Done()
+				settle(i, s.collectCell(ctx, j))
+			}(i+k, adms[k].Job)
 		}
 		i = end
 	}
-	sw.wg.Wait()
-	s.finalizeSweep(sw)
+	wg.Wait()
+	return failed
+}
+
+func canceledCell(err error) CellOutcome {
+	return CellOutcome{SweepCellStatus: SweepCellStatus{State: api.JobCanceled, Error: err.Error()}}
 }
 
 // collectCell waits for one admitted cell to settle (or for the sweep
 // to be canceled, in which case it releases its hold on the job).
-func (s *Server) collectCell(sw *sweep, i int, j *sched.Job) {
-	defer sw.wg.Done()
+func (s *Server) collectCell(ctx context.Context, j *sched.Job) CellOutcome {
 	select {
 	case <-j.Done():
 		in := j.Info()
-		out := cellOutcome{state: api.JobState(in.State)}
-		switch out.state {
-		case api.JobDone:
-			out.result = in.Result
-			out.runSec = in.Finished.Sub(in.Started).Seconds()
-		default:
-			out.err = in.Err
+		out := CellOutcome{SweepCellStatus: SweepCellStatus{State: api.JobState(in.State)}}
+		switch {
+		case out.State == api.JobDone:
+			out.Result = in.Result
+			out.RunSec = in.Finished.Sub(in.Started).Seconds()
+		case in.Err != nil:
+			out.Error = in.Err.Error()
 		}
-		sw.settleCell(i, out, s.metrics)
-	case <-sw.ctx.Done():
+		return out
+	case <-ctx.Done():
 		s.sched.Release(j)
-		sw.settleCell(i, cellOutcome{state: api.JobCanceled, err: sw.ctx.Err()}, s.metrics)
+		return canceledCell(ctx.Err())
 	}
 }
 
 // finalizeSweep aggregates the completed cells and settles the sweep.
-func (s *Server) finalizeSweep(sw *sweep) {
+func (f *front) finalizeSweep(sw *sweep) {
 	results := make([]*d2m.Result, len(sw.cells))
 	sw.mu.Lock()
 	for i := range sw.outcome {
-		results[i] = sw.outcome[i].result
+		results[i] = sw.outcome[i].Result
 	}
 	sw.mu.Unlock()
 	summary := &SweepSummary{
@@ -632,22 +622,22 @@ func (s *Server) finalizeSweep(sw *sweep) {
 	close(sw.doneCh)
 
 	if settled == SweepCanceled {
-		s.metrics.SweepsCanceled.Add(1)
+		f.metrics.SweepsCanceled.Add(1)
 	} else {
-		s.metrics.SweepsDone.Add(1)
+		f.metrics.SweepsDone.Add(1)
 	}
-	s.metrics.SweepsActive.Add(-1)
-	s.retireSweep(sw)
+	f.metrics.SweepsActive.Add(-1)
+	f.retireSweep(sw)
 }
 
-// retireSweep bounds the sweep history: beyond cfg.MaxSweeps settled
+// retireSweep bounds the sweep history: beyond maxSweeps settled
 // sweeps, the oldest vanish from GET /v1/sweeps/{id}.
-func (s *Server) retireSweep(sw *sweep) {
-	s.mu.Lock()
-	s.sweepRetired = append(s.sweepRetired, sw.id)
-	for len(s.sweepRetired) > s.cfg.MaxSweeps {
-		delete(s.sweeps, s.sweepRetired[0])
-		s.sweepRetired = s.sweepRetired[1:]
+func (f *front) retireSweep(sw *sweep) {
+	f.mu.Lock()
+	f.sweepRetired = append(f.sweepRetired, sw.id)
+	for len(f.sweepRetired) > f.maxSweeps {
+		delete(f.sweeps, f.sweepRetired[0])
+		f.sweepRetired = f.sweepRetired[1:]
 	}
-	s.mu.Unlock()
+	f.mu.Unlock()
 }

@@ -1,10 +1,10 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -159,77 +159,55 @@ func (s *Server) tenantShare(name string) int {
 	return 1
 }
 
-// authTenant resolves the request's tenant. With no registry every
-// request is the default tenant (""). With one, a missing or unknown
-// X-API-Key is a 401 written here; the caller returns on !ok.
-func (s *Server) authTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
+// Auth resolves an X-API-Key to its tenant and charges n submissions
+// to the tenant's bucket. With no registry every request is the
+// default tenant (""). With one, a missing or unknown key is 401; a
+// zero-share tenant or an empty bucket is 429 rate_limited carrying
+// the machine-readable retry_after_ms / tenant / limit fields —
+// distinct from the global overloaded rejection of a full queue.
+func (s *Server) Auth(_ context.Context, key string, n int) (string, error) {
 	if s.tenants == nil {
-		return "", true
-	}
-	key := r.Header.Get("X-API-Key")
-	if key == "" {
-		api.WriteErr(w, api.Errorf(api.ErrUnauthorized, "missing X-API-Key header"))
-		return "", false
+		return "", nil
 	}
 	t, ok := s.tenants.byKey[key]
 	if !ok {
-		api.WriteErr(w, api.Errorf(api.ErrUnauthorized, "unknown API key"))
-		return "", false
+		return "", api.Unauthorized(key)
 	}
-	return t.spec.Name, true
-}
-
-// admitTenant is authTenant plus the token-bucket charge for n
-// submissions: the write-path gate. A zero-share tenant or an empty
-// bucket is a 429 rate_limited carrying the machine-readable
-// retry_after_ms / tenant / limit fields — distinct from the global
-// overloaded rejection of a full queue.
-func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request, n int) (string, bool) {
-	name, ok := s.authTenant(w, r)
-	if !ok {
-		return "", false
+	name := t.spec.Name
+	if n == 0 {
+		return name, nil
 	}
-	if s.tenants == nil {
-		return name, true
-	}
-	t := s.tenants.byName[name]
 	if t.share == 0 {
 		s.metrics.TenantRateLimited(name, n)
-		api.WriteErr(w, &api.Error{
+		return "", &api.Error{
 			Code:    api.ErrRateLimited,
 			Message: fmt.Sprintf("tenant %q has zero queue share: submissions are disabled", name),
 			Tenant:  name,
-		})
-		return "", false
+		}
 	}
 	if ok, wait := t.take(n, time.Now()); !ok {
 		s.metrics.TenantRateLimited(name, n)
-		ms := wait.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		api.WriteErr(w, &api.Error{
+		return "", &api.Error{
 			Code: api.ErrRateLimited,
 			Message: fmt.Sprintf("tenant %q exceeded its admission rate (%g/s)",
 				name, t.spec.Rate),
-			RetryAfterMS: ms,
+			RetryAfterMS: max(wait.Milliseconds(), 1),
 			Tenant:       name,
 			Limit:        t.spec.Rate,
-		})
-		return "", false
+		}
 	}
 	s.metrics.TenantAdmitted(name, n)
-	return name, true
+	return name, nil
 }
 
 // tenancyCaps renders the capabilities advert: enabled plus, when the
 // caller presented a valid key, its own limits.
-func (s *Server) tenancyCaps(r *http.Request) *api.TenancyCaps {
+func (s *Server) tenancyCaps(key string) *api.TenancyCaps {
 	if s.tenants == nil {
 		return nil
 	}
 	caps := &api.TenancyCaps{Enabled: true}
-	if t, ok := s.tenants.byKey[r.Header.Get("X-API-Key")]; ok {
+	if t, ok := s.tenants.byKey[key]; ok {
 		caps.Tenant = t.spec.Name
 		caps.Rate = t.spec.Rate
 		caps.Burst = t.spec.Burst

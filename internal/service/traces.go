@@ -1,7 +1,10 @@
 package service
 
 import (
+	"context"
+	"io"
 	"net/http"
+	"os"
 	"strings"
 
 	"d2m"
@@ -26,71 +29,109 @@ const maxTraceBodyBytes = 1 << 30
 // or a textual one when the request says Content-Type: text/csv. The
 // optional ?name= labels the trace. Responds 200 with the TraceInfo
 // (including re-uploads, which are idempotent no-ops).
-func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.admitTenant(w, r, 1); !ok {
+func (f *front) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
+	caller, ok := f.caller(w, r, 1)
+	if !ok {
 		return
 	}
+	csv := strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv")
+	info, err := f.b.PutTrace(r.Context(), caller,
+		http.MaxBytesReader(w, r.Body, maxTraceBodyBytes), r.URL.Query().Get("name"), csv)
+	writeResult(w, r, http.StatusOK, info, err)
+}
+
+// handleTraceList is GET /v1/traces.
+func (f *front) handleTraceList(w http.ResponseWriter, r *http.Request) {
+	caller, ok := f.caller(w, r, 0)
+	if !ok {
+		return
+	}
+	traces, err := f.b.Traces(r.Context(), caller)
+	if traces == nil {
+		traces = []d2m.TraceInfo{}
+	}
+	writeResult(w, r, http.StatusOK, map[string]interface{}{"traces": traces}, err)
+}
+
+// handleTraceGet is GET /v1/traces/{id}.
+func (f *front) handleTraceGet(w http.ResponseWriter, r *http.Request) {
+	caller, ok := f.caller(w, r, 0)
+	if !ok {
+		return
+	}
+	info, err := f.b.Trace(r.Context(), caller, r.PathValue("id"))
+	writeResult(w, r, http.StatusOK, info, err)
+}
+
+// handleTraceRaw is GET /v1/traces/{id}/raw: the stored binary file,
+// byte-exact — what external tools download.
+func (f *front) handleTraceRaw(w http.ResponseWriter, r *http.Request) {
+	caller, ok := f.caller(w, r, 0)
+	if !ok {
+		return
+	}
+	rc, err := f.b.TraceRaw(r.Context(), caller, r.PathValue("id"))
+	if err != nil {
+		writeResult(w, r, 0, nil, err)
+		return
+	}
+	defer rc.Close()
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if file, ok := rc.(*os.File); ok {
+		if fi, err := file.Stat(); err == nil {
+			http.ServeContent(w, r, "", fi.ModTime(), file) // ranges, conditional GETs
+			return
+		}
+	}
+	io.Copy(w, rc)
+}
+
+func unknownTrace(id string) error {
+	return api.Errorf(api.ErrNotFound, "unknown trace %q", id)
+}
+
+func (s *Server) PutTrace(_ context.Context, _ string, body io.Reader, name string, csv bool) (d2m.TraceInfo, error) {
 	if !d2m.TraceDirSet() {
-		api.WriteErr(w, api.Errorf(api.ErrInvalidRequest,
-			"trace ingestion is disabled on this server (no -trace-dir)"))
-		return
+		return d2m.TraceInfo{}, api.Errorf(api.ErrInvalidRequest,
+			"trace ingestion is disabled on this server (no -trace-dir)")
 	}
-	body := http.MaxBytesReader(w, r.Body, maxTraceBodyBytes)
-	name := r.URL.Query().Get("name")
 	var (
 		info d2m.TraceInfo
 		err  error
 	)
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/csv") {
+	if csv {
 		info, err = d2m.ImportTraceCSV(body, name)
 	} else {
 		info, err = d2m.ImportTrace(body, name)
 	}
 	if err != nil {
 		s.metrics.TracesRejected.Add(1)
-		api.WriteErr(w, api.Errorf(api.ErrInvalidRequest, "%v", err))
-		return
+		return info, api.Errorf(api.ErrInvalidRequest, "%v", err)
 	}
 	s.metrics.TracesUploaded.Add(1)
-	writeJSON(w, http.StatusOK, info)
+	return info, nil
 }
 
-// handleTraceList is GET /v1/traces.
-func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	traces := d2m.ListTraces()
-	if traces == nil {
-		traces = []d2m.TraceInfo{}
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"traces": traces})
+func (s *Server) Traces(context.Context, string) ([]d2m.TraceInfo, error) {
+	return d2m.ListTraces(), nil
 }
 
-// handleTraceGet is GET /v1/traces/{id}.
-func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	info, ok := d2m.TraceByID(r.PathValue("id"))
+func (s *Server) Trace(_ context.Context, _, id string) (d2m.TraceInfo, error) {
+	info, ok := d2m.TraceByID(id)
 	if !ok {
-		api.WriteErr(w, api.Errorf(api.ErrNotFound, "unknown trace %q", r.PathValue("id")))
-		return
+		return info, unknownTrace(id)
 	}
-	writeJSON(w, http.StatusOK, info)
+	return info, nil
 }
 
-// handleTraceRaw is GET /v1/traces/{id}/raw: the stored binary file,
-// byte-exact — what the gateway relays and external tools download.
-func (s *Server) handleTraceRaw(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authTenant(w, r); !ok {
-		return
-	}
-	path, ok := d2m.TracePath(r.PathValue("id"))
+func (s *Server) TraceRaw(_ context.Context, _, id string) (io.ReadCloser, error) {
+	path, ok := d2m.TracePath(id)
 	if !ok {
-		api.WriteErr(w, api.Errorf(api.ErrNotFound, "unknown trace %q", r.PathValue("id")))
-		return
+		return nil, unknownTrace(id)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	http.ServeFile(w, r, path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
