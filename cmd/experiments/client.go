@@ -1,25 +1,18 @@
 package main
 
-// This file is the experiments command's client side of d2mserver:
-// -server points the experiment drivers' simulations at a running
-// service (sharing its content-addressed result cache across
-// invocations), and -sweep runs a parameter grid — remotely through
-// POST /v1/sweeps when -server is set, locally through the same
-// d2m.SweepSpec machinery otherwise.
+// This file is the experiments command's client side of d2mserver
+// (-server runs the planned cells as one sweep there) and the -sweep
+// front end, which expands a parameter grid and runs its cells through
+// the same executors as the named experiments.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"d2m"
 	"d2m/internal/api"
@@ -32,68 +25,79 @@ type remoteError struct {
 	Error api.ErrorInfo `json:"error"`
 }
 
-func remoteMessage(status string, raw []byte) string {
+func serverError(status string, raw []byte) error {
 	var re remoteError
 	if json.Unmarshal(raw, &re) == nil && re.Error.Message != "" {
-		return fmt.Sprintf("server: %s (%s)", re.Error.Message, re.Error.Code)
+		return fmt.Errorf("server: %s (%s)", re.Error.Message, re.Error.Code)
 	}
-	return fmt.Sprintf("server: %s", status)
+	return fmt.Errorf("server: %s", status)
 }
 
-// runRequestFor translates a driver simulation into the wire request.
-func runRequestFor(kind d2m.Kind, bench string, opt d2m.Options) api.RunRequest {
-	return api.RunRequest{
-		Kind: kind.String(), Benchmark: bench,
-		Nodes: opt.Nodes, Warmup: opt.Warmup, Measure: opt.Measure,
-		Seed: opt.Seed, MDScale: opt.MDScale,
-		Bypass: opt.Bypass, Prefetch: opt.Prefetch,
-		Topology: opt.Topology, Placement: opt.Placement,
-		LinkBandwidth: opt.LinkBandwidth,
-	}
-}
-
-// serverRunner returns a d2m.ExperimentRunner that posts each
-// simulation to the service, honouring 429 backpressure by backing off
-// for the advertised Retry-After.
-func serverRunner(base string) func(d2m.Kind, string, d2m.Options) (d2m.Result, error) {
-	return func(kind d2m.Kind, bench string, opt d2m.Options) (d2m.Result, error) {
-		body, err := json.Marshal(runRequestFor(kind, bench, opt))
+// remoteCells returns an executor that runs the distinct cells on the
+// server at base as one POST /v1/sweeps with an explicit cell list. It
+// follows the sweep's event stream and takes each Result from the cell
+// events; a cell that fails cancels the sweep.
+func remoteCells(base string) func([]d2m.SweepCell) (results, error) {
+	return func(cells []d2m.SweepCell) (results, error) {
+		cells = d2m.DistinctCells(cells)
+		body, err := json.Marshal(service.SweepRequest{Cells: cells})
 		if err != nil {
-			return d2m.Result{}, err
+			return nil, err
 		}
-		for {
-			resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return d2m.Result{}, err
-			}
-			raw, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				return d2m.Result{}, err
-			}
-			if resp.StatusCode == http.StatusTooManyRequests {
-				delay := time.Second
-				if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-					delay = time.Duration(s) * time.Second
-				}
-				if delay > 5*time.Second {
-					delay = 5 * time.Second
-				}
-				time.Sleep(delay)
-				continue
-			}
-			if resp.StatusCode != http.StatusOK {
-				return d2m.Result{}, fmt.Errorf("%s/%s: %s", kind, bench, remoteMessage(resp.Status, raw))
-			}
-			var st api.JobStatus
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return d2m.Result{}, err
-			}
-			if st.Result == nil {
-				return d2m.Result{}, fmt.Errorf("%s/%s: server returned no result", kind, bench)
-			}
-			return *st.Result, nil
+		resp, err := http.Post(base+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
 		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			return nil, serverError(resp.Status, raw)
+		}
+		var st service.SweepStatus
+		if err := json.Unmarshal(raw, &st); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "sweep %s accepted: %d cells\n", st.ID, st.Total)
+
+		req, err := http.NewRequest(http.MethodGet, base+"/v1/sweeps/"+st.ID, nil)
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Accept", "text/event-stream")
+		if resp, err = http.DefaultClient.Do(req); err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		out := make(results, len(cells))
+		settled := false
+		err = api.ScanEvents(resp.Body, func(_ int, event string, data []byte) error {
+			var ev service.SweepCellEvent
+			switch {
+			case event == "sweep":
+				settled = true
+			case event != "cell":
+			case json.Unmarshal(data, &ev) != nil || ev.Index < 0 || ev.Index >= len(cells):
+				return fmt.Errorf("sweep %s: malformed cell event %s", st.ID, data)
+			case ev.Cell.State != api.JobDone || ev.Cell.Result == nil:
+				c := cells[ev.Index]
+				return fmt.Errorf("cell %d (%s/%s) %s: %s", ev.Index, c.Kind, c.Benchmark, ev.Cell.State, ev.Cell.Error)
+			default:
+				out[cells[ev.Index]] = *ev.Cell.Result
+			}
+			return nil
+		})
+		if err == nil && (!settled || len(out) != len(cells)) {
+			err = fmt.Errorf("sweep %s: stream ended with %d of %d cells", st.ID, len(out), len(cells))
+		}
+		if err != nil {
+			// Stop whatever the server still runs for this sweep.
+			del, _ := http.NewRequest(http.MethodDelete, base+"/v1/sweeps/"+st.ID, nil)
+			if resp, derr := http.DefaultClient.Do(del); derr == nil {
+				resp.Body.Close()
+			}
+			return nil, err
+		}
+		return out, nil
 	}
 }
 
@@ -115,41 +119,31 @@ func parseSweepSpec(arg string) (d2m.SweepSpec, error) {
 	return spec, nil
 }
 
-// resolveSweepBaseline mirrors the service's default: Base-2L when it
-// is among the sweep's kinds, else the first kind.
-func resolveSweepBaseline(spec d2m.SweepSpec, name string) (d2m.Kind, error) {
-	if name == "" {
-		if len(spec.Kinds) == 0 {
-			return 0, fmt.Errorf("sweep spec has no kinds")
-		}
-		name = spec.Kinds[0]
-		for _, k := range spec.Kinds {
-			if parsed, err := d2m.ParseKind(k); err == nil && parsed == d2m.Base2L {
-				name = k
-				break
-			}
-		}
-	}
-	return d2m.ParseKind(name)
-}
-
-// runSweep executes the grid and returns its output: rendered text, or
-// JSON rows. With a server it submits the grid to POST /v1/sweeps and
-// polls; locally it expands and simulates the cells itself.
-func runSweep(server, specArg, baseline string, asJSON bool) (string, error) {
+// runSweep expands the grid, runs its cells through exec and returns
+// the summary: rendered text, or JSON rows.
+func runSweep(exec func([]d2m.SweepCell) (results, error), specArg, baseline string, asJSON bool) (string, error) {
 	spec, err := parseSweepSpec(specArg)
 	if err != nil {
 		return "", err
 	}
-	var summary service.SweepSummary
-	if server != "" {
-		summary, err = runSweepRemote(server, spec, baseline)
-	} else {
-		summary, err = runSweepLocal(spec, baseline)
-	}
+	cells, err := spec.Expand()
 	if err != nil {
 		return "", err
 	}
+	base, err := d2m.SweepBaseline(baseline, cells)
+	if err != nil {
+		return "", err
+	}
+	res, err := exec(cells)
+	if err != nil {
+		return "", err
+	}
+	results := make([]*d2m.Result, len(cells))
+	for i, c := range cells {
+		r := res[c]
+		results[i] = &r
+	}
+	summary := service.SweepSummary{Baseline: base.String(), Kinds: d2m.SummarizeSweep(base, cells, results)}
 	if asJSON {
 		var b strings.Builder
 		enc := json.NewEncoder(&b)
@@ -166,105 +160,4 @@ func runSweep(server, specArg, baseline string, asJSON bool) (string, error) {
 		t.AddRowf(row.Kind, row.Cells, row.SpeedupPct, row.MsgsPerKI, row.EDP)
 	}
 	return t.Render(), nil
-}
-
-// runSweepRemote submits the grid to the service and polls for the
-// aggregate, reporting progress on stderr.
-func runSweepRemote(base string, spec d2m.SweepSpec, baseline string) (service.SweepSummary, error) {
-	body, err := json.Marshal(service.SweepRequest{SweepSpec: spec, Baseline: baseline})
-	if err != nil {
-		return service.SweepSummary{}, err
-	}
-	resp, err := http.Post(base+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return service.SweepSummary{}, err
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return service.SweepSummary{}, fmt.Errorf("%s", remoteMessage(resp.Status, raw))
-	}
-	var st service.SweepStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return service.SweepSummary{}, err
-	}
-	fmt.Fprintf(os.Stderr, "sweep %s accepted: %d cells\n", st.ID, st.Total)
-	for st.State == service.SweepRunning {
-		time.Sleep(200 * time.Millisecond)
-		resp, err := http.Get(base + "/v1/sweeps/" + st.ID)
-		if err != nil {
-			return service.SweepSummary{}, err
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return service.SweepSummary{}, fmt.Errorf("%s", remoteMessage(resp.Status, raw))
-		}
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return service.SweepSummary{}, err
-		}
-		fmt.Fprintf(os.Stderr, "sweep %s: %d/%d done (%d cached, %d failed, eta %.0fms)\n",
-			st.ID, st.Done, st.Total, st.Cached, st.Failed, st.ETAMS)
-	}
-	if st.State != service.SweepDone || st.Summary == nil {
-		return service.SweepSummary{}, fmt.Errorf("sweep %s settled %s (%d failed, %d canceled)",
-			st.ID, st.State, st.Failed, st.Canceled)
-	}
-	return *st.Summary, nil
-}
-
-// runSweepLocal expands and simulates the grid in-process with the
-// experiment drivers' worker fan-out.
-func runSweepLocal(spec d2m.SweepSpec, baseline string) (service.SweepSummary, error) {
-	base, err := resolveSweepBaseline(spec, baseline)
-	if err != nil {
-		return service.SweepSummary{}, err
-	}
-	cells, err := spec.Expand()
-	if err != nil {
-		return service.SweepSummary{}, err
-	}
-	workers := d2m.ExperimentWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	results := make([]*d2m.Result, len(cells))
-	errs := make([]error, len(cells))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out, err := d2m.Run(context.Background(), d2m.RunSpec{
-					Kind: cells[i].Kind, Benchmark: cells[i].Benchmark, Options: cells[i].Options,
-				})
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				r := out.Result
-				results[i] = &r
-			}
-		}()
-	}
-	for i := range cells {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return service.SweepSummary{}, fmt.Errorf("cell %d (%s/%s): %v",
-				i, cells[i].Kind, cells[i].Benchmark, err)
-		}
-	}
-	return service.SweepSummary{
-		Baseline: base.String(),
-		Kinds:    d2m.SummarizeSweep(base, cells, results),
-	}, nil
 }

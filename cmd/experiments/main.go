@@ -9,12 +9,14 @@
 //	experiments -exp tab4 -out table4.txt
 //	experiments -exp fig6 -json | jq '.[].EDP'
 //
-// With -server, every simulation is delegated to a running d2mserver,
-// so repeated invocations share its content-addressed result cache
-// (and, with -store on the server, survive restarts). With -sweep, the
-// command runs a parameter grid instead of a named experiment — on the
-// server via POST /v1/sweeps when -server is set, in-process
-// otherwise:
+// The selected experiments' cells are planned together: their union
+// runs once, each distinct cell once, and every experiment projects its
+// rows from the shared results. In process the cells run through
+// d2m.RunCells (on GOMAXPROCS workers). With -server they run as one
+// POST /v1/sweeps on a running d2mserver, so repeated invocations share
+// its content-addressed result cache (and, with -store on the server,
+// survive restarts). With -sweep, the command runs a parameter grid
+// instead of a named experiment, through the same two executors:
 //
 //	experiments -exp fig7 -server http://localhost:8080
 //	experiments -sweep '{"kinds":["base-2l","d2m-ns-r"],"benchmarks":["tpc-c","fft"]}'
@@ -22,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,80 +36,79 @@ import (
 	"d2m"
 )
 
-// experiment couples an id with its text renderer and (for the
-// simulation-driven ones) a structured-rows producer for -json.
+// results holds the planned cells' results, keyed by canonical cell.
+type results = map[d2m.SweepCell]d2m.Result
+
+// experiment couples an id with its structured rows (for -json) and
+// rendered text. A planned experiment declares its cells, and both read
+// its rows from the results of the union of the selected experiments'
+// cells; the others run their own simulations.
 type experiment struct {
 	id    string
 	title string
-	text  func(opt d2m.Options) string
-	rows  func(opt d2m.Options) interface{} // nil: text-only (static tables)
+	cells func(opt d2m.Options) []d2m.SweepCell                   // nil: not planned
+	rows  func(opt d2m.Options, res results) (interface{}, error) // nil: text-only (static tables)
+	text  func(opt d2m.Options, res results) (string, error)
+}
+
+// static is a specification table rendered from the implementation.
+func static(id, title string, text func(d2m.Options) string) experiment {
+	return experiment{id: id, title: title,
+		text: func(opt d2m.Options, _ results) (string, error) { return text(opt), nil }}
+}
+
+// direct is an experiment that is not a grid of ordinary runs.
+func direct[R any](id, title string, rows func(d2m.Options) (R, error), render func(R) string) experiment {
+	return experiment{id: id, title: title,
+		rows: func(opt d2m.Options, _ results) (interface{}, error) { return rows(opt) },
+		text: func(opt d2m.Options, _ results) (string, error) {
+			r, err := rows(opt)
+			return render(r), err
+		}}
+}
+
+// planned is an experiment projected from its plan's cells.
+func planned[R any](id, title string, plan func(d2m.Options) d2m.Plan[R], render func(R) string) experiment {
+	return experiment{id: id, title: title,
+		cells: func(opt d2m.Options) []d2m.SweepCell { return plan(opt).Cells },
+		rows:  func(opt d2m.Options, res results) (interface{}, error) { return plan(opt).Project(res) },
+		text: func(opt d2m.Options, res results) (string, error) {
+			r, err := plan(opt).Project(res)
+			return render(r), err
+		}}
+}
+
+// catalog binds a driver that takes a benchmark list to its default list.
+func catalog[R any](plan func(d2m.Options, []string) d2m.Plan[R]) func(d2m.Options) d2m.Plan[R] {
+	return func(opt d2m.Options) d2m.Plan[R] { return plan(opt, nil) }
 }
 
 func registry() []experiment {
 	return []experiment{
-		{"tab1", "Table I (LI encoding)",
-			func(d2m.Options) string { return d2m.RenderTableI() }, nil},
-		{"tab2", "Table II (region classification)",
-			func(d2m.Options) string { return d2m.RenderTableII() }, nil},
-		{"tab3", "Table III (configuration)",
-			func(opt d2m.Options) string { return d2m.RenderTableIII(opt) }, nil},
-		{"fig5", "Figure 5 (network traffic)",
-			func(opt d2m.Options) string { return d2m.RenderFigure5(d2m.Figure5(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.Figure5(opt) }},
-		{"fig6", "Figure 6 (EDP)",
-			func(opt d2m.Options) string { return d2m.RenderFigure6(d2m.Figure6(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.Figure6(opt) }},
-		{"fig7", "Figure 7 (speedup)",
-			func(opt d2m.Options) string { return d2m.RenderFigure7(d2m.Figure7(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.Figure7(opt) }},
-		{"tab4", "Table IV (hit ratios)",
-			func(opt d2m.Options) string { return d2m.RenderTableIV(d2m.TableIV(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.TableIV(opt) }},
-		{"tab5", "Table V (invalidations, private misses)",
-			func(opt d2m.Options) string { return d2m.RenderTableV(d2m.TableV(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.TableV(opt) }},
-		{"pkmo", "Appendix (event frequencies)",
-			func(opt d2m.Options) string { return d2m.RenderPKMO(d2m.AppendixPKMO(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.AppendixPKMO(opt) }},
-		{"scaling", "MD scaling (fn.5)",
-			func(opt d2m.Options) string { return d2m.RenderScaling(d2m.MDScaling(opt, nil)) },
-			func(opt d2m.Options) interface{} { return d2m.MDScaling(opt, nil) }},
-		{"pressure", "SRAM pressure (§V-B)",
-			func(opt d2m.Options) string { return d2m.RenderPressure(d2m.SRAMPressure(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.SRAMPressure(opt) }},
-		{"nodes", "Node scaling (extension)",
-			func(opt d2m.Options) string { return d2m.RenderNodeScaling(d2m.NodeScaling(opt, nil)) },
-			func(opt d2m.Options) interface{} { return d2m.NodeScaling(opt, nil) }},
-		{"d2d", "§II-A MD1 coverage (D2D)",
-			func(opt d2m.Options) string {
-				rep, err := d2m.D2DCoverage(opt, "facesim")
-				if err != nil {
-					return err.Error()
-				}
-				return d2m.RenderCoverage(rep, "facesim")
-			},
-			func(opt d2m.Options) interface{} {
-				rep, err := d2m.D2DCoverage(opt, "facesim")
-				if err != nil {
-					return map[string]string{"error": err.Error()}
-				}
-				return rep
-			}},
-		{"topology", "Interconnect sweep (extension)",
-			func(opt d2m.Options) string { return d2m.RenderTopology(d2m.TopologySweep(opt, nil)) },
-			func(opt d2m.Options) interface{} { return d2m.TopologySweep(opt, nil) }},
-		{"kernels", "Algorithmic kernels (extension)",
-			func(opt d2m.Options) string { return d2m.RenderKernels(d2m.KernelComparison(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.KernelComparison(opt) }},
-		{"storage", "SRAM budgets (§V-B)",
-			func(opt d2m.Options) string { return d2m.RenderStorage(d2m.StorageComparison(opt)) },
-			func(opt d2m.Options) interface{} { return d2m.StorageComparison(opt) }},
-		{"mix", "Multiprogram interference (extension)",
-			func(opt d2m.Options) string { return d2m.RenderMix(d2m.MixStudy(opt, nil)) },
-			func(opt d2m.Options) interface{} { return d2m.MixStudy(opt, nil) }},
-		{"placement", "§IV-B placement policies (ablation)",
-			func(opt d2m.Options) string { return d2m.RenderPlacement(d2m.PlacementSweep(opt, nil)) },
-			func(opt d2m.Options) interface{} { return d2m.PlacementSweep(opt, nil) }},
+		static("tab1", "Table I (LI encoding)", func(d2m.Options) string { return d2m.RenderTableI() }),
+		static("tab2", "Table II (region classification)", func(d2m.Options) string { return d2m.RenderTableII() }),
+		static("tab3", "Table III (configuration)", d2m.RenderTableIII),
+		planned("fig5", "Figure 5 (network traffic)", d2m.Figure5Plan, d2m.RenderFigure5),
+		planned("fig6", "Figure 6 (EDP)", d2m.Figure6Plan, d2m.RenderFigure6),
+		planned("fig7", "Figure 7 (speedup)", d2m.Figure7Plan, d2m.RenderFigure7),
+		planned("tab4", "Table IV (hit ratios)", d2m.TableIVPlan, d2m.RenderTableIV),
+		planned("tab5", "Table V (invalidations, private misses)", d2m.TableVPlan, d2m.RenderTableV),
+		planned("pkmo", "Appendix (event frequencies)", d2m.AppendixPKMOPlan, d2m.RenderPKMO),
+		planned("scaling", "MD scaling (fn.5)", catalog(d2m.MDScalingPlan), d2m.RenderScaling),
+		planned("pressure", "SRAM pressure (§V-B)", d2m.SRAMPressurePlan, d2m.RenderPressure),
+		planned("nodes", "Node scaling (extension)", catalog(d2m.NodeScalingPlan), d2m.RenderNodeScaling),
+		direct("d2d", "§II-A MD1 coverage (D2D)",
+			func(opt d2m.Options) (d2m.CoverageReport, error) { return d2m.D2DCoverage(opt, "facesim") },
+			func(rep d2m.CoverageReport) string { return d2m.RenderCoverage(rep, "facesim") }),
+		planned("topology", "Interconnect sweep (extension)", catalog(d2m.TopologySweepPlan), d2m.RenderTopology),
+		planned("kernels", "Algorithmic kernels (extension)", d2m.KernelComparisonPlan, d2m.RenderKernels),
+		direct("storage", "SRAM budgets (§V-B)",
+			func(opt d2m.Options) ([]d2m.StorageReport, error) { return d2m.StorageComparison(opt), nil },
+			d2m.RenderStorage),
+		direct("mix", "Multiprogram interference (extension)",
+			func(opt d2m.Options) ([]d2m.MixRow, error) { return d2m.MixStudy(opt, nil), nil },
+			d2m.RenderMix),
+		planned("placement", "§IV-B placement policies (ablation)", catalog(d2m.PlacementSweepPlan), d2m.RenderPlacement),
 	}
 }
 
@@ -125,8 +127,7 @@ func main() {
 		measure  = flag.Int("measure", 600_000, "measured accesses")
 		out      = flag.String("out", "", "write output to this file instead of stdout")
 		asJSON   = flag.Bool("json", false, "emit structured rows as JSON instead of rendered text")
-		workers  = flag.Int("workers", 0, "parallel simulations per experiment (0 = all CPUs)")
-		server   = flag.String("server", "", "base URL of a running d2mserver; simulations are delegated to it")
+		server   = flag.String("server", "", "base URL of a running d2mserver; the cells run there as one sweep")
 		sweep    = flag.String("sweep", "", "run a parameter-grid sweep: JSON SweepSpec, or @file")
 		baseline = flag.String("baseline", "", "sweep baseline kind (default: Base-2L when present, else the first kind)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -162,15 +163,14 @@ func main() {
 		}()
 	}
 
-	d2m.ExperimentWorkers = *workers
-	srv := strings.TrimRight(*server, "/")
-	if srv != "" {
-		d2m.ExperimentRunner = serverRunner(srv)
+	exec := runLocal
+	if srv := strings.TrimRight(*server, "/"); srv != "" {
+		exec = remoteCells(srv)
 	}
 	opt := d2m.Options{Nodes: *nodes, Warmup: *warmup, Measure: *measure}
 
 	if *sweep != "" {
-		text, err := runSweep(srv, *sweep, *baseline, *asJSON)
+		text, err := runSweep(exec, *sweep, *baseline, *asJSON)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: sweep: %v\n", err)
 			os.Exit(1)
@@ -179,49 +179,81 @@ func main() {
 		return
 	}
 
-	var b strings.Builder
-	ran := false
-	if *asJSON {
-		payload := map[string]interface{}{}
-		for _, e := range registry() {
-			if *exp != "all" && *exp != e.id {
-				continue
-			}
-			ran = true
-			if e.rows == nil {
-				continue // static tables have no structured form
-			}
-			fmt.Fprintf(os.Stderr, "running %s...\n", e.title)
-			payload[e.id] = e.rows(opt)
-		}
-		if ran {
-			enc := json.NewEncoder(&b)
-			enc.SetIndent("", "  ")
-			var v interface{} = payload
-			if *exp != "all" {
-				v = payload[*exp]
-			}
-			if err := enc.Encode(v); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-	} else {
-		for _, e := range registry() {
-			if *exp != "all" && *exp != e.id {
-				continue
-			}
-			ran = true
-			fmt.Fprintf(os.Stderr, "running %s...\n", e.title)
-			fmt.Fprintf(&b, "==================== %s ====================\n%s\n", e.title, e.text(opt))
+	var exps []experiment
+	for _, e := range registry() {
+		if *exp == "all" || *exp == e.id {
+			exps = append(exps, e)
 		}
 	}
-	if !ran {
+	if len(exps) == 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want one of %s, or all)\n", *exp, ids)
 		os.Exit(2)
 	}
+	text, err := generate(exps, opt, *asJSON, exec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
+	emit(text, *out)
+}
 
-	emit(b.String(), *out)
+// runLocal is the in-process executor.
+func runLocal(cells []d2m.SweepCell) (results, error) {
+	return d2m.RunCells(context.Background(), cells)
+}
+
+// generate regenerates the experiments: the union of their cells runs
+// once through exec, each distinct cell once, and every experiment then
+// renders its text, or its rows as JSON.
+func generate(exps []experiment, opt d2m.Options, asJSON bool, exec func([]d2m.SweepCell) (results, error)) (string, error) {
+	var cells []d2m.SweepCell
+	for _, e := range exps {
+		if e.cells != nil {
+			cells = append(cells, e.cells(opt)...)
+		}
+	}
+	var res results
+	if len(cells) > 0 {
+		fmt.Fprintf(os.Stderr, "running %d distinct cells...\n", len(d2m.DistinctCells(cells)))
+		var err error
+		if res, err = exec(cells); err != nil {
+			return "", err
+		}
+	}
+	var b strings.Builder
+	if !asJSON {
+		for _, e := range exps {
+			fmt.Fprintf(os.Stderr, "running %s...\n", e.title)
+			text, err := e.text(opt, res)
+			if err != nil {
+				return "", fmt.Errorf("%s: %v", e.id, err)
+			}
+			fmt.Fprintf(&b, "==================== %s ====================\n%s\n", e.title, text)
+		}
+		return b.String(), nil
+	}
+	payload := map[string]interface{}{}
+	for _, e := range exps {
+		if e.rows == nil {
+			continue // static tables have no structured form
+		}
+		fmt.Fprintf(os.Stderr, "running %s...\n", e.title)
+		rows, err := e.rows(opt, res)
+		if err != nil {
+			return "", fmt.Errorf("%s: %v", e.id, err)
+		}
+		payload[e.id] = rows
+	}
+	var v interface{} = payload
+	if len(exps) == 1 {
+		v = payload[exps[0].id]
+	}
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 // emit writes the run's output to stdout or -out.

@@ -1,11 +1,8 @@
 package d2m
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"d2m/internal/core"
 	"d2m/internal/report"
@@ -21,69 +18,6 @@ import (
 // helpers format them the way the paper presents them. DESIGN.md maps
 // each experiment id to these functions, and EXPERIMENTS.md records the
 // measured outcomes against the published ones.
-
-// ExperimentWorkers caps the parallelism of the experiment drivers'
-// benchmark fan-out (runAll). Zero or negative selects
-// runtime.GOMAXPROCS(0), the historical behaviour; cmd/experiments
-// exposes it as -workers.
-var ExperimentWorkers int
-
-// ExperimentRunner, when non-nil, replaces Run for every simulation
-// the experiment drivers issue. cmd/experiments points it at a running
-// d2mserver (-server) so repeated sweeps share the service's
-// content-addressed result cache instead of recomputing.
-var ExperimentRunner func(kind Kind, bench string, opt Options) (Result, error)
-
-// experimentRun dispatches one driver simulation through the hook.
-func experimentRun(kind Kind, bench string, opt Options) (Result, error) {
-	if ExperimentRunner != nil {
-		return ExperimentRunner(kind, bench, opt)
-	}
-	out, err := Run(context.Background(), RunSpec{Kind: kind, Benchmark: bench, Options: opt})
-	return out.Result, err
-}
-
-// runAll runs every benchmark on every kind. Runs are independent
-// simulations with their own seeded generators, so they execute in
-// parallel across the machine's cores; results are deterministic and
-// returned in (kind, benchmark) order regardless of scheduling.
-func runAll(kinds []Kind, opt Options, benches []string) map[Kind][]Result {
-	type job struct{ ki, bi int }
-	jobs := make(chan job)
-	out := make(map[Kind][]Result, len(kinds))
-	for _, k := range kinds {
-		out[k] = make([]Result, len(benches))
-	}
-	var wg sync.WaitGroup
-	workers := ExperimentWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(kinds)*len(benches) {
-		workers = len(kinds) * len(benches)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				r, err := experimentRun(kinds[j.ki], benches[j.bi], opt)
-				if err != nil {
-					panic(err) // benches come from the catalog; this is a bug
-				}
-				out[kinds[j.ki]][j.bi] = r
-			}
-		}()
-	}
-	for ki := range kinds {
-		for bi := range benches {
-			jobs <- job{ki, bi}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return out
-}
 
 func allBenchNames() []string {
 	var out []string
@@ -107,20 +41,24 @@ type Figure5Row struct {
 }
 
 // Figure5 regenerates the network-traffic figure across all benchmarks.
-func Figure5(opt Options) []Figure5Row {
-	res := runAll(Kinds(), opt, allBenchNames())
-	rows := make([]Figure5Row, len(res[Base2L]))
-	for i := range rows {
-		rows[i] = Figure5Row{
-			Benchmark: res[Base2L][i].Benchmark,
-			Suite:     res[Base2L][i].Suite,
+func Figure5(opt Options) []Figure5Row { return mustRun(Figure5Plan(opt)) }
+
+// Figure5Plan declares Figure5's cells and projection.
+func Figure5Plan(opt Options) Plan[[]Figure5Row] {
+	benches := allBenchNames()
+	return newPlan(grid(Kinds(), benches, opt), func(get lookup) []Figure5Row {
+		rows := make([]Figure5Row, len(benches))
+		for i, b := range benches {
+			base := get(Base2L, b, opt)
+			rows[i] = Figure5Row{Benchmark: base.Benchmark, Suite: base.Suite}
+			for ki, k := range Kinds() {
+				r := get(k, b, opt)
+				rows[i].MsgsPerKI[ki] = r.MsgsPerKI
+				rows[i].D2MOnlyPerKI[ki] = r.D2MMsgsPerKI
+			}
 		}
-		for ki, k := range Kinds() {
-			rows[i].MsgsPerKI[ki] = res[k][i].MsgsPerKI
-			rows[i].D2MOnlyPerKI[ki] = res[k][i].D2MMsgsPerKI
-		}
-	}
-	return rows
+		return rows
+	})
 }
 
 // Figure5Reduction returns D2M-NS-R's average traffic reduction versus
@@ -167,20 +105,22 @@ type Figure6Row struct {
 }
 
 // Figure6 regenerates the EDP figure.
-func Figure6(opt Options) []Figure6Row {
-	res := runAll(Kinds(), opt, allBenchNames())
-	rows := make([]Figure6Row, len(res[Base2L]))
-	for i := range rows {
-		rows[i] = Figure6Row{
-			Benchmark: res[Base2L][i].Benchmark,
-			Suite:     res[Base2L][i].Suite,
+func Figure6(opt Options) []Figure6Row { return mustRun(Figure6Plan(opt)) }
+
+// Figure6Plan declares Figure6's cells and projection.
+func Figure6Plan(opt Options) Plan[[]Figure6Row] {
+	benches := allBenchNames()
+	return newPlan(grid(Kinds(), benches, opt), func(get lookup) []Figure6Row {
+		rows := make([]Figure6Row, len(benches))
+		for i, b := range benches {
+			base := get(Base2L, b, opt)
+			rows[i] = Figure6Row{Benchmark: base.Benchmark, Suite: base.Suite}
+			for ki, k := range Kinds() {
+				rows[i].EDP[ki] = get(k, b, opt).EDP / base.EDP
+			}
 		}
-		base := res[Base2L][i].EDP
-		for ki, k := range Kinds() {
-			rows[i].EDP[ki] = res[k][i].EDP / base
-		}
-	}
-	return rows
+		return rows
+	})
 }
 
 // Figure6Reduction returns the mean EDP reduction of `kind` versus the
@@ -220,20 +160,22 @@ type Figure7Row struct {
 
 // Figure7 regenerates the speedup figure (infinite-bandwidth timing
 // model, as in the paper).
-func Figure7(opt Options) []Figure7Row {
-	res := runAll(Kinds(), opt, allBenchNames())
-	rows := make([]Figure7Row, len(res[Base2L]))
-	for i := range rows {
-		rows[i] = Figure7Row{
-			Benchmark: res[Base2L][i].Benchmark,
-			Suite:     res[Base2L][i].Suite,
+func Figure7(opt Options) []Figure7Row { return mustRun(Figure7Plan(opt)) }
+
+// Figure7Plan declares Figure7's cells and projection.
+func Figure7Plan(opt Options) Plan[[]Figure7Row] {
+	benches := allBenchNames()
+	return newPlan(grid(Kinds(), benches, opt), func(get lookup) []Figure7Row {
+		rows := make([]Figure7Row, len(benches))
+		for i, b := range benches {
+			base := get(Base2L, b, opt)
+			rows[i] = Figure7Row{Benchmark: base.Benchmark, Suite: base.Suite}
+			for ki, k := range Kinds() {
+				rows[i].SpeedupPct[ki] = (float64(base.Cycles)/float64(get(k, b, opt).Cycles) - 1) * 100
+			}
 		}
-		base := float64(res[Base2L][i].Cycles)
-		for ki, k := range Kinds() {
-			rows[i].SpeedupPct[ki] = (base/float64(res[k][i].Cycles) - 1) * 100
-		}
-	}
-	return rows
+		return rows
+	})
 }
 
 // Figure7Average returns the mean speedup (percent) of a kind.
@@ -273,28 +215,33 @@ type TableIVRow struct {
 
 // TableIV regenerates the hit-ratio table, aggregated per suite as the
 // paper presents it.
-func TableIV(opt Options) []TableIVRow {
+func TableIV(opt Options) []TableIVRow { return mustRun(TableIVPlan(opt)) }
+
+// TableIVPlan declares TableIV's cells and projection.
+func TableIVPlan(opt Options) Plan[[]TableIVRow] {
 	kinds := []Kind{Base2L, Base3L, D2MNS, D2MNSR}
-	var rows []TableIVRow
-	for _, suite := range Suites() {
-		benches := BenchmarksOf(suite)
-		res := runAll(kinds, opt, benches)
-		row := TableIVRow{Suite: suite}
-		n := float64(len(benches))
-		for i := range benches {
-			row.MissI += res[Base2L][i].MissRatioI * 100 / n
-			row.MissD += res[Base2L][i].MissRatioD * 100 / n
-			row.LateI += res[Base2L][i].LateHitI * 100 / n
-			row.LateD += res[Base2L][i].LateHitD * 100 / n
-			row.L2Hit += res[Base3L][i].NearHitI * 100 / n
-			row.NSHitI += res[D2MNS][i].NearHitI * 100 / n
-			row.NSHitD += res[D2MNS][i].NearHitD * 100 / n
-			row.NSRHitI += res[D2MNSR][i].NearHitI * 100 / n
-			row.NSRHitD += res[D2MNSR][i].NearHitD * 100 / n
+	return newPlan(grid(kinds, allBenchNames(), opt), func(get lookup) []TableIVRow {
+		var rows []TableIVRow
+		for _, suite := range Suites() {
+			benches := BenchmarksOf(suite)
+			row := TableIVRow{Suite: suite}
+			n := float64(len(benches))
+			for _, b := range benches {
+				b2, b3, ns, nsr := get(Base2L, b, opt), get(Base3L, b, opt), get(D2MNS, b, opt), get(D2MNSR, b, opt)
+				row.MissI += b2.MissRatioI * 100 / n
+				row.MissD += b2.MissRatioD * 100 / n
+				row.LateI += b2.LateHitI * 100 / n
+				row.LateD += b2.LateHitD * 100 / n
+				row.L2Hit += b3.NearHitI * 100 / n
+				row.NSHitI += ns.NearHitI * 100 / n
+				row.NSHitD += ns.NearHitD * 100 / n
+				row.NSRHitI += nsr.NearHitI * 100 / n
+				row.NSRHitD += nsr.NearHitD * 100 / n
+			}
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
-	}
-	return rows
+		return rows
+	})
 }
 
 // RenderTableIV formats the rows.
@@ -327,28 +274,32 @@ type TableVRow struct {
 }
 
 // TableV regenerates the invalidation/private-classification table.
-func TableV(opt Options) []TableVRow {
-	kinds := []Kind{Base2L, D2MNSR}
-	var rows []TableVRow
-	for _, suite := range Suites() {
-		benches := BenchmarksOf(suite)
-		res := runAll(kinds, opt, benches)
-		row := TableVRow{Suite: suite}
-		var base, d2m, priv, direct float64
-		for i := range benches {
-			base += float64(res[Base2L][i].InvRecv)
-			d2m += float64(res[D2MNSR][i].InvRecv)
-			priv += res[D2MNSR][i].PrivateMissFrac
-			direct += res[D2MNSR][i].DirectMissFrac
+func TableV(opt Options) []TableVRow { return mustRun(TableVPlan(opt)) }
+
+// TableVPlan declares TableV's cells and projection.
+func TableVPlan(opt Options) Plan[[]TableVRow] {
+	return newPlan(grid([]Kind{Base2L, D2MNSR}, allBenchNames(), opt), func(get lookup) []TableVRow {
+		var rows []TableVRow
+		for _, suite := range Suites() {
+			benches := BenchmarksOf(suite)
+			row := TableVRow{Suite: suite}
+			var base, d2m, priv, direct float64
+			for _, b := range benches {
+				nsr := get(D2MNSR, b, opt)
+				base += float64(get(Base2L, b, opt).InvRecv)
+				d2m += float64(nsr.InvRecv)
+				priv += nsr.PrivateMissFrac
+				direct += nsr.DirectMissFrac
+			}
+			if base > 0 {
+				row.InvVsBase2L = d2m / base * 100
+			}
+			row.PrivateMissPct = priv / float64(len(benches)) * 100
+			row.DirectMissPct = direct / float64(len(benches)) * 100
+			rows = append(rows, row)
 		}
-		if base > 0 {
-			row.InvVsBase2L = d2m / base * 100
-		}
-		row.PrivateMissPct = priv / float64(len(benches)) * 100
-		row.DirectMissPct = direct / float64(len(benches)) * 100
-		rows = append(rows, row)
-	}
-	return rows
+		return rows
+	})
 }
 
 // RenderTableV formats the rows.
@@ -375,11 +326,21 @@ type PKMOReport struct {
 }
 
 // AppendixPKMO regenerates the appendix's event-frequency numbers.
-func AppendixPKMO(opt Options) PKMOReport {
-	res := runAll([]Kind{D2MFS}, opt, allBenchNames())
+func AppendixPKMO(opt Options) PKMOReport { return mustRun(AppendixPKMOPlan(opt)) }
+
+// AppendixPKMOPlan declares AppendixPKMO's cells and projection.
+func AppendixPKMOPlan(opt Options) Plan[PKMOReport] {
+	benches := allBenchNames()
+	return newPlan(grid([]Kind{D2MFS}, benches, opt), func(get lookup) PKMOReport {
+		return pkmoReport(get, benches, opt)
+	})
+}
+
+func pkmoReport(get lookup, benches []string, opt Options) PKMOReport {
 	var rep PKMOReport
-	n := float64(len(res[D2MFS]))
-	for _, r := range res[D2MFS] {
+	n := float64(len(benches))
+	for _, b := range benches {
+		r := get(D2MFS, b, opt)
 		rep.Events.ALLC += r.Events.ALLC / n
 		rep.Events.AMem += r.Events.AMem / n
 		rep.Events.ANode += r.Events.ANode / n
@@ -431,29 +392,41 @@ type ScalingRow struct {
 
 // MDScaling regenerates the metadata scaling study (1x/2x/4x MD sizes).
 func MDScaling(opt Options, benches []string) []ScalingRow {
+	return mustRun(MDScalingPlan(opt, benches))
+}
+
+// MDScalingPlan declares MDScaling's cells and projection.
+func MDScalingPlan(opt Options, benches []string) Plan[[]ScalingRow] {
 	if benches == nil {
 		benches = allBenchNames()
 	}
-	var rows []ScalingRow
-	baseOpt := opt
-	baseOpt.MDScale = 1
-	base := runAll([]Kind{Base2L}, baseOpt, benches)
-	for _, scale := range []int{1, 2, 4} {
+	scales := []int{1, 2, 4}
+	at := func(scale int) Options {
 		o := opt
 		o.MDScale = scale
-		res := runAll([]Kind{D2MNSR}, o, benches)
-		var speed, md1 []float64
-		for i, r := range res[D2MNSR] {
-			speed = append(speed, float64(base[Base2L][i].Cycles)/float64(r.Cycles))
-			md1 = append(md1, r.MD1HitFrac)
-		}
-		rows = append(rows, ScalingRow{
-			Scale:      scale,
-			SpeedupPct: (stats.Geomean(speed) - 1) * 100,
-			MD1HitPct:  stats.Mean(md1) * 100,
-		})
+		return o
 	}
-	return rows
+	cells := grid([]Kind{Base2L}, benches, at(1))
+	for _, scale := range scales {
+		cells = append(cells, grid([]Kind{D2MNSR}, benches, at(scale))...)
+	}
+	return newPlan(cells, func(get lookup) []ScalingRow {
+		var rows []ScalingRow
+		for _, scale := range scales {
+			var speed, md1 []float64
+			for _, b := range benches {
+				r := get(D2MNSR, b, at(scale))
+				speed = append(speed, float64(get(Base2L, b, at(1)).Cycles)/float64(r.Cycles))
+				md1 = append(md1, r.MD1HitFrac)
+			}
+			rows = append(rows, ScalingRow{
+				Scale:      scale,
+				SpeedupPct: (stats.Geomean(speed) - 1) * 100,
+				MD1HitPct:  stats.Mean(md1) * 100,
+			})
+		}
+		return rows
+	})
 }
 
 // RenderScaling formats the scaling rows.
@@ -486,16 +459,25 @@ type PressureReport struct {
 }
 
 // SRAMPressure regenerates the §V-B structure-pressure comparison.
-func SRAMPressure(opt Options) PressureReport {
+func SRAMPressure(opt Options) PressureReport { return mustRun(SRAMPressurePlan(opt)) }
+
+// SRAMPressurePlan declares SRAMPressure's cells and projection.
+func SRAMPressurePlan(opt Options) Plan[PressureReport] {
 	benches := allBenchNames()
-	res := runAll([]Kind{Base2L, Base3L, D2MNSR}, opt, benches)
+	return newPlan(grid([]Kind{Base2L, Base3L, D2MNSR}, benches, opt), func(get lookup) PressureReport {
+		return pressureReport(get, benches, opt)
+	})
+}
+
+func pressureReport(get lookup, benches []string, opt Options) PressureReport {
 	var md3, dir2, dir3, md2, l2tag float64
-	for i := range benches {
-		md3 += float64(res[D2MNSR][i].MD3Lookups)
-		dir2 += float64(res[Base2L][i].DirLookups)
-		dir3 += float64(res[Base3L][i].DirLookups)
-		md2 += float64(res[D2MNSR][i].MD2Accesses)
-		l2tag += float64(res[Base3L][i].L2TagAccesses)
+	for _, b := range benches {
+		nsr, b3 := get(D2MNSR, b, opt), get(Base3L, b, opt)
+		md3 += float64(nsr.MD3Lookups)
+		dir2 += float64(get(Base2L, b, opt).DirLookups)
+		dir3 += float64(b3.DirLookups)
+		md2 += float64(nsr.MD2Accesses)
+		l2tag += float64(b3.L2TagAccesses)
 	}
 	rep := PressureReport{}
 	if dir2 > 0 {
@@ -539,31 +521,46 @@ type NodeScalingRow struct {
 
 // NodeScaling sweeps the machine size.
 func NodeScaling(opt Options, benches []string) []NodeScalingRow {
+	return mustRun(NodeScalingPlan(opt, benches))
+}
+
+// NodeScalingPlan declares NodeScaling's cells and projection.
+func NodeScalingPlan(opt Options, benches []string) Plan[[]NodeScalingRow] {
 	if benches == nil {
 		benches = []string{"blackscholes", "fft", "tpc-c"}
 	}
-	var rows []NodeScalingRow
-	for _, nodes := range []int{1, 2, 4, 8} {
+	sizes := []int{1, 2, 4, 8}
+	at := func(nodes int) Options {
 		o := opt
 		o.Nodes = nodes
-		res := runAll([]Kind{Base2L, D2MNSR}, o, benches)
-		var speed, ratio []float64
-		var priv float64
-		for i := range benches {
-			speed = append(speed, float64(res[Base2L][i].Cycles)/float64(res[D2MNSR][i].Cycles))
-			if res[Base2L][i].MsgsPerKI > 0 {
-				ratio = append(ratio, res[D2MNSR][i].MsgsPerKI/res[Base2L][i].MsgsPerKI)
-			}
-			priv += res[D2MNSR][i].PrivateMissFrac / float64(len(benches))
-		}
-		rows = append(rows, NodeScalingRow{
-			Nodes:        nodes,
-			SpeedupPct:   (stats.Geomean(speed) - 1) * 100,
-			TrafficRatio: stats.Geomean(ratio),
-			PrivatePct:   priv * 100,
-		})
+		return o
 	}
-	return rows
+	var cells []SweepCell
+	for _, nodes := range sizes {
+		cells = append(cells, grid([]Kind{Base2L, D2MNSR}, benches, at(nodes))...)
+	}
+	return newPlan(cells, func(get lookup) []NodeScalingRow {
+		var rows []NodeScalingRow
+		for _, nodes := range sizes {
+			var speed, ratio []float64
+			var priv float64
+			for _, b := range benches {
+				base, nsr := get(Base2L, b, at(nodes)), get(D2MNSR, b, at(nodes))
+				speed = append(speed, float64(base.Cycles)/float64(nsr.Cycles))
+				if base.MsgsPerKI > 0 {
+					ratio = append(ratio, nsr.MsgsPerKI/base.MsgsPerKI)
+				}
+				priv += nsr.PrivateMissFrac / float64(len(benches))
+			}
+			rows = append(rows, NodeScalingRow{
+				Nodes:        nodes,
+				SpeedupPct:   (stats.Geomean(speed) - 1) * 100,
+				TrafficRatio: stats.Geomean(ratio),
+				PrivatePct:   priv * 100,
+			})
+		}
+		return rows
+	})
 }
 
 // RenderNodeScaling formats the sweep.
@@ -593,33 +590,47 @@ type TopologyRow struct {
 
 // TopologySweep compares the designs across interconnects.
 func TopologySweep(opt Options, benches []string) []TopologyRow {
+	return mustRun(TopologySweepPlan(opt, benches))
+}
+
+// TopologySweepPlan declares TopologySweep's cells and projection.
+func TopologySweepPlan(opt Options, benches []string) Plan[[]TopologyRow] {
 	if benches == nil {
 		benches = []string{"blackscholes", "fft", "tpc-c", "mix1"}
 	}
-	var rows []TopologyRow
-	for _, topo := range []string{"crossbar", "ring", "mesh", "torus"} {
+	topos := Topologies()
+	on := func(topo string) Options {
 		o := opt
 		o.Topology = topo
-		res := runAll([]Kind{Base2L, D2MNSR}, o, benches)
-		var msg, hop, speed []float64
-		for i := range benches {
-			b, d := res[Base2L][i], res[D2MNSR][i]
-			if b.Messages > 0 {
-				msg = append(msg, float64(d.Messages)/float64(b.Messages))
-			}
-			if b.Hops > 0 {
-				hop = append(hop, float64(d.Hops)/float64(b.Hops))
-			}
-			speed = append(speed, float64(b.Cycles)/float64(d.Cycles))
-		}
-		rows = append(rows, TopologyRow{
-			Topology:   topo,
-			MsgRatio:   stats.Geomean(msg),
-			HopRatio:   stats.Geomean(hop),
-			SpeedupPct: (stats.Geomean(speed) - 1) * 100,
-		})
+		return o
 	}
-	return rows
+	var cells []SweepCell
+	for _, topo := range topos {
+		cells = append(cells, grid([]Kind{Base2L, D2MNSR}, benches, on(topo))...)
+	}
+	return newPlan(cells, func(get lookup) []TopologyRow {
+		var rows []TopologyRow
+		for _, topo := range topos {
+			var msg, hop, speed []float64
+			for _, bench := range benches {
+				b, d := get(Base2L, bench, on(topo)), get(D2MNSR, bench, on(topo))
+				if b.Messages > 0 {
+					msg = append(msg, float64(d.Messages)/float64(b.Messages))
+				}
+				if b.Hops > 0 {
+					hop = append(hop, float64(d.Hops)/float64(b.Hops))
+				}
+				speed = append(speed, float64(b.Cycles)/float64(d.Cycles))
+			}
+			rows = append(rows, TopologyRow{
+				Topology:   topo,
+				MsgRatio:   stats.Geomean(msg),
+				HopRatio:   stats.Geomean(hop),
+				SpeedupPct: (stats.Geomean(speed) - 1) * 100,
+			})
+		}
+		return rows
+	})
 }
 
 // RenderTopology formats the sweep.
@@ -765,35 +776,45 @@ type PlacementRow struct {
 // spreading throws away locality; the pressure policy sits between the
 // endpoints on locality while matching or beating both on cycles.
 func PlacementSweep(opt Options, benches []string) []PlacementRow {
+	return mustRun(PlacementSweepPlan(opt, benches))
+}
+
+// PlacementSweepPlan declares PlacementSweep's cells and projection.
+func PlacementSweepPlan(opt Options, benches []string) Plan[[]PlacementRow] {
 	if benches == nil {
 		benches = []string{"blackscholes", "fft", "tpc-c", "mix1", "facesim", "wikipedia"}
 	}
 	policies := []string{"local", "pressure", "spread"}
-	results := make(map[string][]Result, len(policies))
-	for _, p := range policies {
+	under := func(policy string) Options {
 		o := opt
-		o.Placement = p
-		results[p] = runAll([]Kind{D2MNS}, o, benches)[D2MNS]
+		o.Placement = policy
+		return o
 	}
-	ref := results["pressure"]
-	rows := make([]PlacementRow, 0, len(policies))
+	var cells []SweepCell
 	for _, p := range policies {
-		var local, hop, speed []float64
-		for i, r := range results[p] {
-			local = append(local, r.NearHitD)
-			if ref[i].Hops > 0 {
-				hop = append(hop, float64(r.Hops)/float64(ref[i].Hops))
-			}
-			speed = append(speed, float64(ref[i].Cycles)/float64(r.Cycles))
-		}
-		rows = append(rows, PlacementRow{
-			Policy:    p,
-			LocalHitD: stats.Mean(local),
-			HopRatio:  stats.Geomean(hop),
-			CyclesPct: -(stats.Geomean(speed) - 1) * 100,
-		})
+		cells = append(cells, grid([]Kind{D2MNS}, benches, under(p))...)
 	}
-	return rows
+	return newPlan(cells, func(get lookup) []PlacementRow {
+		rows := make([]PlacementRow, 0, len(policies))
+		for _, p := range policies {
+			var local, hop, speed []float64
+			for _, b := range benches {
+				r, ref := get(D2MNS, b, under(p)), get(D2MNS, b, under("pressure"))
+				local = append(local, r.NearHitD)
+				if ref.Hops > 0 {
+					hop = append(hop, float64(r.Hops)/float64(ref.Hops))
+				}
+				speed = append(speed, float64(ref.Cycles)/float64(r.Cycles))
+			}
+			rows = append(rows, PlacementRow{
+				Policy:    p,
+				LocalHitD: stats.Mean(local),
+				HopRatio:  stats.Geomean(hop),
+				CyclesPct: -(stats.Geomean(speed) - 1) * 100,
+			})
+		}
+		return rows
+	})
 }
 
 // RenderPlacement formats the placement sweep.

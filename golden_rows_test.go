@@ -2,10 +2,12 @@ package d2m
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -78,5 +80,73 @@ func TestGoldenRows(t *testing.T) {
 	}
 	if !bytes.Equal(data, want) && !t.Failed() {
 		t.Error("rows file is not in canonical form; regenerate it with -update")
+	}
+}
+
+// TestPlanLookup checks the planner's lookup: a projection that reads
+// a cell its plan did not declare fails even when the results hold that
+// cell, and so does a declared cell missing from the results.
+func TestPlanLookup(t *testing.T) {
+	opt := Options{Nodes: 1, Warmup: 500, Measure: 1000}
+	p := newPlan(grid([]Kind{Base2L}, []string{"tpc-c"}, opt), func(get lookup) uint64 {
+		return get(Base2L, "tpc-c", opt).Cycles + get(D2MNSR, "tpc-c", opt).Cycles
+	})
+	results, err := RunCells(context.Background(), append(grid([]Kind{D2MNSR}, []string{"tpc-c"}, opt), p.Cells...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Project(results); err == nil || !strings.Contains(err.Error(), "undeclared") {
+		t.Errorf("undeclared read: err = %v", err)
+	}
+	if _, err := p.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "undeclared") {
+		t.Errorf("undeclared read through Run: err = %v", err)
+	}
+	declared := newPlan(p.Cells, func(get lookup) uint64 { return get(Base2L, "tpc-c", opt).Cycles })
+	if _, err := declared.Project(map[SweepCell]Result{}); err == nil || !strings.Contains(err.Error(), "no result") {
+		t.Errorf("missing result: err = %v", err)
+	}
+	if got, err := declared.Project(results); err != nil || got == 0 {
+		t.Errorf("declared read: %d, %v", got, err)
+	}
+}
+
+// TestRunCells checks the in-process executor: duplicate cells (also
+// ones equal only after WithDefaults) run once, every result equals
+// Run's, and a failure reports the lowest-index failing cell.
+func TestRunCells(t *testing.T) {
+	opt := Options{Nodes: 2, Warmup: 500, Measure: 1000}
+	cells := []SweepCell{
+		{Kind: D2MNSR, Benchmark: "fft", Options: opt},
+		{Kind: D2MNSR, Benchmark: "fft", Options: opt.WithDefaults()},
+		{Kind: Base2L, Benchmark: "fft", Options: opt},
+		{Kind: Base2L, Benchmark: "fft", Options: Options{Nodes: 2, Warmup: 500, Measure: 2000}},
+		{Kind: Base2L, Benchmark: KernelPrefix + "stencil", Options: opt},
+	}
+	if n := len(DistinctCells(cells)); n != 4 {
+		t.Fatalf("DistinctCells: %d cells, want 4", n)
+	}
+	results, err := RunCells(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 4 {
+		t.Errorf("RunCells: %d results, want 4", len(results))
+	}
+	for _, c := range cells {
+		want, err := Run(context.Background(), RunSpec{Kind: c.Kind, Benchmark: c.Benchmark, Options: c.Options})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Options = c.Options.WithDefaults()
+		if goldenDigest(results[c]) != goldenDigest(want.Result) {
+			t.Errorf("%s/%s %+v: RunCells result differs from Run", c.Kind, c.Benchmark, c.Options)
+		}
+	}
+
+	bad := append(cells[:1:1],
+		SweepCell{Kind: Base2L, Benchmark: "fft", Options: Options{MDScale: 3}},
+		SweepCell{Kind: Base2L, Benchmark: "nonesuch", Options: opt})
+	if _, err := RunCells(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "MDScale") {
+		t.Errorf("RunCells error = %v, want the MDScale failure of cell 1", err)
 	}
 }

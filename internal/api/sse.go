@@ -1,8 +1,10 @@
 package api
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -70,4 +72,34 @@ func (s *SSEWriter) Event(id int, event string, v interface{}) error {
 	}
 	s.fl.Flush()
 	return nil
+}
+
+// ScanEvents reads an event stream framed by SSEWriter: it calls fn for
+// every event on r, with the event's id, name and data line, until fn
+// fails or the stream ends.
+func ScanEvents(r io.Reader, fn func(id int, event string, data []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	var (
+		id    int
+		event string
+		data  []byte
+	)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "" && data != nil:
+			if err := fn(id, event, data); err != nil {
+				return err
+			}
+			id, event, data = 0, "", nil
+		case strings.HasPrefix(line, "id: "):
+			id, _ = strconv.Atoi(strings.TrimPrefix(line, "id: "))
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			data = []byte(strings.TrimPrefix(line, "data: "))
+		}
+	}
+	return sc.Err()
 }

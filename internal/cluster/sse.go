@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -57,35 +56,6 @@ func stream(ctx context.Context, p Peer, path, apiKey string, last int) (io.Read
 	return resp.Body, nil
 }
 
-// scanEvents calls fn for every event framed on r until fn fails or
-// the stream ends.
-func scanEvents(r io.Reader, fn func(id int, event string, data []byte) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	var (
-		id    int
-		event string
-		data  []byte
-	)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "" && data != nil:
-			if err := fn(id, event, data); err != nil {
-				return err
-			}
-			id, event, data = 0, "", nil
-		case strings.HasPrefix(line, "id: "):
-			id, _ = strconv.Atoi(strings.TrimPrefix(line, "id: "))
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = []byte(strings.TrimPrefix(line, "data: "))
-		}
-	}
-	return sc.Err()
-}
-
 // WatchJob relays the owning shard's job stream. Only the data line's
 // id changes: the shard and the HTTP layer marshal the same JobStatus,
 // so each relayed frame is the shard's apart from the routed id.
@@ -99,7 +69,7 @@ func (g *Gateway) WatchJob(ctx context.Context, apiKey, id string, last int, emi
 		return err
 	}
 	defer events.Close()
-	return scanEvents(events, func(id int, event string, data []byte) error {
+	return api.ScanEvents(events, func(id int, event string, data []byte) error {
 		var st api.JobStatus
 		if event != "state" || json.Unmarshal(data, &st) != nil {
 			return nil

@@ -174,7 +174,7 @@ func (g *Gateway) subSweep(ctx context.Context, apiKey string, p Peer, cells []d
 	terminal := false
 	if err == nil {
 		defer events.Close()
-		err = scanEvents(events, func(_ int, event string, data []byte) error {
+		err = api.ScanEvents(events, func(_ int, event string, data []byte) error {
 			var ev service.SweepCellEvent
 			switch {
 			case event == "sweep":

@@ -212,9 +212,9 @@ func expandSweep(req SweepRequest) ([]d2m.SweepCell, d2m.Kind, CellSpec, error) 
 	if err != nil {
 		return nil, 0, CellSpec{}, err
 	}
-	baseline, err := resolveBaseline(req.Baseline, cells)
+	baseline, err := d2m.SweepBaseline(req.Baseline, cells)
 	if err != nil {
-		return nil, 0, CellSpec{}, err
+		return nil, 0, CellSpec{}, api.Errorf(api.ErrInvalidRequest, "%v", err)
 	}
 	reps, err := api.NormalizeReplicates(req.Replicates)
 	if err != nil {
@@ -304,33 +304,6 @@ func sweepCells(req SweepRequest) ([]d2m.SweepCell, error) {
 		cells[i] = c
 	}
 	return cells, nil
-}
-
-// resolveBaseline picks and validates the speedup baseline: it must be
-// one of the sweep's own kinds, so every summary row has a comparison
-// population. Deriving candidates from the expanded cells (rather than
-// the Kinds axis) makes the same rule cover explicit-cell sweeps.
-func resolveBaseline(name string, cells []d2m.SweepCell) (d2m.Kind, error) {
-	if name == "" {
-		base := cells[0].Kind
-		for _, c := range cells {
-			if c.Kind == d2m.Base2L {
-				return d2m.Base2L, nil
-			}
-		}
-		return base, nil
-	}
-	base, err := d2m.ParseKind(name)
-	if err != nil {
-		return 0, api.Errorf(api.ErrInvalidRequest, "%v", err)
-	}
-	for _, c := range cells {
-		if c.Kind == base {
-			return base, nil
-		}
-	}
-	return 0, api.Errorf(api.ErrInvalidRequest,
-		"baseline %q is not one of the sweep's kinds", name)
 }
 
 // lookupSweep authenticates the request and finds its sweep; on

@@ -386,6 +386,18 @@ func TestSweepRestartResume(t *testing.T) {
 
 // TestSweepValidation checks the request-level error envelope on
 // POST /v1/sweeps and 404s for unknown sweep ids.
+// overflowSweepBody is a ~40 KB grid with 1,024 entries on each of the
+// seven axes: 1024^7 = 2^70 cells, a product that wraps a 64-bit int
+// to exactly 0.
+func overflowSweepBody() string {
+	axis := func(v string) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(v+",", 1024), ",") + "]"
+	}
+	return `{"kinds":` + axis(`"base-2l"`) + `,"benchmarks":` + axis(`"fft"`) +
+		`,"seeds":` + axis("0") + `,"topologies":` + axis(`"ring"`) + `,"placements":` + axis(`"local"`) +
+		`,"md_scales":` + axis("1") + `,"link_bandwidths":` + axis("0") + `}`
+}
+
 func TestSweepValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1,
 		Runner: func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options) (d2m.Result, error) {
@@ -405,6 +417,7 @@ func TestSweepValidation(t *testing.T) {
 		{"baseline outside kinds", `{"kinds":["d2m-ns"],"benchmarks":["tpc-c"],"baseline":"base-2l"}`, api.ErrInvalidRequest},
 		{"over cell cap", `{"kinds":["base-2l","d2m-ns"],"benchmarks":["tpc-c"],"seeds":[1,2,3],"max_cells":4}`, api.ErrInvalidRequest},
 		{"bad option axis", `{"kinds":["base-2l"],"benchmarks":["tpc-c"],"md_scales":[3]}`, api.ErrInvalidRequest},
+		{"overflowing axes", overflowSweepBody(), api.ErrInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -45,37 +45,39 @@ type KernelRow struct {
 // claims of the paper (D2M variants beat the baselines on traffic, and
 // dynamic indexing rescues lu) should reproduce on these ground-truth
 // streams exactly as on the calibrated synthetic ones.
-func KernelComparison(opt Options) []KernelRow {
-	opt = opt.withDefaults()
+func KernelComparison(opt Options) []KernelRow { return mustRun(KernelComparisonPlan(opt)) }
+
+// KernelComparisonPlan declares KernelComparison's cells and projection.
+func KernelComparisonPlan(opt Options) Plan[[]KernelRow] {
 	infos := Kernels()
 	kinds := Kinds()
 	benches := make([]string, len(infos))
 	for i, info := range infos {
 		benches[i] = KernelPrefix + info.Name
 	}
-	results := runAll(kinds, opt, benches)
-
-	rows := make([]KernelRow, len(infos))
-	for ii, info := range infos {
-		row := KernelRow{
-			Kernel:      info.Name,
-			Description: info.Description,
-			SpeedupPct:  map[Kind]float64{},
-			MsgsPerKI:   map[Kind]float64{},
-			DRAMPerKI:   map[Kind]float64{},
-		}
-		base := results[Base2L][ii]
-		for _, kind := range kinds {
-			r := results[kind][ii]
-			row.SpeedupPct[kind] = (float64(base.Cycles)/float64(r.Cycles) - 1) * 100
-			row.MsgsPerKI[kind] = r.MsgsPerKI
-			if instrK := float64(r.Instructions) / 1000; instrK > 0 {
-				row.DRAMPerKI[kind] = float64(r.DRAMReads+r.DRAMWrites) / instrK
+	return newPlan(grid(kinds, benches, opt), func(get lookup) []KernelRow {
+		rows := make([]KernelRow, len(infos))
+		for ii, info := range infos {
+			row := KernelRow{
+				Kernel:      info.Name,
+				Description: info.Description,
+				SpeedupPct:  map[Kind]float64{},
+				MsgsPerKI:   map[Kind]float64{},
+				DRAMPerKI:   map[Kind]float64{},
 			}
+			base := get(Base2L, benches[ii], opt)
+			for _, kind := range kinds {
+				r := get(kind, benches[ii], opt)
+				row.SpeedupPct[kind] = (float64(base.Cycles)/float64(r.Cycles) - 1) * 100
+				row.MsgsPerKI[kind] = r.MsgsPerKI
+				if instrK := float64(r.Instructions) / 1000; instrK > 0 {
+					row.DRAMPerKI[kind] = float64(r.DRAMReads+r.DRAMWrites) / instrK
+				}
+			}
+			rows[ii] = row
 		}
-		rows[ii] = row
-	}
-	return rows
+		return rows
+	})
 }
 
 // RenderKernels formats the kernel comparison.

@@ -218,14 +218,14 @@ func TestEngineAllocBudget(t *testing.T) {
 func TestReplicateParallelDeterministic(t *testing.T) {
 	opt := Options{Nodes: 2, Warmup: 1000, Measure: 5000}
 	const n = 5
-	defer func(w int) { ExperimentWorkers = w }(ExperimentWorkers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-	ExperimentWorkers = 1
+	runtime.GOMAXPROCS(1)
 	serial, err := replicateN(context.Background(), D2MNSR, "tpc-c", opt, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ExperimentWorkers = 4
+	runtime.GOMAXPROCS(4)
 	parallel, err := replicateN(context.Background(), D2MNSR, "tpc-c", opt, n, nil)
 	if err != nil {
 		t.Fatal(err)

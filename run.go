@@ -708,23 +708,17 @@ func (r Replicated) MeanResult() Result {
 }
 
 // replicate is the replication engine behind Run: the n seeded runs
-// are independent simulations, so they execute concurrently on a
-// bounded worker set (ExperimentWorkers, defaulting to GOMAXPROCS);
-// samples are gathered by seed index and aggregated in that fixed
-// order, so the result is byte-identical to running the seeds serially.
+// are independent simulations, so they execute concurrently on
+// GOMAXPROCS workers; samples are gathered by seed index and aggregated
+// in that fixed order, so the result is byte-identical to running the
+// seeds serially.
 // When a run fails, the remaining runs are cancelled and the error of
 // the lowest-indexed failed seed is returned (a context error only if
 // no seed failed on its own). wc, when non-nil, lets each seeded run
 // reuse a warm-state snapshot for its own (seed-specific) warm
 // identity. label is the aggregate's Benchmark.
 func replicate(ctx context.Context, kind Kind, label string, src source, opt Options, n int, wc WarmCache) (Replicated, error) {
-	workers := ExperimentWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

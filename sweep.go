@@ -8,11 +8,12 @@ import (
 )
 
 // This file holds the parameter-grid machinery shared by the sweep
-// front ends: cmd/experiments expands and runs grids locally (or
-// submits them to a server), and internal/service executes them behind
-// POST /v1/sweeps. One code path decides what a grid means, how it
-// expands into cells, and how completed cells aggregate into the
-// paper's Figure 4-6 shape (per-kind speedup, msgs/KI, EDP).
+// front ends: cmd/experiments expands grids and runs their cells
+// (RunCells, or a server's POST /v1/sweeps), and internal/service
+// executes them behind POST /v1/sweeps. One code path decides what a
+// grid means, how it expands into cells, which kind is its baseline,
+// and how completed cells aggregate into the paper's Figure 4-6 shape
+// (per-kind speedup, msgs/KI, EDP).
 
 // DefaultSweepCells is the hard ceiling on the number of cells one
 // sweep may expand into, protecting servers from accidental
@@ -74,11 +75,19 @@ func axisLen(n int) int {
 }
 
 // CellCount returns the number of cells the spec expands into, before
-// any cap is applied.
+// MaxCells is applied. A count over DefaultSweepCells reads as
+// DefaultSweepCells+1: the axis lengths are multiplied only until the
+// product passes the ceiling, so no spec can overflow the count.
 func (s SweepSpec) CellCount() int {
-	return len(s.Kinds) * len(s.Benchmarks) * axisLen(len(s.Seeds)) *
-		axisLen(len(s.Topologies)) * axisLen(len(s.Placements)) *
-		axisLen(len(s.MDScales)) * axisLen(len(s.LinkBandwidths))
+	n := 1
+	for _, l := range []int{len(s.Kinds), len(s.Benchmarks), axisLen(len(s.Seeds)),
+		axisLen(len(s.Topologies)), axisLen(len(s.Placements)),
+		axisLen(len(s.MDScales)), axisLen(len(s.LinkBandwidths))} {
+		if n *= l; n > DefaultSweepCells {
+			return DefaultSweepCells + 1
+		}
+	}
+	return n
 }
 
 // Expand validates the spec and returns its cells in deterministic
@@ -163,6 +172,34 @@ func (s SweepSpec) Expand() ([]SweepCell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// SweepBaseline picks the kind a sweep's speedups are computed
+// against. A named baseline must be one of the cells' kinds, so every
+// summary row has a comparison population; an empty name picks Base-2L
+// when it is among the cells' kinds, else the first cell's kind.
+func SweepBaseline(name string, cells []SweepCell) (Kind, error) {
+	if len(cells) == 0 {
+		return 0, fmt.Errorf("d2m: sweep has no cells")
+	}
+	if name == "" {
+		for _, c := range cells {
+			if c.Kind == Base2L {
+				return Base2L, nil
+			}
+		}
+		return cells[0].Kind, nil
+	}
+	base, err := ParseKind(name)
+	if err != nil {
+		return 0, err
+	}
+	for _, c := range cells {
+		if c.Kind == base {
+			return base, nil
+		}
+	}
+	return 0, fmt.Errorf("d2m: baseline %q is not one of the sweep's kinds", name)
 }
 
 // SweepKindSummary is one kind's row in a sweep's aggregate: the

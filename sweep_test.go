@@ -54,25 +54,43 @@ func TestSweepExpandGrid(t *testing.T) {
 
 // TestSweepExpandValidation checks the rejection paths.
 func TestSweepExpandValidation(t *testing.T) {
+	axis := func(v string) []string { // 1,024 entries: seven such axes wrap a 64-bit product to 0
+		out := make([]string, 1024)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
 	cases := []struct {
-		name string
-		spec SweepSpec
-		want string
+		name     string
+		spec     SweepSpec
+		baseline string // checked by SweepBaseline once the spec expands
+		want     string
 	}{
-		{"no kinds", SweepSpec{Benchmarks: []string{"tpc-c"}}, "at least one kind"},
-		{"no benchmarks", SweepSpec{Kinds: []string{"base-2l"}}, "at least one benchmark"},
-		{"bad kind", SweepSpec{Kinds: []string{"d2m-xl"}, Benchmarks: []string{"tpc-c"}}, "unknown kind"},
-		{"bad benchmark", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"nonesuch"}}, "unknown benchmark"},
+		{"no kinds", SweepSpec{Benchmarks: []string{"tpc-c"}}, "", "at least one kind"},
+		{"no benchmarks", SweepSpec{Kinds: []string{"base-2l"}}, "", "at least one benchmark"},
+		{"bad kind", SweepSpec{Kinds: []string{"d2m-xl"}, Benchmarks: []string{"tpc-c"}}, "", "unknown kind"},
+		{"bad benchmark", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"nonesuch"}}, "", "unknown benchmark"},
 		{"bad topology", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"tpc-c"},
-			Topologies: []string{"hypercube"}}, "unknown topology"},
+			Topologies: []string{"hypercube"}}, "", "unknown topology"},
 		{"bad mdscale", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"tpc-c"},
-			MDScales: []int{3}}, "MDScale"},
+			MDScales: []int{3}}, "", "MDScale"},
 		{"over explicit cap", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"tpc-c"},
-			Seeds: []uint64{1, 2, 3}, MaxCells: 2}, "over the cap"},
+			Seeds: []uint64{1, 2, 3}, MaxCells: 2}, "", "over the cap"},
+		{"overflowing axes", SweepSpec{Kinds: axis("base-2l"), Benchmarks: axis("fft"),
+			Seeds: make([]uint64, 1024), Topologies: axis("ring"), Placements: axis("local"),
+			MDScales: make([]int, 1024), LinkBandwidths: make([]float64, 1024)}, "", "over the cap"},
+		{"baseline outside kinds", SweepSpec{Kinds: []string{"d2m-ns"}, Benchmarks: []string{"tpc-c"}},
+			"base-2l", "not one of the sweep's kinds"},
+		{"unknown baseline", SweepSpec{Kinds: []string{"d2m-ns"}, Benchmarks: []string{"tpc-c"}},
+			"base-4l", "unknown kind"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.spec.Expand()
+			cells, err := tc.spec.Expand()
+			if err == nil {
+				_, err = SweepBaseline(tc.baseline, cells)
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Expand() err = %v, want containing %q", err, tc.want)
 			}
