@@ -40,10 +40,26 @@ func main() {
 	flag.Parse()
 
 	if *bench != "" || *traceF != "" {
-		if err := analyze(*bench, *traceF, *nodes, *measure); err != nil {
+		var (
+			an    d2m.Analysis
+			err   error
+			label = *traceF
+		)
+		if label != "" {
+			var f *os.File
+			if f, err = os.Open(label); err == nil {
+				an, err = d2m.AnalyzeTrace(f)
+				f.Close()
+			}
+		} else {
+			label = *bench
+			an, err = d2m.AnalyzeBenchmark(label, *nodes, *measure)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		fmt.Printf("workload        %s\n%s", label, an.Render())
 		return
 	}
 
@@ -51,19 +67,17 @@ func main() {
 	if *suite != "" {
 		suites = []string{*suite}
 	}
-	opt := d2m.Options{Nodes: *nodes, Warmup: *warmup, Measure: *measure}
-	var benches []string
+	opt := d2m.Options{Nodes: *nodes, Warmup: *warmup, Measure: *measure}.WithDefaults()
+	var cells []d2m.SweepCell
 	for _, s := range suites {
-		b := d2m.BenchmarksOf(s)
-		if len(b) == 0 {
+		benches := d2m.BenchmarksOf(s)
+		if len(benches) == 0 {
 			fmt.Fprintf(os.Stderr, "characterize: unknown suite %q\n", s)
 			os.Exit(2)
 		}
-		benches = append(benches, b...)
-	}
-	cells := make([]d2m.SweepCell, len(benches))
-	for i, b := range benches {
-		cells[i] = d2m.SweepCell{Kind: d2m.Base2L, Benchmark: b, Options: opt.WithDefaults()}
+		for _, b := range benches {
+			cells = append(cells, d2m.SweepCell{Kind: d2m.Base2L, Benchmark: b, Options: opt})
+		}
 	}
 	results, err := d2m.RunCells(context.Background(), cells)
 	if err != nil {
@@ -78,8 +92,8 @@ func main() {
 		args = append(args, "lines", "shared%", "wshare%", "reuse512")
 	}
 	fmt.Printf(hdr+"\n", args...)
-	for i, b := range benches {
-		r := results[cells[i]]
+	for _, c := range cells {
+		b, r := c.Benchmark, results[c]
 		ki := float64(r.Instructions) / 1000
 		row := []interface{}{
 			b, r.Suite,
@@ -101,31 +115,4 @@ func main() {
 		}
 		fmt.Printf(line+"\n", row...)
 	}
-}
-
-// analyze prints the model-free characterization of one workload: a
-// recorded trace file when traceF is set, else the named benchmark's
-// first n accesses.
-func analyze(bench, traceF string, nodes, n int) error {
-	var (
-		an    d2m.Analysis
-		err   error
-		label = bench
-	)
-	if traceF != "" {
-		f, ferr := os.Open(traceF)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		an, err = d2m.AnalyzeTrace(f)
-		label = traceF
-	} else {
-		an, err = d2m.AnalyzeBenchmark(bench, nodes, n)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workload        %s\n%s", label, an.Render())
-	return nil
 }

@@ -24,57 +24,60 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"d2m"
+	"d2m/internal/api"
+	"d2m/internal/report"
+	"d2m/internal/service"
 )
 
 // results holds the planned cells' results, keyed by canonical cell.
 type results = map[d2m.SweepCell]d2m.Result
 
-// experiment couples an id with its structured rows (for -json) and
-// rendered text. A planned experiment declares its cells, and both read
-// its rows from the results of the union of the selected experiments'
-// cells; the others run their own simulations.
+// experiment couples an id with how to produce its structured rows
+// (for -json) and its rendered text. A planned experiment declares its
+// cells and projects its rows from the results of the union of the
+// selected experiments' cells; the others run their own simulations.
 type experiment struct {
-	id    string
-	title string
-	cells func(opt d2m.Options) []d2m.SweepCell                   // nil: not planned
-	rows  func(opt d2m.Options, res results) (interface{}, error) // nil: text-only (static tables)
-	text  func(opt d2m.Options, res results) (string, error)
+	id, title string
+	cells     func(opt d2m.Options) []d2m.SweepCell // nil: not planned
+	// run returns nil rows for a static table, which has no JSON form.
+	run func(opt d2m.Options, res results) (rows interface{}, text string, err error)
 }
 
 // static is a specification table rendered from the implementation.
 func static(id, title string, text func(d2m.Options) string) experiment {
-	return experiment{id: id, title: title,
-		text: func(opt d2m.Options, _ results) (string, error) { return text(opt), nil }}
+	return experiment{id: id, title: title, run: func(opt d2m.Options, _ results) (interface{}, string, error) {
+		return nil, text(opt), nil
+	}}
 }
 
 // direct is an experiment that is not a grid of ordinary runs.
 func direct[R any](id, title string, rows func(d2m.Options) (R, error), render func(R) string) experiment {
-	return experiment{id: id, title: title,
-		rows: func(opt d2m.Options, _ results) (interface{}, error) { return rows(opt) },
-		text: func(opt d2m.Options, _ results) (string, error) {
-			r, err := rows(opt)
-			return render(r), err
-		}}
+	return experiment{id: id, title: title, run: func(opt d2m.Options, _ results) (interface{}, string, error) {
+		r, err := rows(opt)
+		return r, render(r), err
+	}}
 }
 
 // planned is an experiment projected from its plan's cells.
 func planned[R any](id, title string, plan func(d2m.Options) d2m.Plan[R], render func(R) string) experiment {
 	return experiment{id: id, title: title,
 		cells: func(opt d2m.Options) []d2m.SweepCell { return plan(opt).Cells },
-		rows:  func(opt d2m.Options, res results) (interface{}, error) { return plan(opt).Project(res) },
-		text: func(opt d2m.Options, res results) (string, error) {
+		run: func(opt d2m.Options, res results) (interface{}, string, error) {
 			r, err := plan(opt).Project(res)
-			return render(r), err
+			return r, render(r), err
 		}}
 }
 
@@ -169,27 +172,23 @@ func main() {
 	}
 	opt := d2m.Options{Nodes: *nodes, Warmup: *warmup, Measure: *measure}
 
+	var text string
+	var err error
 	if *sweep != "" {
-		text, err := runSweep(exec, *sweep, *baseline, *asJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: sweep: %v\n", err)
-			os.Exit(1)
+		text, err = runSweep(exec, *sweep, *baseline, *asJSON)
+	} else {
+		var exps []experiment
+		for _, e := range registry() {
+			if *exp == "all" || *exp == e.id {
+				exps = append(exps, e)
+			}
 		}
-		emit(text, *out)
-		return
-	}
-
-	var exps []experiment
-	for _, e := range registry() {
-		if *exp == "all" || *exp == e.id {
-			exps = append(exps, e)
+		if len(exps) == 0 {
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want one of %s, or all)\n", *exp, ids)
+			os.Exit(2)
 		}
+		text, err = generate(exps, opt, *asJSON, exec)
 	}
-	if len(exps) == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want one of %s, or all)\n", *exp, ids)
-		os.Exit(2)
-	}
-	text, err := generate(exps, opt, *asJSON, exec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
@@ -221,39 +220,34 @@ func generate(exps []experiment, opt d2m.Options, asJSON bool, exec func([]d2m.S
 		}
 	}
 	var b strings.Builder
-	if !asJSON {
-		for _, e := range exps {
-			fmt.Fprintf(os.Stderr, "running %s...\n", e.title)
-			text, err := e.text(opt, res)
-			if err != nil {
-				return "", fmt.Errorf("%s: %v", e.id, err)
-			}
-			fmt.Fprintf(&b, "==================== %s ====================\n%s\n", e.title, text)
-		}
-		return b.String(), nil
-	}
 	payload := map[string]interface{}{}
 	for _, e := range exps {
-		if e.rows == nil {
-			continue // static tables have no structured form
-		}
 		fmt.Fprintf(os.Stderr, "running %s...\n", e.title)
-		rows, err := e.rows(opt, res)
+		rows, text, err := e.run(opt, res)
 		if err != nil {
-			return "", fmt.Errorf("%s: %v", e.id, err)
+			return "", fmt.Errorf("%s: %w", e.id, err)
 		}
-		payload[e.id] = rows
+		if rows != nil {
+			payload[e.id] = rows
+		}
+		fmt.Fprintf(&b, "==================== %s ====================\n%s\n", e.title, text)
 	}
-	var v interface{} = payload
+	if !asJSON {
+		return b.String(), nil
+	}
 	if len(exps) == 1 {
-		v = payload[exps[0].id]
+		return indentJSON(payload[exps[0].id])
 	}
+	return indentJSON(payload)
+}
+
+// indentJSON renders v in the -json output format.
+func indentJSON(v interface{}) (string, error) {
+	var b strings.Builder
 	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	err := enc.Encode(v)
+	return b.String(), err
 }
 
 // emit writes the run's output to stdout or -out.
@@ -267,4 +261,128 @@ func emit(text, out string) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
+}
+
+// remoteCells returns an executor that runs the distinct cells on the
+// server at base as one POST /v1/sweeps with an explicit cell list. It
+// follows the sweep's event stream and takes each Result from the cell
+// events; a cell that fails cancels the sweep.
+func remoteCells(base string) func([]d2m.SweepCell) (results, error) {
+	return func(cells []d2m.SweepCell) (results, error) {
+		cells = d2m.DistinctCells(cells)
+		body, err := json.Marshal(service.SweepRequest{Cells: cells})
+		if err != nil {
+			return nil, err
+		}
+		resp, err := http.Post(base+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			var eb api.ErrorBody
+			if json.Unmarshal(raw, &eb) == nil && eb.Error.Message != "" {
+				return nil, fmt.Errorf("server: %s (%s)", eb.Error.Message, eb.Error.Code)
+			}
+			return nil, fmt.Errorf("server: %s", resp.Status)
+		}
+		var st service.SweepStatus
+		if err := json.Unmarshal(raw, &st); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "sweep %s accepted: %d cells\n", st.ID, st.Total)
+
+		req, _ := http.NewRequest(http.MethodGet, base+"/v1/sweeps/"+st.ID, nil) // base served the POST
+		req.Header.Set("Accept", "text/event-stream")
+		if resp, err = http.DefaultClient.Do(req); err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		out := make(results, len(cells))
+		settled := false
+		err = api.ScanEvents(resp.Body, func(_ int, event string, data []byte) error {
+			var ev service.SweepCellEvent
+			switch {
+			case event == "sweep":
+				settled = true
+			case event != "cell":
+			case json.Unmarshal(data, &ev) != nil || ev.Index < 0 || ev.Index >= len(cells):
+				return fmt.Errorf("sweep %s: malformed cell event %s", st.ID, data)
+			case ev.Cell.State != api.JobDone || ev.Cell.Result == nil:
+				c := cells[ev.Index]
+				return fmt.Errorf("cell %d (%s/%s) %s: %s", ev.Index, c.Kind, c.Benchmark, ev.Cell.State, ev.Cell.Error)
+			default:
+				out[cells[ev.Index]] = *ev.Cell.Result
+			}
+			return nil
+		})
+		if err == nil && (!settled || len(out) != len(cells)) {
+			err = fmt.Errorf("sweep %s: stream ended with %d of %d cells", st.ID, len(out), len(cells))
+		}
+		if err != nil {
+			// Stop whatever the server still runs for this sweep.
+			del, _ := http.NewRequest(http.MethodDelete, base+"/v1/sweeps/"+st.ID, nil) // as the GET
+			if resp, derr := http.DefaultClient.Do(del); derr == nil {
+				resp.Body.Close()
+			}
+			return nil, err
+		}
+		return out, nil
+	}
+}
+
+// parseSweepSpec reads the -sweep argument: inline JSON, or @file.
+func parseSweepSpec(arg string) (d2m.SweepSpec, error) {
+	data := []byte(arg)
+	if strings.HasPrefix(arg, "@") {
+		var err error
+		if data, err = os.ReadFile(arg[1:]); err != nil {
+			return d2m.SweepSpec{}, err
+		}
+	}
+	var spec d2m.SweepSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return d2m.SweepSpec{}, fmt.Errorf("sweep spec: %v", err)
+	}
+	return spec, nil
+}
+
+// runSweep expands the grid, runs its cells through exec and returns
+// the summary: rendered text, or JSON rows.
+func runSweep(exec func([]d2m.SweepCell) (results, error), specArg, baseline string, asJSON bool) (string, error) {
+	spec, err := parseSweepSpec(specArg)
+	if err != nil {
+		return "", fmt.Errorf("sweep: %w", err)
+	}
+	cells, err := spec.Expand()
+	if err != nil {
+		return "", fmt.Errorf("sweep: %w", err)
+	}
+	base, err := d2m.SweepBaseline(baseline, cells)
+	if err != nil {
+		return "", err
+	}
+	res, err := exec(cells)
+	if err != nil {
+		return "", err
+	}
+	results := make([]*d2m.Result, len(cells))
+	for i, c := range cells {
+		r := res[c]
+		results[i] = &r
+	}
+	summary := service.SweepSummary{Baseline: base.String(), Kinds: d2m.SummarizeSweep(base, cells, results)}
+	if asJSON {
+		return indentJSON(summary)
+	}
+	t := report.NewTable(fmt.Sprintf("Sweep: %d kinds x %d benchmarks (baseline %s)",
+		len(spec.Kinds), len(spec.Benchmarks), summary.Baseline),
+		"kind", "cells", "speedup(%)", "msgs/KI", "EDP")
+	for _, row := range summary.Kinds {
+		t.AddRowf(row.Kind, row.Cells, row.SpeedupPct, row.MsgsPerKI, row.EDP)
+	}
+	return t.Render(), nil
 }

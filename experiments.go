@@ -19,6 +19,32 @@ import (
 // each experiment id to these functions, and EXPERIMENTS.md records the
 // measured outcomes against the published ones.
 
+// perBench declares Kinds() on each benchmark and projects one row per
+// benchmark from its results, in Kinds() order (Base-2L first).
+func perBench[R any](opt Options, benches []string, row func(i int, rs []Result) R) Plan[[]R] {
+	return Plan[[]R]{grid(Kinds(), benches, opt), func(get lookup) []R {
+		rows := make([]R, len(benches))
+		for i, b := range benches {
+			rs := make([]Result, len(Kinds()))
+			for ki, k := range Kinds() {
+				rs[ki] = get(k, b, opt)
+			}
+			rows[i] = row(i, rs)
+		}
+		return rows
+	}}
+}
+
+// variants returns one copy of opt per value, changed by set.
+func variants[V any](opt Options, values []V, set func(*Options, V)) []Options {
+	out := make([]Options, len(values))
+	for i, v := range values {
+		out[i] = opt
+		set(&out[i], v)
+	}
+	return out
+}
+
 func allBenchNames() []string {
 	var out []string
 	for _, s := range Suites() {
@@ -45,19 +71,12 @@ func Figure5(opt Options) []Figure5Row { return mustRun(Figure5Plan(opt)) }
 
 // Figure5Plan declares Figure5's cells and projection.
 func Figure5Plan(opt Options) Plan[[]Figure5Row] {
-	benches := allBenchNames()
-	return newPlan(grid(Kinds(), benches, opt), func(get lookup) []Figure5Row {
-		rows := make([]Figure5Row, len(benches))
-		for i, b := range benches {
-			base := get(Base2L, b, opt)
-			rows[i] = Figure5Row{Benchmark: base.Benchmark, Suite: base.Suite}
-			for ki, k := range Kinds() {
-				r := get(k, b, opt)
-				rows[i].MsgsPerKI[ki] = r.MsgsPerKI
-				rows[i].D2MOnlyPerKI[ki] = r.D2MMsgsPerKI
-			}
+	return perBench(opt, allBenchNames(), func(_ int, rs []Result) Figure5Row {
+		row := Figure5Row{Benchmark: rs[0].Benchmark, Suite: rs[0].Suite}
+		for ki, r := range rs {
+			row.MsgsPerKI[ki], row.D2MOnlyPerKI[ki] = r.MsgsPerKI, r.D2MMsgsPerKI
 		}
-		return rows
+		return row
 	})
 }
 
@@ -109,17 +128,12 @@ func Figure6(opt Options) []Figure6Row { return mustRun(Figure6Plan(opt)) }
 
 // Figure6Plan declares Figure6's cells and projection.
 func Figure6Plan(opt Options) Plan[[]Figure6Row] {
-	benches := allBenchNames()
-	return newPlan(grid(Kinds(), benches, opt), func(get lookup) []Figure6Row {
-		rows := make([]Figure6Row, len(benches))
-		for i, b := range benches {
-			base := get(Base2L, b, opt)
-			rows[i] = Figure6Row{Benchmark: base.Benchmark, Suite: base.Suite}
-			for ki, k := range Kinds() {
-				rows[i].EDP[ki] = get(k, b, opt).EDP / base.EDP
-			}
+	return perBench(opt, allBenchNames(), func(_ int, rs []Result) Figure6Row {
+		row := Figure6Row{Benchmark: rs[0].Benchmark, Suite: rs[0].Suite}
+		for ki, r := range rs {
+			row.EDP[ki] = r.EDP / rs[0].EDP
 		}
-		return rows
+		return row
 	})
 }
 
@@ -164,17 +178,12 @@ func Figure7(opt Options) []Figure7Row { return mustRun(Figure7Plan(opt)) }
 
 // Figure7Plan declares Figure7's cells and projection.
 func Figure7Plan(opt Options) Plan[[]Figure7Row] {
-	benches := allBenchNames()
-	return newPlan(grid(Kinds(), benches, opt), func(get lookup) []Figure7Row {
-		rows := make([]Figure7Row, len(benches))
-		for i, b := range benches {
-			base := get(Base2L, b, opt)
-			rows[i] = Figure7Row{Benchmark: base.Benchmark, Suite: base.Suite}
-			for ki, k := range Kinds() {
-				rows[i].SpeedupPct[ki] = (float64(base.Cycles)/float64(get(k, b, opt).Cycles) - 1) * 100
-			}
+	return perBench(opt, allBenchNames(), func(_ int, rs []Result) Figure7Row {
+		row := Figure7Row{Benchmark: rs[0].Benchmark, Suite: rs[0].Suite}
+		for ki, r := range rs {
+			row.SpeedupPct[ki] = (float64(rs[0].Cycles)/float64(r.Cycles) - 1) * 100
 		}
-		return rows
+		return row
 	})
 }
 
@@ -220,7 +229,7 @@ func TableIV(opt Options) []TableIVRow { return mustRun(TableIVPlan(opt)) }
 // TableIVPlan declares TableIV's cells and projection.
 func TableIVPlan(opt Options) Plan[[]TableIVRow] {
 	kinds := []Kind{Base2L, Base3L, D2MNS, D2MNSR}
-	return newPlan(grid(kinds, allBenchNames(), opt), func(get lookup) []TableIVRow {
+	return Plan[[]TableIVRow]{grid(kinds, allBenchNames(), opt), func(get lookup) []TableIVRow {
 		var rows []TableIVRow
 		for _, suite := range Suites() {
 			benches := BenchmarksOf(suite)
@@ -241,7 +250,7 @@ func TableIVPlan(opt Options) Plan[[]TableIVRow] {
 			rows = append(rows, row)
 		}
 		return rows
-	})
+	}}
 }
 
 // RenderTableIV formats the rows.
@@ -278,7 +287,7 @@ func TableV(opt Options) []TableVRow { return mustRun(TableVPlan(opt)) }
 
 // TableVPlan declares TableV's cells and projection.
 func TableVPlan(opt Options) Plan[[]TableVRow] {
-	return newPlan(grid([]Kind{Base2L, D2MNSR}, allBenchNames(), opt), func(get lookup) []TableVRow {
+	return Plan[[]TableVRow]{grid([]Kind{Base2L, D2MNSR}, allBenchNames(), opt), func(get lookup) []TableVRow {
 		var rows []TableVRow
 		for _, suite := range Suites() {
 			benches := BenchmarksOf(suite)
@@ -299,7 +308,7 @@ func TableVPlan(opt Options) Plan[[]TableVRow] {
 			rows = append(rows, row)
 		}
 		return rows
-	})
+	}}
 }
 
 // RenderTableV formats the rows.
@@ -331,30 +340,26 @@ func AppendixPKMO(opt Options) PKMOReport { return mustRun(AppendixPKMOPlan(opt)
 // AppendixPKMOPlan declares AppendixPKMO's cells and projection.
 func AppendixPKMOPlan(opt Options) Plan[PKMOReport] {
 	benches := allBenchNames()
-	return newPlan(grid([]Kind{D2MFS}, benches, opt), func(get lookup) PKMOReport {
-		return pkmoReport(get, benches, opt)
-	})
-}
-
-func pkmoReport(get lookup, benches []string, opt Options) PKMOReport {
-	var rep PKMOReport
-	n := float64(len(benches))
-	for _, b := range benches {
-		r := get(D2MFS, b, opt)
-		rep.Events.ALLC += r.Events.ALLC / n
-		rep.Events.AMem += r.Events.AMem / n
-		rep.Events.ANode += r.Events.ANode / n
-		rep.Events.B += r.Events.B / n
-		rep.Events.C += r.Events.C / n
-		rep.Events.D1 += r.Events.D1 / n
-		rep.Events.D2 += r.Events.D2 / n
-		rep.Events.D3 += r.Events.D3 / n
-		rep.Events.D4 += r.Events.D4 / n
-		rep.Events.E += r.Events.E / n
-		rep.Events.F += r.Events.F / n
-		rep.DirectPct += r.DirectMissFrac * 100 / n
-	}
-	return rep
+	return Plan[PKMOReport]{grid([]Kind{D2MFS}, benches, opt), func(get lookup) PKMOReport {
+		var rep PKMOReport
+		n := float64(len(benches))
+		for _, b := range benches {
+			r := get(D2MFS, b, opt)
+			rep.Events.ALLC += r.Events.ALLC / n
+			rep.Events.AMem += r.Events.AMem / n
+			rep.Events.ANode += r.Events.ANode / n
+			rep.Events.B += r.Events.B / n
+			rep.Events.C += r.Events.C / n
+			rep.Events.D1 += r.Events.D1 / n
+			rep.Events.D2 += r.Events.D2 / n
+			rep.Events.D3 += r.Events.D3 / n
+			rep.Events.D4 += r.Events.D4 / n
+			rep.Events.E += r.Events.E / n
+			rep.Events.F += r.Events.F / n
+			rep.DirectPct += r.DirectMissFrac * 100 / n
+		}
+		return rep
+	}}
 }
 
 // RenderPKMO formats the report next to the paper's numbers.
@@ -401,32 +406,25 @@ func MDScalingPlan(opt Options, benches []string) Plan[[]ScalingRow] {
 		benches = allBenchNames()
 	}
 	scales := []int{1, 2, 4}
-	at := func(scale int) Options {
-		o := opt
-		o.MDScale = scale
-		return o
-	}
-	cells := grid([]Kind{Base2L}, benches, at(1))
-	for _, scale := range scales {
-		cells = append(cells, grid([]Kind{D2MNSR}, benches, at(scale))...)
-	}
-	return newPlan(cells, func(get lookup) []ScalingRow {
+	opts := variants(opt, scales, func(o *Options, scale int) { o.MDScale = scale })
+	cells := append(grid([]Kind{Base2L}, benches, opts[0]), grid([]Kind{D2MNSR}, benches, opts...)...)
+	return Plan[[]ScalingRow]{cells, func(get lookup) []ScalingRow {
 		var rows []ScalingRow
-		for _, scale := range scales {
+		for i, o := range opts {
 			var speed, md1 []float64
 			for _, b := range benches {
-				r := get(D2MNSR, b, at(scale))
-				speed = append(speed, float64(get(Base2L, b, at(1)).Cycles)/float64(r.Cycles))
+				r := get(D2MNSR, b, o)
+				speed = append(speed, float64(get(Base2L, b, opts[0]).Cycles)/float64(r.Cycles))
 				md1 = append(md1, r.MD1HitFrac)
 			}
 			rows = append(rows, ScalingRow{
-				Scale:      scale,
+				Scale:      scales[i],
 				SpeedupPct: (stats.Geomean(speed) - 1) * 100,
 				MD1HitPct:  stats.Mean(md1) * 100,
 			})
 		}
 		return rows
-	})
+	}}
 }
 
 // RenderScaling formats the scaling rows.
@@ -464,32 +462,28 @@ func SRAMPressure(opt Options) PressureReport { return mustRun(SRAMPressurePlan(
 // SRAMPressurePlan declares SRAMPressure's cells and projection.
 func SRAMPressurePlan(opt Options) Plan[PressureReport] {
 	benches := allBenchNames()
-	return newPlan(grid([]Kind{Base2L, Base3L, D2MNSR}, benches, opt), func(get lookup) PressureReport {
-		return pressureReport(get, benches, opt)
-	})
-}
-
-func pressureReport(get lookup, benches []string, opt Options) PressureReport {
-	var md3, dir2, dir3, md2, l2tag float64
-	for _, b := range benches {
-		nsr, b3 := get(D2MNSR, b, opt), get(Base3L, b, opt)
-		md3 += float64(nsr.MD3Lookups)
-		dir2 += float64(get(Base2L, b, opt).DirLookups)
-		dir3 += float64(b3.DirLookups)
-		md2 += float64(nsr.MD2Accesses)
-		l2tag += float64(b3.L2TagAccesses)
-	}
-	rep := PressureReport{}
-	if dir2 > 0 {
-		rep.MD3VsBase2LDirPct = md3 / dir2 * 100
-	}
-	if dir3 > 0 {
-		rep.MD3VsBase3LDirPct = md3 / dir3 * 100
-	}
-	if l2tag > 0 {
-		rep.MD2VsL2TagPct = md2 / l2tag * 100
-	}
-	return rep
+	return Plan[PressureReport]{grid([]Kind{Base2L, Base3L, D2MNSR}, benches, opt), func(get lookup) PressureReport {
+		var md3, dir2, dir3, md2, l2tag float64
+		for _, b := range benches {
+			nsr, b3 := get(D2MNSR, b, opt), get(Base3L, b, opt)
+			md3 += float64(nsr.MD3Lookups)
+			dir2 += float64(get(Base2L, b, opt).DirLookups)
+			dir3 += float64(b3.DirLookups)
+			md2 += float64(nsr.MD2Accesses)
+			l2tag += float64(b3.L2TagAccesses)
+		}
+		rep := PressureReport{}
+		if dir2 > 0 {
+			rep.MD3VsBase2LDirPct = md3 / dir2 * 100
+		}
+		if dir3 > 0 {
+			rep.MD3VsBase3LDirPct = md3 / dir3 * 100
+		}
+		if l2tag > 0 {
+			rep.MD2VsL2TagPct = md2 / l2tag * 100
+		}
+		return rep
+	}}
 }
 
 // RenderPressure formats the report next to the paper's numbers.
@@ -529,23 +523,14 @@ func NodeScalingPlan(opt Options, benches []string) Plan[[]NodeScalingRow] {
 	if benches == nil {
 		benches = []string{"blackscholes", "fft", "tpc-c"}
 	}
-	sizes := []int{1, 2, 4, 8}
-	at := func(nodes int) Options {
-		o := opt
-		o.Nodes = nodes
-		return o
-	}
-	var cells []SweepCell
-	for _, nodes := range sizes {
-		cells = append(cells, grid([]Kind{Base2L, D2MNSR}, benches, at(nodes))...)
-	}
-	return newPlan(cells, func(get lookup) []NodeScalingRow {
+	opts := variants(opt, []int{1, 2, 4, 8}, func(o *Options, nodes int) { o.Nodes = nodes })
+	return Plan[[]NodeScalingRow]{grid([]Kind{Base2L, D2MNSR}, benches, opts...), func(get lookup) []NodeScalingRow {
 		var rows []NodeScalingRow
-		for _, nodes := range sizes {
+		for _, o := range opts {
 			var speed, ratio []float64
 			var priv float64
 			for _, b := range benches {
-				base, nsr := get(Base2L, b, at(nodes)), get(D2MNSR, b, at(nodes))
+				base, nsr := get(Base2L, b, o), get(D2MNSR, b, o)
 				speed = append(speed, float64(base.Cycles)/float64(nsr.Cycles))
 				if base.MsgsPerKI > 0 {
 					ratio = append(ratio, nsr.MsgsPerKI/base.MsgsPerKI)
@@ -553,14 +538,14 @@ func NodeScalingPlan(opt Options, benches []string) Plan[[]NodeScalingRow] {
 				priv += nsr.PrivateMissFrac / float64(len(benches))
 			}
 			rows = append(rows, NodeScalingRow{
-				Nodes:        nodes,
+				Nodes:        o.Nodes,
 				SpeedupPct:   (stats.Geomean(speed) - 1) * 100,
 				TrafficRatio: stats.Geomean(ratio),
 				PrivatePct:   priv * 100,
 			})
 		}
 		return rows
-	})
+	}}
 }
 
 // RenderNodeScaling formats the sweep.
@@ -598,22 +583,13 @@ func TopologySweepPlan(opt Options, benches []string) Plan[[]TopologyRow] {
 	if benches == nil {
 		benches = []string{"blackscholes", "fft", "tpc-c", "mix1"}
 	}
-	topos := Topologies()
-	on := func(topo string) Options {
-		o := opt
-		o.Topology = topo
-		return o
-	}
-	var cells []SweepCell
-	for _, topo := range topos {
-		cells = append(cells, grid([]Kind{Base2L, D2MNSR}, benches, on(topo))...)
-	}
-	return newPlan(cells, func(get lookup) []TopologyRow {
+	opts := variants(opt, Topologies(), func(o *Options, topo string) { o.Topology = topo })
+	return Plan[[]TopologyRow]{grid([]Kind{Base2L, D2MNSR}, benches, opts...), func(get lookup) []TopologyRow {
 		var rows []TopologyRow
-		for _, topo := range topos {
+		for _, o := range opts {
 			var msg, hop, speed []float64
 			for _, bench := range benches {
-				b, d := get(Base2L, bench, on(topo)), get(D2MNSR, bench, on(topo))
+				b, d := get(Base2L, bench, o), get(D2MNSR, bench, o)
 				if b.Messages > 0 {
 					msg = append(msg, float64(d.Messages)/float64(b.Messages))
 				}
@@ -623,14 +599,14 @@ func TopologySweepPlan(opt Options, benches []string) Plan[[]TopologyRow] {
 				speed = append(speed, float64(b.Cycles)/float64(d.Cycles))
 			}
 			rows = append(rows, TopologyRow{
-				Topology:   topo,
+				Topology:   o.Topology,
 				MsgRatio:   stats.Geomean(msg),
 				HopRatio:   stats.Geomean(hop),
 				SpeedupPct: (stats.Geomean(speed) - 1) * 100,
 			})
 		}
 		return rows
-	})
+	}}
 }
 
 // RenderTopology formats the sweep.
@@ -784,22 +760,13 @@ func PlacementSweepPlan(opt Options, benches []string) Plan[[]PlacementRow] {
 	if benches == nil {
 		benches = []string{"blackscholes", "fft", "tpc-c", "mix1", "facesim", "wikipedia"}
 	}
-	policies := []string{"local", "pressure", "spread"}
-	under := func(policy string) Options {
-		o := opt
-		o.Placement = policy
-		return o
-	}
-	var cells []SweepCell
-	for _, p := range policies {
-		cells = append(cells, grid([]Kind{D2MNS}, benches, under(p))...)
-	}
-	return newPlan(cells, func(get lookup) []PlacementRow {
-		rows := make([]PlacementRow, 0, len(policies))
-		for _, p := range policies {
+	opts := variants(opt, []string{"local", "pressure", "spread"}, func(o *Options, p string) { o.Placement = p })
+	return Plan[[]PlacementRow]{grid([]Kind{D2MNS}, benches, opts...), func(get lookup) []PlacementRow {
+		rows := make([]PlacementRow, 0, len(opts))
+		for _, o := range opts {
 			var local, hop, speed []float64
 			for _, b := range benches {
-				r, ref := get(D2MNS, b, under(p)), get(D2MNS, b, under("pressure"))
+				r, ref := get(D2MNS, b, o), get(D2MNS, b, opts[1]) // opts[1]: the pressure policy
 				local = append(local, r.NearHitD)
 				if ref.Hops > 0 {
 					hop = append(hop, float64(r.Hops)/float64(ref.Hops))
@@ -807,14 +774,14 @@ func PlacementSweepPlan(opt Options, benches []string) Plan[[]PlacementRow] {
 				speed = append(speed, float64(ref.Cycles)/float64(r.Cycles))
 			}
 			rows = append(rows, PlacementRow{
-				Policy:    p,
+				Policy:    o.Placement,
 				LocalHitD: stats.Mean(local),
 				HopRatio:  stats.Geomean(hop),
 				CyclesPct: -(stats.Geomean(speed) - 1) * 100,
 			})
 		}
 		return rows
-	})
+	}}
 }
 
 // RenderPlacement formats the placement sweep.

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -88,9 +89,9 @@ func TestGoldenRows(t *testing.T) {
 // cell, and so does a declared cell missing from the results.
 func TestPlanLookup(t *testing.T) {
 	opt := Options{Nodes: 1, Warmup: 500, Measure: 1000}
-	p := newPlan(grid([]Kind{Base2L}, []string{"tpc-c"}, opt), func(get lookup) uint64 {
+	p := Plan[uint64]{grid([]Kind{Base2L}, []string{"tpc-c"}, opt), func(get lookup) uint64 {
 		return get(Base2L, "tpc-c", opt).Cycles + get(D2MNSR, "tpc-c", opt).Cycles
-	})
+	}}
 	results, err := RunCells(context.Background(), append(grid([]Kind{D2MNSR}, []string{"tpc-c"}, opt), p.Cells...))
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +99,15 @@ func TestPlanLookup(t *testing.T) {
 	if _, err := p.Project(results); err == nil || !strings.Contains(err.Error(), "undeclared") {
 		t.Errorf("undeclared read: err = %v", err)
 	}
-	if _, err := p.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "undeclared") {
-		t.Errorf("undeclared read through Run: err = %v", err)
-	}
-	declared := newPlan(p.Cells, func(get lookup) uint64 { return get(Base2L, "tpc-c", opt).Cycles })
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "undeclared") {
+				t.Errorf("driver run with an undeclared read: panic %v", r)
+			}
+		}()
+		mustRun(p)
+	}()
+	declared := Plan[uint64]{p.Cells, func(get lookup) uint64 { return get(Base2L, "tpc-c", opt).Cycles }}
 	if _, err := declared.Project(map[SweepCell]Result{}); err == nil || !strings.Contains(err.Error(), "no result") {
 		t.Errorf("missing result: err = %v", err)
 	}

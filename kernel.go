@@ -50,33 +50,27 @@ func KernelComparison(opt Options) []KernelRow { return mustRun(KernelComparison
 // KernelComparisonPlan declares KernelComparison's cells and projection.
 func KernelComparisonPlan(opt Options) Plan[[]KernelRow] {
 	infos := Kernels()
-	kinds := Kinds()
 	benches := make([]string, len(infos))
 	for i, info := range infos {
 		benches[i] = KernelPrefix + info.Name
 	}
-	return newPlan(grid(kinds, benches, opt), func(get lookup) []KernelRow {
-		rows := make([]KernelRow, len(infos))
-		for ii, info := range infos {
-			row := KernelRow{
-				Kernel:      info.Name,
-				Description: info.Description,
-				SpeedupPct:  map[Kind]float64{},
-				MsgsPerKI:   map[Kind]float64{},
-				DRAMPerKI:   map[Kind]float64{},
-			}
-			base := get(Base2L, benches[ii], opt)
-			for _, kind := range kinds {
-				r := get(kind, benches[ii], opt)
-				row.SpeedupPct[kind] = (float64(base.Cycles)/float64(r.Cycles) - 1) * 100
-				row.MsgsPerKI[kind] = r.MsgsPerKI
-				if instrK := float64(r.Instructions) / 1000; instrK > 0 {
-					row.DRAMPerKI[kind] = float64(r.DRAMReads+r.DRAMWrites) / instrK
-				}
-			}
-			rows[ii] = row
+	return perBench(opt, benches, func(i int, rs []Result) KernelRow {
+		row := KernelRow{
+			Kernel:      infos[i].Name,
+			Description: infos[i].Description,
+			SpeedupPct:  map[Kind]float64{},
+			MsgsPerKI:   map[Kind]float64{},
+			DRAMPerKI:   map[Kind]float64{},
 		}
-		return rows
+		for ki, kind := range Kinds() {
+			r := rs[ki]
+			row.SpeedupPct[kind] = (float64(rs[0].Cycles)/float64(r.Cycles) - 1) * 100
+			row.MsgsPerKI[kind] = r.MsgsPerKI
+			if instrK := float64(r.Instructions) / 1000; instrK > 0 {
+				row.DRAMPerKI[kind] = float64(r.DRAMReads+r.DRAMWrites) / instrK
+			}
+		}
+		return row
 	})
 }
 

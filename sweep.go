@@ -175,29 +175,25 @@ func (s SweepSpec) Expand() ([]SweepCell, error) {
 }
 
 // SweepBaseline picks the kind a sweep's speedups are computed
-// against. A named baseline must be one of the cells' kinds, so every
-// summary row has a comparison population; an empty name picks Base-2L
-// when it is among the cells' kinds, else the first cell's kind.
+// against. It must be one of the cells' kinds, so every summary row has
+// a comparison population; an empty name picks Base-2L when it is among
+// them, else the first cell's kind.
 func SweepBaseline(name string, cells []SweepCell) (Kind, error) {
-	if len(cells) == 0 {
-		return 0, fmt.Errorf("d2m: sweep has no cells")
-	}
-	if name == "" {
-		for _, c := range cells {
-			if c.Kind == Base2L {
-				return Base2L, nil
-			}
+	want := Base2L
+	if name != "" {
+		k, err := ParseKind(name)
+		if err != nil {
+			return 0, err
 		}
-		return cells[0].Kind, nil
-	}
-	base, err := ParseKind(name)
-	if err != nil {
-		return 0, err
+		want = k
 	}
 	for _, c := range cells {
-		if c.Kind == base {
-			return base, nil
+		if c.Kind == want {
+			return want, nil
 		}
+	}
+	if name == "" && len(cells) > 0 {
+		return cells[0].Kind, nil
 	}
 	return 0, fmt.Errorf("d2m: baseline %q is not one of the sweep's kinds", name)
 }
