@@ -122,7 +122,6 @@ func main() {
 		storePath    = flag.String("store", "", "persistent result store (append-only JSONL journal; empty = in-memory only)")
 		traceDir     = flag.String("trace-dir", "", "trace library directory: uploaded traces become trace:<id> benchmarks (empty = ingestion disabled)")
 		snapshotMem  = flag.Int64("snapshot-mem", 256, "warm-snapshot cache budget in MiB (0 = disabled)")
-		maxLanes     = flag.Int("max-lanes", 0, "vector lane-group width cap (0 = default, 1 = scalar only)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (empty = disabled)")
 		shardName    = flag.String("shard", "", "shard name label on metrics and logs (cluster deployments)")
 		tenantsPath  = flag.String("tenants", "", "multi-tenant config: JSON file of API-key tenants (empty = single-tenant)")
@@ -179,7 +178,6 @@ func main() {
 		StorePath:        *storePath,
 		TraceDir:         *traceDir,
 		SnapshotMemBytes: snapshotBytes,
-		MaxLanes:         *maxLanes,
 		ShardName:        *shardName,
 		Tenants:          tenants,
 	})

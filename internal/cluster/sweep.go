@@ -19,7 +19,7 @@ import (
 // through the explicit-Cells form of POST /v1/sweeps. Every cell of a
 // warm identity lands on one shard, so snapshot reuse and single-flight
 // coalescing work exactly as in a single process — the fleet never
-// splits a warm chain. Each sub-sweep's event stream settles cells as
+// splits a lane group. Each sub-sweep's event stream settles cells as
 // they finish; when a shard drains or dies mid-sweep, its unfinished
 // cells are resubmitted to the remapped ring owners — the sweep
 // survives losing a shard as long as one remains.

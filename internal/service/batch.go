@@ -18,9 +18,9 @@ import (
 // single-flight coalescing, bounded queue — via sched.SubmitGroup,
 // which adds the two batch behaviors: admission is all-or-nothing
 // (either every uncached run gets a queue slot or the batch is
-// rejected 429 with nothing enqueued), and runs sharing a warm
-// identity (d2m.WarmKey) are chained onto one worker so each follower
-// restores the snapshot its leader just deposited.
+// rejected 429 with nothing enqueued), and the runs enter the queue
+// together, so those sharing a warm identity (d2m.WarmKey) run as one
+// lockstep lane group.
 
 // BatchRequest is the body of POST /v1/batch; see api.BatchRequest.
 // Runs are independent RunRequests; the async field is rejected here,

@@ -192,50 +192,9 @@ func TestBatchAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestBatchWarmAffinity checks runs sharing a warm identity are
-// chained onto one worker: with more workers than jobs, the three
-// same-warm-key runs must still execute strictly sequentially.
-func TestBatchWarmAffinity(t *testing.T) {
-	var active, maxActive atomic.Int64
-	_, ts := newTestServer(t, Config{
-		Workers: 4,
-		Runner: func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options) (d2m.Result, error) {
-			cur := active.Add(1)
-			for {
-				prev := maxActive.Load()
-				if cur <= prev || maxActive.CompareAndSwap(prev, cur) {
-					break
-				}
-			}
-			time.Sleep(20 * time.Millisecond)
-			active.Add(-1)
-			return stubResult(kind, bench, opt), nil
-		},
-	})
-
-	// Same kind, benchmark, seed and warmup (one warm identity),
-	// different measure lengths (three distinct cache keys).
-	code, ok, _ := postBatch(t, ts, `{"runs":[
-		{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"measure":100000},
-		{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"measure":200000},
-		{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"measure":300000}
-	]}`)
-	if code != http.StatusOK || len(ok.Results) != 3 {
-		t.Fatalf("batch = %d, %d results", code, len(ok.Results))
-	}
-	for i, st := range ok.Results {
-		if st.State != api.JobDone {
-			t.Errorf("results[%d].state = %s", i, st.State)
-		}
-	}
-	if got := maxActive.Load(); got != 1 {
-		t.Errorf("same-warm-key runs overlapped (max concurrency %d, want 1)", got)
-	}
-}
-
 // TestBatchSnapshotReuse runs a real batch through the server:
 // three simulations differing only in measurement length must share
-// one warmup. Since API v1.5 the worker gathers the warm chain into a
+// one warmup. Since API v1.5 the worker gathers the three runs into a
 // vector lane group, so the warmup is shared in-process — one
 // snapshot miss, zero restores — and every result reports the vector
 // engine.

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sort"
 	"time"
-
-	"d2m"
 )
 
 // Submit runs one submission through the admission pipeline: validate,
@@ -25,36 +23,22 @@ func (s *Scheduler) Submit(sub Submission) (Admission, error) {
 }
 
 // SubmitWait is Submit for feeders that should park rather than fail
-// when the class queue is full: on ErrQueueFull it waits for a slot
-// pulse (or a short poll tick, or ctx cancellation) and retries. Sweep
-// cells flow through here so an overloaded queue applies backpressure
-// to the sweep instead of dropping cells.
+// when the class queue is full; see SubmitGroupWait.
 func (s *Scheduler) SubmitWait(ctx context.Context, sub Submission) (Admission, error) {
-	for {
-		adm, err := s.Submit(sub)
-		if err == nil {
-			return adm, nil
-		}
-		if !errors.Is(err, ErrQueueFull) {
-			return Admission{}, err
-		}
-		t := time.NewTimer(10 * time.Millisecond)
-		select {
-		case <-s.slotFree:
-			t.Stop()
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return Admission{}, ctx.Err()
-		}
+	adms, err := s.SubmitGroupWait(ctx, []Submission{sub})
+	if err != nil {
+		return Admission{}, err
 	}
+	return adms[0], nil
 }
 
-// SubmitGroupWait is SubmitGroup with the SubmitWait parking loop: on
-// ErrQueueFull it waits for a slot pulse (or a short poll tick, or ctx
-// cancellation) and retries the whole group. Sweep feeders submit
-// same-warm-identity cell chunks through here, so the chunk arrives as
-// one leader-plus-chain unit a worker can gather into a lane group.
+// SubmitGroupWait is SubmitGroup for feeders that should park rather
+// than fail when a class queue is full: on ErrQueueFull it waits for a
+// slot pulse (or a short poll tick, or ctx cancellation) and retries
+// the whole group. Sweep feeders submit same-warm-identity cell chunks
+// through here, so an overloaded queue applies backpressure to the
+// sweep instead of dropping cells, and each chunk lands in the queue
+// at once for one worker to take as a lane group.
 func (s *Scheduler) SubmitGroupWait(ctx context.Context, subs []Submission) ([]Admission, error) {
 	for {
 		adms, err := s.SubmitGroup(subs)
@@ -81,12 +65,9 @@ func (s *Scheduler) SubmitGroupWait(ctx context.Context, subs []Submission) ([]A
 // if any class queue cannot hold the new jobs — none is, and the
 // returned *QueueFullError counts the jobs that were rolled back.
 // Batches flow through here so a 429 never leaves a half-admitted
-// batch behind.
-//
-// Within one group, submissions sharing a warm identity (and class)
-// are chained: the first becomes the chain leader, the rest become
-// affinity followers that a worker runs back-to-back after the leader,
-// each restoring the snapshot the leader deposited.
+// batch behind. The group is enqueued under one lock hold, so a worker
+// that pops one of its jobs finds every same-lane-key sibling queued
+// and takes them into the same lane group.
 func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 	if len(subs) == 0 {
 		return nil, nil
@@ -124,7 +105,7 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 	type coalesce struct {
 		j            *Job
 		prevDetached bool
-		promote      bool // interactive arrival on a queued bulk leader
+		promote      bool // interactive arrival on a queued bulk job
 	}
 	var (
 		coalesced []coalesce
@@ -186,28 +167,15 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 		}
 	}
 
-	// Commit: register the new jobs, chain same-warm-identity jobs of
-	// the same class behind one leader, and promote queued bulk leaders
-	// an interactive submission just coalesced onto.
-	byWarm := make(map[string]*Job)
+	// Commit: register and enqueue the new jobs, and promote queued
+	// bulk jobs an interactive submission just coalesced onto.
 	for _, j := range created {
 		s.jobs[j.id] = j
 		s.inflight[j.key] = j
 		p := j.spec.Priority
 		s.queuedN[p]++
 		s.queuedT[p][j.spec.Tenant]++
-		wk := d2m.WarmKey(j.spec.Kind, j.spec.Benchmark, j.spec.Options)
-		if lead := byWarm[wk]; lead != nil && lead.spec.Priority == p &&
-			lead.spec.Tenant == j.spec.Tenant {
-			j.leader = lead
-			lead.chain = append(lead.chain, j)
-			if s.warm != nil {
-				s.warm.NoteShared(wk)
-			}
-		} else {
-			byWarm[wk] = j
-			s.queues[p].push(j)
-		}
+		s.queues[p].push(j)
 		s.obs.JobAccepted()
 		s.obs.QueuedDelta(1)
 	}
@@ -225,36 +193,23 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 	return adms, nil
 }
 
-// promoteLocked lifts a queued bulk chain leader (and its chain) into
-// the interactive class: an interactive request that coalesced onto
-// bulk work should not inherit bulk queueing delay. Best-effort — a
-// job that is running, chained, already popped, or would overflow the
-// interactive queue stays where it is. Callers hold s.mu.
+// promoteLocked lifts a queued bulk job into the interactive class:
+// an interactive request that coalesced onto bulk work should not
+// inherit bulk queueing delay. Best-effort — a job that is running,
+// already popped, or would overflow the interactive queue stays where
+// it is. Callers hold s.mu.
 func (s *Scheduler) promoteLocked(j *Job) {
-	if j.state != StateQueued || j.spec.Priority != Bulk || j.leader != nil {
+	if j.state != StateQueued || j.spec.Priority != Bulk {
 		return
 	}
-	if s.queues[Bulk].position(j) == 0 {
-		return
-	}
-	moved := 1 + len(j.chain)
 	tenant := j.spec.Tenant
-	if s.queuedT[Interactive][tenant]+moved > s.cfg.QueueDepth {
+	if s.queuedT[Interactive][tenant]+1 > s.cfg.QueueDepth || !s.queues[Bulk].remove(j) {
 		return
 	}
-	s.queues[Bulk].remove(j)
-	s.queuedN[Bulk] -= moved
-	s.queuedN[Interactive] += moved
-	if n := s.queuedT[Bulk][tenant] - moved; n > 0 {
-		s.queuedT[Bulk][tenant] = n
-	} else {
-		delete(s.queuedT[Bulk], tenant)
-	}
-	s.queuedT[Interactive][tenant] += moved
+	s.dequeuedLocked(j)
 	j.spec.Priority = Interactive
-	for _, c := range j.chain {
-		c.spec.Priority = Interactive
-	}
+	s.queuedN[Interactive]++
+	s.queuedT[Interactive][tenant]++
 	s.queues[Interactive].push(j)
 	s.pulseSlotFree()
 }
@@ -280,26 +235,10 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 		return j, nil
 	}
 
-	// Queued: take it out of the queue structures and settle it here,
-	// so it never occupies a worker. A chain leader hands leadership to
-	// its first follower in place; a follower just settles (the worker
-	// walking the chain skips settled jobs); a leader already popped by
-	// a worker needs no queue surgery (runJob will skip it).
-	if j.leader == nil {
-		if len(j.chain) > 0 {
-			nl := j.chain[0]
-			if s.queues[j.spec.Priority].replace(j, nl) {
-				nl.leader = nil
-				nl.chain = append(nl.chain, j.chain[1:]...)
-				for _, c := range nl.chain {
-					c.leader = nl
-				}
-				j.chain = nil
-			}
-		} else {
-			s.queues[j.spec.Priority].remove(j)
-		}
-	}
+	// Queued: take it out of the queue and settle it here, so it never
+	// occupies a worker. A job a worker already popped needs no queue
+	// surgery (claim will skip it).
+	s.queues[j.spec.Priority].remove(j)
 	j.cancel()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
@@ -367,11 +306,7 @@ func (s *Scheduler) infoLocked(j *Job) Info {
 		Err:       j.err,
 	}
 	if j.state == StateQueued {
-		lead := j
-		if j.leader != nil {
-			lead = j.leader
-		}
-		in.QueuePos = s.queues[lead.spec.Priority].position(lead)
+		in.QueuePos = s.queues[j.spec.Priority].position(j)
 	}
 	if j.state == StateDone {
 		r := j.result

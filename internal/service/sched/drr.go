@@ -11,8 +11,8 @@ package sched
 // picks the tenant. A single-tenant scheduler degenerates to the exact
 // pre-v1.6 FIFO order.
 
-// tenantFIFO is one tenant's queued chain leaders within a class,
-// FIFO, plus its DRR credit.
+// tenantFIFO is one tenant's queued jobs within a class, FIFO, plus
+// its DRR credit.
 type tenantFIFO struct {
 	name    string
 	jobs    []*Job
@@ -39,7 +39,7 @@ func (cq *classQueue) fifo(tenant string) *tenantFIFO {
 	return nil
 }
 
-// push appends a leader to its tenant's FIFO, activating the tenant —
+// push appends a job to its tenant's FIFO, activating the tenant —
 // it joins the ring with zero credit, so it is served after every
 // already-waiting tenant gets its current round's grant.
 func (cq *classQueue) push(j *Job) {
@@ -51,7 +51,7 @@ func (cq *classQueue) push(j *Job) {
 	t.jobs = append(t.jobs, j)
 }
 
-// pop dequeues the next leader under deficit round robin: the cursor
+// pop dequeues the next job under deficit round robin: the cursor
 // tenant spends credit one job at a time; when its credit (or its
 // queue) runs out it receives next round's quantum — shareOf, floored
 // at 1 — and the cursor moves on. A tenant emptied mid-round leaves
@@ -104,7 +104,8 @@ func (cq *classQueue) removeFIFO(i int) {
 	}
 }
 
-// remove takes one queued leader out (Cancel's queue surgery).
+// remove takes one queued job out (Cancel's and promotion's queue
+// surgery).
 func (cq *classQueue) remove(j *Job) bool {
 	for ti, t := range cq.active {
 		if t.name != j.spec.Tenant {
@@ -127,24 +128,7 @@ func (cq *classQueue) remove(j *Job) bool {
 	return false
 }
 
-// replace swaps a queued leader for its promoted successor in place,
-// preserving the tenant's FIFO position (chain members share their
-// leader's tenant).
-func (cq *classQueue) replace(old, nl *Job) bool {
-	t := cq.fifo(old.spec.Tenant)
-	if t == nil {
-		return false
-	}
-	for i, q := range t.jobs {
-		if q == old {
-			t.jobs[i] = nl
-			return true
-		}
-	}
-	return false
-}
-
-// position returns a queued leader's 1-based place within its tenant's
+// position returns a queued job's 1-based place within its tenant's
 // FIFO — the jobs of the same tenant and class ahead of it — or 0 when
 // it is not queued here. Under fair queueing this, not the interleaved
 // class order, is the client-meaningful queue depth.
@@ -161,7 +145,7 @@ func (cq *classQueue) position(j *Job) int {
 	return 0
 }
 
-// steal removes up to max queued leaders matching pred, scanning
+// steal removes up to max queued jobs matching pred, scanning
 // tenants in ring order (lane-group gathering). Emptied tenants leave
 // the ring.
 func (cq *classQueue) steal(max int, pred func(*Job) bool) []*Job {

@@ -17,7 +17,7 @@ func tsub(seed uint64, p Priority, tenant string) Submission {
 	return s
 }
 
-// drain pops every queued leader of the class in dequeue order,
+// drain pops every queued job of the class in dequeue order,
 // returning the tenant sequence. Exercises classQueue directly — no
 // workers, no HTTP.
 func drainOrder(cq *classQueue, shareOf func(string) int) []string {
@@ -108,7 +108,7 @@ func TestDRRSingleTenantIsFIFO(t *testing.T) {
 	}
 }
 
-func TestDRRRemoveAndReplace(t *testing.T) {
+func TestDRRRemove(t *testing.T) {
 	var cq classQueue
 	a1, a2, b1 := queuedJob("a"), queuedJob("a"), queuedJob("b")
 	cq.push(a1)
@@ -116,10 +116,6 @@ func TestDRRRemoveAndReplace(t *testing.T) {
 	cq.push(b1)
 	if cq.position(a2) != 2 || cq.position(b1) != 1 {
 		t.Fatalf("positions a2=%d b1=%d, want 2,1 (tenant-local)", cq.position(a2), cq.position(b1))
-	}
-	nl := queuedJob("a")
-	if !cq.replace(a1, nl) {
-		t.Fatal("replace(a1, nl) failed")
 	}
 	if !cq.remove(a2) {
 		t.Fatal("remove(a2) failed")
@@ -129,7 +125,7 @@ func TestDRRRemoveAndReplace(t *testing.T) {
 	}
 	got := drainOrder(&cq, nil)
 	if len(got) != 2 {
-		t.Fatalf("drained %v, want nl and b1 only", got)
+		t.Fatalf("drained %v, want a1 and b1 only", got)
 	}
 	if cq.position(b1) != 0 {
 		t.Fatal("popped job still reports a queue position")

@@ -1,13 +1,14 @@
 // Package sched is the transport-independent execution engine of the
 // d2m simulation service: a Scheduler owning the job ledger, a
 // multi-level queue with priority classes and weighted dequeue, a
-// worker pool with warm-identity affinity chaining, and one admission
-// pipeline (validate, result-cache lookup, in-flight coalescing,
-// all-or-nothing enqueue) that single runs, batches, and sweep cells
-// all flow through. The HTTP layer (internal/service) shrinks to
-// marshalling plus calls into this package; caches, stores, and
-// metrics stay behind the small ResultSink / WarmCache / Observer
-// interfaces, so the scheduler is unit-testable without HTTP.
+// worker pool that runs same-warm-identity jobs as lockstep lane
+// groups, and one admission pipeline (validate, result-cache lookup,
+// in-flight coalescing, all-or-nothing enqueue) that single runs,
+// batches, and sweep cells all flow through. The HTTP layer
+// (internal/service) shrinks to marshalling plus calls into this
+// package; caches, stores, and metrics stay behind the small
+// ResultSink / Observer interfaces, so the scheduler is unit-testable
+// without HTTP.
 package sched
 
 import (
@@ -95,11 +96,11 @@ type Submission struct {
 	// submissions): it is never cancelled by its waiters disconnecting.
 	Detached bool
 	// Engine is the execution-path hint: "" (auto — the scheduler may
-	// group the job into a vector lane group), d2m.EngineScalar (opt
-	// out of grouping), or d2m.EngineVector (grouping preferred; still
-	// runs scalar when no group forms). Scalar and vector results are
-	// byte-identical by contract, so the hint never changes the cache
-	// key.
+	// group the job into a vector lane group), d2m.EngineScalar (run
+	// alone, never grouped), or d2m.EngineVector (grouping preferred;
+	// still runs scalar when no group forms). Scalar and vector results
+	// are byte-identical by contract, so the hint never changes the
+	// cache key.
 	Engine string
 }
 
@@ -161,19 +162,11 @@ type Job struct {
 	// job settled straight from the queue (cancel, deadline) never
 	// closes it, so observers must select on Done as well.
 	runCh chan struct{}
-	// leader points at the chain head when this job was admitted as an
-	// affinity follower; chain holds the followers of a leader. A
-	// worker that dequeues a leader runs the chain in order on the same
-	// goroutine, so every follower restores the warm-state snapshot the
-	// leader just deposited. Mutated only under Scheduler.mu (leader
-	// promotion when a queued leader is cancelled).
-	leader *Job
-	chain  []*Job
 	// laneKey is the job's lane-group identity (its warm key) when it
 	// is eligible for vector execution — single run, engine hint not
-	// "scalar" — and "" otherwise. A worker that dequeues a leader
-	// gathers queued jobs with the same laneKey into one lockstep
-	// RunGroup call. Immutable after creation.
+	// "scalar" — and "" otherwise. A worker that dequeues the job takes
+	// queued jobs with the same laneKey into one lockstep RunGroup
+	// call. Immutable after creation.
 	laneKey string
 
 	// guarded by Scheduler.mu until done closes.
@@ -219,10 +212,9 @@ type Info struct {
 	State    State
 	Priority Priority
 	// QueuePos is the job's 1-based position among its own tenant's
-	// queued leaders of its class (affinity followers share their
-	// leader's position); zero once the job leaves the queue. Under
-	// fair queueing the tenant-local depth, not the interleaved class
-	// order, is the client-meaningful number.
+	// queued jobs of its class; zero once the job leaves the queue.
+	// Under fair queueing the tenant-local depth, not the interleaved
+	// class order, is the client-meaningful number.
 	QueuePos  int
 	Kind      d2m.Kind
 	Benchmark string
@@ -260,13 +252,6 @@ type Admission struct {
 type ResultSink interface {
 	Lookup(key string) (d2m.Result, *d2m.Replicated, bool)
 	Settle(key string, res d2m.Result, rep *d2m.Replicated)
-}
-
-// WarmCache is the scheduler's hook into the warm-snapshot store:
-// NoteShared announces that several admitted jobs share warmKey, so the
-// first run already captures a snapshot for its chain followers.
-type WarmCache interface {
-	NoteShared(warmKey string)
 }
 
 // Observer receives the scheduler's accounting events; the service

@@ -79,9 +79,10 @@ func blocker() Submission {
 	return Submission{Kind: d2m.Base2L, Benchmark: "blocker", Priority: Interactive}
 }
 
-// TestLaneGroupFromChain: a group-admitted warm chain executes as one
-// lane group — one RunGroup call carrying every member, every job done
-// with the vector engine and its own result.
+// TestLaneGroupFromChain: same-warm-identity jobs admitted by one
+// SubmitGroup execute as one lane group — one RunGroup call carrying
+// every member, every job done with the vector engine and its own
+// result.
 func TestLaneGroupFromChain(t *testing.T) {
 	lr := &laneRecorder{}
 	started, release := make(chan struct{}), make(chan struct{})
@@ -122,7 +123,7 @@ func TestLaneGroupFromChain(t *testing.T) {
 }
 
 // TestLaneGroupStealsQueuedLeaders: independently submitted jobs that
-// share a lane key but arrived as separate leaders are stolen out of
+// share a lane key but arrived as separate submissions are stolen out of
 // the queue into one group.
 func TestLaneGroupStealsQueuedLeaders(t *testing.T) {
 	lr := &laneRecorder{}
@@ -220,39 +221,60 @@ func TestLaneGroupScalarHintOptsOut(t *testing.T) {
 	}
 }
 
-// TestLaneGroupMaxLanes: a chain longer than MaxLanes splits — the
-// overflow runs scalar on the same worker, after the group.
+// TestLaneGroupNotSplitAcrossWorkers: a SubmitGroup of 8 same-lane-key jobs
+// on a 4-worker scheduler forms exactly one group of 8 — the worker
+// that pops the first job takes its siblings under the same lock hold,
+// so idle workers never split the group.
+func TestLaneGroupNotSplitAcrossWorkers(t *testing.T) {
+	lr := &laneRecorder{}
+	s := newTestSched(t, Config{Workers: 4, RunGroup: lr.run}, nil)
+	subs := make([]Submission, 8)
+	for i := range subs {
+		subs[i] = laneSub((i+1)*100, Interactive)
+	}
+	adms, err := s.SubmitGroup(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, adm := range adms {
+		<-adm.Job.Done()
+		if in := adm.Job.Info(); in.State != StateDone || in.Engine != d2m.EngineVector {
+			t.Errorf("state/engine = %s/%q, want done/vector", in.State, in.Engine)
+		}
+	}
+	if groups := lr.snapshot(); len(groups) != 1 || len(groups[0]) != 8 {
+		t.Fatalf("groups = %v, want one group of 8", groups)
+	}
+}
+
+// TestLaneGroupMaxLanes: same-lane-key jobs beyond maxLanes stay
+// queued and form the next group instead of running scalar.
 func TestLaneGroupMaxLanes(t *testing.T) {
 	lr := &laneRecorder{}
 	started, release := make(chan struct{}), make(chan struct{})
-	s := newTestSched(t, Config{Workers: 1, MaxLanes: 2, RunGroup: lr.run},
-		blockerRun(started, release))
+	s := newTestSched(t, Config{Workers: 1, RunGroup: lr.run}, blockerRun(started, release))
 
 	bl, _ := s.Submit(blocker())
 	<-started
-	adms, err := s.SubmitGroup([]Submission{
-		laneSub(100, Interactive), laneSub(200, Interactive),
-		laneSub(300, Interactive), laneSub(400, Interactive),
-	})
+	subs := make([]Submission, maxLanes+2)
+	for i := range subs {
+		subs[i] = laneSub((i+1)*100, Interactive)
+	}
+	adms, err := s.SubmitGroup(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	close(release)
 	<-bl.Job.Done()
-	for _, adm := range adms {
+	for i, adm := range adms {
 		<-adm.Job.Done()
-		if st := adm.Job.Info().State; st != StateDone {
-			t.Fatalf("state = %s, want done", st)
+		if in := adm.Job.Info(); in.State != StateDone || in.Engine != d2m.EngineVector {
+			t.Errorf("job %d state/engine = %s/%q, want done/vector", i, in.State, in.Engine)
 		}
 	}
 	groups := lr.snapshot()
-	if len(groups) != 1 || len(groups[0]) != 2 {
-		t.Fatalf("groups = %v, want one group of 2 (MaxLanes cap)", groups)
-	}
-	for _, i := range []int{2, 3} {
-		if eng := adms[i].Job.Info().Engine; eng != d2m.EngineScalar {
-			t.Errorf("overflow lane %d engine = %q, want scalar", i, eng)
-		}
+	if len(groups) != 2 || len(groups[0]) != maxLanes || len(groups[1]) != 2 {
+		t.Fatalf("groups = %v, want groups of %d and 2", groups, maxLanes)
 	}
 }
 

@@ -42,23 +42,15 @@ type Config struct {
 	// scheduler passes the submission's identity through a d2m.RunSpec
 	// (Replicates included) and stores the output on the job.
 	Run func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error)
-	// RunGroup, when non-nil, executes a lane group — queued jobs
-	// sharing a lane key (warm identity) — as one lockstep simulation,
-	// returning one outcome per lane in order. Nil disables vector
-	// execution: every job runs through Run.
+	// RunGroup, when non-nil, executes a lane group — up to maxLanes
+	// queued jobs sharing a lane key (warm identity) — as one lockstep
+	// simulation, returning one outcome per lane in order. Nil disables
+	// vector execution: every job runs alone through Run.
 	RunGroup func(ctx context.Context, lanes []d2m.GroupLane) ([]d2m.LaneOutcome, error)
-	// MaxLanes caps the lane-group size workers assemble. Zero means
-	// 16; values below 2 disable grouping. Ignored when RunGroup is
-	// nil.
-	MaxLanes int
 	// Results, when non-nil, is consulted at admission (Lookup) and on
 	// success (Settle): the service wires its result cache and JSONL
 	// journal here.
 	Results ResultSink
-	// Warm, when non-nil, learns which warm identities group admission
-	// chained together, so the snapshot cache captures on the chain
-	// leader's first run.
-	Warm WarmCache
 	// Observer, when non-nil, receives accounting events.
 	Observer Observer
 }
@@ -76,9 +68,6 @@ func (c Config) withDefaults() Config {
 	if c.InteractiveWeight <= 0 {
 		c.InteractiveWeight = 4
 	}
-	if c.MaxLanes == 0 {
-		c.MaxLanes = 16
-	}
 	if c.Results == nil {
 		c.Results = nopSink{}
 	}
@@ -94,15 +83,14 @@ type Scheduler struct {
 	cfg    Config
 	obs    Observer
 	sink   ResultSink
-	warm   WarmCache
 	wg     sync.WaitGroup
 	nextID atomic.Uint64
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
 
-	// slotFree pulses when a queue slot frees up (a worker dequeued a
-	// leader, or a queued leader was cancelled), waking one SubmitWait
+	// slotFree pulses when a queue slot frees up (a worker dequeued
+	// jobs, or a queued job was cancelled), waking one SubmitGroupWait
 	// feeder parked on a full queue. Best-effort; feeders also poll.
 	slotFree chan struct{}
 
@@ -116,11 +104,11 @@ type Scheduler struct {
 	// once the queues empty; it is set only by Shutdown and is final.
 	draining bool
 	stopping bool
-	// queues hold chain leaders only, per class, fair-queued across
-	// tenants; queuedN counts every queued job including chain
-	// followers, and queuedT splits that count by tenant — QueueDepth
-	// bounds each tenant's share of a class separately, so one tenant's
-	// backlog cannot consume another's admission capacity.
+	// queues hold the queued jobs per class, fair-queued across
+	// tenants; queuedN counts them, and queuedT splits that count by
+	// tenant — QueueDepth bounds each tenant's share of a class
+	// separately, so one tenant's backlog cannot consume another's
+	// admission capacity.
 	queues  [NumPriorities]classQueue
 	queuedN [NumPriorities]int
 	queuedT [NumPriorities]map[string]int
@@ -146,7 +134,6 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:      cfg,
 		obs:      cfg.Observer,
 		sink:     cfg.Results,
-		warm:     cfg.Warm,
 		slotFree: make(chan struct{}, 1),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
@@ -166,14 +153,17 @@ func New(cfg Config) (*Scheduler, error) {
 // Workers returns the worker-pool width.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
+// maxLanes is the largest lane group a worker assembles; further jobs
+// with the same lane key form the next group.
+const maxLanes = 16
+
 // MaxLanes returns the largest lane group a worker will assemble: 1
-// when vector execution is disabled (no RunGroup hook, or MaxLanes
-// configured below 2).
+// when vector execution is disabled (no RunGroup hook).
 func (s *Scheduler) MaxLanes() int {
-	if s.cfg.RunGroup == nil || s.cfg.MaxLanes < 2 {
+	if s.cfg.RunGroup == nil {
 		return 1
 	}
-	return s.cfg.MaxLanes
+	return maxLanes
 }
 
 // Draining reports whether admission is closed — by SetDraining or by
@@ -259,93 +249,26 @@ func (s *Scheduler) RetryAfter(p Priority) time.Duration {
 // ---------------------------------------------------------------------------
 // Worker pool.
 
-// worker drains the queues until Shutdown empties them. A dequeued
-// leader may carry a chain of affinity followers; the worker first
-// gathers the leader, its lane-eligible chain members, and any queued
-// same-lane-key leaders into one lockstep lane group (vector
-// execution), then runs whatever did not fit — ineligible chain
-// members, overflow — back-to-back the scalar way, each follower
-// restoring the snapshot the group just deposited while it is hottest.
+// worker drains the queues until Shutdown empties them.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.dequeue()
+		group, ok := s.dequeue()
 		if !ok {
 			return
 		}
-		lanes, rest := s.gatherLanes(j)
-		if len(lanes) >= 2 {
-			s.runLaneGroup(lanes)
-		} else {
-			s.runJob(j)
-		}
-		for _, c := range rest {
-			s.runJob(c)
-		}
+		s.runGroup(group)
 	}
 }
 
-// gatherLanes assembles the lane group around a just-dequeued leader:
-// the leader itself, its chain members with the same lane key, and
-// queued leaders (of either class) with the same lane key and no chain
-// of their own, stolen out of the queues up to MaxLanes. It returns
-// the group (nil when grouping is off or nothing joined) and the jobs
-// the worker must still run scalar — the leader's remaining chain. A
-// stolen job stays StateQueued until the group claims it, so Cancel
-// settles it exactly as it settles a chain follower.
-func (s *Scheduler) gatherLanes(j *Job) (lanes, rest []*Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The chain is read under the lock: a cancelled queued leader may
-	// have promoted a follower, and cancelled followers are skipped
-	// inside runJob.
-	rest = append([]*Job(nil), j.chain...)
-	if s.cfg.RunGroup == nil || s.cfg.MaxLanes < 2 ||
-		j.laneKey == "" || j.state != StateQueued {
-		return nil, rest
-	}
-	lanes = append(lanes, j)
-	rest = rest[:0]
-	for _, c := range j.chain {
-		if len(lanes) < s.cfg.MaxLanes && c.laneKey == j.laneKey &&
-			c.state == StateQueued && c.ctx.Err() == nil {
-			lanes = append(lanes, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	stole := false
-	for p := Interactive; p < NumPriorities; p++ {
-		if len(lanes) >= s.cfg.MaxLanes {
-			break
-		}
-		got := s.queues[p].steal(s.cfg.MaxLanes-len(lanes), func(cand *Job) bool {
-			return cand.laneKey == j.laneKey && len(cand.chain) == 0 &&
-				cand.state == StateQueued && cand.ctx.Err() == nil
-		})
-		if len(got) > 0 {
-			lanes = append(lanes, got...)
-			stole = true
-		}
-	}
-	if stole {
-		s.pulseSlotFree()
-	}
-	if len(lanes) < 2 {
-		// Nothing joined: rest still holds the full chain.
-		return nil, rest
-	}
-	return lanes, rest
-}
-
-// runLaneGroup claims each gathered job and executes the claimed ones
-// as one lockstep RunGroup call. Jobs settled while queued (cancelled,
-// expired) drop out at claim time exactly as they would on the scalar
-// path; a group reduced to one job falls back to scalar execution. The
-// group context is the scheduler's base context — per-lane cancellation
-// flows through each job's own context, which the vector engine polls
-// to demote a lane without aborting the group.
-func (s *Scheduler) runLaneGroup(group []*Job) {
+// runGroup claims each dequeued job and executes the claimed ones: a
+// lone job the scalar way through Run, two or more as one lockstep
+// RunGroup call. Jobs settled while queued (cancelled, expired) drop
+// out at claim time and never occupy a worker. The group context is
+// the scheduler's base context — per-lane cancellation flows through
+// each job's own context, which the vector engine polls to demote a
+// lane without aborting the group.
+func (s *Scheduler) runGroup(group []*Job) {
 	claimed := make([]*Job, 0, len(group))
 	for _, j := range group {
 		if s.claim(j) {
@@ -403,15 +326,29 @@ func (s *Scheduler) runLaneGroup(group []*Job) {
 	}
 }
 
-// dequeue blocks until a leader is available (returning it) or the
-// scheduler is draining with empty queues (returning false).
-func (s *Scheduler) dequeue() (*Job, bool) {
+// dequeue blocks until a job is available or the scheduler is
+// draining with empty queues (returning false). The popped job comes
+// back with every queued job sharing its lane key (of either class and
+// any tenant), up to maxLanes, stolen out of the queues under the same
+// lock hold — so two workers can never split one group admission, and
+// jobs beyond maxLanes stay queued to form the next group. A stolen
+// job stays StateQueued until the group claims it, so Cancel settles
+// it exactly as it settles any queued job.
+func (s *Scheduler) dequeue() ([]*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if j := s.pickLocked(); j != nil {
+			group := []*Job{j}
+			if s.cfg.RunGroup != nil && j.laneKey != "" {
+				for p := Interactive; p < NumPriorities && len(group) < maxLanes; p++ {
+					group = append(group, s.queues[p].steal(maxLanes-len(group), func(cand *Job) bool {
+						return cand.laneKey == j.laneKey && cand.ctx.Err() == nil
+					})...)
+				}
+			}
 			s.pulseSlotFree()
-			return j, true
+			return group, true
 		}
 		if s.stopping {
 			return nil, false
@@ -420,9 +357,9 @@ func (s *Scheduler) dequeue() (*Job, bool) {
 	}
 }
 
-// pickLocked pops the next leader: the weighted-priority policy picks
+// pickLocked pops the next job: the weighted-priority policy picks
 // the class — when both are waiting, InteractiveWeight interactive
-// leaders are served per bulk leader — then the class's deficit round
+// jobs are served per bulk job — then the class's deficit round
 // robin picks the tenant, so neither a class nor a tenant can starve
 // the others.
 func (s *Scheduler) pickLocked() *Job {
@@ -456,25 +393,15 @@ func (s *Scheduler) pulseSlotFree() {
 	}
 }
 
-// runJob executes one dequeued job (leader or chain follower) the
-// scalar way. A job settled while queued — cancelled explicitly, or
-// its deadline passed, or its waiters all disconnected — never
-// occupies a worker.
-func (s *Scheduler) runJob(j *Job) {
-	if s.claim(j) {
-		s.execute(j)
-	}
-}
-
-// claim transitions a dequeued (or lane-gathered) job from queued to
+// claim transitions a dequeued job from queued to
 // running, performing the queue-exit accounting. It returns false when
 // the job needs no execution: already settled by Cancel, or its
 // context died in the queue (the job is then settled here).
 func (s *Scheduler) claim(j *Job) bool {
 	s.mu.Lock()
 	if j.state != StateQueued {
-		// Cancel settled it while it sat in the queue (or in a chain);
-		// all accounting happened there.
+		// Cancel settled it after a worker popped it; all accounting
+		// happened there.
 		s.mu.Unlock()
 		return false
 	}

@@ -250,60 +250,6 @@ func TestWeightedPriorityDequeue(t *testing.T) {
 	}
 }
 
-// noteRecorder counts NoteShared announcements.
-type noteRecorder struct {
-	mu    sync.Mutex
-	notes []string
-}
-
-func (n *noteRecorder) NoteShared(key string) {
-	n.mu.Lock()
-	n.notes = append(n.notes, key)
-	n.mu.Unlock()
-}
-
-func TestGroupAffinityChaining(t *testing.T) {
-	var active, maxActive atomic.Int64
-	notes := &noteRecorder{}
-	s := newTestSched(t, Config{Workers: 4, Warm: notes}, func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error) {
-		n := active.Add(1)
-		for {
-			old := maxActive.Load()
-			if n <= old || maxActive.CompareAndSwap(old, n) {
-				break
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-		active.Add(-1)
-		return d2m.RunOutput{}, nil
-	})
-
-	// Three runs sharing a warm identity (same kind/bench/options except
-	// Measure, which is outside the warm key) admitted as one group must
-	// chain onto one worker despite four being idle.
-	mk := func(measure int) Submission {
-		return Submission{
-			Kind: d2m.Base2L, Benchmark: "tpc-c",
-			Options: d2m.Options{Seed: 9, Measure: measure},
-		}
-	}
-	adms, err := s.SubmitGroup([]Submission{mk(2000), mk(4000), mk(6000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, adm := range adms {
-		<-adm.Job.Done()
-	}
-	if got := maxActive.Load(); got != 1 {
-		t.Errorf("max concurrent runs = %d, want 1 (chained)", got)
-	}
-	notes.mu.Lock()
-	defer notes.mu.Unlock()
-	if len(notes.notes) != 2 {
-		t.Errorf("NoteShared calls = %d, want 2 (one per follower)", len(notes.notes))
-	}
-}
-
 func TestCancelQueued(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
@@ -367,48 +313,42 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
-func TestCancelQueuedLeaderPromotesChain(t *testing.T) {
-	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
-	s := newTestSched(t, Config{Workers: 1}, func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error) {
-		if spec.Options.Seed == 0 {
-			started <- struct{}{}
-			<-gate
-		}
-		return d2m.RunOutput{}, nil
-	})
-	if _, err := s.Submit(sub(0, Interactive)); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	// A chained group sits in the queue; cancelling its leader must
-	// promote the first follower so the rest still run.
-	mk := func(measure int) Submission {
-		return Submission{
-			Kind: d2m.Base2L, Benchmark: "tpc-c",
-			Options: d2m.Options{Seed: 5, Measure: measure},
-		}
-	}
-	adms, err := s.SubmitGroup([]Submission{mk(2000), mk(4000), mk(6000)})
+// TestCoalescePromotesQueuedBulk: an interactive submission that
+// coalesces onto a queued bulk job lifts that job into the interactive
+// class, moving its queue accounting with it.
+func TestCoalescePromotesQueuedBulk(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	s := newTestSched(t, Config{Workers: 1}, blockerRun(started, release))
+	bl, err := s.Submit(blocker())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Cancel(adms[0].Job.ID()); err != nil {
+	<-started
+	bulk, err := s.Submit(sub(3, Bulk))
+	if err != nil {
 		t.Fatal(err)
 	}
-	close(gate)
-	for i, adm := range adms[1:] {
-		select {
-		case <-adm.Job.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("follower %d never settled after leader cancel", i+1)
-		}
-		if in := adm.Job.Info(); in.State != StateDone {
-			t.Errorf("follower %d state = %s, want done", i+1, in.State)
-		}
+	inter, err := s.Submit(sub(3, Interactive))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if in := adms[0].Job.Info(); in.State != StateCanceled {
-		t.Errorf("cancelled leader state = %s, want canceled", in.State)
+	if inter.Job != bulk.Job || inter.New {
+		t.Fatalf("interactive submission did not coalesce onto the bulk job")
+	}
+	if in := bulk.Job.Info(); in.Priority != Interactive || in.QueuePos != 1 {
+		t.Errorf("priority/pos = %v/%d, want interactive/1", in.Priority, in.QueuePos)
+	}
+	s.mu.Lock()
+	qi, qb := s.queuedN[Interactive], s.queuedN[Bulk]
+	s.mu.Unlock()
+	if qi != 1 || qb != 0 {
+		t.Errorf("queued interactive/bulk = %d/%d, want 1/0", qi, qb)
+	}
+	close(release)
+	<-bl.Job.Done()
+	<-bulk.Job.Done()
+	if st := bulk.Job.Info().State; st != StateDone {
+		t.Errorf("promoted job state = %s, want done", st)
 	}
 }
 

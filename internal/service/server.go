@@ -1,8 +1,8 @@
 // Package service implements the d2mserver simulation service: the
 // HTTP/JSON transport over the root d2m package. Execution — the job
 // ledger, priority-class queues with per-tenant fair queueing and
-// backpressure, the worker pool with warm-affinity chaining and lane
-// grouping, and the admission pipeline (result-cache lookup,
+// backpressure, the worker pool running same-warm-identity jobs as
+// lockstep lane groups, and the admission pipeline (result-cache lookup,
 // single-flight coalescing, all-or-nothing enqueue) — lives in
 // internal/service/sched; this package contributes request validation,
 // tenant authentication and token-bucket admission, the result cache
@@ -66,12 +66,6 @@ type Config struct {
 	// attributable per process. Empty (the single-process default)
 	// renders unlabeled series, unchanged from earlier revisions.
 	ShardName string
-	// MaxLanes caps the vector engine's lane groups: queued jobs that
-	// share a warm identity are executed as one lockstep simulation of
-	// up to this many lanes. Zero means the scheduler's default (16);
-	// 1 disables vector execution. Ignored when Runner is set (stub
-	// runners run every job scalar).
-	MaxLanes int
 	// Tenants, when non-empty, turns on multi-tenant admission: every
 	// /v1 job and sweep endpoint requires an X-API-Key naming one of
 	// these tenants, each with its own token-bucket rate limit and
@@ -243,17 +237,12 @@ func New(cfg Config) (*Server, error) {
 
 	// The scheduler owns execution; the server hands it the run
 	// function (through the Runner/Replicator seams), the result sink,
-	// the warm-snapshot hook, and the metrics observer.
-	var warm sched.WarmCache
-	if s.snapshots != nil {
-		warm = s.snapshots
-	}
+	// and the metrics observer.
 	schedCfg := sched.Config{
 		Workers:        cfg.Workers,
 		QueueDepth:     cfg.QueueDepth,
 		DefaultTimeout: cfg.DefaultTimeout,
 		MaxJobs:        cfg.MaxJobs,
-		MaxLanes:       cfg.MaxLanes,
 		TenantShare:    s.tenantShare,
 		Run: func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error) {
 			if spec.Replicates >= 2 {
@@ -267,7 +256,6 @@ func New(cfg Config) (*Server, error) {
 			return d2m.RunOutput{Result: res}, err
 		},
 		Results:  serverSink{s},
-		Warm:     warm,
 		Observer: s.metrics,
 	}
 	if cfg.Runner == nil {

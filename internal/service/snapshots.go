@@ -43,9 +43,9 @@ const missedKeysCap = 65536
 // WantWarm is the capture gate (see the root package's WarmCache):
 // capturing a snapshot costs a deep copy of the whole hierarchy, so it
 // is only worth paying when the warm key is actually shared. A key
-// qualifies once it has missed before — the second identical-warmup
-// run captures, the third restores — or immediately when group
-// admission announced sharing through NoteShared.
+// qualifies once it has missed before: the second identical-warmup
+// run captures, the third restores. A lane group shares its warmup
+// in-process, so its one miss counts once.
 func (c *snapshotCache) WantWarm(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -57,18 +57,6 @@ func (c *snapshotCache) WantWarm(key string) bool {
 	}
 	c.missed[key]++
 	return c.missed[key] >= 2
-}
-
-// NoteShared records out-of-band knowledge that key is about to be
-// reused (group admission chained several runs sharing it), so the
-// first run already captures. It implements sched.WarmCache.
-func (c *snapshotCache) NoteShared(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.missed) >= missedKeysCap {
-		c.missed = make(map[string]int)
-	}
-	c.missed[key]++
 }
 
 // GetWarm returns the snapshot for key (refreshing its recency) or nil.

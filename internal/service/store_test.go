@@ -83,6 +83,68 @@ func TestStoreTornTail(t *testing.T) {
 	defer st.close()
 }
 
+// TestStoreAppendAfterTornTail checks a restart after a crash
+// mid-append loses only the torn line: appends after reopening start
+// on a fresh line, so they replay behind the intact record instead of
+// being glued onto the fragment.
+func TestStoreAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	torn := `{"key":"k1","kind":"Base-2L","benchmark":"tpc-c","result":{}}` + "\n" +
+		`{"key":"k3","kind":"D2M-` // crash mid-write
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := openResultStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"k4", "k5"} {
+		if err := st.append(StoreRecord{Key: key, Kind: "D2M-NS", Benchmark: "fft"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, rec := range recs {
+		keys = append(keys, rec.Key)
+	}
+	if len(keys) != 3 || keys[0] != "k1" || keys[1] != "k4" || keys[2] != "k5" {
+		t.Fatalf("replayed keys %v, want [k1 k4 k5]", keys)
+	}
+}
+
+// TestStoreKeepsUnterminatedRecord checks a crash between a whole
+// record and its newline keeps the record: reopening terminates the
+// line rather than truncating a record replay already accepts.
+func TestStoreKeepsUnterminatedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	data := `{"key":"k1","kind":"Base-2L","benchmark":"tpc-c","result":{}}`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := openResultStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.append(StoreRecord{Key: "k2"}); err != nil {
+		t.Fatal(err)
+	}
+	st.close()
+	recs, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Key != "k1" || recs[1].Key != "k2" {
+		t.Fatalf("replay = %+v, want k1 then k2", recs)
+	}
+}
+
 // TestStoreBlankAndKeylessLines checks blank lines are skipped but a
 // keyless record (corruption that still parses) ends the replay.
 func TestStoreBlankAndKeylessLines(t *testing.T) {

@@ -467,12 +467,11 @@ func (f *front) runSweep(sw *sweep) {
 // RunCells feeds every cell through the shared admission pipeline in
 // the bulk class. Consecutive cells sharing a warm identity (typically
 // the innermost link-bandwidth axis of the grid) are submitted
-// together through SubmitGroupWait, so they arrive as one
-// leader-plus-chain unit a worker can gather into a lockstep lane
-// group. The parking loop on a full bulk queue means a sweep larger
-// than the queue degrades by waiting, never by failing, and the bulk
-// class's bounded dequeue share keeps a large sweep from starving
-// interactive requests.
+// together through SubmitGroupWait, so they enter the queue at once
+// and one worker takes them as a lockstep lane group. The parking loop
+// on a full bulk queue means a sweep larger than the queue degrades by
+// waiting, never by failing, and the bulk class's bounded dequeue
+// share keeps a large sweep from starving interactive requests.
 func (s *Server) RunCells(ctx context.Context, tenant string, cells []d2m.SweepCell, spec CellSpec, settle func(int, CellOutcome)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -198,17 +198,6 @@ func parseFooter(ft []byte) (count uint64, maxNode int, crc uint32, err error) {
 		binary.LittleEndian.Uint32(ft[12:16]), nil
 }
 
-// Tee wraps a stream so that every produced access is also recorded.
-func Tee(s Stream, tw *Writer) Stream {
-	return StreamFunc(func() mem.Access {
-		a := s.Next()
-		// A write error is remembered by the writer; recording must not
-		// perturb the simulation.
-		_ = tw.Append(a)
-		return a
-	})
-}
-
 // Reader replays a fully in-memory trace.
 type Reader struct {
 	records []mem.Access

@@ -99,31 +99,6 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	i := 0
-	src := StreamFunc(func() mem.Access {
-		i++
-		return mem.Access{Node: i % 4, Addr: mem.Addr(i * 64), Kind: mem.Load}
-	})
-	teed := Tee(src, w)
-	for k := 0; k < 10; k++ {
-		teed.Next()
-	}
-	w.Flush()
-	r, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 10 {
-		t.Errorf("tee recorded %d records", r.Len())
-	}
-	if a := r.Next(); a.Addr != 64 || a.Node != 1 {
-		t.Errorf("first teed record %v", a)
-	}
-}
-
 // Property: any sequence of valid accesses round-trips exactly.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(raw []struct {
