@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -55,57 +56,19 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Writer streams accesses to an io.Writer in the v1 binary format. It
-// is kept for compatibility with externally produced v1 traces; new
-// code writes v2 via FileWriter.
-type Writer struct {
-	w   *bufio.Writer
-	n   uint64
-	err error
-}
-
-// NewWriter writes the v1 header and returns a trace writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Append writes one access record.
-func (tw *Writer) Append(a mem.Access) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	var rec [recordBytes]byte
-	rec[0] = byte(a.Node)
-	rec[1] = byte(a.Kind)
-	binary.LittleEndian.PutUint64(rec[2:], uint64(a.Addr))
-	if _, err := tw.w.Write(rec[:]); err != nil {
-		tw.err = fmt.Errorf("trace: writing record: %w", err)
-		return tw.err
-	}
-	tw.n++
-	return nil
-}
-
-// Count returns the number of records written.
-func (tw *Writer) Count() uint64 { return tw.n }
-
-// Flush flushes buffered records.
-func (tw *Writer) Flush() error {
-	if tw.err != nil {
-		return tw.err
-	}
-	return tw.w.Flush()
-}
+// writeChunkBytes is FileWriter's output granularity: records
+// accumulate in one chunk, which is checksummed and written whole.
+const writeChunkBytes = 64 << 10
 
 // FileWriter streams accesses to an io.Writer in the v2 binary format.
-// Close writes the footer; a file without one is rejected by every
-// reader, which is what makes torn writes detectable.
+// Records are appended to one reusable chunk; each full chunk costs one
+// CRC update and one Write, so Append itself neither allocates nor
+// calls the underlying writer. Close writes the footer; a file without
+// one is rejected by every reader, which is what makes torn writes
+// detectable.
 type FileWriter struct {
-	w       *bufio.Writer
+	w       io.Writer
+	buf     []byte // pending record bytes
 	crc     uint32
 	last    [MaxTraceNodes]uint64
 	n       uint64
@@ -115,11 +78,11 @@ type FileWriter struct {
 
 // NewFileWriter writes the v2 header and returns the writer.
 func NewFileWriter(w io.Writer) (*FileWriter, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagicV2[:]); err != nil {
+	if _, err := w.Write(traceMagicV2[:]); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
-	return &FileWriter{w: bw}, nil
+	// The footer shares the final chunk's Write.
+	return &FileWriter{w: w, buf: make([]byte, 0, writeChunkBytes+footerBytes)}, nil
 }
 
 // Append writes one access record.
@@ -135,58 +98,131 @@ func (fw *FileWriter) Append(a mem.Access) error {
 		fw.err = fmt.Errorf("trace: invalid access kind %d", a.Kind)
 		return fw.err
 	}
-	var rec [maxRecordBytes]byte
-	rec[0] = byte(a.Kind) | byte(a.Node)<<2
 	d := int64(uint64(a.Addr) - fw.last[a.Node])
-	n := 1 + binary.PutUvarint(rec[1:], zigzag(d))
 	fw.last[a.Node] = uint64(a.Addr)
-	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, rec[:n])
-	if _, err := fw.w.Write(rec[:n]); err != nil {
-		fw.err = fmt.Errorf("trace: writing record: %w", err)
+	fw.buf = append(fw.buf, byte(a.Kind)|byte(a.Node)<<2)
+	fw.buf = binary.AppendUvarint(fw.buf, zigzag(d))
+	fw.n++
+	fw.maxNode = max(fw.maxNode, a.Node)
+	if len(fw.buf) > writeChunkBytes-maxRecordBytes {
+		return fw.flush()
+	}
+	return nil
+}
+
+// flush checksums and writes the pending records.
+func (fw *FileWriter) flush() error {
+	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, fw.buf)
+	if _, err := fw.w.Write(fw.buf); err != nil {
+		fw.err = fmt.Errorf("trace: writing records: %w", err)
 		return fw.err
 	}
-	fw.n++
-	if a.Node > fw.maxNode {
-		fw.maxNode = a.Node
-	}
+	fw.buf = fw.buf[:0]
 	return nil
 }
 
 // Count returns the number of records written.
 func (fw *FileWriter) Count() uint64 { return fw.n }
 
-// Close writes the footer and flushes. The writer is unusable after.
+// Close writes the remaining records and the footer. The writer is
+// unusable after.
 func (fw *FileWriter) Close() error {
 	if fw.err != nil {
 		return fw.err
 	}
+	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, fw.buf)
 	var ft [footerBytes]byte
 	copy(ft[:8], footerMagic[:])
 	ft[8] = byte(fw.maxNode)
 	binary.LittleEndian.PutUint32(ft[12:16], fw.crc)
 	binary.LittleEndian.PutUint64(ft[16:24], fw.n)
-	if _, err := fw.w.Write(ft[:]); err != nil {
+	if _, err := fw.w.Write(append(fw.buf, ft[:]...)); err != nil {
 		return fmt.Errorf("trace: writing footer: %w", err)
 	}
-	return fw.w.Flush()
+	return nil
 }
 
-// decodeV2 decodes one v2 record from b, updating the per-node address
-// state, and returns the access and the bytes consumed.
-func decodeV2(b []byte, last *[MaxTraceNodes]uint64) (mem.Access, int, error) {
-	ctrl := b[0]
-	kind := mem.Kind(ctrl & 3)
-	if kind > mem.Store {
-		return mem.Access{}, 0, fmt.Errorf("trace: invalid kind %d in record", ctrl&3)
+// uvarint8 decodes the varint held in the little-endian bytes of x
+// without branching on its bytes: the first clear continuation bit is
+// found by TrailingZeros64, the bytes above it are masked off and the
+// 7-bit groups are compacted in three shift-and-mask steps. It returns
+// n = 0 when the varint does not end within the 8 bytes. Where it
+// returns n > 0 the result equals binary.Uvarint's on the same bytes.
+func uvarint8(x uint64) (u uint64, n int) {
+	stops := ^x & 0x8080808080808080
+	if stops == 0 {
+		return 0, 0
 	}
-	node := int(ctrl >> 2)
-	u, n := binary.Uvarint(b[1:])
-	if n <= 0 {
-		return mem.Access{}, 0, fmt.Errorf("trace: truncated or oversized address varint")
+	x &= stops ^ (stops - 1)
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+	return x, bits.TrailingZeros64(stops)>>3 + 1
+}
+
+// decoder is the one record decoder behind ReadTrace, Validate and
+// FileReader, for both format versions. It carries the per-node address
+// state across chunks.
+type decoder struct {
+	version int
+	last    [MaxTraceNodes]uint64
+	count   uint64 // records decoded
+	maxNode int    // largest node id decoded
+}
+
+// decode decodes records from b into out until out is full or b runs
+// short, and returns the records decoded and the bytes consumed. final
+// says b holds the rest of the body: without it, decode stops before a
+// record that may straddle the end of b, so the caller can append the
+// next chunk; with it, a partial record at the end is an error.
+func (d *decoder) decode(out []mem.Access, b []byte, final bool) (n, used int, err error) {
+	if d.version == 1 {
+		for ; n < len(out) && len(b)-used >= recordBytes; n++ {
+			rec := b[used : used+recordBytes]
+			if rec[1] > byte(mem.Store) {
+				return n, used, fmt.Errorf("trace: record %d has invalid kind %d", d.count, rec[1])
+			}
+			out[n] = mem.Access{Node: int(rec[0]), Kind: mem.Kind(rec[1]), Addr: mem.Addr(binary.LittleEndian.Uint64(rec[2:]))}
+			d.maxNode = max(d.maxNode, int(rec[0]))
+			d.count++
+			used += recordBytes
+		}
+		if final && n < len(out) && used < len(b) {
+			return n, used, fmt.Errorf("trace: torn v1 file: partial trailing record")
+		}
+		return n, used, nil
 	}
-	addr := last[node] + uint64(unzigzag(u))
-	last[node] = addr
-	return mem.Access{Node: node, Kind: kind, Addr: mem.Addr(addr)}, 1 + n, nil
+	maxNode := d.maxNode
+	for ; n < len(out) && used < len(b); n++ {
+		if len(b)-used < maxRecordBytes && !final {
+			break // the record may straddle the chunk boundary
+		}
+		ctrl := b[used]
+		if ctrl&3 > byte(mem.Store) {
+			return n, used, fmt.Errorf("trace: record %d: invalid kind %d", d.count+uint64(n), ctrl&3)
+		}
+		// A whole record is buffered: the varint's first 8 bytes are
+		// loadable, and only a longer varint takes binary.Uvarint.
+		var u uint64
+		k := 0
+		if len(b)-used >= maxRecordBytes {
+			u, k = uvarint8(binary.LittleEndian.Uint64(b[used+1:]))
+		}
+		if k == 0 {
+			if u, k = binary.Uvarint(b[used+1:]); k <= 0 {
+				return n, used, fmt.Errorf("trace: record %d: truncated or oversized address varint", d.count+uint64(n))
+			}
+		}
+		node := int(ctrl >> 2)
+		addr := d.last[node] + uint64(unzigzag(u))
+		d.last[node] = addr
+		out[n] = mem.Access{Node: node, Kind: mem.Kind(ctrl & 3), Addr: mem.Addr(addr)}
+		maxNode = max(maxNode, node)
+		used += 1 + k
+	}
+	d.count += uint64(n)
+	d.maxNode = maxNode
+	return n, used, nil
 }
 
 // parseFooter validates a v2 trailer and returns its fields.
@@ -209,9 +245,9 @@ type Reader struct {
 
 // ReadTrace loads an entire trace (either format version) into memory.
 // v2 payloads are CRC-checked; a missing or malformed footer, a record
-// count that does not match, or trailing bytes all reject the file —
-// the torn-write guarantees the chunked FileReader gets from ingest
-// validation hold here directly.
+// count or max node that does not match, or trailing bytes all reject
+// the file — the torn-write guarantees the chunked FileReader gets from
+// ingest validation hold here directly.
 func ReadTrace(r io.Reader) (*Reader, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -220,69 +256,54 @@ func ReadTrace(r io.Reader) (*Reader, error) {
 	if len(data) < headerBytes {
 		return nil, fmt.Errorf("trace: short file (%d bytes)", len(data))
 	}
+	var (
+		d       decoder
+		body    = data[headerBytes:]
+		count   uint64
+		maxNode int
+	)
 	switch {
 	case string(data[:headerBytes]) == string(traceMagic[:]):
-		return readV1(data[headerBytes:])
+		d.version = 1
+		if len(body)%recordBytes != 0 {
+			return nil, fmt.Errorf("trace: torn v1 file: %d trailing bytes after the last whole record", len(body)%recordBytes)
+		}
+		count = uint64(len(body) / recordBytes)
 	case string(data[:headerBytes]) == string(traceMagicV2[:]):
-		return readV2(data[headerBytes:])
+		d.version = 2
+		if len(body) < footerBytes {
+			return nil, fmt.Errorf("trace: missing footer (file is torn, truncated or not a trace)")
+		}
+		var crc uint32
+		count, maxNode, crc, err = parseFooter(body[len(body)-footerBytes:])
+		if err != nil {
+			return nil, err
+		}
+		body = body[:len(body)-footerBytes]
+		if got := crc32.ChecksumIEEE(body); got != crc {
+			return nil, fmt.Errorf("trace: body CRC mismatch (got %08x, footer says %08x)", got, crc)
+		}
+		// Every v2 record takes at least 2 bytes; this bounds the
+		// allocation below by the file size.
+		if count > uint64(len(body)/2) {
+			return nil, fmt.Errorf("trace: footer claims %d records in a %d-byte body", count, len(body))
+		}
 	default:
 		return nil, fmt.Errorf("trace: bad magic %q", data[:headerBytes])
-	}
-}
-
-func readV1(body []byte) (*Reader, error) {
-	if len(body)%recordBytes != 0 {
-		return nil, fmt.Errorf("trace: torn v1 file: %d trailing bytes after the last whole record", len(body)%recordBytes)
-	}
-	out := &Reader{records: make([]mem.Access, 0, len(body)/recordBytes)}
-	for off := 0; off < len(body); off += recordBytes {
-		rec := body[off : off+recordBytes]
-		kind := mem.Kind(rec[1])
-		if kind > mem.Store {
-			return nil, fmt.Errorf("trace: record %d has invalid kind %d", len(out.records), rec[1])
-		}
-		out.records = append(out.records, mem.Access{
-			Node: int(rec[0]),
-			Kind: kind,
-			Addr: mem.Addr(binary.LittleEndian.Uint64(rec[2:])),
-		})
-	}
-	if len(out.records) == 0 {
-		return nil, fmt.Errorf("trace: empty trace")
-	}
-	return out, nil
-}
-
-func readV2(rest []byte) (*Reader, error) {
-	if len(rest) < footerBytes {
-		return nil, fmt.Errorf("trace: missing footer (file is torn, truncated or not a trace)")
-	}
-	body := rest[:len(rest)-footerBytes]
-	count, maxNode, crc, err := parseFooter(rest[len(rest)-footerBytes:])
-	if err != nil {
-		return nil, err
 	}
 	if count == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
 	}
-	if got := crc32.ChecksumIEEE(body); got != crc {
-		return nil, fmt.Errorf("trace: body CRC mismatch (got %08x, footer says %08x)", got, crc)
+	out := &Reader{records: make([]mem.Access, count)}
+	n, used, err := d.decode(out.records, body, true)
+	if err != nil {
+		return nil, err
 	}
-	out := &Reader{records: make([]mem.Access, 0, count)}
-	var last [MaxTraceNodes]uint64
-	for off := 0; off < len(body); {
-		a, n, err := decodeV2(body[off:], &last)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", len(out.records), err)
-		}
-		if a.Node > maxNode {
-			return nil, fmt.Errorf("trace: record %d uses node %d but footer says max %d", len(out.records), a.Node, maxNode)
-		}
-		out.records = append(out.records, a)
-		off += n
+	if uint64(n) != count || used != len(body) {
+		return nil, fmt.Errorf("trace: body does not hold exactly the footer's %d records", count)
 	}
-	if uint64(len(out.records)) != count {
-		return nil, fmt.Errorf("trace: decoded %d records but footer says %d", len(out.records), count)
+	if d.version == 2 && d.maxNode != maxNode {
+		return nil, fmt.Errorf("trace: max node %d does not match footer's %d", d.maxNode, maxNode)
 	}
 	return out, nil
 }
@@ -359,13 +380,10 @@ func Validate(src io.ReaderAt, size int64) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	var (
-		crc     uint32
-		maxNode int
-		count   uint64
-		last    [MaxTraceNodes]uint64
-	)
+	var crc uint32
+	d := decoder{version: fr.version}
 	buf := make([]byte, fileChunkBytes)
+	out := make([]mem.Access, 1024)
 	tail := 0 // undecoded bytes carried from the previous chunk
 	for off := int64(0); off < fr.bodyLen; {
 		want := int64(len(buf) - tail)
@@ -376,64 +394,33 @@ func Validate(src io.ReaderAt, size int64) (Summary, error) {
 		if n != int(want) {
 			return Summary{}, fmt.Errorf("trace: reading body at %d: %w", off, err)
 		}
-		if fr.version == 2 {
-			crc = crc32.Update(crc, crc32.IEEETable, buf[tail:tail+n])
-		}
+		crc = crc32.Update(crc, crc32.IEEETable, buf[tail:tail+n])
 		off += int64(n)
-		avail := tail + n
-		pos := 0
+		avail, pos := tail+n, 0
 		for {
-			if avail-pos < maxRecordBytes && off < fr.bodyLen {
-				break // record may straddle the chunk boundary; refill
+			k, used, err := d.decode(out, buf[pos:avail], off == fr.bodyLen)
+			if err != nil {
+				return Summary{}, err
 			}
-			if pos == avail {
+			pos += used
+			if k < len(out) {
 				break
 			}
-			var a mem.Access
-			var rn int
-			if fr.version == 1 {
-				if avail-pos < recordBytes {
-					return Summary{}, fmt.Errorf("trace: torn v1 file: partial trailing record")
-				}
-				rec := buf[pos : pos+recordBytes]
-				kind := mem.Kind(rec[1])
-				if kind > mem.Store {
-					return Summary{}, fmt.Errorf("trace: record %d has invalid kind %d", count, rec[1])
-				}
-				a = mem.Access{Node: int(rec[0])}
-				a.Kind = kind
-				rn = recordBytes
-			} else {
-				var derr error
-				a, rn, derr = decodeV2(buf[pos:avail], &last)
-				if derr != nil {
-					return Summary{}, fmt.Errorf("trace: record %d: %w", count, derr)
-				}
-			}
-			pos += rn
-			count++
-			if a.Node > maxNode {
-				maxNode = a.Node
-			}
 		}
-		copy(buf, buf[pos:avail])
-		tail = avail - pos
+		tail = copy(buf, buf[pos:avail])
 	}
-	if tail != 0 {
-		return Summary{}, fmt.Errorf("trace: %d trailing bytes after the last whole record", tail)
-	}
-	if count != fr.count {
-		return Summary{}, fmt.Errorf("trace: decoded %d records but expected %d", count, fr.count)
+	if d.count != fr.count {
+		return Summary{}, fmt.Errorf("trace: decoded %d records but expected %d", d.count, fr.count)
 	}
 	if fr.version == 2 {
 		if crc != fr.crc {
 			return Summary{}, fmt.Errorf("trace: body CRC mismatch (got %08x, footer says %08x)", crc, fr.crc)
 		}
-		if maxNode != fr.maxNode {
-			return Summary{}, fmt.Errorf("trace: max node %d does not match footer's %d", maxNode, fr.maxNode)
+		if d.maxNode != fr.maxNode {
+			return Summary{}, fmt.Errorf("trace: max node %d does not match footer's %d", d.maxNode, fr.maxNode)
 		}
 	}
-	return Summary{Version: fr.version, Count: count, MaxNode: maxNode}, nil
+	return Summary{Version: fr.version, Count: d.count, MaxNode: d.maxNode}, nil
 }
 
 // fileChunkBytes is FileReader's read granularity. It bounds the
@@ -461,9 +448,8 @@ type FileReader struct {
 	// exhaustion, for warmup+measure windows longer than the trace.
 	Loop bool
 
-	pos  int64  // body offset of the next undecoded byte
-	read uint64 // records decoded this pass
-	last [MaxTraceNodes]uint64
+	pos int64   // body offset of the next undecoded byte
+	dec decoder // this pass's decoder state
 
 	buf    []byte
 	bufPos int // next undecoded byte within buf
@@ -513,6 +499,7 @@ func NewFileReader(src io.ReaderAt, size int64) (*FileReader, error) {
 	if fr.count == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
 	}
+	fr.dec.version = fr.version
 	return fr, nil
 }
 
@@ -528,8 +515,8 @@ func (fr *FileReader) Version() int { return fr.version }
 
 // rewind restarts the replay from record zero.
 func (fr *FileReader) rewind() {
-	fr.pos, fr.read = 0, 0
-	fr.last = [MaxTraceNodes]uint64{}
+	fr.pos = 0
+	fr.dec = decoder{version: fr.version}
 	fr.bufPos, fr.bufLen = 0, 0
 }
 
@@ -563,41 +550,28 @@ func (fr *FileReader) refill() {
 func (fr *FileReader) Fill(out []mem.Access) int {
 	i := 0
 	for i < len(out) {
-		if fr.read == fr.count {
+		if fr.dec.count == fr.count {
 			if !fr.Loop {
 				return i
 			}
 			fr.rewind()
 		}
-		if avail := fr.bufLen - fr.bufPos; avail < maxRecordBytes && int64(avail) < fr.bodyLen-fr.pos {
+		buffered := int64(fr.bufLen - fr.bufPos)
+		if buffered < maxRecordBytes && buffered < fr.bodyLen-fr.pos {
 			fr.refill()
+			buffered = int64(fr.bufLen - fr.bufPos)
 		}
-		var a mem.Access
-		var n int
-		if fr.version == 1 {
-			rec := fr.buf[fr.bufPos : fr.bufPos+recordBytes]
-			kind := mem.Kind(rec[1])
-			if kind > mem.Store {
-				panic(fmt.Sprintf("trace: record %d has invalid kind %d", fr.read, rec[1]))
-			}
-			a = mem.Access{
-				Node: int(rec[0]),
-				Kind: kind,
-				Addr: mem.Addr(binary.LittleEndian.Uint64(rec[2:])),
-			}
-			n = recordBytes
-		} else {
-			var err error
-			a, n, err = decodeV2(fr.buf[fr.bufPos:fr.bufLen], &fr.last)
-			if err != nil {
-				panic(fmt.Sprintf("trace: record %d: %v", fr.read, err))
-			}
+		want := min(uint64(len(out)-i), fr.count-fr.dec.count)
+		n, used, err := fr.dec.decode(out[i:i+int(want)], fr.buf[fr.bufPos:fr.bufLen], buffered == fr.bodyLen-fr.pos)
+		if err != nil {
+			panic(err.Error())
 		}
-		fr.bufPos += n
-		fr.pos += int64(n)
-		fr.read++
-		out[i] = a
-		i++
+		if n == 0 {
+			panic(fmt.Sprintf("trace: body ends after %d of %d records", fr.dec.count, fr.count))
+		}
+		fr.bufPos += used
+		fr.pos += int64(used)
+		i += n
 	}
 	return i
 }

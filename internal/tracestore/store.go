@@ -6,6 +6,19 @@
 // out to every shard. Every ingest fully validates the file (structure
 // and, for v2, the footer CRC) before it becomes visible, so replay
 // paths can assume stored traces are sound.
+//
+// A failed ingest, a full disk included, leaves the store as it was.
+// The upload is spooled to a ".ingest-*" temporary file that Put removes
+// on every path, so a spool copy that fails part-way (ENOSPC) leaves no
+// file. The trace only becomes "<id>.trc" by an atomic rename after it
+// validates; if the "<id>.json" sidecar written next cannot be written
+// in full, Put removes both files before returning the error, so the
+// trace is neither listed now nor reloaded by Open later. The index is
+// updated last, so List, Get and replays of earlier traces never see a
+// failed ingest, and the next Put, once space is freed, starts afresh.
+// A process killed between the rename and the sidecar leaves an
+// unlisted "<id>.trc" (Open loads only traces with a sidecar); the next
+// upload of the same bytes renames over it.
 package tracestore
 
 import (
@@ -57,6 +70,11 @@ type Store struct {
 	// open for the store's lifetime: FileReader clones taken for warm
 	// snapshots read through them long after the run that opened them.
 	files map[string]*os.File
+
+	// Fault-injection seams, set by Open to the real operations: spool
+	// wraps the upload's temporary file, writeFile writes the sidecar.
+	spool     func(*os.File) io.Writer
+	writeFile func(name string, data []byte, perm os.FileMode) error
 }
 
 // Open returns a store over dir, creating it if needed and loading the
@@ -65,7 +83,13 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tracestore: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, infos: make(map[string]Info), files: make(map[string]*os.File)}
+	s := &Store{
+		dir:       dir,
+		infos:     make(map[string]Info),
+		files:     make(map[string]*os.File),
+		spool:     func(f *os.File) io.Writer { return f },
+		writeFile: os.WriteFile,
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: reading %s: %w", dir, err)
@@ -111,7 +135,7 @@ func (s *Store) Put(r io.Reader, name string) (Info, error) {
 	defer tmp.Close()
 
 	h := sha256.New()
-	size, err := io.Copy(tmp, io.TeeReader(r, h))
+	size, err := io.Copy(s.spool(tmp), io.TeeReader(r, h))
 	if err != nil {
 		return Info{}, fmt.Errorf("tracestore: spooling upload: %w", err)
 	}
@@ -142,10 +166,12 @@ func (s *Store) Put(r io.Reader, name string) (Info, error) {
 		return Info{}, fmt.Errorf("tracestore: storing trace: %w", err)
 	}
 	side, err := json.MarshalIndent(info, "", "  ")
+	sidecar := filepath.Join(s.dir, id+".json")
 	if err == nil {
-		err = os.WriteFile(filepath.Join(s.dir, id+".json"), append(side, '\n'), 0o644)
+		err = s.writeFile(sidecar, append(side, '\n'), 0o644)
 	}
 	if err != nil {
+		os.Remove(sidecar)
 		os.Remove(s.path(id))
 		return Info{}, fmt.Errorf("tracestore: writing sidecar: %w", err)
 	}

@@ -2,9 +2,13 @@ package tracestore
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"d2m/internal/mem"
@@ -194,5 +198,105 @@ func TestOpenReloadsSidecars(t *testing.T) {
 	}
 	if _, ok := s3.Get(info.ID); ok {
 		t.Error("orphaned sidecar loaded")
+	}
+}
+
+// fullDisk accepts limit bytes, then fails every write with ENOSPC.
+type fullDisk struct {
+	w     io.Writer
+	limit int
+}
+
+func (d *fullDisk) Write(p []byte) (int, error) {
+	if len(p) <= d.limit {
+		d.limit -= len(p)
+		return d.w.Write(p)
+	}
+	n, _ := d.w.Write(p[:d.limit])
+	d.limit = 0
+	return n, syscall.ENOSPC
+}
+
+// TestPutDiskFull injects ENOSPC into the spool copy and into the
+// sidecar write. Each failed Put must return the error, leave no spool
+// file and no trace file, change neither List nor Get, keep earlier
+// traces replayable, and let the next Put succeed.
+func TestPutDiskFull(t *testing.T) {
+	for _, point := range []string{"spool", "sidecar"} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			earlierAccs := sampleAccesses(300)
+			earlier, err := s.Put(bytes.NewReader(encodeV2(t, earlierAccs)), "earlier")
+			if err != nil {
+				t.Fatal(err)
+			}
+			list := s.List()
+
+			switch point {
+			case "spool":
+				s.spool = func(f *os.File) io.Writer { return &fullDisk{w: f, limit: 100} }
+			case "sidecar":
+				s.writeFile = func(name string, data []byte, perm os.FileMode) error {
+					f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+					if err != nil {
+						return err
+					}
+					defer f.Close()
+					_, err = (&fullDisk{w: f, limit: len(data) / 2}).Write(data)
+					return err
+				}
+			}
+			enc := encodeV2(t, sampleAccesses(2000))
+			if _, err := s.Put(bytes.NewReader(enc), "new"); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("Put on a full disk = %v, want ENOSPC", err)
+			}
+
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if name := e.Name(); name != earlier.ID+".trc" && name != earlier.ID+".json" {
+					t.Errorf("failed Put left %s behind", name)
+				}
+			}
+			if got := s.List(); !reflect.DeepEqual(got, list) {
+				t.Errorf("List after failed Put = %+v, want %+v", got, list)
+			}
+			if got, ok := s.Get(earlier.ID); !ok || got != earlier {
+				t.Errorf("Get(%s) = %+v, %v", earlier.ID, got, ok)
+			}
+			fr, _, err := s.OpenReader(earlier.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]mem.Access, len(earlierAccs)+1)
+			if n := fr.Fill(got); n != len(earlierAccs) || !reflect.DeepEqual(got[:n], earlierAccs) {
+				t.Errorf("earlier trace replayed %d records, not the %d stored", n, len(earlierAccs))
+			}
+
+			// Space is back: the same upload now succeeds and survives a
+			// reopen.
+			s.spool = func(f *os.File) io.Writer { return f }
+			s.writeFile = os.WriteFile
+			info, err := s.Put(bytes.NewReader(enc), "new")
+			if err != nil {
+				t.Fatalf("Put after the disk recovered: %v", err)
+			}
+			if info.Accesses != 2000 || len(s.List()) != 2 {
+				t.Errorf("Put after recovery = %+v, List has %d", info, len(s.List()))
+			}
+			reopened, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reopened.List(); len(got) != 2 {
+				t.Errorf("reopened store lists %d traces, want 2", len(got))
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"d2m/internal/baseline"
 	"d2m/internal/core"
 	"d2m/internal/energy"
+	"d2m/internal/mem"
 	"d2m/internal/noc"
 	"d2m/internal/sim"
 	"d2m/internal/trace"
@@ -662,10 +663,15 @@ func RecordTrace(bench string, nodes, accesses int, w io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < accesses; i++ {
-		if err := fw.Append(src.Next()); err != nil {
-			return i, err
+	buf := make([]mem.Access, sim.BlockAccesses)
+	for done := 0; done < accesses; {
+		k := src.Fill(buf[:min(len(buf), accesses-done)])
+		for j, a := range buf[:k] {
+			if err := fw.Append(a); err != nil {
+				return done + j, err
+			}
 		}
+		done += k
 	}
 	return accesses, fw.Close()
 }

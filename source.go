@@ -130,7 +130,9 @@ func specStreams(sp *workloads.Spec, opt Options) []trace.Stream {
 
 // namedStream resolves a named source for the stream tools (RecordTrace,
 // AnalyzeBenchmark), which take an explicit node count and no machine.
-func namedStream(bench string, nodes int) (trace.Stream, error) {
+// Every named source is an Interleaver or a FileReader, so it delivers
+// blocks.
+func namedStream(bench string, nodes int) (trace.BlockStream, error) {
 	if nodes < 1 || nodes > 8 {
 		return nil, fmt.Errorf("d2m: nodes = %d out of range 1..8", nodes)
 	}
@@ -139,7 +141,7 @@ func namedStream(bench string, nodes int) (trace.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return src.stream(opt), nil
+	return src.stream(opt).(trace.BlockStream), nil
 }
 
 // SuiteOf returns the suite of a benchmark name: the catalog suite,

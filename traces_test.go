@@ -9,6 +9,8 @@ package d2m
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -101,6 +103,33 @@ func TestTraceBenchmarkRun(t *testing.T) {
 	}
 	if _, ok := TracePath(info.ID); !ok {
 		t.Error("TracePath of stored trace failed")
+	}
+}
+
+// TestRecordTraceGolden pins the SHA-256 of RecordTrace's output for a
+// catalog, a kernel and a stored-trace source. Trace ids are hashes of
+// these bytes, so any change to the encoder or to how RecordTrace draws
+// the stream that alters a byte fails here.
+func TestRecordTraceGolden(t *testing.T) {
+	setTraceLib(t)
+	// A 30k-access capture replayed for 100k accesses wraps the stored
+	// trace three times.
+	info, err := ImportTrace(bytes.NewReader(recordBench(t, "tpc-c", 2, 30_000)), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.ID != "addfce3ef5a23089" {
+		t.Errorf("capture id = %s, want addfce3ef5a23089", info.ID)
+	}
+	for _, c := range []struct{ bench, want string }{
+		{"tpc-c", "726238596b901268932b4e9771ab60958aede087a9e8f55ca5c7170b9cdedb21"},
+		{KernelPrefix + "spmv", "23c0c41e48635fa71dbabb2124e6c7fb18c778e943092c7a267c17c0a28a87b9"},
+		{TracePrefix + info.ID, "d1ebfba5e4493acff0cb30638f20956f9282cdbfe3465659ef7b229dc7bc71a7"},
+	} {
+		sum := sha256.Sum256(recordBench(t, c.bench, 2, 100_000))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("RecordTrace(%s) digest = %s, want %s", c.bench, got, c.want)
+		}
 	}
 }
 
