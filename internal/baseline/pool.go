@@ -5,6 +5,8 @@ import "d2m/internal/cache"
 // Array pools behind NewSystem/Release, mirroring the core package:
 // the per-cache state arrays and the LLC directory are nearly all of a
 // cold job's allocated bytes, so recycling them keeps GC load flat.
+// Release clears each array through its table's write log before the
+// table goes back (cache.ArrayPool.PutWritten).
 var (
 	stateArrays cache.ArrayPool[state]
 	boolArrays  cache.ArrayPool[bool]
@@ -31,7 +33,7 @@ func (s *System) Release() {
 		}
 		n.tlb, n.tlb2 = nil, nil
 	}
+	dirArrays.PutWritten(s.llc, s.dir)
 	cache.PutTable(s.llc)
-	dirArrays.Put(s.dir)
 	s.nodes, s.llc, s.dir = nil, nil, nil
 }

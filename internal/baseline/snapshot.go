@@ -7,24 +7,27 @@ import (
 	"d2m/internal/cache"
 )
 
-// Warm-state snapshots, mirroring the core package's: a deep copy of
+// Warm-state snapshots, mirroring the core package's: a copy of
 // everything that survives ResetMeasurement — the TLBs, the tagged
 // cache levels with their MESI state and dirty bits, and the LLC with
-// its directory. Statistics and energy counters are zeroed at the
-// warmup boundary on both the fresh and the restored path, so they are
-// not captured. The coherence oracle's version maps are debug-only and
-// unsupported (Snapshot panics when the oracle is on).
+// its directory. Tables are captured sparsely (cache.TableSnapshot)
+// with their payloads gathered at the captured slots, so the snapshot
+// follows what the warmup wrote, not the hierarchy's capacity.
+// Statistics and energy counters are zeroed at the warmup boundary on
+// both the fresh and the restored path, so they are not captured. The
+// coherence oracle's version maps are debug-only and unsupported
+// (Snapshot panics when the oracle is on).
 
 // cacheSnap is the frozen state of one tagged node-cache level.
 type cacheSnap struct {
-	tbl   *cache.Table
-	state []state
+	tbl   *cache.TableSnapshot
+	state []state // parallel to tbl's captured slots
 	dirty []bool
 }
 
 // nodeSnap is the frozen state of one node's private hierarchy.
 type nodeSnap struct {
-	tlb, tlb2    *cache.Table
+	tlb, tlb2    *cache.TableSnapshot
 	l1i, l1d, l2 *cacheSnap
 }
 
@@ -33,28 +36,26 @@ type nodeSnap struct {
 type Snapshot struct {
 	cfg   Config
 	nodes []nodeSnap
-	llc   *cache.Table
-	dir   []dirEntry
+	llc   *cache.TableSnapshot
+	dir   []dirEntry // parallel to llc's captured slots
 	bytes int64
 }
 
 const dirEntrySize = int64(unsafe.Sizeof(dirEntry{}))
 
 func (c *nodeCache) snapshot() *cacheSnap {
-	cs := &cacheSnap{
-		tbl:   c.tbl.Clone(),
-		state: make([]state, len(c.state)),
-		dirty: make([]bool, len(c.dirty)),
+	tbl := c.tbl.Snapshot()
+	return &cacheSnap{
+		tbl:   tbl,
+		state: cache.Gather(tbl, c.state),
+		dirty: cache.Gather(tbl, c.dirty),
 	}
-	copy(cs.state, c.state)
-	copy(cs.dirty, c.dirty)
-	return cs
 }
 
 func (c *nodeCache) restore(cs *cacheSnap) {
-	c.tbl.CopyFrom(cs.tbl)
-	copy(c.state, cs.state)
-	copy(c.dirty, cs.dirty)
+	c.tbl.Restore(cs.tbl)
+	cache.Scatter(cs.tbl, c.state, cs.state)
+	cache.Scatter(cs.tbl, c.dirty, cs.dirty)
 }
 
 func (cs *cacheSnap) sizeBytes() int64 {
@@ -70,14 +71,13 @@ func (s *System) Snapshot() *Snapshot {
 	sn := &Snapshot{
 		cfg:   s.cfg,
 		nodes: make([]nodeSnap, len(s.nodes)),
-		llc:   s.llc.Clone(),
-		dir:   make([]dirEntry, len(s.dir)),
+		llc:   s.llc.Snapshot(),
 	}
-	copy(sn.dir, s.dir)
+	sn.dir = cache.Gather(sn.llc, s.dir)
 	for i, n := range s.nodes {
 		ns := &sn.nodes[i]
-		ns.tlb = n.tlb.Clone()
-		ns.tlb2 = n.tlb2.Clone()
+		ns.tlb = n.tlb.Snapshot()
+		ns.tlb2 = n.tlb2.Snapshot()
 		ns.l1i = n.l1i.snapshot()
 		ns.l1d = n.l1d.snapshot()
 		if n.l2 != nil {
@@ -90,17 +90,18 @@ func (s *System) Snapshot() *Snapshot {
 
 // RestoreInto overwrites dst (a freshly constructed System of the same
 // configuration) with the snapshot's state. Multiple goroutines may
-// restore from one snapshot concurrently.
+// restore from one snapshot concurrently. It panics when dst has
+// already run: its tables' write logs must be empty.
 func (sn *Snapshot) RestoreInto(dst *System) {
 	if dst.cfg != sn.cfg {
 		panic(fmt.Sprintf("baseline: snapshot restore config mismatch: %+v vs %+v", dst.cfg, sn.cfg))
 	}
-	dst.llc.CopyFrom(sn.llc)
-	copy(dst.dir, sn.dir)
+	dst.llc.Restore(sn.llc)
+	cache.Scatter(sn.llc, dst.dir, sn.dir)
 	for i, n := range dst.nodes {
 		ns := &sn.nodes[i]
-		n.tlb.CopyFrom(ns.tlb)
-		n.tlb2.CopyFrom(ns.tlb2)
+		n.tlb.Restore(ns.tlb)
+		n.tlb2.Restore(ns.tlb2)
 		n.l1i.restore(ns.l1i)
 		n.l1d.restore(ns.l1d)
 		if n.l2 != nil {

@@ -53,9 +53,9 @@ func newNodeCache(name string, sets, ways int) *nodeCache {
 // release returns the cache's backing arrays to the pools for reuse by
 // a later newNodeCache. The cache must not be used afterwards.
 func (c *nodeCache) release() {
+	stateArrays.PutWritten(c.tbl, c.state)
+	boolArrays.PutWritten(c.tbl, c.dirty)
 	cache.PutTable(c.tbl)
-	stateArrays.Put(c.state)
-	boolArrays.Put(c.dirty)
 	c.tbl, c.state, c.dirty = nil, nil, nil
 }
 
@@ -99,7 +99,6 @@ type System struct {
 	nodes []*node
 	llc   *cache.Table
 	dir   []dirEntry
-	llcD  []bool // LLC line dirty (separate from dir for clarity)
 
 	fab   *noc.Fabric
 	meter *energy.Meter

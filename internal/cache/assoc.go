@@ -15,12 +15,27 @@ import "fmt"
 // slot and 0 for an invalid one, so a probe reads one array. The encoding
 // reserves the key ^uint64(0), which Put rejects; no caller can produce it,
 // since every key is a line, region or page number of a 64-bit address.
+//
+// The table also keeps a write log: the flat index of every slot whose
+// LRU stamp left zero since the last Reset, in write order (a slot
+// invalidated and written again appears again). Every slot with a
+// non-zero key or stamp passed through Touch (Put calls it) or Restore,
+// so the log names every slot a Reset must clear, and the caller-side
+// payload arrays parallel to the table are written at those slots only.
+// The log holds a fixed fraction of the slots; once it is full, later
+// writes go unlogged and Reset falls back to clearing the whole arrays.
 type Table struct {
 	sets, ways int
 	keys       []uint64 // key+1 per valid slot; 0 marks an invalid slot
 	stamp      []uint64 // per-slot LRU stamp; larger = more recent
 	clock      uint64
+
+	written []int32 // the write log; its capacity is the log size
+	pooled  bool    // released by PutTable and not yet handed out again
 }
+
+// logFraction sizes the write log: one entry per logFraction slots.
+const logFraction = 8
 
 // NewTable returns a table with the given geometry. Both dimensions must
 // be positive and sets must be a power of two (hardware indexing).
@@ -33,10 +48,11 @@ func NewTable(sets, ways int) *Table {
 	}
 	n := sets * ways
 	return &Table{
-		sets:  sets,
-		ways:  ways,
-		keys:  make([]uint64, n),
-		stamp: make([]uint64, n),
+		sets:    sets,
+		ways:    ways,
+		keys:    make([]uint64, n),
+		stamp:   make([]uint64, n),
+		written: make([]int32, 0, n/logFraction),
 	}
 }
 
@@ -45,6 +61,11 @@ func (t *Table) Sets() int { return t.sets }
 
 // Ways returns the associativity.
 func (t *Table) Ways() int { return t.ways }
+
+// Overflowed reports whether the write log filled up since the last
+// Reset, so that writes may have gone unlogged; Reset then clears the
+// whole arrays.
+func (t *Table) Overflowed() bool { return len(t.written) == cap(t.written) }
 
 // SetFor returns the set index for key using the conventional modulo
 // mapping. Callers applying dynamic indexing XOR a per-region scramble
@@ -78,14 +99,15 @@ func (t *Table) Lookup(set int, key uint64) (way int, ok bool) {
 }
 
 // Touch marks (set, way) most recently used.
-func (t *Table) Touch(set, way int) {
-	t.clock++
-	t.stamp[set*t.ways+way] = t.clock
-}
+func (t *Table) Touch(set, way int) { t.TouchSlot(set*t.ways + way) }
 
 // TouchSlot is Touch addressed by flat slot index (Index(set, way)),
 // for callers that already computed the index for their own payloads.
+// A slot whose stamp leaves zero is logged while the log has room.
 func (t *Table) TouchSlot(i int) {
+	if t.stamp[i] == 0 && len(t.written) < cap(t.written) {
+		t.written = append(t.written, int32(i))
+	}
 	t.clock++
 	t.stamp[i] = t.clock
 }

@@ -85,12 +85,16 @@ func fuzzKey(b byte) uint64 {
 }
 
 // FuzzTable drives random Put/Lookup/Invalidate/Touch/victim-selection
-// sequences (plus Clone and Reset) against tableModel, checking every
-// slot's key, validity and stamp after each operation. Put of the
-// reserved key ^uint64(0) must panic and leave the table unchanged.
+// sequences (plus sparse snapshot round trips and Reset) against
+// tableModel, checking every slot's key, validity and stamp and the
+// write log after each operation. Put of the reserved key ^uint64(0)
+// must panic and leave the table unchanged. The fuzzed geometries hold
+// at most 20 slots, so their write logs (one entry per 8 slots) are
+// small and overflow quickly: both the logged and the overflowed paths
+// of Reset and Snapshot run.
 func FuzzTable(f *testing.F) {
 	f.Add(byte(0), []byte{})
-	f.Add(byte(5), []byte{0x00, 0x01, 0x10, 0x02, 0x09, 0x11, 0x03, 0x00, 0x12, 0x04, 0x21, 0x00})
+	f.Add(byte(5), []byte{0x00, 0x01, 0x14, 0x02, 0x0b, 0x11, 0x03, 0x00, 0x16, 0x04, 0x01, 0x00})
 	f.Add(byte(14), []byte{0x00, 0x02, 0x00, 0x0a, 0x01, 0x01, 0x05, 0x00, 0x06, 0x00, 0x07, 0x33})
 	f.Fuzz(func(t *testing.T, geom byte, ops []byte) {
 		sets, ways := 1<<(geom%3), 1+int(geom>>2)%5
@@ -107,7 +111,7 @@ func FuzzTable(f *testing.F) {
 		for step := 0; len(ops) > 0; step++ {
 			op, arg := next(), next()
 			set, way, key := int(op>>3)%sets, int(arg)%ways, fuzzKey(arg)
-			switch op % 8 {
+			switch op % 10 {
 			case 0, 1: // Put
 				if key == ^uint64(0) {
 					func() {
@@ -150,25 +154,58 @@ func FuzzTable(f *testing.F) {
 					t.Fatalf("step %d: VictimWayScoredIn(%d, %d) = %d, want %d", step, set, active, got, want)
 				}
 			case 6: // continue on a snapshot copy
-				if arg&1 == 0 {
-					tb = tb.Clone()
-				} else {
-					cp := NewTable(sets, ways)
-					cp.CopyFrom(tb)
-					tb = cp
+				cp := NewTable(sets, ways)
+				if arg&1 != 0 {
+					// A recycled table: written, then Reset.
+					cp.Put(0, 0, 7)
+					cp.Reset()
 				}
+				cp.Restore(tb.Snapshot())
+				tb = cp
 			case 7: // Reset
 				tb.Reset()
 				m.keys, m.stamps, m.clock = map[int]uint64{}, map[int]uint64{}, 0
+				checkPristine(t, step, tb)
+			case 8: // sparse capture, restore into a fresh table, compare
+				cp := NewTable(sets, ways)
+				cp.Restore(tb.Snapshot())
+				checkSame(t, step, cp, tb)
+				if key == ^uint64(0) {
+					key = 0
+				}
+				tb.Put(set, way, key)
+				cp.Put(set, way, key)
+				if got, want := cp.StampAt(cp.Index(set, way)), tb.StampAt(tb.Index(set, way)); got != want {
+					t.Fatalf("step %d: restored table's next Put stamped %d, source %d", step, got, want)
+				}
+				m.keys[set*ways+way] = key
+				m.touch(set*ways + way)
+				tb = cp
+			case 9: // overflow the write log, then Reset
+				for i := 0; i < sets*ways; i++ {
+					if arg&1 == 0 {
+						tb.TouchSlot(i)
+					} else {
+						tb.Put(i/ways, i%ways, uint64(i))
+					}
+				}
+				if !tb.Overflowed() {
+					t.Fatalf("step %d: writing all %d slots left the %d-entry log open", step, sets*ways, cap(tb.written))
+				}
+				tb.Reset()
+				m.keys, m.stamps, m.clock = map[int]uint64{}, map[int]uint64{}, 0
+				checkPristine(t, step, tb)
 			}
 			checkTable(t, step, tb, m)
 		}
 	})
 }
 
-// checkTable compares every observable of tb against the model.
+// checkTable compares every observable of tb against the model, and
+// checks that the write log names every slot holding a key or a stamp.
 func checkTable(t *testing.T, step int, tb *Table, m *tableModel) {
 	t.Helper()
+	checkLog(t, step, tb)
 	visited := 0
 	tb.ForEach(func(set, way int, key uint64) {
 		visited++
@@ -198,6 +235,56 @@ func checkTable(t *testing.T, step int, tb *Table, m *tableModel) {
 		}
 		if got := tb.CountValid(set); got != n {
 			t.Fatalf("step %d: CountValid(%d) = %d, model %d", step, set, got, n)
+		}
+	}
+}
+
+// checkLog checks the write log's invariant: unless the log filled up,
+// every slot with a non-zero key or stamp is logged.
+func checkLog(t *testing.T, step int, tb *Table) {
+	t.Helper()
+	if len(tb.written) > cap(tb.written) {
+		t.Fatalf("step %d: log grew past its %d entries", step, cap(tb.written))
+	}
+	if tb.Overflowed() {
+		return
+	}
+	inLog := map[int]bool{}
+	for _, i := range tb.written {
+		inLog[int(i)] = true
+	}
+	for i := range tb.keys {
+		if tb.live(i) && !inLog[i] {
+			t.Fatalf("step %d: slot %d holds key %#x stamp %d but is not logged", step, i, tb.keys[i], tb.stamp[i])
+		}
+	}
+}
+
+// checkPristine checks that a Reset table equals a freshly built one,
+// write log included.
+func checkPristine(t *testing.T, step int, tb *Table) {
+	t.Helper()
+	if fresh := NewTable(tb.sets, tb.ways); !reflect.DeepEqual(tb, fresh) {
+		t.Fatalf("step %d: Reset table %+v differs from NewTable %+v", step, tb, fresh)
+	}
+}
+
+// checkSame compares every observable of a restored table against its
+// source: keys, validity, stamps and per-set valid counts.
+func checkSame(t *testing.T, step int, got, want *Table) {
+	t.Helper()
+	for set := 0; set < want.sets; set++ {
+		for w := 0; w < want.ways; w++ {
+			i := want.Index(set, w)
+			gk, gok := got.KeyAt(set, w)
+			wk, wok := want.KeyAt(set, w)
+			if gk != wk || gok != wok || got.StampAt(i) != want.StampAt(i) {
+				t.Fatalf("step %d: restored slot (%d,%d) = %#x,%v stamp %d, source %#x,%v stamp %d",
+					step, set, w, gk, gok, got.StampAt(i), wk, wok, want.StampAt(i))
+			}
+		}
+		if g, w := got.CountValid(set), want.CountValid(set); g != w {
+			t.Fatalf("step %d: restored CountValid(%d) = %d, source %d", step, set, g, w)
 		}
 	}
 }

@@ -6,18 +6,34 @@ import (
 )
 
 // Cold simulations construct and discard an entire cache hierarchy per
-// job — several megabytes of table and payload arrays whose allocation
-// (and the GC cycles it forces) dominates short jobs. The pools below
-// recycle those arrays: a released object is handed back, reset to its
-// pristine zero state, instead of being reallocated. Pooled reuse is
-// exact because every recycled object is byte-identical to a freshly
-// constructed one.
+// job: an 8 MB LLC alone is 131,072 slots of table and payload arrays,
+// whose allocation (and the GC cycles it forces) would dominate short
+// jobs. The pools below recycle those arrays: a released object is
+// handed back in its pristine zero state instead of being reallocated.
+// Pooled reuse is exact because every recycled object is byte-identical
+// to a freshly constructed one.
+//
+// A short run writes a few thousand of those slots, so clearing is paid
+// per slot written, not per slot owned, and by the run that wrote
+// them: each Table logs the slots it wrote (see Table), and at release
+// a payload array parallel to a table is cleared through the table's
+// log (ArrayPool.PutWritten), then PutTable resets the table itself
+// through it. A table whose log overflowed clears its arrays whole,
+// exactly as if there were no log.
 
 // Reset returns the table to its pristine empty state in place,
 // equivalent to a fresh NewTable of the same geometry.
 func (t *Table) Reset() {
-	clear(t.keys)
-	clear(t.stamp)
+	if t.Overflowed() {
+		clear(t.keys)
+		clear(t.stamp)
+	} else {
+		for _, i := range t.written {
+			t.keys[i] = 0
+			t.stamp[i] = 0
+		}
+	}
+	t.written = t.written[:0]
 	t.clock = 0
 }
 
@@ -42,29 +58,44 @@ func GetTable(sets, ways int) *Table {
 	if p, ok := tablePool.Load(geom{sets, ways}); ok {
 		if v := p.(*sync.Pool).Get(); v != nil {
 			t := v.(*Table)
-			t.Reset()
+			t.pooled = false
 			return t
 		}
 	}
 	return NewTable(sets, ways)
 }
 
-// PutTable releases t for reuse by a later GetTable. The caller must
-// not touch t afterwards.
+// PutTable resets t and releases it for reuse by a later GetTable. The
+// caller must not touch t afterwards, and must have released every
+// payload array parallel to t first: ArrayPool.PutWritten reads the
+// write log that the reset empties, so a clear through a released
+// table panics.
 func PutTable(t *Table) {
 	if t == nil {
 		return
 	}
+	if t.pooled {
+		panic("cache: PutTable of a table already released")
+	}
+	t.Reset()
+	t.pooled = true
 	tableBalance.Add(-1)
-	p, _ := tablePool.LoadOrStore(geom{t.sets, t.ways}, &sync.Pool{})
+	// Load before LoadOrStore: LoadOrStore boxes its key and a fresh
+	// Pool on every call, allocations a release should not pay.
+	g := geom{t.sets, t.ways}
+	p, ok := tablePool.Load(g)
+	if !ok {
+		p, _ = tablePool.LoadOrStore(g, &sync.Pool{})
+	}
 	p.(*sync.Pool).Put(t)
 }
 
 // ArrayPool recycles equal-length payload slices (the caller-side
 // arrays that parallel a Table's slots: data-store slots, metadata
-// entry pointers, recency stamps). Get returns a zeroed slice; Put
-// clears the slice before pooling it, so pooled pointer slices do not
-// retain their dead referents.
+// entry pointers, coherence state). Get returns a zeroed slice;
+// PutWritten zeroes the slice through its table's write log before
+// pooling it, so pooled pointer slices do not retain their dead
+// referents.
 type ArrayPool[T any] struct {
 	byLen   sync.Map // int -> *sync.Pool
 	balance atomic.Int64
@@ -81,17 +112,37 @@ func (p *ArrayPool[T]) Get(n int) []T {
 	return make([]T, n)
 }
 
-// Put releases s for reuse by a later Get of the same length. The
-// caller must not touch s afterwards.
-func (p *ArrayPool[T]) Put(s []T) {
+// PutWritten releases s, a payload array parallel to t, for reuse by a
+// later Get of the same length. It zeroes s at every slot t logged
+// since its last Reset (all of s once the log overflowed), so every
+// non-zero element of s must sit at a slot t logged, and it must run
+// before PutTable(t), which empties the log (a clear through a released
+// table panics). The caller must not touch s afterwards.
+func (p *ArrayPool[T]) PutWritten(t *Table, s []T) {
 	if s == nil {
 		return
 	}
+	if len(s) != len(t.keys) {
+		panic("cache: payload length does not match the table")
+	}
+	if t.pooled {
+		panic("cache: payload cleared through a table already released by PutTable")
+	}
+	if t.Overflowed() {
+		clear(s)
+	} else {
+		var zero T
+		for _, i := range t.written {
+			s[i] = zero
+		}
+	}
 	p.balance.Add(-1)
-	clear(s)
-	sp, _ := p.byLen.LoadOrStore(len(s), &sync.Pool{})
+	sp, ok := p.byLen.Load(len(s))
+	if !ok {
+		sp, _ = p.byLen.LoadOrStore(len(s), &sync.Pool{})
+	}
 	sp.(*sync.Pool).Put(s)
 }
 
-// Balance returns outstanding slices: Get calls minus Put calls.
+// Balance returns outstanding slices: Get calls minus PutWritten calls.
 func (p *ArrayPool[T]) Balance() int64 { return p.balance.Load() }

@@ -1,43 +1,121 @@
 package cache
 
-import "unsafe"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Warm-state snapshots freeze a table mid-simulation and later restore
-// it into a pooled table of the same geometry. Clone allocates the copy
-// outside the pools (a snapshot owns its arrays for its whole lifetime
-// and must never be recycled under a concurrent restore); CopyFrom is
-// the restore half, an in-place overwrite equivalent to replaying the
-// exact operation sequence that produced src.
+// it into a freshly built table of the same geometry. A snapshot is
+// sparse: it holds only the slots that carry state (a valid key or a
+// non-zero stamp), found through the write log, so its size and the
+// cost of taking and restoring it follow what the run wrote rather
+// than the table's capacity. Gather and Scatter carry a caller's
+// payload array along at the same slots. A snapshot owns its arrays
+// for its whole lifetime and is never pooled, so it cannot be recycled
+// under a concurrent restore.
 
-// Clone returns an unpooled deep copy of t.
-func (t *Table) Clone() *Table {
-	cp := &Table{
-		sets:  t.sets,
-		ways:  t.ways,
-		keys:  make([]uint64, len(t.keys)),
-		stamp: make([]uint64, len(t.stamp)),
-		clock: t.clock,
-	}
-	copy(cp.keys, t.keys)
-	copy(cp.stamp, t.stamp)
-	return cp
+// TableSnapshot is a sparse, immutable capture of a Table.
+type TableSnapshot struct {
+	sets, ways int
+	clock      uint64
+	slots      []int32  // flat indices of the captured slots
+	keys       []uint64 // stored (key+1) encoding, parallel to slots
+	stamps     []uint64 // parallel to slots
 }
 
-// CopyFrom overwrites t with src's contents. Both tables must share the
-// same geometry.
-func (t *Table) CopyFrom(src *Table) {
-	if t.sets != src.sets || t.ways != src.ways {
-		panic("cache: CopyFrom geometry mismatch")
+// live reports whether slot i carries state a snapshot must keep.
+func (t *Table) live(i int) bool { return t.keys[i]|t.stamp[i] != 0 }
+
+// Snapshot captures every slot of t that is valid or carries a stamp.
+// It reads t's write log, taking each logged slot once, or scans the
+// whole table once the log has overflowed.
+func (t *Table) Snapshot() *TableSnapshot {
+	var slots []int32
+	if t.Overflowed() {
+		n := 0
+		for i := range t.keys {
+			if t.live(i) {
+				n++
+			}
+		}
+		slots = make([]int32, 0, n)
+		for i := range t.keys {
+			if t.live(i) {
+				slots = append(slots, int32(i))
+			}
+		}
+	} else {
+		seen := make([]uint64, (len(t.keys)+63)/64)
+		slots = make([]int32, 0, len(t.written))
+		for _, i := range t.written {
+			w, bit := i>>6, uint64(1)<<(i&63)
+			if seen[w]&bit == 0 && t.live(int(i)) {
+				seen[w] |= bit
+				slots = append(slots, i)
+			}
+		}
 	}
-	copy(t.keys, src.keys)
-	copy(t.stamp, src.stamp)
-	t.clock = src.clock
+	sn := &TableSnapshot{
+		sets:   t.sets,
+		ways:   t.ways,
+		clock:  t.clock,
+		slots:  slots,
+		keys:   make([]uint64, len(slots)),
+		stamps: make([]uint64, len(slots)),
+	}
+	for j, i := range slots {
+		sn.keys[j] = t.keys[i]
+		sn.stamps[j] = t.stamp[i]
+	}
+	return sn
 }
 
-// SizeBytes returns the table's approximate in-memory footprint, used
-// by the snapshot LRU's byte budget.
-func (t *Table) SizeBytes() int64 {
-	return int64(unsafe.Sizeof(*t)) +
-		int64(len(t.keys))*int64(unsafe.Sizeof(t.keys[0])) +
-		int64(len(t.stamp))*int64(unsafe.Sizeof(t.stamp[0]))
+// Restore writes sn into t, which must have sn's geometry and must be
+// pristine (freshly built or Reset, nothing written since): the
+// restored slots are logged like any other write, and a table that had
+// already been written would keep state the snapshot does not know
+// about. Restore panics otherwise.
+func (t *Table) Restore(sn *TableSnapshot) {
+	if t.sets != sn.sets || t.ways != sn.ways {
+		panic(fmt.Sprintf("cache: Restore of a %dx%d snapshot into a %dx%d table", sn.sets, sn.ways, t.sets, t.ways))
+	}
+	if t.clock != 0 || len(t.written) != 0 {
+		panic("cache: Restore into a table that has been written")
+	}
+	for j, i := range sn.slots {
+		t.keys[i] = sn.keys[j]
+		t.stamp[i] = sn.stamps[j]
+		if len(t.written) < cap(t.written) {
+			t.written = append(t.written, i)
+		}
+	}
+	t.clock = sn.clock
+}
+
+// SizeBytes returns the snapshot's approximate in-memory footprint,
+// used by the snapshot LRU's byte budget.
+func (sn *TableSnapshot) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*sn)) + int64(len(sn.slots))*(4+8+8)
+}
+
+// Gather returns payload's elements at sn's slots, in sn's order:
+// the payload half of a snapshot, for an array parallel to the
+// snapshotted table.
+func Gather[T any](sn *TableSnapshot, payload []T) []T {
+	out := make([]T, len(sn.slots))
+	for j, i := range sn.slots {
+		out[j] = payload[i]
+	}
+	return out
+}
+
+// Scatter is Gather's inverse: it writes vals back into payload at
+// sn's slots. Restoring sn into the table that payload parallels logs
+// those slots, so the release-time clear reaches every element written
+// here.
+func Scatter[T any](sn *TableSnapshot, payload, vals []T) {
+	for j, i := range sn.slots {
+		payload[i] = vals[j]
+	}
 }

@@ -10,11 +10,14 @@ import (
 
 // Warm-state snapshots (taken at the warmup/measurement boundary) let
 // runs that share a warmed prefix skip re-simulating it. A Snapshot is
-// a deep, self-contained copy of everything that survives
-// ResetMeasurement: the metadata tables and their region entries, the
-// tag-less data stores, the RNG position, and the protocol's
-// cross-access state (placement pressure, lock window, staged transfer
-// state). Statistics, traffic and dynamic-energy counters are NOT
+// a self-contained copy of everything that survives ResetMeasurement:
+// the metadata tables and their region entries, the tag-less data
+// stores, the RNG position, and the protocol's cross-access state
+// (placement pressure, lock window, staged transfer state). Tables are
+// captured sparsely (cache.TableSnapshot: only the slots that carry
+// state, with their payloads gathered at the same slots), so a short
+// warmup yields a snapshot of tens of kilobytes however large the
+// hierarchy. Statistics, traffic and dynamic-energy counters are NOT
 // captured — both the fresh and the restored path zero them at the
 // boundary, so their pre-boundary values are unobservable.
 //
@@ -29,16 +32,17 @@ import (
 
 // storeSnap is the frozen state of one tag-less data store.
 type storeSnap struct {
-	tbl   *cache.Table
-	slots []slot
+	tbl   *cache.TableSnapshot
+	slots []slot // parallel to tbl's captured slots
 }
 
 // nodeSnap is the frozen state of one node: the three metadata tables
 // plus their entry arrays, flattened through the identity map (idx
-// slices hold -1 for empty slots, else an index into regions), and the
-// private data stores.
+// slices, parallel to each table snapshot's captured slots, hold -1
+// for an empty entry, else an index into regions), and the private
+// data stores.
 type nodeSnap struct {
-	md1i, md1d, md2          *cache.Table
+	md1i, md1d, md2          *cache.TableSnapshot
 	md1iIdx, md1dIdx, md2Idx []int32
 	regions                  []nodeRegion
 	l1i, l1d, l2             *storeSnap
@@ -63,8 +67,8 @@ type Snapshot struct {
 	far    *storeSnap
 	slices []*storeSnap
 
-	md3        *cache.Table
-	md3Idx     []int32
+	md3        *cache.TableSnapshot
+	md3Idx     []int32 // flattened like nodeSnap's idx slices
 	md3Regions []dirRegion
 
 	rngState     uint64
@@ -86,60 +90,54 @@ const (
 )
 
 func (d *dataStore) snapshot() *storeSnap {
-	ss := &storeSnap{
-		tbl:   d.tbl.Clone(),
-		slots: make([]slot, len(d.slots)),
-	}
-	copy(ss.slots, d.slots)
-	return ss
+	tbl := d.tbl.Snapshot()
+	return &storeSnap{tbl: tbl, slots: cache.Gather(tbl, d.slots)}
 }
 
 func (d *dataStore) restore(ss *storeSnap) {
-	d.tbl.CopyFrom(ss.tbl)
-	copy(d.slots, ss.slots)
+	d.tbl.Restore(ss.tbl)
+	cache.Scatter(ss.tbl, d.slots, ss.slots)
 }
 
 func (ss *storeSnap) sizeBytes() int64 {
 	return ss.tbl.SizeBytes() + int64(len(ss.slots))*slotSize
 }
 
-// snapEntries flattens one metadata entry array: every distinct region
-// object referenced from a valid table slot is appended to regions
-// once (the identity map deduplicates the MD1/MD2 aliasing), and the
-// returned index array records which object each slot pointed at.
-func snapEntries(tbl *cache.Table, ent []*nodeRegion, index map[*nodeRegion]int32, regions *[]nodeRegion) []int32 {
-	idx := make([]int32, len(ent))
-	for i := range idx {
-		idx[i] = -1
-	}
-	tbl.ForEach(func(set, way int, _ uint64) {
-		i := tbl.Index(set, way)
-		nr := ent[i]
-		if nr == nil {
-			return
+// snapEntries flattens one metadata entry array at the table
+// snapshot's slots: every distinct region object is appended to
+// regions once (the identity map deduplicates the MD1/MD2 aliasing),
+// and the returned index array records which object each captured slot
+// pointed at (-1 for none).
+func snapEntries[R any](tsn *cache.TableSnapshot, ent []*R, index map[*R]int32, regions *[]R) []int32 {
+	ptrs := cache.Gather(tsn, ent)
+	idx := make([]int32, len(ptrs))
+	for j, r := range ptrs {
+		if r == nil {
+			idx[j] = -1
+			continue
 		}
-		id, ok := index[nr]
+		id, ok := index[r]
 		if !ok {
 			id = int32(len(*regions))
-			*regions = append(*regions, *nr)
-			index[nr] = id
+			*regions = append(*regions, *r)
+			index[r] = id
 		}
-		idx[i] = id
-	})
+		idx[j] = id
+	}
 	return idx
 }
 
-// restoreEntries is snapEntries' inverse: ent slots are re-pointed at
-// the freshly copied region objects (aliasing included, because slots
-// that shared an object share an index).
-func restoreEntries(ent []*nodeRegion, idx []int32, fresh []nodeRegion) {
-	for i, id := range idx {
-		if id < 0 {
-			ent[i] = nil
-		} else {
-			ent[i] = &fresh[id]
+// restoreEntries is snapEntries' inverse: the captured slots are
+// re-pointed at the freshly copied region objects (aliasing included,
+// because slots that shared an object share an index).
+func restoreEntries[R any](tsn *cache.TableSnapshot, ent []*R, idx []int32, fresh []R) {
+	ptrs := make([]*R, len(idx))
+	for j, id := range idx {
+		if id >= 0 {
+			ptrs[j] = &fresh[id]
 		}
 	}
+	cache.Scatter(tsn, ent, ptrs)
 }
 
 // Snapshot captures the system's complete warm state. The system must
@@ -171,12 +169,12 @@ func (s *System) Snapshot() *Snapshot {
 	for i, n := range s.nodes {
 		ns := &sn.nodes[i]
 		index := make(map[*nodeRegion]int32)
-		ns.md1i = n.md1i.Clone()
-		ns.md1d = n.md1d.Clone()
-		ns.md2 = n.md2.Clone()
-		ns.md1iIdx = snapEntries(n.md1i, n.md1iEnt, index, &ns.regions)
-		ns.md1dIdx = snapEntries(n.md1d, n.md1dEnt, index, &ns.regions)
-		ns.md2Idx = snapEntries(n.md2, n.md2Ent, index, &ns.regions)
+		ns.md1i = n.md1i.Snapshot()
+		ns.md1d = n.md1d.Snapshot()
+		ns.md2 = n.md2.Snapshot()
+		ns.md1iIdx = snapEntries(ns.md1i, n.md1iEnt, index, &ns.regions)
+		ns.md1dIdx = snapEntries(ns.md1d, n.md1dEnt, index, &ns.regions)
+		ns.md2Idx = snapEntries(ns.md2, n.md2Ent, index, &ns.regions)
 		ns.l1i = n.l1i.snapshot()
 		ns.l1d = n.l1d.snapshot()
 		if n.l2 != nil {
@@ -190,18 +188,8 @@ func (s *System) Snapshot() *Snapshot {
 		}
 	}
 
-	sn.md3 = s.md3.Clone()
-	sn.md3Idx = make([]int32, len(s.md3Ent))
-	for i := range sn.md3Idx {
-		sn.md3Idx[i] = -1
-	}
-	s.md3.ForEach(func(set, way int, _ uint64) {
-		i := s.md3.Index(set, way)
-		if d := s.md3Ent[i]; d != nil {
-			sn.md3Idx[i] = int32(len(sn.md3Regions))
-			sn.md3Regions = append(sn.md3Regions, *d)
-		}
-	})
+	sn.md3 = s.md3.Snapshot()
+	sn.md3Idx = snapEntries(sn.md3, s.md3Ent, make(map[*dirRegion]int32), &sn.md3Regions)
 
 	if s.far != nil {
 		sn.far = s.far.snapshot()
@@ -219,7 +207,8 @@ func (s *System) Snapshot() *Snapshot {
 
 // RestoreInto overwrites dst (a freshly constructed System of the same
 // configuration) with the snapshot's state. Multiple goroutines may
-// restore from one snapshot concurrently.
+// restore from one snapshot concurrently. It panics when dst has
+// already run: its tables' write logs must be empty.
 func (sn *Snapshot) RestoreInto(dst *System) {
 	if dst.cfg != sn.cfg {
 		panic(fmt.Sprintf("core: snapshot restore config mismatch: %+v vs %+v", dst.cfg, sn.cfg))
@@ -239,12 +228,12 @@ func (sn *Snapshot) RestoreInto(dst *System) {
 		ns := &sn.nodes[i]
 		fresh := make([]nodeRegion, len(ns.regions))
 		copy(fresh, ns.regions)
-		n.md1i.CopyFrom(ns.md1i)
-		n.md1d.CopyFrom(ns.md1d)
-		n.md2.CopyFrom(ns.md2)
-		restoreEntries(n.md1iEnt, ns.md1iIdx, fresh)
-		restoreEntries(n.md1dEnt, ns.md1dIdx, fresh)
-		restoreEntries(n.md2Ent, ns.md2Idx, fresh)
+		n.md1i.Restore(ns.md1i)
+		n.md1d.Restore(ns.md1d)
+		n.md2.Restore(ns.md2)
+		restoreEntries(ns.md1i, n.md1iEnt, ns.md1iIdx, fresh)
+		restoreEntries(ns.md1d, n.md1dEnt, ns.md1dIdx, fresh)
+		restoreEntries(ns.md2, n.md2Ent, ns.md2Idx, fresh)
 		n.l1i.restore(ns.l1i)
 		n.l1d.restore(ns.l1d)
 		if n.l2 != nil {
@@ -256,16 +245,10 @@ func (sn *Snapshot) RestoreInto(dst *System) {
 		copy(n.pred, ns.pred)
 	}
 
-	dst.md3.CopyFrom(sn.md3)
+	dst.md3.Restore(sn.md3)
 	freshDir := make([]dirRegion, len(sn.md3Regions))
 	copy(freshDir, sn.md3Regions)
-	for i, id := range sn.md3Idx {
-		if id < 0 {
-			dst.md3Ent[i] = nil
-		} else {
-			dst.md3Ent[i] = &freshDir[id]
-		}
-	}
+	restoreEntries(sn.md3, dst.md3Ent, sn.md3Idx, freshDir)
 
 	if dst.far != nil {
 		dst.far.restore(sn.far)

@@ -75,8 +75,8 @@ func newDataStore(name string, sets, ways int, op energy.Op, lat uint64) *dataSt
 // release returns the store's backing arrays to the pools for reuse by
 // a later newDataStore. The store must not be used afterwards.
 func (s *dataStore) release() {
+	slotArrays.PutWritten(s.tbl, s.slots)
 	cache.PutTable(s.tbl)
-	slotArrays.Put(s.slots)
 	s.tbl, s.slots = nil, nil
 }
 

@@ -10,9 +10,10 @@ import (
 // snapshotCache is the server's d2m.WarmCache: a byte-budget LRU of
 // warm-state snapshots keyed by warm identity (d2m.WarmKey). Unlike
 // the result cache, whose entries are a few hundred bytes each and
-// bounded by count, a snapshot carries the full post-warmup table
-// state of a hierarchy — hundreds of kilobytes to a few megabytes —
-// so the bound here is a byte budget: inserts evict from the cold end
+// bounded by count, a snapshot carries the post-warmup table state of
+// a hierarchy — every slot the warmup wrote, tens of kilobytes for a
+// short 2-node warmup up to megabytes for long 8-node ones — so the
+// bound here is a byte budget: inserts evict from the cold end
 // until the total fits, and a snapshot larger than the whole budget
 // is rejected outright rather than flushing everything else.
 type snapshotCache struct {
@@ -41,8 +42,9 @@ func newSnapshotCache(budget int64, m *Metrics) *snapshotCache {
 const missedKeysCap = 65536
 
 // WantWarm is the capture gate (see the root package's WarmCache):
-// capturing a snapshot costs a deep copy of the whole hierarchy, so it
-// is only worth paying when the warm key is actually shared. A key
+// capturing a snapshot costs a copy of every table slot the warmup
+// wrote plus its budget bytes, so it is only worth paying when the warm
+// key is actually shared. A key
 // qualifies once it has missed before: the second identical-warmup
 // run captures, the third restores. A lane group shares its warmup
 // in-process, so its one miss counts once.

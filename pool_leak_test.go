@@ -76,3 +76,58 @@ func TestCancelledRunsReleasePools(t *testing.T) {
 		t.Errorf("pool balances after cancelled runs = %v, want %v (tables, core arrays, baseline arrays)", got, base)
 	}
 }
+
+// TestCancelledWarmRunsReleasePools covers the warm-snapshot path for
+// both machine families: for both baselines and a D2M kind, a capturing run
+// killed mid-warmup, a completed capture, and restored runs killed
+// before and during measurement must all return every pooled table and
+// array, leaving the balances where they started.
+func TestCancelledWarmRunsReleasePools(t *testing.T) {
+	kinds := []Kind{Base2L, Base3L, D2MNSR}
+	small := Options{Nodes: 2, Warmup: 500, Measure: 500}
+	for _, kind := range kinds {
+		if _, err := runSim(kind, "tpc-c", small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := poolBalances()
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, kind := range kinds {
+		wc := newMapWarmCache()
+		long := Options{Nodes: 2, Warmup: 400_000, Measure: 400_000}
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+		_, err := runOneWarm(ctx, kind, "tpc-c", long, wc)
+		cancel()
+		if err == nil {
+			t.Fatalf("%v: capturing run cancelled mid-warmup reported success", kind)
+		}
+
+		warmOpt := Options{Nodes: 2, Warmup: 2000, Measure: 400_000}
+		if _, err := runOneWarm(context.Background(), kind, "tpc-c", warmOpt, wc); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := runOneWarm(cancelled, kind, "tpc-c", warmOpt, wc); err == nil {
+				t.Fatalf("%v: pre-cancelled warm run reported success", kind)
+			}
+		}
+		hits := wc.hits
+		for i := 0; i < 2; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+			_, err := runOneWarm(ctx, kind, "tpc-c", warmOpt, wc)
+			cancel()
+			if err == nil {
+				t.Fatalf("%v: restored run cancelled mid-measure reported success", kind)
+			}
+		}
+		if wc.hits == hits {
+			t.Fatalf("%v: the cancelled runs never restored a snapshot", kind)
+		}
+	}
+
+	if got := poolBalances(); got != base {
+		t.Errorf("pool balances after cancelled warm runs = %v, want %v (tables, core arrays, baseline arrays)", got, base)
+	}
+}

@@ -32,10 +32,11 @@ type WarmCache interface {
 
 // warmGater is the optional third WarmCache method: after a miss, the
 // run asks WantWarm whether capturing a snapshot is worth its cost (a
-// deep copy of every table in the hierarchy — milliseconds and
-// megabytes). Caches that don't implement it get a snapshot on every
-// miss; the service's cache says yes only for keys it has seen miss
-// before, so one-off jobs never pay for a snapshot nobody will reuse.
+// sparse copy of every table slot the warmup wrote — tenths of a
+// millisecond and tens to hundreds of kilobytes, the byte budget's
+// unit). Caches that don't implement it get a snapshot on every miss;
+// the service's cache says yes only for keys it has seen miss before,
+// so one-off jobs never pay for a snapshot nobody will reuse.
 type warmGater interface {
 	WantWarm(key string) bool
 }
@@ -79,8 +80,8 @@ func (ws *WarmSnapshot) SizeBytes() int64 { return ws.bytes }
 
 // streamOverheadBytes is the per-snapshot allowance for the cloned
 // workload streams, which are cursor structs a few hundred bytes each —
-// noise next to the megabytes of table state, but accounted for so the
-// byte budget never reads zero for a degenerate snapshot.
+// a few percent of a sparse snapshot's table state, accounted for so
+// the byte budget never reads zero for a degenerate snapshot.
 const streamOverheadBytes = 4096
 
 // WarmKey returns the warm identity of a named-source run (any
