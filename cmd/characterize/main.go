@@ -93,7 +93,7 @@ func main() {
 	}
 	fmt.Printf(hdr+"\n", args...)
 	for _, c := range cells {
-		b, r := c.Benchmark, results[c]
+		b, r := c.Benchmark, results[c.Key()]
 		ki := float64(r.Instructions) / 1000
 		row := []interface{}{
 			b, r.Suite,

@@ -42,8 +42,8 @@ import (
 	"d2m/internal/service"
 )
 
-// results holds the planned cells' results, keyed by canonical cell.
-type results = map[d2m.SweepCell]d2m.Result
+// results holds the planned cells' results, keyed by cell identity.
+type results = map[d2m.CellKey]d2m.Result
 
 // experiment couples an id with how to produce its structured rows
 // (for -json) and its rendered text. A planned experiment declares its
@@ -313,7 +313,7 @@ func remoteCells(base string) func([]d2m.SweepCell) (results, error) {
 				c := cells[ev.Index]
 				return fmt.Errorf("cell %d (%s/%s) %s: %s", ev.Index, c.Kind, c.Benchmark, ev.Cell.State, ev.Cell.Error)
 			default:
-				out[cells[ev.Index]] = *ev.Cell.Result
+				out[cells[ev.Index].Key()] = *ev.Cell.Result
 			}
 			return nil
 		})
@@ -371,7 +371,7 @@ func runSweep(exec func([]d2m.SweepCell) (results, error), specArg, baseline str
 	}
 	results := make([]*d2m.Result, len(cells))
 	for i, c := range cells {
-		r := res[c]
+		r := res[c.Key()]
 		results[i] = &r
 	}
 	summary := service.SweepSummary{Baseline: base.String(), Kinds: d2m.SummarizeSweep(base, cells, results)}

@@ -73,8 +73,21 @@ func selectExperiments(ids ...string) []experiment {
 // TestServerPlanOneSweep checks -server: a multi-experiment plan is one
 // POST /v1/sweeps of distinct cells (Figures 5-7 at one Options share
 // their 5 kinds x 45 benchmarks), no per-run request is sent, and the
-// rows and text equal the in-process ones.
+// rows and text equal the in-process ones. It first counts the cells
+// of -exp all at the defaults without running them: the ablations
+// re-read Figure 5-7 cells with the default topology or placement
+// spelled out, and those dedup with their "" twins.
 func TestServerPlanOneSweep(t *testing.T) {
+	var all []d2m.SweepCell
+	for _, e := range registry() {
+		if e.cells != nil {
+			all = append(all, e.cells(d2m.Options{})...)
+		}
+	}
+	if n, distinct := len(all), len(d2m.DistinctCells(all)); n != 1419 || distinct != 409 {
+		t.Errorf("-exp all declares %d cells, %d distinct; want 1419, 409", n, distinct)
+	}
+
 	rec, url := newRecordingServer(t)
 	opt := d2m.Options{Nodes: 2, Warmup: 500, Measure: 1500}
 	exps := selectExperiments("fig5", "fig6", "fig7")

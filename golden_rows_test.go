@@ -108,7 +108,7 @@ func TestPlanLookup(t *testing.T) {
 		mustRun(p)
 	}()
 	declared := Plan[uint64]{p.Cells, func(get lookup) uint64 { return get(Base2L, "tpc-c", opt).Cycles }}
-	if _, err := declared.Project(map[SweepCell]Result{}); err == nil || !strings.Contains(err.Error(), "no result") {
+	if _, err := declared.Project(map[CellKey]Result{}); err == nil || !strings.Contains(err.Error(), "no result") {
 		t.Errorf("missing result: err = %v", err)
 	}
 	if got, err := declared.Project(results); err != nil || got == 0 {
@@ -117,13 +117,15 @@ func TestPlanLookup(t *testing.T) {
 }
 
 // TestRunCells checks the in-process executor: duplicate cells (also
-// ones equal only after WithDefaults) run once, every result equals
+// ones equal only after WithDefaults, or only once "" reads as the
+// default topology and placement) run once, every result equals
 // Run's, and a failure reports the lowest-index failing cell.
 func TestRunCells(t *testing.T) {
 	opt := Options{Nodes: 2, Warmup: 500, Measure: 1000}
 	cells := []SweepCell{
 		{Kind: D2MNSR, Benchmark: "fft", Options: opt},
 		{Kind: D2MNSR, Benchmark: "fft", Options: opt.WithDefaults()},
+		{Kind: D2MNSR, Benchmark: "fft", Options: Options{Nodes: 2, Warmup: 500, Measure: 1000, Topology: "crossbar", Placement: "pressure"}},
 		{Kind: Base2L, Benchmark: "fft", Options: opt},
 		{Kind: Base2L, Benchmark: "fft", Options: Options{Nodes: 2, Warmup: 500, Measure: 2000}},
 		{Kind: Base2L, Benchmark: KernelPrefix + "stencil", Options: opt},
@@ -143,8 +145,7 @@ func TestRunCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Options = c.Options.WithDefaults()
-		if goldenDigest(results[c]) != goldenDigest(want.Result) {
+		if goldenDigest(results[c.Key()]) != goldenDigest(want.Result) {
 			t.Errorf("%s/%s %+v: RunCells result differs from Run", c.Kind, c.Benchmark, c.Options)
 		}
 	}

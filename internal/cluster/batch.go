@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 
-	"d2m"
 	"d2m/internal/api"
 	"d2m/internal/service"
 )
@@ -44,7 +43,7 @@ func (g *Gateway) Batch(ctx context.Context, apiKey string, runs []service.Run) 
 			if done[i] {
 				continue
 			}
-			owners := g.peers.owners(d2m.WarmKey(run.Kind, run.Bench, run.Options), 1)
+			owners := g.peers.owners(run.Key().String(), 1)
 			if len(owners) == 0 {
 				return nil, errNoShard
 			}

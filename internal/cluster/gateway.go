@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"d2m"
 	"d2m/internal/api"
 	"d2m/internal/service"
 )
@@ -388,7 +387,7 @@ func (g *Gateway) Run(ctx context.Context, apiKey string, run service.Run) (api.
 		return run.CachedStatus(res, rep), nil
 	}
 	body, _ := json.Marshal(run.Req) // plain fields: cannot fail
-	fr, err := g.forwardKey(ctx, d2m.WarmKey(run.Kind, run.Bench, run.Options), http.MethodPost, "/v1/run", body, apiKey)
+	fr, err := g.forwardKey(ctx, run.Key().String(), http.MethodPost, "/v1/run", body, apiKey)
 	if err != nil {
 		return api.JobStatus{}, err
 	}

@@ -1,6 +1,6 @@
 // Package cluster turns a set of d2mserver scheduler processes into
 // one service: a gateway consistent-hashes each submission's
-// warm-identity key (d2m.WarmKey) onto N shards and forwards it over
+// warm identity (d2m.CellKey.String) onto N shards and forwards it over
 // the existing v1 HTTP/JSON wire format. Sharding by warm identity is
 // the distributed form of the simulator's data-oriented premise — work
 // lands next to the warm-snapshot state it reuses, so snapshot

@@ -82,7 +82,7 @@ func (g *Gateway) RunCells(ctx context.Context, apiKey string, cells []d2m.Sweep
 		}
 		groups := map[string][]int{}
 		for _, i := range left {
-			if owners := g.peers.owners(d2m.WarmKey(cells[i].Kind, cells[i].Benchmark, cells[i].Options), 1); len(owners) > 0 {
+			if owners := g.peers.owners(cells[i].Key().String(), 1); len(owners) > 0 {
 				groups[owners[0].Name] = append(groups[owners[0].Name], i)
 			}
 		}

@@ -83,6 +83,11 @@ func newRun(req api.RunRequest) (Run, error) {
 	return Run{Req: req, Kind: kind, Bench: bench, Options: opt, Reps: reps, Engine: engine}, err
 }
 
+// Key is the run's cell identity (d2m.CellKey).
+func (r Run) Key() d2m.CellKey {
+	return d2m.SweepCell{Kind: r.Kind, Benchmark: r.Bench, Options: r.Options}.Key()
+}
+
 // CacheKey is the run's content address (sched.CacheKey).
 func (r Run) CacheKey() string { return sched.CacheKey(r.Kind, r.Bench, r.Options, r.Reps) }
 

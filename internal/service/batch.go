@@ -19,8 +19,8 @@ import (
 // which adds the two batch behaviors: admission is all-or-nothing
 // (either every uncached run gets a queue slot or the batch is
 // rejected 429 with nothing enqueued), and the runs enter the queue
-// together, so those sharing a warm identity (d2m.WarmKey) run as one
-// lockstep lane group.
+// together, so those sharing a warm identity (equal
+// d2m.CellKey.Warm) run as one lockstep lane group.
 
 // BatchRequest is the body of POST /v1/batch; see api.BatchRequest.
 // Runs are independent RunRequests; the async field is rejected here,

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -106,15 +107,20 @@ func FuzzReplayJournal(f *testing.F) {
 
 // FuzzRunRequest feeds arbitrary bytes through the POST /v1/run and
 // POST /v1/batch body decoding (the handlers' decode and body caps),
-// then newRun per run. Whatever the input, nothing may panic, and a
-// run newRun accepts must carry canonical, valid Options and a cache
-// key that survives a re-marshal and re-decode of its request.
+// then newRun per run. Whatever the input, nothing may panic, a run
+// newRun rejects must be answered 400, and a run it accepts must carry
+// canonical, valid Options and a cache key that survives a re-marshal
+// and re-decode of its request.
 //
 //	go test -run '^$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
 func FuzzRunRequest(f *testing.F) {
 	check := func(t *testing.T, req api.RunRequest) {
 		run, err := newRun(req)
 		if err != nil {
+			var ae *api.Error
+			if !errors.As(err, &ae) || ae.Code.HTTPStatus() != http.StatusBadRequest {
+				t.Fatalf("rejected run not answered 400: %v", err)
+			}
 			return
 		}
 		if run.Options != run.Options.WithDefaults() {

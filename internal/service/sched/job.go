@@ -142,6 +142,11 @@ func CacheKey(kind d2m.Kind, bench string, opt d2m.Options, reps int) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// runSpec is the library spec the submission runs as.
+func (sub Submission) runSpec() d2m.RunSpec {
+	return d2m.RunSpec{Kind: sub.Kind, Benchmark: sub.Benchmark, Options: sub.Options, Replicates: sub.Replicates}
+}
+
 // key returns the submission's cache key.
 func (sub Submission) key() string {
 	return CacheKey(sub.Kind, sub.Benchmark, sub.Options, sub.Replicates)
@@ -162,12 +167,13 @@ type Job struct {
 	// job settled straight from the queue (cancel, deadline) never
 	// closes it, so observers must select on Done as well.
 	runCh chan struct{}
-	// laneKey is the job's lane-group identity (its warm key) when it
-	// is eligible for vector execution — single run, engine hint not
-	// "scalar" — and "" otherwise. A worker that dequeues the job takes
-	// queued jobs with the same laneKey into one lockstep RunGroup
-	// call. Immutable after creation.
-	laneKey string
+	// laneOK reports that the job may run in a lane group (single run,
+	// engine hint not "scalar"), and laneKey is then its warm identity.
+	// A worker that dequeues an eligible job takes queued eligible jobs
+	// with the same laneKey into one lockstep RunGroup call. Immutable
+	// after creation.
+	laneKey d2m.CellKey
+	laneOK  bool
 
 	// guarded by Scheduler.mu until done closes.
 	state State

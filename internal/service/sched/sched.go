@@ -284,15 +284,7 @@ func (s *Scheduler) runGroup(group []*Job) {
 	}
 	lanes := make([]d2m.GroupLane, len(claimed))
 	for i, j := range claimed {
-		lanes[i] = d2m.GroupLane{
-			Spec: d2m.RunSpec{
-				Kind:       j.spec.Kind,
-				Benchmark:  j.spec.Benchmark,
-				Options:    j.spec.Options,
-				Replicates: j.spec.Replicates,
-			},
-			Ctx: j.ctx,
-		}
+		lanes[i] = d2m.GroupLane{Spec: j.spec.runSpec(), Ctx: j.ctx}
 	}
 	s.obs.RunningDelta(int64(len(claimed)))
 	if lg, ok := s.obs.(interface{ LaneGroup(size int) }); ok {
@@ -340,10 +332,10 @@ func (s *Scheduler) dequeue() ([]*Job, bool) {
 	for {
 		if j := s.pickLocked(); j != nil {
 			group := []*Job{j}
-			if s.cfg.RunGroup != nil && j.laneKey != "" {
+			if s.cfg.RunGroup != nil && j.laneOK {
 				for p := Interactive; p < NumPriorities && len(group) < maxLanes; p++ {
 					group = append(group, s.queues[p].steal(maxLanes-len(group), func(cand *Job) bool {
-						return cand.laneKey == j.laneKey && cand.ctx.Err() == nil
+						return cand.laneOK && cand.laneKey == j.laneKey && cand.ctx.Err() == nil
 					})...)
 				}
 			}
@@ -428,12 +420,7 @@ func (s *Scheduler) claim(j *Job) bool {
 func (s *Scheduler) execute(j *Job) {
 	s.obs.RunningDelta(1)
 	start := time.Now()
-	out, err := s.cfg.Run(j.ctx, d2m.RunSpec{
-		Kind:       j.spec.Kind,
-		Benchmark:  j.spec.Benchmark,
-		Options:    j.spec.Options,
-		Replicates: j.spec.Replicates,
-	})
+	out, err := s.cfg.Run(j.ctx, j.spec.runSpec())
 	dur := time.Since(start)
 	s.obs.RunningDelta(-1)
 	s.obs.ObserveRun(dur.Seconds())
@@ -535,7 +522,7 @@ func (s *Scheduler) newJobLocked(sub Submission, key string) *Job {
 		detached: sub.Detached,
 	}
 	if sub.Replicates < 2 && sub.Engine != d2m.EngineScalar {
-		j.laneKey = d2m.WarmKey(sub.Kind, sub.Benchmark, sub.Options)
+		j.laneKey, j.laneOK = sub.runSpec().Key().Warm(), true
 	}
 	timeout := sub.Timeout
 	if timeout == 0 {

@@ -57,7 +57,7 @@ type Config struct {
 	// restarts and resubmitted sweeps resume instead of recomputing.
 	StorePath string
 	// SnapshotMemBytes budgets the warm-state snapshot cache: runs
-	// sharing a warm identity (d2m.WarmKey) restore the post-warmup
+	// sharing a warm identity (d2m.CellKey.Warm) restore the post-warmup
 	// machine state instead of re-simulating the warmup. Zero means
 	// 256 MiB; negative disables snapshot reuse entirely.
 	SnapshotMemBytes int64

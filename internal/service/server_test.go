@@ -826,4 +826,22 @@ func TestCacheKeyCanonical(t *testing.T) {
 	if sched.CacheKey(d2m.D2MNSR, "tpc-c", base, 0) == sched.CacheKey(d2m.D2MNSR, "tpc-c", base, 8) {
 		t.Error("replicated and single-run jobs share a key")
 	}
+	// Persisted journals are keyed by these bytes: a change to them
+	// orphans every stored result.
+	for _, pin := range []struct {
+		bench string
+		opt   d2m.Options
+		reps  int
+		want  string
+	}{
+		{"tpc-c", d2m.Options{}, 0, "222379e420156a6aa8a64e6f5d6d9df5"},
+		{"tpc-c", d2m.Options{Topology: "crossbar"}, 0, "487f0bc1b71cd16042309e77e316f65a"},
+		{"tpc-c", d2m.Options{Seed: 7}, 0, "4ab008a3f8cd103a2af090a71af4613e"},
+		{"tpc-c", d2m.Options{}, 8, "f925d075ce39cd936ce5e09cea8d1575"},
+		{"kernel:stencil", d2m.Options{}, 0, "37d2c5da4efa8e0591ebc5cffbacbf11"},
+	} {
+		if got := sched.CacheKey(d2m.D2MNSR, pin.bench, pin.opt, pin.reps); got != pin.want {
+			t.Errorf("CacheKey(%s, %+v, reps %d) = %s, want %s", pin.bench, pin.opt, pin.reps, got, pin.want)
+		}
+	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // snapshotCache is the server's d2m.WarmCache: a byte-budget LRU of
-// warm-state snapshots keyed by warm identity (d2m.WarmKey). Unlike
+// warm-state snapshots keyed by warm identity (d2m.CellKey.String). Unlike
 // the result cache, whose entries are a few hundred bytes each and
 // bounded by count, a snapshot carries the post-warmup table state of
 // a hierarchy — every slot the warmup wrote, tens of kilobytes for a

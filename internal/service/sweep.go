@@ -493,9 +493,8 @@ func (s *Server) RunCells(ctx context.Context, tenant string, cells []d2m.SweepC
 		}
 		end := i + 1
 		if maxChunk > 1 {
-			key := d2m.WarmKey(cells[i].Kind, cells[i].Benchmark, cells[i].Options)
-			for end < len(cells) && end-i < maxChunk &&
-				d2m.WarmKey(cells[end].Kind, cells[end].Benchmark, cells[end].Options) == key {
+			warm := cells[i].Key().Warm()
+			for end < len(cells) && end-i < maxChunk && cells[end].Key().Warm() == warm {
 				end++
 			}
 		}

@@ -33,7 +33,7 @@ func TestWarmSnapshotSize(t *testing.T) {
 		if _, err := runOneWarm(context.Background(), kind, "tpc-c", opt, wc); err != nil {
 			t.Fatal(err)
 		}
-		ws := wc.m[WarmKey(kind, "tpc-c", opt)]
+		ws := wc.m[SweepCell{Kind: kind, Benchmark: "tpc-c", Options: opt}.Key().String()]
 		if ws == nil {
 			t.Fatalf("%v: the run deposited no snapshot", kind)
 		}

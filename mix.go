@@ -61,7 +61,7 @@ func RunMix(kind Kind, benchA, benchB string, opt Options) (MixResult, error) {
 	// measure runs one composed stream through the executor.
 	measure := func(opt Options, streams func() []trace.Stream) (*Result, error) {
 		src := source{stream: func(Options) trace.Stream { return trace.NewInterleaver(streams()) }}
-		rs, err := execute(context.Background(), kind, src, []Options{opt}, nil, nil)
+		rs, err := execute(context.Background(), CellKey{kind: kind}, src, []Options{opt}, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package d2m
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -45,15 +46,15 @@ func Placements() []string { return []string{"pressure", "local", "spread"} }
 
 // WithDefaults returns the options with zero fields replaced by the
 // paper's defaults: 8 nodes, 100k warmup, 400k measured accesses,
-// MDScale 1. Two Options describe the same simulation exactly when
-// their WithDefaults forms are equal — the service layer uses this as
-// the canonical form for content-addressed result caching.
+// MDScale 1. The service's result cache keys on this form. Cells are
+// deduplicated by CellKey, which also reads "" as the default topology
+// and placement.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 // Validate reports whether the options describe a runnable simulation:
-// node count in range, a supported MDScale, and known topology and
-// placement strings. Zero fields are defaulted before checking, so the
-// zero Options is valid.
+// node count in range, a supported MDScale, known topology and
+// placement strings, and a finite, non-negative LinkBandwidth. Zero
+// fields are defaulted before checking, so the zero Options is valid.
 func (o Options) Validate() error {
 	o = o.withDefaults()
 	if o.Nodes < 1 || o.Nodes > 8 {
@@ -73,6 +74,9 @@ func (o Options) Validate() error {
 	}
 	if _, err := o.topology(); err != nil {
 		return err
+	}
+	if !(o.LinkBandwidth >= 0) || math.IsInf(o.LinkBandwidth, 1) {
+		return fmt.Errorf("d2m: LinkBandwidth = %v, want a finite value >= 0 (0: unlimited)", o.LinkBandwidth)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package d2m
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,11 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative measure", Options{Measure: -1}, "Measure"},
 		{"unknown topology", Options{Topology: "hypercube"}, "unknown topology"},
 		{"unknown placement", Options{Placement: "random"}, "unknown placement"},
+		{"link bandwidth", Options{LinkBandwidth: 0.05}, ""},
+		{"negative link bandwidth", Options{LinkBandwidth: -1}, "LinkBandwidth"},
+		{"huge negative link bandwidth", Options{LinkBandwidth: -1e300}, "LinkBandwidth"},
+		{"NaN link bandwidth", Options{LinkBandwidth: math.NaN()}, "LinkBandwidth"},
+		{"infinite link bandwidth", Options{LinkBandwidth: math.Inf(1)}, "LinkBandwidth"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -40,23 +40,23 @@ func grid(kinds []Kind, benches []string, opts ...Options) []SweepCell {
 	return cells
 }
 
-// Project computes the rows from results keyed by canonical cell, as
+// Project computes the rows from results keyed by cell identity, as
 // RunCells returns them; results must hold every declared cell and may
 // hold more. A projection that reads a cell the plan did not declare
 // fails, so the declaration and the projection cannot drift apart.
-func (p Plan[R]) Project(results map[SweepCell]Result) (R, error) {
-	declared := make(map[SweepCell]bool, len(p.Cells))
-	for _, c := range DistinctCells(p.Cells) {
-		declared[c] = true
+func (p Plan[R]) Project(results map[CellKey]Result) (R, error) {
+	declared := make(map[CellKey]bool, len(p.Cells))
+	for _, c := range p.Cells {
+		declared[c.Key()] = true
 	}
 	var err error
 	rows := p.project(func(kind Kind, bench string, opt Options) Result {
-		c := SweepCell{Kind: kind, Benchmark: bench, Options: opt.WithDefaults()}
-		r, ok := results[c]
-		if !declared[c] {
-			err = cmp.Or(err, fmt.Errorf("d2m: projection reads undeclared cell %s/%s %+v", kind, bench, c.Options))
+		k := SweepCell{Kind: kind, Benchmark: bench, Options: opt}.Key()
+		r, ok := results[k]
+		if !declared[k] {
+			err = cmp.Or(err, fmt.Errorf("d2m: projection reads undeclared cell %s/%s %+v", kind, bench, opt.WithDefaults()))
 		} else if !ok {
-			err = cmp.Or(err, fmt.Errorf("d2m: no result for cell %s/%s %+v", kind, bench, c.Options))
+			err = cmp.Or(err, fmt.Errorf("d2m: no result for cell %s/%s %+v", kind, bench, opt.WithDefaults()))
 		}
 		return r
 	})
@@ -81,15 +81,15 @@ func mustRun[R any](p Plan[R]) R {
 	return rows
 }
 
-// DistinctCells returns the cells with their Options in WithDefaults
-// form and duplicates removed, in order of first appearance.
+// DistinctCells returns the cells with equal keys deduplicated, in order
+// of first appearance, their Options in WithDefaults form.
 func DistinctCells(cells []SweepCell) []SweepCell {
-	seen := make(map[SweepCell]bool, len(cells))
+	seen := make(map[CellKey]bool, len(cells))
 	var out []SweepCell
 	for _, c := range cells {
-		c.Options = c.Options.WithDefaults()
-		if !seen[c] {
-			seen[c] = true
+		if k := c.Key(); !seen[k] {
+			seen[k] = true
+			c.Options = c.Options.WithDefaults()
 			out = append(out, c)
 		}
 	}
@@ -97,24 +97,22 @@ func DistinctCells(cells []SweepCell) []SweepCell {
 }
 
 // RunCells runs each distinct cell once and returns the results keyed
-// by canonical cell (Options in WithDefaults form). Distinct cells
-// sharing a LaneKey run together as one RunGroup, and at most
-// GOMAXPROCS groups run at a time; the results do not depend on the
-// parallelism. On failure RunCells returns the error of the
-// lowest-index failing cell.
-func RunCells(ctx context.Context, cells []SweepCell) (map[SweepCell]Result, error) {
+// by cell identity. Distinct cells sharing a warm identity run
+// together as one RunGroup, and at most GOMAXPROCS groups run at a
+// time; the results do not depend on the parallelism. On failure
+// RunCells returns the error of the lowest-index failing cell.
+func RunCells(ctx context.Context, cells []SweepCell) (map[CellKey]Result, error) {
 	var groups [][]GroupLane
-	index := make(map[string]int)
+	index := make(map[CellKey]int)
 	for _, c := range DistinctCells(cells) {
-		spec := RunSpec{Kind: c.Kind, Benchmark: c.Benchmark, Options: c.Options}
-		key, _ := LaneKey(spec) // a cell never replicates, so it is always lane-eligible
-		g, ok := index[key]
+		warm := c.Key().Warm()
+		g, ok := index[warm]
 		if !ok {
 			g = len(groups)
-			index[key] = g
+			index[warm] = g
 			groups = append(groups, nil)
 		}
-		groups[g] = append(groups[g], GroupLane{Spec: spec})
+		groups[g] = append(groups[g], GroupLane{Spec: RunSpec{Kind: c.Kind, Benchmark: c.Benchmark, Options: c.Options}})
 	}
 
 	outs := make([][]LaneOutcome, len(groups))
@@ -133,13 +131,12 @@ func RunCells(ctx context.Context, cells []SweepCell) (map[SweepCell]Result, err
 	// Groups are numbered by their first cell, and a failure fails its
 	// whole group, so the first failed group holds the lowest-index
 	// failing cell.
-	results := make(map[SweepCell]Result, len(cells))
+	results := make(map[CellKey]Result, len(cells))
 	for g, lanes := range groups {
 		err := errs[g]
 		for i, o := range outs[g] {
 			err = cmp.Or(err, o.Err)
-			s := lanes[i].Spec
-			results[SweepCell{Kind: s.Kind, Benchmark: s.Benchmark, Options: s.Options}] = o.Output.Result
+			results[lanes[i].Spec.Key()] = o.Output.Result
 		}
 		if err != nil {
 			return nil, err

@@ -350,7 +350,7 @@ type RunSpec struct {
 	// RunOutput.Replicated next to the mean-projected Result. 0 and 1
 	// both mean a single run; negative is an error.
 	Replicates int
-	// Warm, when non-nil, lets runs sharing a warm identity (WarmKey)
+	// Warm, when non-nil, lets runs sharing a warm identity (CellKey.Warm)
 	// restore the post-warmup machine state instead of re-simulating
 	// the warmup. Nil always warms from scratch.
 	Warm WarmCache
@@ -408,7 +408,7 @@ func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput,
 		// A named source's aggregate carries the requested name; a custom
 		// spec's (which has none) its spec name.
 		label := cmp.Or(spec.Benchmark, src.name)
-		agg, err := replicate(ctx, spec.Kind, label, src, opt, spec.Replicates, spec.Warm)
+		agg, err := replicate(ctx, spec, label, src, opt)
 		if err != nil {
 			return RunOutput{}, err
 		}
@@ -416,7 +416,7 @@ func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput,
 		res.Benchmark, res.Suite = src.name, src.suite
 		return RunOutput{Result: res, Replicated: &agg, Engine: EngineScalar}, nil
 	}
-	rs, err := execute(ctx, spec.Kind, src, []Options{opt}, spec.Warm, nil)
+	rs, err := execute(ctx, spec.Key(), src, []Options{opt}, spec.Warm, nil)
 	if err != nil {
 		return RunOutput{}, err
 	}
@@ -433,13 +433,13 @@ func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput,
 // flit-hop meter there so the lane's bandwidth stretch sees exactly the
 // traffic a lone run of that lane generates.
 //
-// lanes are validated, defaulted options sharing one warm identity:
-// lane 0 shapes the machine and the stream, and each lane contributes
-// its own Measure and LinkBandwidth. active (nil: every lane) reports
-// whether a lane still wants its result; a lane that drops out gets a
-// nil Result. A nil wc always warms from scratch.
-func execute(ctx context.Context, kind Kind, src source, lanes []Options, wc WarmCache, active func(lane int) bool) ([]*Result, error) {
-	mech, err := mechFor(kind)
+// lanes are validated, defaulted options sharing key's warm identity:
+// key's kind and lane 0 shape the machine and the stream, and each lane
+// contributes its own Measure and LinkBandwidth. active (nil: every
+// lane) reports whether a lane still wants its result; a lane that
+// drops out gets a nil Result. A nil wc always warms from scratch.
+func execute(ctx context.Context, key CellKey, src source, lanes []Options, wc WarmCache, active func(lane int) bool) ([]*Result, error) {
+	mech, err := mechFor(key.kind)
 	if err != nil {
 		return nil, err
 	}
@@ -449,10 +449,10 @@ func execute(ctx context.Context, kind Kind, src source, lanes []Options, wc War
 	engine := sim.NewEngine(inst, opt.Nodes)
 
 	var snap *WarmSnapshot
-	var key string
+	var wkey string
 	if wc != nil {
-		key = warmKey(kind, src.scope, opt)
-		snap = wc.GetWarm(key)
+		wkey = key.String()
+		snap = wc.GetWarm(wkey)
 	}
 	stream, err := warmedStream(ctx, engine, snap, func() trace.Stream { return src.stream(opt) }, opt.Warmup)
 	if err != nil {
@@ -460,8 +460,8 @@ func execute(ctx context.Context, kind Kind, src source, lanes []Options, wc War
 	}
 	if snap != nil {
 		inst.Restore(snap.state)
-	} else if wc != nil && wantWarm(wc, key) {
-		ws := &WarmSnapshot{key: key, warmup: opt.Warmup, state: inst.Snapshot()}
+	} else if wc != nil && wantWarm(wc, wkey) {
+		ws := &WarmSnapshot{key: wkey, warmup: opt.Warmup, state: inst.Snapshot()}
 		ws.finish(stream)
 		wc.PutWarm(ws)
 	}
@@ -476,7 +476,7 @@ func execute(ctx context.Context, kind Kind, src source, lanes []Options, wc War
 	out := make([]*Result, len(lanes))
 	var sinkErr error
 	err = engine.MeasureLanes(ctx, stream, measures, active, func(lane int, rep sim.Report) {
-		r := &Result{Kind: kind, Benchmark: src.name, Suite: src.suite}
+		r := &Result{Kind: key.kind, Benchmark: src.name, Suite: src.suite}
 		r.fillCommon(rep)
 		flitHops, err := r.fillFromInstance(inst, rep, mech)
 		if err != nil {
@@ -720,10 +720,11 @@ func (r Replicated) MeanResult() Result {
 // seeds serially.
 // When a run fails, the remaining runs are cancelled and the error of
 // the lowest-indexed failed seed is returned (a context error only if
-// no seed failed on its own). wc, when non-nil, lets each seeded run
-// reuse a warm-state snapshot for its own (seed-specific) warm
-// identity. label is the aggregate's Benchmark.
-func replicate(ctx context.Context, kind Kind, label string, src source, opt Options, n int, wc WarmCache) (Replicated, error) {
+// no seed failed on its own). spec.Warm, when non-nil, lets each
+// seeded run reuse a warm-state snapshot for its own (seed-specific)
+// warm identity. label is the aggregate's Benchmark.
+func replicate(ctx context.Context, spec RunSpec, label string, src source, opt Options) (Replicated, error) {
+	n := spec.Replicates
 	workers := min(runtime.GOMAXPROCS(0), n)
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -737,9 +738,10 @@ func replicate(ctx context.Context, kind Kind, label string, src source, opt Opt
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				o := opt
-				o.Seed = opt.Seed + uint64(i) + 1
-				rs, err := execute(runCtx, kind, src, []Options{o}, wc, nil)
+				s := spec
+				s.Options = opt
+				s.Options.Seed = opt.Seed + uint64(i) + 1
+				rs, err := execute(runCtx, s.Key(), src, []Options{s.Options}, spec.Warm, nil)
 				if err != nil {
 					errs[i] = err
 					cancel() // a failed seed fails the aggregate; stop the rest
@@ -777,7 +779,7 @@ func replicate(ctx context.Context, kind Kind, label string, src source, opt Opt
 	if ctxErr != nil {
 		return Replicated{}, ctxErr
 	}
-	return aggregate(kind, label, samples), nil
+	return aggregate(spec.Kind, label, samples), nil
 }
 
 // repSample holds the metrics of one replicated run that enter the

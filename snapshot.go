@@ -2,7 +2,6 @@ package d2m
 
 import (
 	"context"
-	"fmt"
 
 	"d2m/internal/core"
 	"d2m/internal/sim"
@@ -22,7 +21,8 @@ import (
 // sequence exactly, and both paths perform the same statistics reset
 // at the same boundary.
 
-// WarmCache stores warm-state snapshots between runs. Implementations
+// WarmCache stores warm-state snapshots between runs, keyed by the
+// warm identity's string form (CellKey.String). Implementations
 // must be safe for concurrent use; the service provides a byte-budget
 // LRU, and tests use trivial map caches. Get returns nil on a miss.
 type WarmCache interface {
@@ -72,7 +72,7 @@ type WarmSnapshot struct {
 	bytes int64
 }
 
-// Key returns the snapshot's warm identity (see WarmKey).
+// Key returns the snapshot's warm identity (CellKey.String).
 func (ws *WarmSnapshot) Key() string { return ws.key }
 
 // SizeBytes returns the snapshot's approximate in-memory footprint.
@@ -83,36 +83,6 @@ func (ws *WarmSnapshot) SizeBytes() int64 { return ws.bytes }
 // a few percent of a sparse snapshot's table state, accounted for so
 // the byte budget never reads zero for a degenerate snapshot.
 const streamOverheadBytes = 4096
-
-// WarmKey returns the warm identity of a named-source run (any
-// benchmark name Run accepts; LaneKey also covers custom specs): the
-// string key
-// under which runs share a warmup prefix. It covers everything that
-// shapes the machine and stream state at the warmup boundary — kind,
-// node count, warmup length, seed, metadata scale, the optimization
-// toggles, topology and placement — and deliberately excludes the
-// measurement-side parameters (Measure, LinkBandwidth), which is what
-// lets sweep cells and repeated jobs that vary only those share one
-// warmup. Topology and placement are canonicalized so "" and their
-// explicit defaults share a key.
-func WarmKey(kind Kind, bench string, opt Options) string {
-	return warmKey(kind, "bench:"+bench, opt)
-}
-
-func warmKey(kind Kind, scope string, opt Options) string {
-	opt = opt.withDefaults()
-	topo := opt.Topology
-	if topo == "" {
-		topo = "crossbar"
-	}
-	place := opt.Placement
-	if place == "" {
-		place = "pressure"
-	}
-	return fmt.Sprintf("%s|%s|n%d|w%d|s%d|md%d|b%t|p%t|%s|%s",
-		scope, kind, opt.Nodes, opt.Warmup, opt.Seed, opt.MDScale,
-		opt.Bypass, opt.Prefetch, topo, place)
-}
 
 // warmedStream produces the stream positioned at the warmup boundary.
 // On a miss (snap == nil) it builds a fresh stream and simulates the

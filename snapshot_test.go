@@ -154,10 +154,10 @@ func TestSnapshotCustomSpecsIsolated(t *testing.T) {
 	if wc.misses != 2 || wc.hits != 2 {
 		t.Errorf("cache saw %d hits / %d misses, want 2 / 2 (one snapshot per spec)", wc.hits, wc.misses)
 	}
-	ka, _ := LaneKey(RunSpec{Kind: D2MNSR, Workload: &a, Options: opt})
-	kb, _ := LaneKey(RunSpec{Kind: D2MNSR, Workload: &b, Options: opt})
+	ka := RunSpec{Kind: D2MNSR, Workload: &a, Options: opt}.Key().Warm()
+	kb := RunSpec{Kind: D2MNSR, Workload: &b, Options: opt}.Key().Warm()
 	if ka == kb {
-		t.Error("two different custom specs share a lane key")
+		t.Error("two different custom specs share a warm identity")
 	}
 }
 

@@ -1,9 +1,6 @@
 package d2m
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -36,12 +33,11 @@ const (
 	SuiteCustom = "Custom"
 )
 
-// source is a resolved workload: the labels its Results carry, the
-// scope of its warm identity, and a factory returning an independent
-// stream at position zero for the given (defaulted) options.
+// source is a resolved workload: the labels its Results carry and a
+// factory returning an independent stream at position zero for the
+// given (defaulted) options.
 type source struct {
 	name, suite string
-	scope       string
 	stream      func(Options) trace.Stream
 }
 
@@ -60,21 +56,9 @@ func resolve(spec RunSpec, opt Options) (source, error) {
 	}
 	sp := w.toInternal()
 	return source{
-		name: sp.Name, suite: sp.Suite, scope: warmScope(spec),
+		name: sp.Name, suite: sp.Suite,
 		stream: func(o Options) trace.Stream { return trace.NewInterleaver(specStreams(sp, o)) },
 	}, nil
-}
-
-// warmScope is the workload part of a spec's warm identity. A named
-// source is scoped by its name; a custom spec by the SHA-256 of its
-// JSON, so two different specs never share a snapshot or a lane group.
-func warmScope(spec RunSpec) string {
-	if spec.Workload == nil {
-		return "bench:" + spec.Benchmark
-	}
-	b, _ := json.Marshal(spec.Workload) // a struct of plain fields always marshals
-	sum := sha256.Sum256(b)
-	return "custom:" + hex.EncodeToString(sum[:])
 }
 
 // benchStream resolves a benchmark name — a catalog entry, a
@@ -82,7 +66,6 @@ func warmScope(spec RunSpec) string {
 // streams read the stored file chunk-at-a-time (bounded memory) and
 // loop when shorter than warmup+measure.
 func benchStream(bench string, opt Options) (source, error) {
-	scope := "bench:" + bench
 	if id, ok := traceName(bench); ok {
 		lib := traceLibrary()
 		if lib == nil {
@@ -98,14 +81,14 @@ func benchStream(bench string, opt Options) (source, error) {
 		fr0.Loop = true
 		// fr0 stays parked at record zero; every run replays through its
 		// own clone, sharing the one cached file handle underneath.
-		return source{bench, SuiteTrace, scope, func(Options) trace.Stream { return fr0.Clone() }}, nil
+		return source{bench, SuiteTrace, func(Options) trace.Stream { return fr0.Clone() }}, nil
 	}
 	if name, ok := strings.CutPrefix(bench, KernelPrefix); ok {
 		k, ok := kernels.ByName(name)
 		if !ok {
 			return source{}, fmt.Errorf("d2m: unknown kernel %q (see Kernels())", name)
 		}
-		return source{k.Name(), SuiteKernel, scope, func(o Options) trace.Stream {
+		return source{k.Name(), SuiteKernel, func(o Options) trace.Stream {
 			return trace.NewInterleaver(k.Streams(o.Nodes))
 		}}, nil
 	}
@@ -113,7 +96,7 @@ func benchStream(bench string, opt Options) (source, error) {
 	if !ok {
 		return source{}, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", bench)
 	}
-	return source{sp.Name, sp.Suite, scope, func(o Options) trace.Stream {
+	return source{sp.Name, sp.Suite, func(o Options) trace.Stream {
 		return trace.NewInterleaver(specStreams(sp, o))
 	}}, nil
 }

@@ -1,7 +1,6 @@
 package d2m
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"d2m/internal/stats"
@@ -216,25 +215,16 @@ type SweepKindSummary struct {
 	EDP float64 `json:"edp"`
 }
 
-// coordKey identifies a cell's non-kind grid coordinates, pairing each
-// cell with the baseline cell it is compared against.
-func coordKey(c SweepCell) string {
-	b, _ := json.Marshal(struct {
-		Bench string
-		Opt   Options
-	}{c.Benchmark, c.Options.WithDefaults()})
-	return string(b)
-}
-
 // SummarizeSweep aggregates completed cell results (results[i] may be
 // nil for failed or unfinished cells) into per-kind rows, ordered by
 // first appearance in cells. Speedups compare each cell against the
-// baseline-kind cell sharing its other coordinates.
+// baseline cell sharing its other coordinates: its key with the kind
+// replaced by the baseline.
 func SummarizeSweep(baseline Kind, cells []SweepCell, results []*Result) []SweepKindSummary {
-	baseCycles := make(map[string]float64)
+	baseCycles := make(map[CellKey]float64)
 	for i, c := range cells {
 		if c.Kind == baseline && i < len(results) && results[i] != nil && results[i].Cycles > 0 {
-			baseCycles[coordKey(c)] = float64(results[i].Cycles)
+			baseCycles[c.Key()] = float64(results[i].Cycles)
 		}
 	}
 	type agg struct {
@@ -259,7 +249,9 @@ func SummarizeSweep(baseline Kind, cells []SweepCell, results []*Result) []Sweep
 		a.n++
 		a.msgs += r.MsgsPerKI
 		a.edp += r.EDP
-		if base, ok := baseCycles[coordKey(c)]; ok && r.Cycles > 0 {
+		k := c.Key()
+		k.kind = baseline
+		if base, ok := baseCycles[k]; ok && r.Cycles > 0 {
 			a.speedup = append(a.speedup, base/float64(r.Cycles))
 		}
 	}

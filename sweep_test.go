@@ -162,4 +162,15 @@ func TestSummarizeSweep(t *testing.T) {
 	if rows[1].SpeedupPct != 0 {
 		t.Errorf("after nil, D2M-NS-R speedup = %v, want 0", rows[1].SpeedupPct)
 	}
+
+	// A "" baseline pairs with a cell spelling out the defaults: both
+	// name the crossbar with pressure placement.
+	explicit := []SweepCell{
+		{Kind: Base2L, Benchmark: "tpc-c"},
+		{Kind: D2MNSR, Benchmark: "tpc-c", Options: Options{Topology: "crossbar", Placement: "pressure"}},
+	}
+	rows = SummarizeSweep(Base2L, explicit, []*Result{{Cycles: 1000}, {Cycles: 500}})
+	if rows[1].SpeedupPct != 100 {
+		t.Errorf("explicit-default cell speedup = %v, want 100 (paired with the \"\" baseline)", rows[1].SpeedupPct)
+	}
 }

@@ -83,7 +83,7 @@ func TestTraceBenchmarkRun(t *testing.T) {
 		rd.Loop = true
 		return rd
 	}}
-	direct, err := execute(ctx, D2MNSR, inMemory, []Options{opt.withDefaults()}, nil, nil)
+	direct, err := execute(ctx, CellKey{kind: D2MNSR}, inMemory, []Options{opt.withDefaults()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 			for i, src := range append(sources, "trace") {
 				opt := Options{Nodes: 2, Warmup: 2000, Measure: 5000, Topology: topos[i%len(topos)]}.withDefaults()
 				measure := func(s trace.Stream) Result {
-					rs, err := execute(context.Background(), kind,
+					rs, err := execute(context.Background(), CellKey{kind: kind},
 						source{name: src, stream: func(Options) trace.Stream { return s }}, []Options{opt}, nil, nil)
 					if err != nil {
 						t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 )
 
 // The vector engine: RunGroup executes a lane group — K RunSpecs that
-// share a warm identity (WarmKey) — as ONE simulation instead of K.
+// share a warm identity (CellKey.Warm) — as ONE simulation instead of K.
 // Same warm identity means same kind, geometry, workload, seed and
 // warmup; the specs may differ only in the measurement-side parameters
 // (Measure, LinkBandwidth). Because the machine and the access stream
@@ -44,47 +44,30 @@ type LaneOutcome struct {
 	Err    error
 }
 
-// LaneKey returns the grouping key under which a spec may join a lane
-// group, and whether it is eligible at all. Specs with the same key are
-// guaranteed to produce byte-identical results whether run through Run
-// or together through RunGroup. Replicated specs are ineligible (each
-// replicate is its own simulation with its own seed).
-func LaneKey(spec RunSpec) (string, bool) {
-	if spec.Replicates >= 2 {
-		return "", false
-	}
-	return warmKey(spec.Kind, warmScope(spec), spec.Options), true
-}
-
 // RunGroup simulates a lane group in lockstep and returns one outcome
-// per lane, in lane order. Every lane must share the same LaneKey and
-// pass Run's validation; a mixed or invalid group is rejected outright
-// (no partial results). A single-lane group runs on the scalar path.
-// ctx cancels the whole group; each lane's GroupLane.Ctx cancels just
-// that lane. Warm-state reuse works as in Run: the group restores a
-// snapshot for its shared warm identity when one exists, and deposits
-// one otherwise.
+// per lane, in lane order. Every lane must share one warm identity
+// (CellKey.Warm), run once (Replicates < 2: each replicate is its own
+// simulation with its own seed) and pass Run's validation; a mixed or
+// invalid group is rejected outright (no partial results). A
+// single-lane group runs on the scalar path. ctx cancels the whole
+// group; each lane's GroupLane.Ctx cancels just that lane. Warm-state
+// reuse works as in Run: the group restores a snapshot for its shared
+// warm identity when one exists, and deposits one otherwise.
 func RunGroup(ctx context.Context, lanes []GroupLane) ([]LaneOutcome, error) {
 	if len(lanes) == 0 {
 		return nil, nil
 	}
-	key0, ok := LaneKey(lanes[0].Spec)
-	if !ok {
-		return nil, fmt.Errorf("d2m: RunGroup lane 0 is not lane-eligible (Replicates = %d)", lanes[0].Spec.Replicates)
-	}
-	for i, ln := range lanes[1:] {
-		k, ok := LaneKey(ln.Spec)
-		if !ok {
-			return nil, fmt.Errorf("d2m: RunGroup lane %d is not lane-eligible (Replicates = %d)", i+1, ln.Spec.Replicates)
-		}
-		if k != key0 {
-			return nil, fmt.Errorf("d2m: RunGroup lanes 0 and %d have different lane keys (%q vs %q)", i+1, key0, k)
-		}
-	}
+	key0 := lanes[0].Spec.Key().Warm()
 	opts := make([]Options, len(lanes))
 	var src source
 	var wc WarmCache
 	for i, ln := range lanes {
+		if ln.Spec.Replicates >= 2 {
+			return nil, fmt.Errorf("d2m: RunGroup lane %d is not lane-eligible (Replicates = %d)", i, ln.Spec.Replicates)
+		}
+		if k := ln.Spec.Key().Warm(); k != key0 {
+			return nil, fmt.Errorf("d2m: RunGroup lanes 0 and %d have different warm identities (%q vs %q)", i, key0, k)
+		}
 		opt, s, err := prepare(ln.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("d2m: RunGroup lane %d: %w", i, err)
@@ -109,7 +92,7 @@ func RunGroup(ctx context.Context, lanes []GroupLane) ([]LaneOutcome, error) {
 		return []LaneOutcome{{Output: out, Err: err}}, err
 	}
 
-	rs, err := execute(ctx, lanes[0].Spec.Kind, src, opts, wc, func(i int) bool { return laneCtx(i).Err() == nil })
+	rs, err := execute(ctx, key0, src, opts, wc, func(i int) bool { return laneCtx(i).Err() == nil })
 	if err != nil {
 		return nil, err
 	}

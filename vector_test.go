@@ -192,7 +192,4 @@ func TestLaneGroupRejectsMixedKeys(t *testing.T) {
 	if _, err := RunGroup(ctx, rep); err == nil {
 		t.Fatal("RunGroup accepted a replicated spec")
 	}
-	if _, ok := LaneKey(rep[0].Spec); ok {
-		t.Fatal("LaneKey called a replicated spec eligible")
-	}
 }
