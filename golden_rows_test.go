@@ -42,6 +42,15 @@ func TestGoldenRows(t *testing.T) {
 		{"topology", func() any { return TopologySweep(opt, nil) }},
 		{"placement", func() any { return PlacementSweep(opt, nil) }},
 		{"kernels", func() any { return KernelComparison(opt) }},
+		{"mix", func() any { return MixStudy(opt, nil) }},
+		{"d2d", func() any {
+			rep, err := D2DCoverage(opt, "facesim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}},
+		{"storage", func() any { return StorageComparison(opt) }},
 	}
 	got := make(map[string]string, len(drivers))
 	for _, d := range drivers {
