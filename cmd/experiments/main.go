@@ -81,8 +81,8 @@ func planned[R any](id, title string, plan func(d2m.Options) d2m.Plan[R], render
 		}}
 }
 
-// catalog binds a driver that takes a benchmark list to its default list.
-func catalog[R any](plan func(d2m.Options, []string) d2m.Plan[R]) func(d2m.Options) d2m.Plan[R] {
+// catalog binds a driver that takes a list (of benchmarks, or pairs) to its default.
+func catalog[R, L any](plan func(d2m.Options, []L) d2m.Plan[R]) func(d2m.Options) d2m.Plan[R] {
 	return func(opt d2m.Options) d2m.Plan[R] { return plan(opt, nil) }
 }
 
@@ -108,9 +108,7 @@ func registry() []experiment {
 		direct("storage", "SRAM budgets (§V-B)",
 			func(opt d2m.Options) ([]d2m.StorageReport, error) { return d2m.StorageComparison(opt), nil },
 			d2m.RenderStorage),
-		direct("mix", "Multiprogram interference (extension)",
-			func(opt d2m.Options) ([]d2m.MixRow, error) { return d2m.MixStudy(opt, nil), nil },
-			d2m.RenderMix),
+		planned("mix", "Multiprogram interference (extension)", catalog(d2m.MixPlan), d2m.RenderMix),
 		planned("placement", "§IV-B placement policies (ablation)", catalog(d2m.PlacementSweepPlan), d2m.RenderPlacement),
 	}
 }

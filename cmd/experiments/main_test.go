@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,10 +74,11 @@ func selectExperiments(ids ...string) []experiment {
 // TestServerPlanOneSweep checks -server: a multi-experiment plan is one
 // POST /v1/sweeps of distinct cells (Figures 5-7 at one Options share
 // their 5 kinds x 45 benchmarks), no per-run request is sent, and the
-// rows and text equal the in-process ones. It first counts the cells
-// of -exp all at the defaults without running them: the ablations
-// re-read Figure 5-7 cells with the default topology or placement
-// spelled out, and those dedup with their "" twins.
+// rows and text equal the in-process ones; the interference study's
+// mix cells travel the same way. It first counts the cells of -exp all
+// at the defaults without running them: the ablations re-read Figure
+// 5-7 cells with the default topology or placement spelled out, and
+// those dedup with their "" twins.
 func TestServerPlanOneSweep(t *testing.T) {
 	var all []d2m.SweepCell
 	for _, e := range registry() {
@@ -84,8 +86,8 @@ func TestServerPlanOneSweep(t *testing.T) {
 			all = append(all, e.cells(d2m.Options{})...)
 		}
 	}
-	if n, distinct := len(all), len(d2m.DistinctCells(all)); n != 1419 || distinct != 409 {
-		t.Errorf("-exp all declares %d cells, %d distinct; want 1419, 409", n, distinct)
+	if n, distinct := len(all), len(d2m.DistinctCells(all)); n != 1446 || distinct != 436 {
+		t.Errorf("-exp all declares %d cells, %d distinct; want 1446, 436", n, distinct)
 	}
 
 	rec, url := newRecordingServer(t)
@@ -104,14 +106,32 @@ func TestServerPlanOneSweep(t *testing.T) {
 			t.Errorf("json=%v: server output differs from in-process output", asJSON)
 		}
 	}
+	mix := selectExperiments("mix")
+	local, err := generate(mix, opt, false, runLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote, err := generate(mix, opt, false, remoteCells(url)); err != nil || remote != local {
+		t.Errorf("mix: server output differs from in-process output (err %v):\n%s\nin process:\n%s", err, remote, local)
+	}
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if len(rec.otherPosts) != 0 {
 		t.Errorf("POSTs besides sweeps: %v", rec.otherPosts)
 	}
-	if len(rec.sweeps) != 2 {
-		t.Fatalf("%d sweeps for two plans, want one each", len(rec.sweeps))
+	if len(rec.sweeps) != 3 {
+		t.Fatalf("%d sweeps for three plans, want one each", len(rec.sweeps))
+	}
+	// 3 pairs x 3 kinds, each a mix and two solos.
+	mixCells := rec.sweeps[2].Cells
+	if len(mixCells) != 27 {
+		t.Errorf("mix sweep has %d cells, want 27", len(mixCells))
+	}
+	for _, c := range mixCells {
+		if !strings.HasPrefix(c.Benchmark, d2m.MixPrefix) {
+			t.Errorf("mix sweep cell %s/%s is not a mix", c.Kind, c.Benchmark)
+		}
 	}
 	cells := rec.sweeps[0].Cells
 	if len(cells) != 225 {

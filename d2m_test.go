@@ -70,6 +70,7 @@ func TestRunValidation(t *testing.T) {
 		{"catalog", RunSpec{Benchmark: "fft"}},
 		{"kernel", RunSpec{Benchmark: KernelPrefix + "stencil"}},
 		{"trace", RunSpec{Benchmark: TracePrefix + info.ID}},
+		{"mix", RunSpec{Benchmark: MixPrefix + "tpc-c+fft"}},
 		{"custom", RunSpec{Workload: &w}},
 	}
 	rows := []struct {
@@ -121,6 +122,34 @@ func TestRunValidation(t *testing.T) {
 		spec.Options = base
 		if _, err := Run(ctx, spec); err == nil {
 			t.Errorf("source %q (custom %v) accepted", spec.Benchmark, spec.Workload != nil)
+		}
+	}
+	// Mix-only rejections: the name's shape, its programs and the node
+	// count it splits.
+	for _, row := range []struct {
+		bench string
+		nodes int
+	}{
+		{MixPrefix + "tpc-c+fft", 5},
+		{MixPrefix + "tpc-c+nope", 4},
+		{MixPrefix + "nope+tpc-c", 4},
+		{MixPrefix + "tpc-c+" + KernelPrefix + "no-such", 4},
+		{MixPrefix + "+fft", 4},
+		{MixPrefix, 4},
+		{MixPrefix + "fft", 4},
+		{MixPrefix + MixPrefix + "fft++fft", 4},
+		{MixPrefix + "fft+" + MixPrefix + "fft+", 4},
+		{MixPrefix + TracePrefix + info.ID + "+fft", 4},
+		{MixPrefix + "fft+" + TracePrefix + info.ID, 4},
+		{MixPrefix + "tpc-c+fft+canneal", 4},
+	} {
+		opt := base
+		opt.Nodes = row.nodes
+		if _, err := Run(ctx, RunSpec{Kind: D2MNSR, Benchmark: row.bench, Options: opt}); err == nil {
+			t.Errorf("mix %q on %d nodes accepted", row.bench, row.nodes)
+		}
+		if _, ok := SuiteOf(row.bench); ok && row.nodes == 4 {
+			t.Errorf("SuiteOf accepts %q", row.bench)
 		}
 	}
 }
@@ -931,8 +960,8 @@ func TestPlacementOptionErrors(t *testing.T) {
 	if _, err := runSim(D2MNS, KernelPrefix+"bfs", bad); err == nil {
 		t.Error("bad placement accepted on a kernel")
 	}
-	if _, err := RunMix(D2MNS, "fft", "fft", bad); err == nil {
-		t.Error("bad placement accepted by RunMix")
+	if _, err := runSim(D2MNS, MixPrefix+"fft+fft", bad); err == nil {
+		t.Error("bad placement accepted on a mix")
 	}
 	good := fastOpt
 	good.Placement = "local"

@@ -22,7 +22,7 @@
 //	rows := d2m.Figure5(d2m.Options{})
 //
 // or go beyond it: co-schedule two programs and measure interference
-// (RunMix), sweep placement policies (PlacementSweep), compute exact
+// (the benchmark name "mix:<a>+<b>", MixPlan), sweep placement policies (PlacementSweep), compute exact
 // SRAM budgets (Storage), characterize a workload without any cache
 // model (AnalyzeBenchmark), or record binary traces (RecordTrace) and
 // replay them (ImportTrace, then Run on "trace:<id>").

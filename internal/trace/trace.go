@@ -45,7 +45,9 @@ func FillFrom(s Stream, buf []mem.Access) int {
 }
 
 // Interleaver merges per-node streams round-robin, one access per node
-// per turn.
+// per turn. When every stream delivers blocks, Fill stages a block per
+// stream; for independent streams (no stream's output depends on
+// another's draws) the merged sequence equals strict round-robin Next.
 type Interleaver struct {
 	streams []Stream
 	blocks  []BlockStream // blocks[i] non-nil when streams[i] supports Fill
@@ -208,3 +210,48 @@ func (iv *Interleaver) Clone() (*Interleaver, bool) {
 	cp.resolveBlocks()
 	return cp, true
 }
+
+// Offset returns s shifted onto other nodes and into another address
+// space: each access's Node grows by node and its Addr by addr. It
+// delivers blocks and clones when s does both, so an Interleaver over
+// offset generators still stages its draws and snapshots.
+func Offset(s Stream, node int, addr mem.Addr) Stream {
+	o := offset{s, node, addr}
+	if _, ok := s.(BlockStream); ok {
+		if _, ok := s.(Cloner); ok {
+			return &offsetBlocks{o}
+		}
+	}
+	return &o
+}
+
+// offset is the Next-only Offset wrapper.
+type offset struct {
+	s    Stream
+	node int
+	addr mem.Addr
+}
+
+func (o *offset) Next() mem.Access {
+	a := o.s.Next()
+	a.Node += o.node
+	a.Addr += o.addr
+	return a
+}
+
+// offsetBlocks is the Offset wrapper over a stream that fills blocks
+// and clones.
+type offsetBlocks struct{ offset }
+
+// Fill implements BlockStream: the inner stream's block, shifted.
+func (o *offsetBlocks) Fill(buf []mem.Access) int {
+	n := o.s.(BlockStream).Fill(buf)
+	for i := range buf[:n] {
+		buf[i].Node += o.node
+		buf[i].Addr += o.addr
+	}
+	return n
+}
+
+// Clone implements Cloner.
+func (o *offsetBlocks) Clone() Stream { return Offset(o.s.(Cloner).Clone(), o.node, o.addr) }

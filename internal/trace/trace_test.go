@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"testing"
 
 	"d2m/internal/mem"
@@ -51,4 +52,66 @@ func TestInterleaverEmptyPanics(t *testing.T) {
 		}
 	}()
 	NewInterleaver(nil)
+}
+
+// TestOffset checks the node/address wrapper: over a block stream that
+// clones, its Fill equals its Next sequence, each access shifted, and a
+// mid-stream Clone continues identically; over a plain stream it only
+// shifts.
+func TestOffset(t *testing.T) {
+	mk := func() Stream {
+		r, err := ReadTrace(bytes.NewReader(writeV2(t, randomAccesses(500, 4, 3))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Loop = true
+		return r
+	}
+	const node, addr = 4, mem.Addr(1 << 36)
+	plain, byNext, byFill := mk(), Offset(mk(), node, addr), Offset(mk(), node, addr).(BlockStream)
+	want := make([]mem.Access, 1200)
+	for i := range want {
+		a := plain.Next()
+		a.Node += node
+		a.Addr += addr
+		want[i] = a
+		if got := byNext.Next(); got != a {
+			t.Fatalf("Next %d = %v, want %v", i, got, a)
+		}
+	}
+	got := make([]mem.Access, len(want))
+	// Ragged blocks, wrapping the looped trace.
+	var clone Stream
+	for done, k := 0, 1; done < len(got); k = k*3%97 + 1 {
+		k = min(k, len(got)-done)
+		if n := byFill.Fill(got[done : done+k]); n != k {
+			t.Fatalf("Fill(%d) = %d", k, n)
+		}
+		done += k
+		if clone == nil && done >= 300 {
+			clone = byFill.(Cloner).Clone()
+			for i := done; i < len(want); i++ {
+				if a := clone.Next(); a != want[i] {
+					t.Fatalf("clone access %d = %v, want %v", i, a, want[i])
+				}
+			}
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Fill access %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	n := 0
+	fn := Offset(StreamFunc(func() mem.Access { n++; return mem.Access{Node: 1, Addr: mem.Addr(n)} }), node, addr)
+	if _, ok := fn.(BlockStream); ok {
+		t.Error("Offset over a plain stream claims Fill")
+	}
+	if _, ok := fn.(Cloner); ok {
+		t.Error("Offset over a plain stream claims Clone")
+	}
+	if a := fn.Next(); a.Node != 1+node || a.Addr != addr+1 {
+		t.Errorf("plain Offset access %v", a)
+	}
 }

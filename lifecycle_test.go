@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"d2m/internal/sim"
+	"d2m/internal/trace"
 )
 
 // warmSnapshotLimit bounds a 2-node tpc-c snapshot after a 2k warmup.
@@ -135,7 +136,7 @@ func BenchmarkMachineLifecycle(b *testing.B) {
 				}
 				inst := mech.New(mo)
 				defer inst.Release()
-				if err := sim.NewEngine(inst, nodes).Warmup(ctx, src.stream(opt), opt.Warmup); err != nil {
+				if err := sim.NewEngine(inst, nodes).Warmup(ctx, trace.NewInterleaver(src.streams(opt)), opt.Warmup); err != nil {
 					b.Fatal(err)
 				}
 				var bytes int64

@@ -1,132 +1,15 @@
 package d2m
 
-import (
-	"context"
-	"fmt"
-
-	"d2m/internal/mem"
-	"d2m/internal/trace"
-	"d2m/internal/workloads"
-)
+import "fmt"
 
 // This file implements a multiprogram interference study, an extension
 // the paper's §IV-B motivates: near-side slices give each node its own
 // LLC capacity, so a cache-hungry neighbour steals far less from a
 // co-scheduled program than it does in a shared monolithic LLC.
 
-// asidStride separates co-scheduled programs' address spaces (every
-// workload base is far below 2^36).
-const asidStride mem.Addr = 1 << 36
-
-// MixResult reports one co-scheduling experiment: each program's
-// machine cycles when run alone on half the machine versus mixed with
-// the other program on the whole machine, at identical per-node access
-// counts. Slowdown = mixed/solo; isolation is better when it is closer
-// to 1.
-type MixResult struct {
-	Kind           Kind
-	BenchA, BenchB string
-	SoloA, SoloB   uint64 // cycles, each program alone on half the nodes
-	MixedA, MixedB uint64 // cycles of each program's nodes in the mixed run
-	SlowdownA      float64
-	SlowdownB      float64
-	// MixedBound reports whether the mixed run was bandwidth-bound —
-	// the interference channel at simulated footprints.
-	MixedBound bool
-}
-
-// RunMix co-schedules two benchmarks, each on half the machine's nodes
-// (program A on the lower half, B on the upper), in disjoint address
-// spaces — the multiprogrammed-server scenario. Options.Nodes must be
-// even; Measure is the total access count across both programs.
-func RunMix(kind Kind, benchA, benchB string, opt Options) (MixResult, error) {
-	opt = opt.withDefaults()
-	if opt.Nodes < 2 || opt.Nodes > 8 || opt.Nodes%2 != 0 {
-		return MixResult{}, fmt.Errorf("d2m: RunMix needs an even node count in 2..8, got %d", opt.Nodes)
-	}
-	if err := opt.Validate(); err != nil {
-		return MixResult{}, err
-	}
-	spA, ok := workloads.ByName(benchA)
-	if !ok {
-		return MixResult{}, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", benchA)
-	}
-	spB, ok := workloads.ByName(benchB)
-	if !ok {
-		return MixResult{}, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", benchB)
-	}
-	half := opt.Nodes / 2
-	streamOpt := opt
-	streamOpt.Nodes = half
-	// measure runs one composed stream through the executor.
-	measure := func(opt Options, streams func() []trace.Stream) (*Result, error) {
-		src := source{stream: func(Options) trace.Stream { return trace.NewInterleaver(streams()) }}
-		rs, err := execute(context.Background(), CellKey{kind: kind}, src, []Options{opt}, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return rs[0], nil
-	}
-
-	// Solo baselines: each program alone on ITS half of the SAME
-	// machine (the other nodes idle), with the same per-node access
-	// budget as in the mixed run — so capacity and link count are
-	// identical across the comparison and only the neighbour changes.
-	soloOpt := opt
-	soloOpt.Warmup = opt.Warmup / 2
-	soloOpt.Measure = opt.Measure / 2
-	soloA, err := measure(soloOpt, func() []trace.Stream { return specStreams(spA, streamOpt) })
-	if err != nil {
-		return MixResult{}, err
-	}
-	soloB, err := measure(soloOpt, func() []trace.Stream { return specStreams(spB, streamOpt) })
-	if err != nil {
-		return MixResult{}, err
-	}
-
-	// Mixed run: program B's streams are remapped to the upper nodes
-	// and offset into a disjoint address space.
-	mixed, err := measure(opt, func() []trace.Stream {
-		streams := make([]trace.Stream, opt.Nodes)
-		copy(streams, specStreams(spA, streamOpt))
-		for i, s := range specStreams(spB, streamOpt) {
-			s := s
-			streams[half+i] = trace.StreamFunc(func() mem.Access {
-				a := s.Next()
-				a.Node += half
-				a.Addr += asidStride
-				return a
-			})
-		}
-		return streams
-	})
-	if err != nil {
-		return MixResult{}, err
-	}
-
-	res := MixResult{
-		Kind: kind, BenchA: spA.Name, BenchB: spB.Name,
-		SoloA: soloA.Cycles, SoloB: soloB.Cycles,
-		MixedBound: mixed.BandwidthBound,
-	}
-	for n, c := range mixed.NodeCycles {
-		if n < half && c > res.MixedA {
-			res.MixedA = c
-		}
-		if n >= half && c > res.MixedB {
-			res.MixedB = c
-		}
-	}
-	if res.SoloA > 0 {
-		res.SlowdownA = float64(res.MixedA) / float64(res.SoloA)
-	}
-	if res.SoloB > 0 {
-		res.SlowdownB = float64(res.MixedB) / float64(res.SoloB)
-	}
-	return res, nil
-}
-
-// MixRow is one program pairing across configurations.
+// MixRow is one program pairing across configurations: each program's
+// slowdown, its cycles in the mixed run over its solo cycles. Isolation
+// is better when a slowdown is closer to 1.
 type MixRow struct {
 	BenchA, BenchB string
 	// Slowdowns of the cache-sensitive program (A) per configuration.
@@ -134,15 +17,28 @@ type MixRow struct {
 	SlowdownB map[Kind]float64
 }
 
-// MixStudy runs the interference study: cache-sensitive programs paired
-// with a traffic-heavy neighbour, across the baseline and D2M kinds.
-// Interference flows through the shared fabric, so the study runs
-// bandwidth-constrained (LinkBandwidth defaults to 0.1 flits/cycle/link
-// if unset — at simulated footprints the LLC capacity channel is quiet,
-// and infinite bandwidth would hide the contention entirely). Expected
-// shape: D2M's traffic cut is isolation — the victim's slowdown under
-// an aggressor is smaller than on the baseline.
-func MixStudy(opt Options, pairs [][2]string) []MixRow {
+// mixKinds are the configurations the interference study compares.
+var mixKinds = []Kind{Base2L, D2MFS, D2MNSR}
+
+// MixPlan declares the interference study: cache-sensitive programs
+// paired with a traffic-heavy neighbour, across the baseline and D2M
+// kinds. Per pair and kind it reads three cells:
+//   - the mixed run "mix:<a>+<b>", A on the lower half of the nodes and
+//     B on the upper half, in disjoint address spaces;
+//   - each program's solo run "mix:<x>+", alone on the lower half of
+//     the same machine with the upper half idle, at half the warmup and
+//     half the measured accesses, so per-node access counts, capacity
+//     and link count match the mixed run and only the neighbour changes.
+//
+// A program's slowdown is the largest clock among its nodes in the
+// mixed run (Result.NodeCycles) over its solo cycles. Interference flows
+// through the shared fabric, so the study runs bandwidth-constrained:
+// LinkBandwidth defaults to 0.1 flits/cycle/link if unset, because at
+// simulated footprints the LLC capacity channel is quiet and infinite
+// bandwidth would hide the contention entirely. Expected shape: D2M's
+// traffic cut is isolation — the victim's slowdown under an aggressor
+// is smaller than on the baseline.
+func MixPlan(opt Options, pairs [][2]string) Plan[[]MixRow] {
 	if opt.LinkBandwidth <= 0 {
 		opt.LinkBandwidth = 0.1
 	}
@@ -153,21 +49,40 @@ func MixStudy(opt Options, pairs [][2]string) []MixRow {
 			{"facesim", "lu_ncb"},
 		}
 	}
-	kinds := []Kind{Base2L, D2MFS, D2MNSR}
-	rows := make([]MixRow, len(pairs))
-	for i, p := range pairs {
-		row := MixRow{BenchA: p[0], BenchB: p[1], SlowdownA: map[Kind]float64{}, SlowdownB: map[Kind]float64{}}
-		for _, k := range kinds {
-			r, err := RunMix(k, p[0], p[1], opt)
-			if err != nil {
-				panic(err) // pairs come from the catalog; this is a bug
-			}
-			row.SlowdownA[k] = r.SlowdownA
-			row.SlowdownB[k] = r.SlowdownB
-		}
-		rows[i] = row
+	opt = opt.WithDefaults()
+	solo := opt
+	solo.Warmup, solo.Measure = opt.Warmup/2, opt.Measure/2
+	mixName := func(a, b string) string { return MixPrefix + a + "+" + b }
+	var mixed, solos []string
+	for _, p := range pairs {
+		mixed = append(mixed, mixName(p[0], p[1]))
+		solos = append(solos, mixName(p[0], ""), mixName(p[1], ""))
 	}
-	return rows
+	return Plan[[]MixRow]{append(grid(mixKinds, mixed, opt), grid(mixKinds, solos, solo)...), func(get lookup) []MixRow {
+		rows := make([]MixRow, len(pairs))
+		for i, p := range pairs {
+			row := MixRow{BenchA: p[0], BenchB: p[1], SlowdownA: map[Kind]float64{}, SlowdownB: map[Kind]float64{}}
+			for _, k := range mixKinds {
+				var mixedA, mixedB uint64
+				for n, c := range get(k, mixName(p[0], p[1]), opt).NodeCycles {
+					if n < opt.Nodes/2 {
+						mixedA = max(mixedA, c)
+					} else {
+						mixedB = max(mixedB, c)
+					}
+				}
+				row.SlowdownA[k] = float64(mixedA) / float64(get(k, mixName(p[0], ""), solo).Cycles)
+				row.SlowdownB[k] = float64(mixedB) / float64(get(k, mixName(p[1], ""), solo).Cycles)
+			}
+			rows[i] = row
+		}
+		return rows
+	}}
+}
+
+// MixStudy runs the interference study of MixPlan in process.
+func MixStudy(opt Options, pairs [][2]string) []MixRow {
+	return mustRun(MixPlan(opt, pairs))
 }
 
 // RenderMix formats the interference study.

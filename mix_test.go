@@ -3,55 +3,65 @@ package d2m
 import (
 	"strings"
 	"testing"
+
+	"d2m/internal/mem"
+	"d2m/internal/trace"
 )
 
-func TestRunMixErrors(t *testing.T) {
-	if _, err := RunMix(Base2L, "tpc-c", "nope", fastOpt); err == nil {
-		t.Error("unknown bench B accepted")
+// mixSlowdowns runs "mix:<a>+<b>" at opt and each program's solo
+// "mix:<x>+" at half the warmup and measure through Run, as MixPlan
+// declares them, and returns the mixed Result and both slowdowns.
+func mixSlowdowns(t *testing.T, kind Kind, a, b string, opt Options) (Result, float64, float64) {
+	t.Helper()
+	run := func(bench string, opt Options) Result {
+		r, err := runSim(kind, bench, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	if _, err := RunMix(Base2L, "nope", "tpc-c", fastOpt); err == nil {
-		t.Error("unknown bench A accepted")
+	opt = opt.WithDefaults()
+	solo := opt
+	solo.Warmup, solo.Measure = opt.Warmup/2, opt.Measure/2
+	mixed := run(MixPrefix+a+"+"+b, opt)
+	half := opt.Nodes / 2
+	if len(mixed.NodeCycles) != opt.Nodes {
+		t.Fatalf("mixed run has %d node clocks, want %d", len(mixed.NodeCycles), opt.Nodes)
 	}
-	odd := fastOpt
-	odd.Nodes = 5
-	if _, err := RunMix(Base2L, "tpc-c", "fft", odd); err == nil {
-		t.Error("odd node count accepted")
+	var mixedA, mixedB uint64
+	for n, c := range mixed.NodeCycles {
+		if c == 0 {
+			t.Fatalf("node %d idle in the mixed run: %v", n, mixed.NodeCycles)
+		}
+		if n < half {
+			mixedA = max(mixedA, c)
+		} else {
+			mixedB = max(mixedB, c)
+		}
 	}
-	bad := fastOpt
-	bad.Topology = "hypercube"
-	if _, err := RunMix(Base2L, "tpc-c", "fft", bad); err == nil {
-		t.Error("bad topology accepted")
+	soloA, soloB := run(MixPrefix+a+"+", solo), run(MixPrefix+b+"+", solo)
+	for _, s := range []Result{soloA, soloB} {
+		for n, c := range s.NodeCycles {
+			if (n < half) != (c > 0) {
+				t.Fatalf("solo run's node clocks %v: want the lower half busy, the upper idle", s.NodeCycles)
+			}
+		}
 	}
-	// Each must be an error, never a zero MixResult or a panic.
-	small := Options{Nodes: 4, Warmup: 1000, Measure: 2000}
-	if _, err := RunMix(Kind(99), "tpc-c", "fft", small); err == nil {
-		t.Error("Kind(99) accepted")
-	}
-	bad = small
-	bad.MDScale = 3
-	if _, err := RunMix(D2MNSR, "tpc-c", "fft", bad); err == nil {
-		t.Error("MDScale 3 accepted")
-	}
+	return mixed, float64(mixedA) / float64(soloA.Cycles), float64(mixedB) / float64(soloB.Cycles)
 }
 
-func TestRunMixDeterministicAndLabeled(t *testing.T) {
+func TestMixDeterministicAndLabeled(t *testing.T) {
 	opt := Options{Warmup: 60_000, Measure: 120_000}
-	a, err := RunMix(D2MNSR, "fft", "canneal", opt)
-	if err != nil {
-		t.Fatal(err)
+	a, slowA, slowB := mixSlowdowns(t, D2MNSR, "fft", "canneal", opt)
+	b, againA, againB := mixSlowdowns(t, D2MNSR, "fft", "canneal", opt)
+	if goldenDigest(a) != goldenDigest(b) || slowA != againA || slowB != againB {
+		t.Fatalf("mix runs not deterministic: slowdowns %v/%v then %v/%v", slowA, slowB, againA, againB)
 	}
-	b, err := RunMix(D2MNSR, "fft", "canneal", opt)
-	if err != nil {
-		t.Fatal(err)
+	if a.Benchmark != "mix:fft+canneal" || a.Suite != SuiteMix || a.Kind != D2MNSR {
+		t.Fatalf("labels wrong: %s %s %s", a.Kind, a.Benchmark, a.Suite)
 	}
-	if a != b {
-		t.Fatalf("mix runs not deterministic:\n%+v\n%+v", a, b)
-	}
-	if a.BenchA != "fft" || a.BenchB != "canneal" || a.Kind != D2MNSR {
-		t.Fatalf("labels wrong: %+v", a)
-	}
-	if a.SoloA == 0 || a.MixedA == 0 || a.SoloB == 0 || a.MixedB == 0 {
-		t.Fatalf("degenerate cycles: %+v", a)
+	if suite, ok := SuiteOf("mix:fft+canneal"); !ok || suite != SuiteMix {
+		t.Errorf("SuiteOf(mix:fft+canneal) = %q, %v", suite, ok)
 	}
 }
 
@@ -60,15 +70,12 @@ func TestRunMixDeterministicAndLabeled(t *testing.T) {
 // per-node time beyond the engine's round-robin jitter (no sharing, no
 // capacity pressure at these footprints). A large deviation would mean
 // the address offsetting is broken (false sharing between programs).
-func TestRunMixAddressIsolation(t *testing.T) {
+func TestMixAddressIsolation(t *testing.T) {
 	opt := Options{Warmup: 100_000, Measure: 200_000} // infinite bandwidth
-	r, err := RunMix(D2MNSR, "fft", "fft", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, slow := range []float64{r.SlowdownA, r.SlowdownB} {
+	_, slowA, slowB := mixSlowdowns(t, D2MNSR, "fft", "fft", opt)
+	for _, slow := range []float64{slowA, slowB} {
 		if slow < 0.95 || slow > 1.05 {
-			t.Fatalf("slowdown %v under infinite bandwidth; programs are not isolated: %+v", slow, r)
+			t.Fatalf("slowdown %v under infinite bandwidth; programs are not isolated (A %v, B %v)", slow, slowA, slowB)
 		}
 	}
 }
@@ -95,5 +102,52 @@ func TestMixIsolationShape(t *testing.T) {
 	out := RenderMix(rows)
 	if !strings.Contains(out, "tpc-c+streamcluster") || !strings.Contains(out, "D2M-NS-R") {
 		t.Error("RenderMix output malformed")
+	}
+}
+
+// TestMixPlanCells checks the plan's declaration: three cells per pair
+// and kind — the mix and both solos at half the windows — with the
+// bandwidth default applied and the solos of a shared program deduped.
+func TestMixPlanCells(t *testing.T) {
+	p := MixPlan(Options{Nodes: 4, Warmup: 2000, Measure: 6000}, [][2]string{{"tpc-c", "fft"}, {"tpc-c", "canneal"}})
+	if n, distinct := len(p.Cells), len(DistinctCells(p.Cells)); n != 18 || distinct != 15 {
+		t.Errorf("%d cells, %d distinct; want 18, 15", n, distinct)
+	}
+	for _, c := range p.Cells {
+		solo := strings.HasSuffix(c.Benchmark, "+")
+		if c.Options.LinkBandwidth != 0.1 || (solo && c.Options.Measure != 3000) || (!solo && c.Options.Measure != 6000) {
+			t.Errorf("%s/%s: options %+v", c.Kind, c.Benchmark, c.Options)
+		}
+	}
+}
+
+// TestMixStream checks the mix source's stream: A's accesses on the
+// lower nodes below asidStride, B's on the upper nodes above it; block
+// delivery (staged per program stream) equals strict round-robin Next;
+// and a mix of catalog programs clones for warm snapshots.
+func TestMixStream(t *testing.T) {
+	opt := Options{Nodes: 4}.WithDefaults()
+	for _, bench := range []string{MixPrefix + "tpc-c+fft", MixPrefix + KernelPrefix + "stencil+fft", MixPrefix + "fft+"} {
+		src, err := benchStream(bench, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strict, staged := trace.NewInterleaver(src.streams(opt)), trace.NewInterleaver(src.streams(opt))
+		if _, ok := strict.Clone(); ok != !strings.Contains(bench, KernelPrefix) {
+			t.Errorf("%s: stream clones = %v", bench, ok)
+		}
+		got := make([]mem.Access, 5000)
+		for done := 0; done < len(got); {
+			done += staged.Fill(got[done:min(done+977, len(got))])
+		}
+		for i, g := range got {
+			a := strict.Next()
+			if a != g {
+				t.Fatalf("%s: access %d: Fill %v, Next %v", bench, i, g, a)
+			}
+			if upper := a.Node >= 2; a.Node < 0 || a.Node >= 4 || upper != (a.Addr >= asidStride) {
+				t.Fatalf("%s: access %d %v outside its program's nodes or address space", bench, i, a)
+			}
+		}
 	}
 }

@@ -226,7 +226,7 @@ type Result struct {
 	// Timing.
 	Cycles uint64
 	// NodeCycles are the per-node clocks behind Cycles (their max);
-	// RunMix uses them to attribute time to co-scheduled programs.
+	// MixPlan uses them to attribute time to co-scheduled programs.
 	NodeCycles     []uint64
 	Instructions   uint64
 	Accesses       uint64
@@ -423,8 +423,8 @@ func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput,
 	return RunOutput{Result: *rs[0], Engine: EngineScalar}, nil
 }
 
-// execute is the one executor behind every run path: Run, RunGroup,
-// replication and RunMix. It builds the kind's machine through the
+// execute is the one executor behind every run path: Run, RunGroup
+// and replication. It builds the kind's machine through the
 // mechanism registry and brings it to the warmup boundary — restoring
 // wc's snapshot for the warm identity when there is one, and otherwise
 // simulating the warmup and depositing a snapshot for its successors.
@@ -454,7 +454,7 @@ func execute(ctx context.Context, key CellKey, src source, lanes []Options, wc W
 		wkey = key.String()
 		snap = wc.GetWarm(wkey)
 	}
-	stream, err := warmedStream(ctx, engine, snap, func() trace.Stream { return src.stream(opt) }, opt.Warmup)
+	stream, err := warmedStream(ctx, engine, snap, func() *trace.Interleaver { return trace.NewInterleaver(src.streams(opt)) }, opt.Warmup)
 	if err != nil {
 		return nil, err
 	}

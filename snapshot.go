@@ -62,12 +62,12 @@ type WarmSnapshot struct {
 
 	// src is the post-warmup stream, cloned at capture time while the
 	// capturing run went on consuming the original — an interleaver
-	// over generator streams, or a trace.Cloner such as the file reader
-	// replaying a stored trace. Nil when the workload's streams cannot
-	// be cloned (closure-driven kernel emitters); restores then rebuild
-	// the stream and replay the warmup draws, which is deterministic
-	// and still far cheaper than simulating them.
-	src trace.Stream
+	// over generator streams or over the file reader replaying a stored
+	// trace. Nil when the workload's streams cannot be cloned
+	// (closure-driven kernel emitters); restores then rebuild the
+	// stream and replay the warmup draws, which is deterministic and
+	// still far cheaper than simulating them.
+	src *trace.Interleaver
 
 	bytes int64
 }
@@ -90,7 +90,7 @@ const streamOverheadBytes = 4096
 // On a hit it does not touch the machine: it duplicates the snapshot's
 // stored stream, or, when the streams were not cloneable, rebuilds the
 // stream and replays (without simulating) the warmup draws.
-func warmedStream(ctx context.Context, engine *sim.Engine, snap *WarmSnapshot, mkStream func() trace.Stream, warmup int) (trace.Stream, error) {
+func warmedStream(ctx context.Context, engine *sim.Engine, snap *WarmSnapshot, mkStream func() *trace.Interleaver, warmup int) (*trace.Interleaver, error) {
 	if snap == nil {
 		src := mkStream()
 		if err := engine.Warmup(ctx, src, warmup); err != nil {
@@ -99,17 +99,11 @@ func warmedStream(ctx context.Context, engine *sim.Engine, snap *WarmSnapshot, m
 		return src, nil
 	}
 	if snap.src != nil {
-		switch s := snap.src.(type) {
-		case *trace.Interleaver:
-			cp, ok := s.Clone()
-			if !ok {
-				panic("d2m: stored warm stream lost cloneability")
-			}
-			return cp, nil
-		case trace.Cloner:
-			return s.Clone(), nil
+		cp, ok := snap.src.Clone()
+		if !ok {
+			panic("d2m: stored warm stream lost cloneability")
 		}
-		panic("d2m: stored warm stream lost cloneability")
+		return cp, nil
 	}
 	src := mkStream()
 	for i := 0; i < snap.warmup; i++ {
@@ -123,17 +117,8 @@ func warmedStream(ctx context.Context, engine *sim.Engine, snap *WarmSnapshot, m
 
 // finish records the post-warmup stream position (cloning it when the
 // streams support cloning) and totals the snapshot's byte footprint.
-func (ws *WarmSnapshot) finish(src trace.Stream) {
-	switch s := src.(type) {
-	case *trace.Interleaver:
-		// Interleaver's Clone reports cloneability separately, so it is
-		// matched before the generic Cloner interface.
-		if cp, ok := s.Clone(); ok {
-			ws.src = cp
-		}
-	case trace.Cloner:
-		ws.src = s.Clone()
-	}
+func (ws *WarmSnapshot) finish(src *trace.Interleaver) {
+	ws.src, _ = src.Clone() // nil when the streams cannot be cloned
 	ws.bytes = streamOverheadBytes
 	if ws.state != nil {
 		ws.bytes += ws.state.SizeBytes()

@@ -74,7 +74,9 @@ func replicateN(ctx context.Context, kind Kind, bench string, opt Options, n int
 
 // snapshotSources are the workload sources of the snapshot matrix: a
 // calibrated benchmark (streams cloned into the snapshot), two
-// algorithmic kernels (streams replayed) and a custom spec.
+// algorithmic kernels (streams replayed), two mixes (two catalog
+// programs, cloned; a kernel and a catalog program, replayed) and a
+// custom spec.
 func snapshotSources() []struct {
 	name string
 	spec RunSpec
@@ -87,6 +89,8 @@ func snapshotSources() []struct {
 		{"tpc-c", RunSpec{Benchmark: "tpc-c", Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000, Seed: 7}}},
 		{"matmul", RunSpec{Benchmark: KernelPrefix + "matmul", Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000}}},
 		{"stencil", RunSpec{Benchmark: KernelPrefix + "stencil", Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000}}},
+		{"mix", RunSpec{Benchmark: MixPrefix + "tpc-c+fft", Options: Options{Nodes: 4, Warmup: 3000, Measure: 6000, Seed: 7}}},
+		{"mix-kernel", RunSpec{Benchmark: MixPrefix + KernelPrefix + "stencil+fft", Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000}}},
 		{"custom", RunSpec{Workload: &w, Options: Options{Nodes: 2, Warmup: 3000, Measure: 6000, Seed: 7}}},
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"d2m/internal/kernels"
+	"d2m/internal/mem"
 	"d2m/internal/trace"
 	"d2m/internal/workloads"
 )
@@ -15,10 +16,11 @@ import (
 //   - a catalog benchmark name ("tpc-c", see Benchmarks);
 //   - a stored trace, "trace:<id>" (see ImportTrace);
 //   - an algorithmic kernel, "kernel:<name>" (see Kernels);
+//   - two co-scheduled programs, "mix:<a>+<b>" (see MixPrefix);
 //   - a custom generator, RunSpec.Workload (see WorkloadSpec).
 //
-// The first three are names, accepted anywhere a benchmark name is —
-// Run, RunGroup, sweeps, the service API. All four run through the same
+// The first four are names, accepted anywhere a benchmark name is —
+// Run, RunGroup, sweeps, the service API. All five run through the same
 // executor, so warm snapshots, lane groups and replication apply to
 // each of them alike.
 
@@ -26,19 +28,32 @@ import (
 // "kernel:<name>" runs the kernel of that name.
 const KernelPrefix = "kernel:"
 
+// MixPrefix marks a benchmark name as two co-scheduled programs:
+// "mix:<a>+<b>" runs program <a> on the lower half of the nodes and <b>
+// on the upper half, in disjoint address spaces. Each program is a
+// catalog or "kernel:" name; "mix:<a>+" runs <a> alone on the lower
+// half, the upper half idle. The node count must be even.
+const MixPrefix = "mix:"
+
 // Pseudo-suites reported for the non-catalog sources. Like SuiteTrace,
 // they are not part of Suites().
 const (
 	SuiteKernel = "Kernel"
+	SuiteMix    = "Mix"
 	SuiteCustom = "Custom"
 )
 
+// asidStride separates co-scheduled programs' address spaces (every
+// workload base is far below 2^36).
+const asidStride mem.Addr = 1 << 36
+
 // source is a resolved workload: the labels its Results carry and a
-// factory returning an independent stream at position zero for the
-// given (defaulted) options.
+// factory returning independent streams at position zero for the given
+// (defaulted) options — one per node for a generator, which the
+// executor merges round-robin, or a stored trace's one merged stream.
 type source struct {
 	name, suite string
-	stream      func(Options) trace.Stream
+	streams     func(Options) []trace.Stream
 }
 
 // resolve validates a spec's workload and resolves it to a source:
@@ -55,16 +70,13 @@ func resolve(spec RunSpec, opt Options) (source, error) {
 		return source{}, err
 	}
 	sp := w.toInternal()
-	return source{
-		name: sp.Name, suite: sp.Suite,
-		stream: func(o Options) trace.Stream { return trace.NewInterleaver(specStreams(sp, o)) },
-	}, nil
+	return source{sp.Name, sp.Suite, func(o Options) []trace.Stream { return specStreams(sp, o) }}, nil
 }
 
 // benchStream resolves a benchmark name — a catalog entry, a
-// "trace:<id>" reference or a "kernel:<name>" — to its source. Trace
-// streams read the stored file chunk-at-a-time (bounded memory) and
-// loop when shorter than warmup+measure.
+// "trace:<id>" reference, a "kernel:<name>" or a "mix:<a>+<b>" — to
+// its source. Trace streams read the stored file chunk-at-a-time
+// (bounded memory) and loop when shorter than warmup+measure.
 func benchStream(bench string, opt Options) (source, error) {
 	if id, ok := traceName(bench); ok {
 		lib := traceLibrary()
@@ -81,23 +93,59 @@ func benchStream(bench string, opt Options) (source, error) {
 		fr0.Loop = true
 		// fr0 stays parked at record zero; every run replays through its
 		// own clone, sharing the one cached file handle underneath.
-		return source{bench, SuiteTrace, func(Options) trace.Stream { return fr0.Clone() }}, nil
+		return source{bench, SuiteTrace, func(Options) []trace.Stream { return []trace.Stream{fr0.Clone()} }}, nil
+	}
+	if rest, ok := strings.CutPrefix(bench, MixPrefix); ok {
+		return mixStream(bench, rest, opt)
 	}
 	if name, ok := strings.CutPrefix(bench, KernelPrefix); ok {
 		k, ok := kernels.ByName(name)
 		if !ok {
 			return source{}, fmt.Errorf("d2m: unknown kernel %q (see Kernels())", name)
 		}
-		return source{k.Name(), SuiteKernel, func(o Options) trace.Stream {
-			return trace.NewInterleaver(k.Streams(o.Nodes))
-		}}, nil
+		return source{k.Name(), SuiteKernel, func(o Options) []trace.Stream { return k.Streams(o.Nodes) }}, nil
 	}
 	sp, ok := workloads.ByName(bench)
 	if !ok {
 		return source{}, fmt.Errorf("d2m: unknown benchmark %q (see Benchmarks())", bench)
 	}
-	return source{sp.Name, sp.Suite, func(o Options) trace.Stream {
-		return trace.NewInterleaver(specStreams(sp, o))
+	return source{sp.Name, sp.Suite, func(o Options) []trace.Stream { return specStreams(sp, o) }}, nil
+}
+
+// mixStream resolves "mix:<a>+<b>" (rest is "<a>+<b>"): program a's
+// per-node streams on the lower half of the nodes, b's moved to the
+// upper half and into their own address space. A program is a catalog
+// or "kernel:" name, never a trace or another mix.
+func mixStream(bench, rest string, opt Options) (source, error) {
+	if opt.Nodes < 2 || opt.Nodes%2 != 0 {
+		return source{}, fmt.Errorf("d2m: mix %q needs an even node count, got Nodes = %d", bench, opt.Nodes)
+	}
+	an, bn, ok := strings.Cut(rest, "+")
+	if !ok || an == "" {
+		return source{}, fmt.Errorf("d2m: mix %q is not of the form mix:<a>+<b> with a program <a>", bench)
+	}
+	var progs [2]source // progs[1].streams stays nil for "mix:<a>+"
+	for i, name := range []string{an, bn} {
+		if strings.HasPrefix(name, MixPrefix) || strings.HasPrefix(name, TracePrefix) {
+			return source{}, fmt.Errorf("d2m: mix %q: program %q must be a catalog or kernel name", bench, name)
+		}
+		if name != "" {
+			var err error
+			if progs[i], err = benchStream(name, opt); err != nil {
+				return source{}, err
+			}
+		}
+	}
+	a, b := progs[0].streams, progs[1].streams
+	return source{bench, SuiteMix, func(o Options) []trace.Stream {
+		o.Nodes /= 2
+		streams := a(o)
+		if b != nil {
+			for _, s := range b(o) {
+				streams = append(streams, trace.Offset(s, o.Nodes, asidStride))
+			}
+		}
+		return streams
 	}}, nil
 }
 
@@ -113,9 +161,7 @@ func specStreams(sp *workloads.Spec, opt Options) []trace.Stream {
 
 // namedStream resolves a named source for the stream tools (RecordTrace,
 // AnalyzeBenchmark), which take an explicit node count and no machine.
-// Every named source is an Interleaver or a FileReader, so it delivers
-// blocks.
-func namedStream(bench string, nodes int) (trace.BlockStream, error) {
+func namedStream(bench string, nodes int) (*trace.Interleaver, error) {
 	if nodes < 1 || nodes > 8 {
 		return nil, fmt.Errorf("d2m: nodes = %d out of range 1..8", nodes)
 	}
@@ -124,12 +170,13 @@ func namedStream(bench string, nodes int) (trace.BlockStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return src.stream(opt).(trace.BlockStream), nil
+	return trace.NewInterleaver(src.streams(opt)), nil
 }
 
 // SuiteOf returns the suite of a benchmark name: the catalog suite,
-// SuiteTrace for a stored-trace reference ("trace:<id>"), or
-// SuiteKernel for an algorithmic kernel ("kernel:<name>").
+// SuiteTrace for a stored-trace reference ("trace:<id>"), SuiteKernel
+// for an algorithmic kernel ("kernel:<name>") or SuiteMix for a mix of
+// two programs ("mix:<a>+<b>").
 func SuiteOf(bench string) (string, bool) {
 	if id, ok := traceName(bench); ok {
 		if _, ok := TraceByID(id); ok {
@@ -137,15 +184,8 @@ func SuiteOf(bench string) (string, bool) {
 		}
 		return "", false
 	}
-	if name, ok := strings.CutPrefix(bench, KernelPrefix); ok {
-		if _, ok := kernels.ByName(name); ok {
-			return SuiteKernel, true
-		}
-		return "", false
-	}
-	sp, ok := workloads.ByName(bench)
-	if !ok {
-		return "", false
-	}
-	return sp.Suite, true
+	// Any other source resolves without I/O; a mix needs an even node
+	// count, which the name alone does not fix.
+	src, err := benchStream(bench, Options{Nodes: 2})
+	return src.suite, err == nil
 }

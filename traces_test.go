@@ -75,13 +75,13 @@ func TestTraceBenchmarkRun(t *testing.T) {
 
 	// The stored-trace path (chunked FileReader) and an in-memory
 	// Reader over the same bytes replay identically.
-	inMemory := source{name: bench, suite: SuiteTrace, stream: func(Options) trace.Stream {
+	inMemory := source{name: bench, suite: SuiteTrace, streams: func(Options) []trace.Stream {
 		rd, err := trace.ReadTrace(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rd.Loop = true
-		return rd
+		return []trace.Stream{rd}
 	}}
 	direct, err := execute(ctx, CellKey{kind: D2MNSR}, inMemory, []Options{opt.withDefaults()}, nil, nil)
 	if err != nil {
@@ -203,8 +203,8 @@ func TestTraceRunGroup(t *testing.T) {
 	assertLanesMatchScalar(t, ctx, groupOf(D2MNSR, bench, base, []int{3000, 5000, 8000}, []float64{0, 0.002, 0}))
 }
 
-// nextOnly hides a stream's Fill method, forcing the engine onto its
-// buffered Next refill path.
+// nextOnly hides a stream's Fill method, so the executor's interleaver
+// draws it one Next at a time.
 type nextOnly struct{ s trace.Stream }
 
 func (n nextOnly) Next() mem.Access { return n.s.Next() }
@@ -246,7 +246,7 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 				opt := Options{Nodes: 2, Warmup: 2000, Measure: 5000, Topology: topos[i%len(topos)]}.withDefaults()
 				measure := func(s trace.Stream) Result {
 					rs, err := execute(context.Background(), CellKey{kind: kind},
-						source{name: src, stream: func(Options) trace.Stream { return s }}, []Options{opt}, nil, nil)
+						source{name: src, streams: func(Options) []trace.Stream { return []trace.Stream{s} }}, []Options{opt}, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -65,6 +65,8 @@ func TestLaneDifferentialMatrix(t *testing.T) {
 	sources := []RunSpec{
 		{Benchmark: "tpc-c"},
 		{Benchmark: KernelPrefix + "stencil"},
+		{Benchmark: MixPrefix + "tpc-c+fft"},
+		{Benchmark: MixPrefix + KernelPrefix + "stencil+fft"},
 		{Workload: &w},
 	}
 	shapes := []struct {
