@@ -124,34 +124,6 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("source %q (custom %v) accepted", spec.Benchmark, spec.Workload != nil)
 		}
 	}
-	// Mix-only rejections: the name's shape, its programs and the node
-	// count it splits.
-	for _, row := range []struct {
-		bench string
-		nodes int
-	}{
-		{MixPrefix + "tpc-c+fft", 5},
-		{MixPrefix + "tpc-c+nope", 4},
-		{MixPrefix + "nope+tpc-c", 4},
-		{MixPrefix + "tpc-c+" + KernelPrefix + "no-such", 4},
-		{MixPrefix + "+fft", 4},
-		{MixPrefix, 4},
-		{MixPrefix + "fft", 4},
-		{MixPrefix + MixPrefix + "fft++fft", 4},
-		{MixPrefix + "fft+" + MixPrefix + "fft+", 4},
-		{MixPrefix + TracePrefix + info.ID + "+fft", 4},
-		{MixPrefix + "fft+" + TracePrefix + info.ID, 4},
-		{MixPrefix + "tpc-c+fft+canneal", 4},
-	} {
-		opt := base
-		opt.Nodes = row.nodes
-		if _, err := Run(ctx, RunSpec{Kind: D2MNSR, Benchmark: row.bench, Options: opt}); err == nil {
-			t.Errorf("mix %q on %d nodes accepted", row.bench, row.nodes)
-		}
-		if _, ok := SuiteOf(row.bench); ok && row.nodes == 4 {
-			t.Errorf("SuiteOf accepts %q", row.bench)
-		}
-	}
 }
 
 func TestCatalogAccessors(t *testing.T) {

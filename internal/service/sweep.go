@@ -579,6 +579,10 @@ func (f *front) finalizeSweep(sw *sweep) {
 		Kinds:    d2m.SummarizeSweep(sw.baseline, sw.cells, results),
 	}
 
+	// Count the sweep as settled before any reader can see it so: a
+	// caller that waits for it to settle then finds the history bound
+	// already applied.
+	f.retireSweep(sw)
 	sw.mu.Lock()
 	sw.summary = summary
 	sw.finished = time.Now()
@@ -598,7 +602,6 @@ func (f *front) finalizeSweep(sw *sweep) {
 		f.metrics.SweepsDone.Add(1)
 	}
 	f.metrics.SweepsActive.Add(-1)
-	f.retireSweep(sw)
 }
 
 // retireSweep bounds the sweep history: beyond maxSweeps settled

@@ -1,6 +1,8 @@
 package d2m
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -48,6 +50,55 @@ func mixSlowdowns(t *testing.T, kind Kind, a, b string, opt Options) (Result, fl
 		}
 	}
 	return mixed, float64(mixedA) / float64(soloA.Cycles), float64(mixedB) / float64(soloB.Cycles)
+}
+
+// TestRunMixErrors: a mix name is rejected for its shape, its programs,
+// the node count it splits and the options it runs at; each must be an
+// error, never a zero Result or a panic.
+func TestRunMixErrors(t *testing.T) {
+	setTraceLib(t)
+	var enc bytes.Buffer
+	if _, err := RecordTrace("fft", 4, 4000, &enc); err != nil {
+		t.Fatal(err)
+	}
+	info, err := ImportTrace(&enc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Nodes: 4, Warmup: 1000, Measure: 2000}
+	for _, row := range []struct {
+		bench  string
+		kind   Kind
+		mutate func(*Options)
+	}{
+		{MixPrefix + "tpc-c+fft", D2MNSR, func(o *Options) { o.Nodes = 5 }},
+		{MixPrefix + "tpc-c+fft", Base2L, func(o *Options) { o.Topology = "hypercube" }},
+		{MixPrefix + "tpc-c+fft", Kind(99), func(*Options) {}},
+		{MixPrefix + "tpc-c+fft", D2MNSR, func(o *Options) { o.MDScale = 3 }},
+		{MixPrefix + "tpc-c+nope", D2MNSR, nil},
+		{MixPrefix + "nope+tpc-c", D2MNSR, nil},
+		{MixPrefix + "tpc-c+" + KernelPrefix + "no-such", D2MNSR, nil},
+		{MixPrefix + "+fft", D2MNSR, nil},
+		{MixPrefix, D2MNSR, nil},
+		{MixPrefix + "fft", D2MNSR, nil},
+		{MixPrefix + MixPrefix + "fft++fft", D2MNSR, nil},
+		{MixPrefix + "fft+" + MixPrefix + "fft+", D2MNSR, nil},
+		{MixPrefix + TracePrefix + info.ID + "+fft", D2MNSR, nil},
+		{MixPrefix + "fft+" + TracePrefix + info.ID, D2MNSR, nil},
+		{MixPrefix + "tpc-c+fft+canneal", D2MNSR, nil},
+	} {
+		opt := base
+		if row.mutate != nil {
+			row.mutate(&opt)
+		}
+		if out, err := Run(context.Background(), RunSpec{Kind: row.kind, Benchmark: row.bench, Options: opt}); err == nil {
+			t.Errorf("mix %q (%s, %+v) accepted: %+v", row.bench, row.kind, opt, out.Result)
+		}
+		// A name is rejected for its own sake only where no option is at fault.
+		if _, ok := SuiteOf(row.bench); ok && row.mutate == nil {
+			t.Errorf("SuiteOf accepts %q", row.bench)
+		}
+	}
 }
 
 func TestMixDeterministicAndLabeled(t *testing.T) {
