@@ -4,9 +4,11 @@
 // address spaces, on a bandwidth-constrained fabric. The question is
 // how much the neighbour costs the database — the §IV-B argument that
 // near-side slices plus the D2M traffic cut turn into performance
-// isolation. Both sides are ordinary d2m.Run calls: "mix:<a>+<b>" runs
-// <a> on the lower half of the nodes and <b> on the upper half, and
-// "mix:<a>+" runs <a> alone on the lower half.
+// isolation. d2m.MixStudy runs the study's cells through d2m.Run's
+// executor: "mix:<a>+<b>" runs <a> on the lower half of the nodes and
+// <b> on the upper half, and "mix:<a>+" runs <a> alone on the lower
+// half; d2m.MixPlan declares which cells a pair needs and how its
+// slowdowns follow from them.
 //
 // Run with:
 //
@@ -14,10 +16,7 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"log"
-	"slices"
 
 	"d2m"
 )
@@ -28,23 +27,10 @@ func main() {
 	fmt.Println("Victim: tpc-c on nodes 0-3.  Aggressor: streamcluster on nodes 4-7.")
 	fmt.Println("Fabric: 0.1 flits/cycle/link (bandwidth-constrained).")
 	fmt.Println()
-	fmt.Printf("%-10s %14s %14s %10s %8s\n", "config", "victim solo", "victim mixed", "slowdown", "bound")
-
-	solo := opt // the mixed run's per-node access counts, on half the nodes
-	solo.Warmup, solo.Measure = opt.Warmup/2, opt.Measure/2
-	run := func(kind d2m.Kind, bench string, opt d2m.Options) d2m.Result {
-		out, err := d2m.Run(context.Background(), d2m.RunSpec{Kind: kind, Benchmark: bench, Options: opt})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return out.Result
-	}
-	for _, kind := range []d2m.Kind{d2m.Base2L, d2m.Base3L, d2m.D2MFS, d2m.D2MNS, d2m.D2MNSR} {
-		alone := run(kind, "mix:tpc-c+", solo)
-		mixed := run(kind, "mix:tpc-c+streamcluster", opt)
-		victim := slices.Max(mixed.NodeCycles[:len(mixed.NodeCycles)/2]) // the victim's nodes
-		fmt.Printf("%-10s %14d %14d %9.2fx %8v\n",
-			kind, alone.Cycles, victim, float64(victim)/float64(alone.Cycles), mixed.BandwidthBound)
+	row := d2m.MixStudy(opt, [][2]string{{"tpc-c", "streamcluster"}})[0]
+	fmt.Printf("%-10s %16s %19s\n", "config", "victim slowdown", "aggressor slowdown")
+	for _, kind := range []d2m.Kind{d2m.Base2L, d2m.D2MFS, d2m.D2MNSR} {
+		fmt.Printf("%-10s %15.2fx %18.2fx\n", kind, row.SlowdownA[kind], row.SlowdownB[kind])
 	}
 
 	fmt.Println()

@@ -145,6 +145,9 @@ func (r RunRequest) Normalize() (d2m.Kind, string, d2m.Options, int, string, err
 	if err := opt.Validate(); err != nil {
 		return fail(Errorf(ErrInvalidRequest, "%v", err))
 	}
+	if err := d2m.CheckBenchmark(r.Benchmark, opt); err != nil {
+		return fail(Errorf(ErrInvalidRequest, "%v", err))
+	}
 	return kind, r.Benchmark, opt, reps, engine, nil
 }
 

@@ -129,6 +129,9 @@ func FuzzRunRequest(f *testing.F) {
 		if err := run.Options.Validate(); err != nil {
 			t.Fatalf("run accepted with invalid options: %v", err)
 		}
+		if err := d2m.CheckBenchmark(run.Bench, run.Options); err != nil {
+			t.Fatalf("run accepted with a benchmark its options cannot run: %v", err)
+		}
 		body, err := json.Marshal(run.Req)
 		if err != nil {
 			t.Fatal(err)

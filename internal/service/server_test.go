@@ -493,6 +493,8 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown field", `{"kind":"d2m-fs","benchmark":"tpc-c","bogus":1}`, api.ErrInvalidRequest},
 		{"unknown kind", `{"kind":"d2m-xl","benchmark":"tpc-c"}`, api.ErrInvalidRequest},
 		{"unknown benchmark", `{"kind":"d2m-fs","benchmark":"nonesuch"}`, api.ErrUnknownBenchmark},
+		{"mix on odd nodes", `{"kind":"d2m-fs","benchmark":"mix:tpc-c+fft","nodes":5}`, api.ErrInvalidRequest},
+		{"mix with no first program", `{"kind":"d2m-fs","benchmark":"mix:+fft"}`, api.ErrUnknownBenchmark},
 		{"unknown topology", `{"kind":"d2m-fs","benchmark":"tpc-c","topology":"hypercube"}`, api.ErrInvalidRequest},
 		{"unknown placement", `{"kind":"d2m-ns","benchmark":"tpc-c","placement":"random"}`, api.ErrInvalidRequest},
 		{"nodes out of range", `{"kind":"d2m-fs","benchmark":"tpc-c","nodes":9}`, api.ErrInvalidRequest},

@@ -301,6 +301,9 @@ func sweepCells(req SweepRequest) ([]d2m.SweepCell, error) {
 		if err := c.Options.Validate(); err != nil {
 			return nil, api.Errorf(api.ErrInvalidRequest, "cells[%d]: %v", i, err)
 		}
+		if err := d2m.CheckBenchmark(c.Benchmark, c.Options); err != nil {
+			return nil, api.Errorf(api.ErrInvalidRequest, "cells[%d]: %v", i, err)
+		}
 		cells[i] = c
 	}
 	return cells, nil

@@ -413,6 +413,8 @@ func TestSweepValidation(t *testing.T) {
 		{"no benchmarks", `{"kinds":["base-2l"],"benchmarks":[]}`, api.ErrInvalidRequest},
 		{"unknown kind", `{"kinds":["d2m-xl"],"benchmarks":["tpc-c"]}`, api.ErrInvalidRequest},
 		{"unknown benchmark", `{"kinds":["base-2l"],"benchmarks":["nonesuch"]}`, api.ErrUnknownBenchmark},
+		{"mix on odd nodes", `{"kinds":["base-2l"],"benchmarks":["mix:tpc-c+fft"],"nodes":3}`, api.ErrInvalidRequest},
+		{"mix cell on odd nodes", `{"cells":[{"kind":"base-2l","benchmark":"mix:tpc-c+fft","options":{"Nodes":3}}]}`, api.ErrInvalidRequest},
 		{"unknown field", `{"kinds":["base-2l"],"benchmarks":["tpc-c"],"bogus":1}`, api.ErrInvalidRequest},
 		{"baseline outside kinds", `{"kinds":["d2m-ns"],"benchmarks":["tpc-c"],"baseline":"base-2l"}`, api.ErrInvalidRequest},
 		{"over cell cap", `{"kinds":["base-2l","d2m-ns"],"benchmarks":["tpc-c"],"seeds":[1,2,3],"max_cells":4}`, api.ErrInvalidRequest},
@@ -567,5 +569,43 @@ func TestSweepSpecTimeout(t *testing.T) {
 	// Cells timed out individually; the sweep itself ran to completion.
 	if final.State != SweepDone || final.Done != 0 || final.Canceled != 2 {
 		t.Fatalf("final: %+v", final)
+	}
+}
+
+// TestFinalizeSweepRetiresFirst: a sweep enters the bounded history
+// before its settled state is published, so a caller that sees the
+// newest sweep settle never still finds the oldest one listed. The test
+// holds the history lock while the sweep finalizes; the settle must
+// wait for it rather than publish first. A settle that publishes before
+// retiring fails here whenever it reaches close(doneCh) within the
+// grace period; a correct one can never fail.
+func TestFinalizeSweepRetiresFirst(t *testing.T) {
+	f := newFront(nil, &Metrics{}, 1, 1)
+	defer f.baseCancel()
+	mk := func(id string) *sweep {
+		sw := &sweep{id: id, doneCh: make(chan struct{}), eventsCh: make(chan struct{}), state: SweepRunning}
+		sw.ctx, sw.cancel = context.WithCancel(f.baseCtx)
+		f.sweeps[id] = sw
+		return sw
+	}
+	mk("s1")
+	f.sweepRetired = []string{"s1"}
+	sw := mk("s2")
+
+	f.mu.Lock()
+	go f.finalizeSweep(sw)
+	select {
+	case <-sw.doneCh:
+		f.mu.Unlock()
+		t.Fatal("sweep published as settled before it entered the history")
+	case <-time.After(50 * time.Millisecond):
+	}
+	f.mu.Unlock()
+	<-sw.doneCh
+	f.mu.Lock()
+	_, listed := f.sweeps["s1"]
+	f.mu.Unlock()
+	if listed || sw.status(1).State != SweepDone {
+		t.Fatalf("after s2 settled: s1 listed = %v, s2 state %q", listed, sw.status(1).State)
 	}
 }

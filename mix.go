@@ -1,6 +1,9 @@
 package d2m
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements a multiprogram interference study, an extension
 // the paper's §IV-B motivates: near-side slices give each node its own
@@ -27,11 +30,12 @@ var mixKinds = []Kind{Base2L, D2MFS, D2MNSR}
 //     B on the upper half, in disjoint address spaces;
 //   - each program's solo run "mix:<x>+", alone on the lower half of
 //     the same machine with the upper half idle, at half the warmup and
-//     half the measured accesses, so per-node access counts, capacity
-//     and link count match the mixed run and only the neighbour changes.
+//     half the measured accesses (mixSolo), so per-node access counts,
+//     capacity and link count match the mixed run and only the
+//     neighbour changes.
 //
 // A program's slowdown is the largest clock among its nodes in the
-// mixed run (Result.NodeCycles) over its solo cycles. Interference flows
+// mixed run (Result.NodeCycles) over its solo cycles (mixSlowdown). Interference flows
 // through the shared fabric, so the study runs bandwidth-constrained:
 // LinkBandwidth defaults to 0.1 flits/cycle/link if unset, because at
 // simulated footprints the LLC capacity channel is quiet and infinite
@@ -50,8 +54,7 @@ func MixPlan(opt Options, pairs [][2]string) Plan[[]MixRow] {
 		}
 	}
 	opt = opt.WithDefaults()
-	solo := opt
-	solo.Warmup, solo.Measure = opt.Warmup/2, opt.Measure/2
+	solo := mixSolo(opt)
 	mixName := func(a, b string) string { return MixPrefix + a + "+" + b }
 	var mixed, solos []string
 	for _, p := range pairs {
@@ -63,21 +66,35 @@ func MixPlan(opt Options, pairs [][2]string) Plan[[]MixRow] {
 		for i, p := range pairs {
 			row := MixRow{BenchA: p[0], BenchB: p[1], SlowdownA: map[Kind]float64{}, SlowdownB: map[Kind]float64{}}
 			for _, k := range mixKinds {
-				var mixedA, mixedB uint64
-				for n, c := range get(k, mixName(p[0], p[1]), opt).NodeCycles {
-					if n < opt.Nodes/2 {
-						mixedA = max(mixedA, c)
-					} else {
-						mixedB = max(mixedB, c)
-					}
-				}
-				row.SlowdownA[k] = float64(mixedA) / float64(get(k, mixName(p[0], ""), solo).Cycles)
-				row.SlowdownB[k] = float64(mixedB) / float64(get(k, mixName(p[1], ""), solo).Cycles)
+				mixed := get(k, mixName(p[0], p[1]), opt)
+				row.SlowdownA[k] = mixSlowdown(mixed, get(k, mixName(p[0], ""), solo), false)
+				row.SlowdownB[k] = mixSlowdown(mixed, get(k, mixName(p[1], ""), solo), true)
 			}
 			rows[i] = row
 		}
 		return rows
 	}}
+}
+
+// mixSolo returns a solo run's options for a mixed run at opt (defaults
+// applied): half its warmup and half its measured accesses, the
+// per-node counts of one program in the mixed run. A window never drops
+// below 1, since 0 would select the default window.
+func mixSolo(opt Options) Options {
+	opt.Warmup, opt.Measure = max(opt.Warmup/2, 1), max(opt.Measure/2, 1)
+	return opt
+}
+
+// mixSlowdown is one program's slowdown: the largest clock among its
+// nodes in the mixed run — the lower half, or the upper half for
+// program B — over its solo run's cycles.
+func mixSlowdown(mixed, solo Result, upper bool) float64 {
+	half := len(mixed.NodeCycles) / 2
+	nodes := mixed.NodeCycles[:half]
+	if upper {
+		nodes = mixed.NodeCycles[half:]
+	}
+	return float64(slices.Max(nodes)) / float64(solo.Cycles)
 }
 
 // MixStudy runs the interference study of MixPlan in process.

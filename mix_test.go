@@ -11,8 +11,9 @@ import (
 )
 
 // mixSlowdowns runs "mix:<a>+<b>" at opt and each program's solo
-// "mix:<x>+" at half the warmup and measure through Run, as MixPlan
-// declares them, and returns the mixed Result and both slowdowns.
+// "mix:<x>+" at MixPlan's solo windows (mixSolo) through Run, and
+// returns the mixed Result and both slowdowns (mixSlowdown). Unlike
+// MixPlan it keeps opt's LinkBandwidth, so 0 runs unconstrained.
 func mixSlowdowns(t *testing.T, kind Kind, a, b string, opt Options) (Result, float64, float64) {
 	t.Helper()
 	run := func(bench string, opt Options) Result {
@@ -23,22 +24,15 @@ func mixSlowdowns(t *testing.T, kind Kind, a, b string, opt Options) (Result, fl
 		return r
 	}
 	opt = opt.WithDefaults()
-	solo := opt
-	solo.Warmup, solo.Measure = opt.Warmup/2, opt.Measure/2
+	solo := mixSolo(opt)
 	mixed := run(MixPrefix+a+"+"+b, opt)
 	half := opt.Nodes / 2
 	if len(mixed.NodeCycles) != opt.Nodes {
 		t.Fatalf("mixed run has %d node clocks, want %d", len(mixed.NodeCycles), opt.Nodes)
 	}
-	var mixedA, mixedB uint64
 	for n, c := range mixed.NodeCycles {
 		if c == 0 {
 			t.Fatalf("node %d idle in the mixed run: %v", n, mixed.NodeCycles)
-		}
-		if n < half {
-			mixedA = max(mixedA, c)
-		} else {
-			mixedB = max(mixedB, c)
 		}
 	}
 	soloA, soloB := run(MixPrefix+a+"+", solo), run(MixPrefix+b+"+", solo)
@@ -49,7 +43,7 @@ func mixSlowdowns(t *testing.T, kind Kind, a, b string, opt Options) (Result, fl
 			}
 		}
 	}
-	return mixed, float64(mixedA) / float64(soloA.Cycles), float64(mixedB) / float64(soloB.Cycles)
+	return mixed, mixSlowdown(mixed, soloA, false), mixSlowdown(mixed, soloB, true)
 }
 
 // TestRunMixErrors: a mix name is rejected for its shape, its programs,
@@ -98,6 +92,18 @@ func TestRunMixErrors(t *testing.T) {
 		if _, ok := SuiteOf(row.bench); ok && row.mutate == nil {
 			t.Errorf("SuiteOf accepts %q", row.bench)
 		}
+		// CheckBenchmark, which admission calls, also sees the node count.
+		if err := CheckBenchmark(row.bench, opt); err == nil && (row.mutate == nil || opt.Nodes%2 != 0) {
+			t.Errorf("CheckBenchmark accepts %q on %d nodes", row.bench, opt.Nodes)
+		}
+	}
+	for _, opt := range []Options{base, {}} {
+		if err := CheckBenchmark(MixPrefix+"tpc-c+fft", opt); err != nil {
+			t.Errorf("CheckBenchmark(mix:tpc-c+fft, Nodes %d): %v", opt.Nodes, err)
+		}
+	}
+	if err := CheckBenchmark(TracePrefix+info.ID, Options{Nodes: 2}); err == nil {
+		t.Errorf("CheckBenchmark accepts a 4-node trace on 2 nodes")
 	}
 }
 
@@ -168,6 +174,13 @@ func TestMixPlanCells(t *testing.T) {
 		solo := strings.HasSuffix(c.Benchmark, "+")
 		if c.Options.LinkBandwidth != 0.1 || (solo && c.Options.Measure != 3000) || (!solo && c.Options.Measure != 6000) {
 			t.Errorf("%s/%s: options %+v", c.Kind, c.Benchmark, c.Options)
+		}
+	}
+	// A one-access window halves to 1, not to 0, which would select the
+	// default window.
+	for _, c := range MixPlan(Options{Nodes: 2, Warmup: 1, Measure: 1}, [][2]string{{"tpc-c", "fft"}}).Cells {
+		if c.Options.Warmup != 1 || c.Options.Measure != 1 {
+			t.Errorf("%s/%s: windows %d/%d, want 1/1", c.Kind, c.Benchmark, c.Options.Warmup, c.Options.Measure)
 		}
 	}
 }

@@ -476,15 +476,10 @@ func execute(ctx context.Context, key CellKey, src source, lanes []Options, wc W
 	out := make([]*Result, len(lanes))
 	var sinkErr error
 	err = engine.MeasureLanes(ctx, stream, measures, active, func(lane int, rep sim.Report) {
-		r := &Result{Kind: key.kind, Benchmark: src.name, Suite: src.suite}
-		r.fillCommon(rep)
-		flitHops, err := r.fillFromInstance(inst, rep, mech)
-		if err != nil {
+		var err error
+		if out[lane], err = laneResult(key.kind, src, inst, mech, rep, lanes[lane]); err != nil {
 			sinkErr = err
-			return
 		}
-		r.applyBandwidth(lanes[lane], flitHops)
-		out[lane] = r
 	})
 	if err == nil {
 		err = sinkErr
@@ -495,20 +490,26 @@ func execute(ctx context.Context, key CellKey, src source, lanes []Options, wc W
 	return out, nil
 }
 
-// fillFromInstance extracts the mechanism-family metrics from the
-// instance's concrete system and returns the flit-hop count for the
-// bandwidth model.
-func (r *Result) fillFromInstance(inst core.MechInstance, rep sim.Report, mech *core.Mechanism) (uint64, error) {
+// laneResult builds a lane's Result from the engine's report at the
+// lane's boundary: the common metrics, the mechanism family's metrics
+// read off inst's concrete system, and the runtime stretch its flit-hop
+// count needs at the lane's own link bandwidth.
+func laneResult(kind Kind, src source, inst core.MechInstance, mech *core.Mechanism, rep sim.Report, lane Options) (*Result, error) {
+	r := &Result{Kind: kind, Benchmark: src.name, Suite: src.suite}
+	r.fillCommon(rep)
+	var meter *energy.Meter
 	switch s := inst.Underlying().(type) {
 	case *baseline.System:
 		r.fillBaseline(s, rep)
-		return s.Meter().Count(energy.OpNoCFlit), nil
+		meter = s.Meter()
 	case *core.System:
 		r.fillCore(s, rep, mech)
-		return s.Meter().Count(energy.OpNoCFlit), nil
+		meter = s.Meter()
 	default:
-		return 0, fmt.Errorf("d2m: mechanism %s exposes unknown system type %T", mech.Name, s)
+		return nil, fmt.Errorf("d2m: mechanism %s exposes unknown system type %T", mech.Name, s)
 	}
+	r.applyBandwidth(lane, meter.Count(energy.OpNoCFlit))
+	return r, nil
 }
 
 // applyBandwidth stretches the runtime when the interconnect cannot

@@ -121,13 +121,10 @@ func mixStream(bench, rest string, opt Options) (source, error) {
 		return source{}, fmt.Errorf("d2m: mix %q needs an even node count, got Nodes = %d", bench, opt.Nodes)
 	}
 	an, bn, ok := strings.Cut(rest, "+")
-	if !ok || an == "" {
-		return source{}, fmt.Errorf("d2m: mix %q is not of the form mix:<a>+<b> with a program <a>", bench)
-	}
 	var progs [2]source // progs[1].streams stays nil for "mix:<a>+"
 	for i, name := range []string{an, bn} {
-		if strings.HasPrefix(name, MixPrefix) || strings.HasPrefix(name, TracePrefix) {
-			return source{}, fmt.Errorf("d2m: mix %q: program %q must be a catalog or kernel name", bench, name)
+		if !ok || an == "" || strings.HasPrefix(name, MixPrefix) || strings.HasPrefix(name, TracePrefix) {
+			return source{}, fmt.Errorf("d2m: mix %q is not mix:<a>+<b> or mix:<a>+ of catalog or kernel names", bench)
 		}
 		if name != "" {
 			var err error
@@ -136,12 +133,11 @@ func mixStream(bench, rest string, opt Options) (source, error) {
 			}
 		}
 	}
-	a, b := progs[0].streams, progs[1].streams
 	return source{bench, SuiteMix, func(o Options) []trace.Stream {
 		o.Nodes /= 2
-		streams := a(o)
-		if b != nil {
-			for _, s := range b(o) {
+		streams := progs[0].streams(o)
+		if progs[1].streams != nil {
+			for _, s := range progs[1].streams(o) {
 				streams = append(streams, trace.Offset(s, o.Nodes, asidStride))
 			}
 		}
@@ -188,4 +184,13 @@ func SuiteOf(bench string) (string, bool) {
 	// count, which the name alone does not fix.
 	src, err := benchStream(bench, Options{Nodes: 2})
 	return src.suite, err == nil
+}
+
+// CheckBenchmark reports why a benchmark name cannot run under opt
+// (defaults applied): unlike SuiteOf it sees the node count, which a mix
+// (even) and a stored trace (at least its recorded nodes) constrain.
+// Admission calls it so such a run is refused, not failed once queued.
+func CheckBenchmark(bench string, opt Options) error {
+	_, err := benchStream(bench, opt.withDefaults())
+	return err
 }

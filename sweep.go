@@ -114,8 +114,8 @@ func (s SweepSpec) Expand() ([]SweepCell, error) {
 		kinds[i] = k
 	}
 	for _, b := range s.Benchmarks {
-		if _, ok := SuiteOf(b); !ok {
-			return nil, fmt.Errorf("d2m: unknown benchmark %q", b)
+		if err := CheckBenchmark(b, Options{Nodes: s.Nodes}); err != nil {
+			return nil, err
 		}
 	}
 	seeds := s.Seeds

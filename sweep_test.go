@@ -71,6 +71,7 @@ func TestSweepExpandValidation(t *testing.T) {
 		{"no benchmarks", SweepSpec{Kinds: []string{"base-2l"}}, "", "at least one benchmark"},
 		{"bad kind", SweepSpec{Kinds: []string{"d2m-xl"}, Benchmarks: []string{"tpc-c"}}, "", "unknown kind"},
 		{"bad benchmark", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"nonesuch"}}, "", "unknown benchmark"},
+		{"mix on odd nodes", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"mix:tpc-c+fft"}, Nodes: 3}, "", "even node count"},
 		{"bad topology", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"tpc-c"},
 			Topologies: []string{"hypercube"}}, "", "unknown topology"},
 		{"bad mdscale", SweepSpec{Kinds: []string{"base-2l"}, Benchmarks: []string{"tpc-c"},

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"d2m/internal/mem"
+	"d2m/internal/sim"
 	"d2m/internal/trace"
 	"d2m/internal/workloads"
 )
@@ -203,8 +204,9 @@ func TestTraceRunGroup(t *testing.T) {
 	assertLanesMatchScalar(t, ctx, groupOf(D2MNSR, bench, base, []int{3000, 5000, 8000}, []float64{0, 0.002, 0}))
 }
 
-// nextOnly hides a stream's Fill method, so the executor's interleaver
-// draws it one Next at a time.
+// nextOnly hides a stream's Fill method: handed to the engine, it takes
+// the engine's buffered Next refill; inside an interleaver, it is drawn
+// one Next at a time.
 type nextOnly struct{ s trace.Stream }
 
 func (n nextOnly) Next() mem.Access { return n.s.Next() }
@@ -213,7 +215,11 @@ func (n nextOnly) Next() mem.Access { return n.s.Next() }
 // guarantee: block delivery (Fill) and scalar delivery (Next) are
 // indistinguishable in the marshalled Result, across kinds, topologies
 // and source families (generated benchmarks from different suites, the
-// vector extras, and recorded-trace replay).
+// vector extras, and recorded-trace replay). Each cell compares four
+// runs: the executor over a block source and over a Next-only one (the
+// interleaver's per-access draw), and the engine driven directly over
+// the same two (its own Next refill, which execute never takes because
+// it always hands the engine an interleaver).
 func TestBlockScalarDifferentialMatrix(t *testing.T) {
 	sources := []string{"tpc-c", "radix", "barnes", "vec-stride16"}
 	topos := []string{"", "ring", "mesh", "torus"}
@@ -242,23 +248,52 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
+			ctx := context.Background()
+			mech, err := mechFor(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, src := range append(sources, "trace") {
 				opt := Options{Nodes: 2, Warmup: 2000, Measure: 5000, Topology: topos[i%len(topos)]}.withDefaults()
-				measure := func(s trace.Stream) Result {
-					rs, err := execute(context.Background(), CellKey{kind: kind},
+				label := source{name: src}
+				viaExecute := func(s trace.Stream) Result {
+					rs, err := execute(ctx, CellKey{kind: kind},
 						source{name: src, streams: func(Options) []trace.Stream { return []trace.Stream{s} }}, []Options{opt}, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return *rs[0]
 				}
-				block := measure(mkStream(src, opt))
-				scalar := measure(nextOnly{mkStream(src, opt)})
-				bj, _ := json.Marshal(block)
-				sj, _ := json.Marshal(scalar)
-				if string(bj) != string(sj) {
-					t.Errorf("%s/%s/topology=%q: block and scalar delivery differ:\n block  %s\n scalar %s",
-						kind, src, opt.Topology, bj, sj)
+				viaEngine := func(s trace.Stream) Result {
+					inst := mech.New(mechOptions(opt))
+					defer inst.Release()
+					engine := sim.NewEngine(inst, opt.Nodes)
+					if err := engine.Warmup(ctx, s, opt.Warmup); err != nil {
+						t.Fatal(err)
+					}
+					rep, err := engine.Measure(ctx, s, opt.Measure)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := laneResult(kind, label, inst, mech, rep, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return *r
+				}
+				want, _ := json.Marshal(viaExecute(mkStream(src, opt)))
+				for _, run := range []struct {
+					name string
+					res  Result
+				}{
+					{"executor, Next-only source", viaExecute(nextOnly{mkStream(src, opt)})},
+					{"engine, block source", viaEngine(mkStream(src, opt))},
+					{"engine, Next-only source", viaEngine(nextOnly{mkStream(src, opt)})},
+				} {
+					if got, _ := json.Marshal(run.res); string(got) != string(want) {
+						t.Errorf("%s/%s/topology=%q: %s differs from the executor's block run:\n block  %s\n %s %s",
+							kind, src, opt.Topology, run.name, want, run.name, got)
+					}
 				}
 			}
 		})
