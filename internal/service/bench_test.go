@@ -92,11 +92,14 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		})
 	}
 
-	// cold_snapshot: every job is a cache miss (distinct link_bandwidth,
-	// therefore a distinct cache key) but shares one warm identity, so
-	// after the first job the server restores the post-warmup state
-	// instead of simulating the warmup-heavy prefix. This is the
-	// replicate/sweep-cell shape the snapshot cache exists for.
+	// cold_snapshot: every job is a cache miss (a distinct measure
+	// window, therefore a distinct cache key) but shares one warm
+	// identity, so after the first job the server restores the
+	// post-warmup state instead of simulating the warmup-heavy prefix,
+	// then walks the job's window. This is the replicate/sweep-cell
+	// shape the snapshot cache exists for. A job differing only in
+	// link_bandwidth would be projected from the stored window instead,
+	// timing no restore at all.
 	b.Run("cold_snapshot", func(b *testing.B) {
 		s, err := New(Config{})
 		if err != nil {
@@ -110,7 +113,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			s.Shutdown(ctx)
 		}()
 		post := func(i int) {
-			body := fmt.Sprintf(snapshotBenchWorkload, 0.001+float64(i+2)*1e-9)
+			body := fmt.Sprintf(snapshotBenchWorkload, 4000+i+2)
 			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
@@ -150,7 +153,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			s.Shutdown(ctx)
 		}()
 		post := func(i int) {
-			body := fmt.Sprintf(snapshotBenchWorkload, 0.001+float64(i+2)*1e-9)
+			body := fmt.Sprintf(snapshotBenchWorkload, 4000+i+2)
 			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
@@ -314,6 +317,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 
 // snapshotBenchWorkload is the warmup-heavy simulation behind the
 // cold_snapshot series: the warmup dominates the measurement window,
-// and the varying link_bandwidth (a measurement-side parameter outside
-// the warm identity) makes every job a distinct cache entry.
-const snapshotBenchWorkload = `{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"warmup":20000,"measure":4000,"link_bandwidth":%.9f}`
+// and the varying measure (a measurement-side parameter outside the
+// warm identity) makes every job a distinct cache entry and a distinct
+// window, so each one restores and walks.
+const snapshotBenchWorkload = `{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"warmup":20000,"measure":%d,"link_bandwidth":0.001}`

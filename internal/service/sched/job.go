@@ -128,17 +128,26 @@ func (sub Submission) validate() error {
 // CacheKey returns the submission's content address: the hash of the
 // canonical (kind, benchmark, defaulted options, replicates) tuple.
 // Submissions that differ only in presentation or handling knobs share
-// a key and therefore share one simulation. Reps is tagged omitempty so
-// single-run keys are byte-identical to the pre-replicate revision and
-// persisted result stores stay valid.
+// a key and therefore share one simulation. The explicit spellings of
+// the default topology and placement ("crossbar", "pressure") hash as
+// the empty default, so keys written the default way keep their bytes.
+// Reps is tagged omitempty so single-run keys are byte-identical to the
+// pre-replicate revision and persisted result stores stay valid.
 func CacheKey(kind d2m.Kind, bench string, opt d2m.Options, reps int) string {
+	opt = opt.WithDefaults()
+	if opt.Topology == "crossbar" {
+		opt.Topology = ""
+	}
+	if opt.Placement == "pressure" {
+		opt.Placement = ""
+	}
 	h := sha256.New()
 	json.NewEncoder(h).Encode(struct {
 		Kind  string
 		Bench string
 		Opt   d2m.Options
 		Reps  int `json:"reps,omitempty"`
-	}{kind.String(), bench, opt.WithDefaults(), reps})
+	}{kind.String(), bench, opt, reps})
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

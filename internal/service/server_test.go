@@ -837,7 +837,8 @@ func TestCacheKeyCanonical(t *testing.T) {
 		want  string
 	}{
 		{"tpc-c", d2m.Options{}, 0, "222379e420156a6aa8a64e6f5d6d9df5"},
-		{"tpc-c", d2m.Options{Topology: "crossbar"}, 0, "487f0bc1b71cd16042309e77e316f65a"},
+		{"tpc-c", d2m.Options{Topology: "crossbar"}, 0, "222379e420156a6aa8a64e6f5d6d9df5"},
+		{"tpc-c", d2m.Options{Placement: "pressure"}, 0, "222379e420156a6aa8a64e6f5d6d9df5"},
 		{"tpc-c", d2m.Options{Seed: 7}, 0, "4ab008a3f8cd103a2af090a71af4613e"},
 		{"tpc-c", d2m.Options{}, 8, "f925d075ce39cd936ce5e09cea8d1575"},
 		{"kernel:stencil", d2m.Options{}, 0, "37d2c5da4efa8e0591ebc5cffbacbf11"},

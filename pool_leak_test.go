@@ -79,8 +79,9 @@ func TestCancelledRunsReleasePools(t *testing.T) {
 
 // TestCancelledWarmRunsReleasePools covers the warm-snapshot path for
 // both machine families: for both baselines and a D2M kind, a capturing run
-// killed mid-warmup, a completed capture, and restored runs killed
-// before and during measurement must all return every pooled table and
+// killed mid-warmup, a completed capture, runs killed before a
+// projection, and restored runs killed while walking a window the
+// capture did not measure must all return every pooled table and
 // array, leaving the balances where they started.
 func TestCancelledWarmRunsReleasePools(t *testing.T) {
 	kinds := []Kind{Base2L, Base3L, D2MNSR}
@@ -114,9 +115,13 @@ func TestCancelledWarmRunsReleasePools(t *testing.T) {
 			}
 		}
 		hits := wc.hits
+		// A window the capture did not measure, so the run restores and
+		// walks rather than projecting the stored outcome.
+		walkOpt := warmOpt
+		walkOpt.Measure++
 		for i := 0; i < 2; i++ {
 			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
-			_, err := runOneWarm(ctx, kind, "tpc-c", warmOpt, wc)
+			_, err := runOneWarm(ctx, kind, "tpc-c", walkOpt, wc)
 			cancel()
 			if err == nil {
 				t.Fatalf("%v: restored run cancelled mid-measure reported success", kind)

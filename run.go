@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -352,7 +354,9 @@ type RunSpec struct {
 	Replicates int
 	// Warm, when non-nil, lets runs sharing a warm identity (CellKey.Warm)
 	// restore the post-warmup machine state instead of re-simulating
-	// the warmup. Nil always warms from scratch.
+	// the warmup, or, when the snapshot already stores the run's
+	// measurement window, project the stored outcome without
+	// simulating. Nil always warms from scratch.
 	Warm WarmCache
 }
 
@@ -424,14 +428,22 @@ func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput,
 }
 
 // execute is the one executor behind every run path: Run, RunGroup
-// and replication. It builds the kind's machine through the
-// mechanism registry and brings it to the warmup boundary — restoring
-// wc's snapshot for the warm identity when there is one, and otherwise
-// simulating the warmup and depositing a snapshot for its successors.
-// It then measures every lane's window in one walk (sim.MeasureLanes)
-// and extracts each lane's Result at that lane's boundary, reading the
-// flit-hop meter there so the lane's bandwidth stretch sees exactly the
-// traffic a lone run of that lane generates.
+// and replication. A lane's Result is a projection of its window's raw
+// outcome (windowOutcome): lanes that share a Measure share one
+// outcome, and each applies its own link-bandwidth stretch to it.
+//
+// When wc holds a snapshot for the warm identity that already carries
+// every active lane's window, the run is answered by projection alone,
+// without building a machine. Otherwise execute builds the kind's
+// machine through the mechanism registry and brings it to the warmup
+// boundary — restoring wc's snapshot when there is one, and otherwise
+// simulating the warmup and capturing a snapshot for its successors.
+// It then measures every distinct window in one walk
+// (sim.MeasureLanes) and extracts each window's outcome at that
+// window's boundary, reading the flit-hop meter there so each lane's
+// stretch sees exactly the traffic a lone run of that lane generates.
+// A captured snapshot is published after the walk, carrying the
+// outcomes of the windows the walk completed.
 //
 // lanes are validated, defaulted options sharing key's warm identity:
 // key's kind and lane 0 shape the machine and the stream, and each lane
@@ -443,44 +455,75 @@ func execute(ctx context.Context, key CellKey, src source, lanes []Options, wc W
 	if err != nil {
 		return nil, err
 	}
-	opt := lanes[0]
-	inst := mech.New(mechOptions(opt))
-	defer inst.Release() // recycle the hierarchy's arrays for the next run
-	engine := sim.NewEngine(inst, opt.Nodes)
-
+	if active == nil {
+		active = func(int) bool { return true }
+	}
 	var snap *WarmSnapshot
 	var wkey string
 	if wc != nil {
 		wkey = key.String()
 		snap = wc.GetWarm(wkey)
 	}
+	if snap != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if out, ok := snap.project(lanes, active); ok {
+			return out, nil
+		}
+	}
+
+	opt := lanes[0]
+	inst := mech.New(mechOptions(opt))
+	defer inst.Release() // recycle the hierarchy's arrays for the next run
+	engine := sim.NewEngine(inst, opt.Nodes)
 	stream, err := warmedStream(ctx, engine, snap, func() *trace.Interleaver { return trace.NewInterleaver(src.streams(opt)) }, opt.Warmup)
 	if err != nil {
 		return nil, err
 	}
+	var capture *WarmSnapshot
 	if snap != nil {
 		inst.Restore(snap.state)
 	} else if wc != nil && wantWarm(wc, wkey) {
-		ws := &WarmSnapshot{key: wkey, warmup: opt.Warmup, state: inst.Snapshot()}
-		ws.finish(stream)
-		wc.PutWarm(ws)
+		capture = &WarmSnapshot{key: wkey, warmup: opt.Warmup, state: inst.Snapshot()}
+		capture.finish(stream)
 	}
 
-	measures := make([]int, len(lanes))
+	// One window per distinct Measure; a window stays active while any
+	// of its lanes is.
+	var measures []int
+	var byWindow [][]int // window -> its lanes
 	for i, l := range lanes {
-		measures[i] = l.Measure
+		w := slices.Index(measures, l.Measure)
+		if w < 0 {
+			w = len(measures)
+			measures = append(measures, l.Measure)
+			byWindow = append(byWindow, nil)
+		}
+		byWindow[w] = append(byWindow[w], i)
 	}
-	if active == nil {
-		active = func(int) bool { return true }
-	}
+	outcomes := make([]*windowOutcome, len(measures))
 	out := make([]*Result, len(lanes))
 	var sinkErr error
-	err = engine.MeasureLanes(ctx, stream, measures, active, func(lane int, rep sim.Report) {
-		var err error
-		if out[lane], err = laneResult(key.kind, src, inst, mech, rep, lanes[lane]); err != nil {
-			sinkErr = err
-		}
-	})
+	err = engine.MeasureLanes(ctx, stream, measures,
+		func(w int) bool { return slices.ContainsFunc(byWindow[w], active) },
+		func(w int, rep sim.Report) {
+			o, err := windowResult(key.kind, src, inst, mech, rep)
+			if err != nil {
+				sinkErr = err
+				return
+			}
+			outcomes[w] = o
+			for _, lane := range byWindow[w] {
+				if active(lane) {
+					out[lane] = o.project(lanes[lane])
+				}
+			}
+		})
+	if capture != nil {
+		capture.publish(measures, outcomes)
+		wc.PutWarm(capture)
+	}
 	if err == nil {
 		err = sinkErr
 	}
@@ -490,12 +533,34 @@ func execute(ctx context.Context, key CellKey, src source, lanes []Options, wc W
 	return out, nil
 }
 
-// laneResult builds a lane's Result from the engine's report at the
-// lane's boundary: the common metrics, the mechanism family's metrics
-// read off inst's concrete system, and the runtime stretch its flit-hop
-// count needs at the lane's own link bandwidth.
-func laneResult(kind Kind, src source, inst core.MechInstance, mech *core.Mechanism, rep sim.Report, lane Options) (*Result, error) {
-	r := &Result{Kind: kind, Benchmark: src.name, Suite: src.suite}
+// windowOutcome is the raw outcome of one measurement window: the
+// Result extracted at the window's boundary before any bandwidth
+// stretch, and the flit-hop count there that the stretch reads. A
+// link bandwidth changes neither the machine's path nor any other
+// statistic, so every lane of the window is a projection of it.
+type windowOutcome struct {
+	res      Result
+	flitHops uint64
+}
+
+// project returns a lane's Result: a copy of the raw Result with its
+// own NodeCycles and EnergyByOp, stretched at the lane's link
+// bandwidth. The outcome itself is never modified, so projections may
+// run concurrently.
+func (o *windowOutcome) project(lane Options) *Result {
+	r := o.res
+	r.NodeCycles = slices.Clone(o.res.NodeCycles)
+	r.EnergyByOp = maps.Clone(o.res.EnergyByOp)
+	r.applyBandwidth(lane, o.flitHops)
+	return &r
+}
+
+// windowResult builds a window's raw outcome from the engine's report
+// at its boundary: the common metrics, the mechanism family's metrics
+// read off inst's concrete system, and the flit-hop count.
+func windowResult(kind Kind, src source, inst core.MechInstance, mech *core.Mechanism, rep sim.Report) (*windowOutcome, error) {
+	o := &windowOutcome{res: Result{Kind: kind, Benchmark: src.name, Suite: src.suite}}
+	r := &o.res
 	r.fillCommon(rep)
 	var meter *energy.Meter
 	switch s := inst.Underlying().(type) {
@@ -508,8 +573,8 @@ func laneResult(kind Kind, src source, inst core.MechInstance, mech *core.Mechan
 	default:
 		return nil, fmt.Errorf("d2m: mechanism %s exposes unknown system type %T", mech.Name, s)
 	}
-	r.applyBandwidth(lane, meter.Count(energy.OpNoCFlit))
-	return r, nil
+	o.flitHops = meter.Count(energy.OpNoCFlit)
+	return o, nil
 }
 
 // applyBandwidth stretches the runtime when the interconnect cannot

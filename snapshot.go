@@ -2,6 +2,7 @@ package d2m
 
 import (
 	"context"
+	"unsafe"
 
 	"d2m/internal/core"
 	"d2m/internal/sim"
@@ -19,7 +20,11 @@ import (
 // run's Result is byte-identical to a fresh run's, because the restore
 // reproduces the machine state, the stream position and the RNG
 // sequence exactly, and both paths perform the same statistics reset
-// at the same boundary.
+// at the same boundary. The snapshot also carries the raw outcomes of
+// the windows its capturing run measured; a later run whose windows are
+// all among them differs at most in link bandwidth, a stretch applied
+// after extraction, so it is answered by projecting those outcomes and
+// simulates nothing.
 
 // WarmCache stores warm-state snapshots between runs, keyed by the
 // warm identity's string form (CellKey.String). Implementations
@@ -51,14 +56,20 @@ func wantWarm(wc WarmCache, key string) bool {
 
 // WarmSnapshot is the frozen warmup/measurement boundary of one run:
 // the machine state (whatever MechSnapshot the run's mechanism
-// produces) plus the workload stream at its post-warmup position.
-// Snapshots are immutable after capture and safe for concurrent
-// restores.
+// produces) plus the workload stream at its post-warmup position. A
+// snapshot is published after the capturing walk and carries that
+// walk's window outcomes, so a later run whose windows are all stored
+// is answered by projection without restoring. Snapshots are immutable
+// once published and safe for concurrent restores and projections.
 type WarmSnapshot struct {
 	key    string
 	warmup int
 
 	state core.MechSnapshot
+
+	// windows holds the raw outcomes of the windows the capturing walk
+	// completed, keyed by Measure.
+	windows map[int]*windowOutcome
 
 	// src is the post-warmup stream, cloned at capture time while the
 	// capturing run went on consuming the original — an interleaver
@@ -116,11 +127,52 @@ func warmedStream(ctx context.Context, engine *sim.Engine, snap *WarmSnapshot, m
 }
 
 // finish records the post-warmup stream position (cloning it when the
-// streams support cloning) and totals the snapshot's byte footprint.
+// streams support cloning) and totals the byte footprint of the state
+// and stream.
 func (ws *WarmSnapshot) finish(src *trace.Interleaver) {
 	ws.src, _ = src.Clone() // nil when the streams cannot be cloned
 	ws.bytes = streamOverheadBytes
 	if ws.state != nil {
 		ws.bytes += ws.state.SizeBytes()
 	}
+}
+
+// publish attaches the outcomes of the windows the capturing walk
+// completed (outcomes[i] is window measures[i], nil when the walk did
+// not reach it) and adds their bytes to the footprint. It is the last
+// write to the snapshot.
+func (ws *WarmSnapshot) publish(measures []int, outcomes []*windowOutcome) {
+	ws.windows = make(map[int]*windowOutcome, len(outcomes))
+	for i, o := range outcomes {
+		if o == nil {
+			continue
+		}
+		ws.windows[measures[i]] = o
+		ws.bytes += o.sizeBytes()
+	}
+}
+
+// project answers a run from the stored window outcomes: ok is false
+// unless every active lane's window is stored. Inactive lanes get a nil
+// Result, as they do from a walk.
+func (ws *WarmSnapshot) project(lanes []Options, active func(lane int) bool) (out []*Result, ok bool) {
+	out = make([]*Result, len(lanes))
+	for i, l := range lanes {
+		if !active(i) {
+			continue
+		}
+		o := ws.windows[l.Measure]
+		if o == nil {
+			return nil, false
+		}
+		out[i] = o.project(l)
+	}
+	return out, true
+}
+
+// sizeBytes approximates a window outcome's footprint: the Result
+// struct, its per-node clocks and its energy breakdown entries.
+func (o *windowOutcome) sizeBytes() int64 {
+	const mapEntryBytes = 64 // a short key string and a float64, with map overhead
+	return int64(unsafe.Sizeof(*o)) + int64(8*len(o.res.NodeCycles)) + int64(mapEntryBytes*len(o.res.EnergyByOp))
 }

@@ -10,6 +10,7 @@ package d2m
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -96,8 +97,12 @@ func snapshotSources() []struct {
 }
 
 // TestSnapshotExactnessMatrix runs every kind on every workload source
-// three ways: fresh (no warm cache), cold-through-cache (miss, deposits
-// the snapshot), and restored (hit). All three must produce
+// through a warm cache and compares each run with a fresh one (no warm
+// cache) of the same spec: the capturing run (miss, publishes the
+// snapshot with its window), a repeat of it (hit, projected from the
+// stored window), a run of a window the capture did not measure (hit,
+// restores and walks), and projections of the stored window at a
+// binding and at a non-binding link bandwidth. All must produce
 // byte-identical Results.
 func TestSnapshotExactnessMatrix(t *testing.T) {
 	ctx := context.Background()
@@ -107,29 +112,146 @@ func TestSnapshotExactnessMatrix(t *testing.T) {
 			spec.Kind = kind
 			t.Run(kind.String()+"/"+src.name, func(t *testing.T) {
 				t.Parallel()
-				fresh, err := Run(ctx, spec)
-				if err != nil {
-					t.Fatal(err)
-				}
 				wc := newMapWarmCache()
-				warm := spec
-				warm.Warm = wc
-				first, err := Run(ctx, warm)
-				if err != nil {
-					t.Fatal(err)
+				warm := func(label string, mutate func(*Options)) Result {
+					t.Helper()
+					s := spec
+					mutate(&s.Options)
+					fresh, err := Run(ctx, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.Warm = wc
+					got, err := Run(ctx, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameResult(t, label, fresh.Result, got.Result)
+					return got.Result
 				}
-				second, err := Run(ctx, warm)
-				if err != nil {
-					t.Fatal(err)
+				same := func(*Options) {}
+				warm("cold-through-cache", same)
+				warm("projected", same)
+				warm("restored, new window", func(o *Options) { o.Measure += 1000 })
+				if bound := warm("projected, binding bandwidth", func(o *Options) { o.LinkBandwidth = 1e-4 }); !bound.BandwidthBound {
+					t.Error("link bandwidth 1e-4 did not bind")
 				}
-				if wc.hits != 1 || wc.misses != 1 {
-					t.Fatalf("warm cache saw %d hits / %d misses, want 1 / 1", wc.hits, wc.misses)
+				if free := warm("projected, non-binding bandwidth", func(o *Options) { o.LinkBandwidth = 1e3 }); free.BandwidthBound {
+					t.Error("link bandwidth 1e3 bound")
 				}
-				assertSameResult(t, "cold-through-cache", fresh.Result, first.Result)
-				assertSameResult(t, "snapshot-restored", fresh.Result, second.Result)
+				if wc.hits != 4 || wc.misses != 1 {
+					t.Fatalf("warm cache saw %d hits / %d misses, want 4 / 1", wc.hits, wc.misses)
+				}
+				ws := wc.m[spec.Key().String()]
+				if ws.windows[spec.Options.Measure] == nil {
+					t.Error("the snapshot does not carry its capturing run's window")
+				}
+				if len(ws.windows) != 1 {
+					t.Errorf("the snapshot carries %d windows, want 1: a restored walk must not record into it", len(ws.windows))
+				}
 			})
 		}
 	}
+}
+
+// TestConcurrentProjections answers runs of one captured window from
+// several goroutines at once, each at its own link bandwidth: every
+// projection must equal its fresh run, and, under the race detector,
+// no projection (nor a caller writing to its Result) may touch the
+// shared raw outcome.
+func TestConcurrentProjections(t *testing.T) {
+	ctx := context.Background()
+	base := RunSpec{Kind: D2MNSR, Benchmark: "tpc-c", Options: Options{Nodes: 2, Warmup: 2000, Measure: 4000, Seed: 3}}
+	bands := []float64{0, 1e-4, 2e-4, 1e-3, 1e3}
+	want := make([]string, len(bands))
+	for i, bw := range bands {
+		s := base
+		s.Options.LinkBandwidth = bw
+		out, err := Run(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = resultJSON(t, out.Result)
+	}
+	wc := newMapWarmCache()
+	base.Warm = wc
+	if _, err := Run(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, bw := range bands {
+				s := base
+				s.Options.LinkBandwidth = bw
+				out, err := Run(ctx, s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, _ := json.Marshal(out.Result); string(got) != want[i] {
+					t.Errorf("projection at link bandwidth %g differs from a fresh run:\n fresh     %s\n projected %s", bw, want[i], got)
+				}
+				out.Result.NodeCycles[0]++
+				out.Result.EnergyByOp["dram"]++
+			}
+		}()
+	}
+	wg.Wait()
+	if wc.hits != workers*len(bands) || wc.misses != 1 {
+		t.Errorf("warm cache saw %d hits / %d misses, want %d / 1", wc.hits, wc.misses, workers*len(bands))
+	}
+}
+
+// cancelOnCapture is a WarmCache whose capture gate cancels the run it
+// answers: the gate runs after the warmup, so the capturing walk is
+// cancelled before its first measured block.
+type cancelOnCapture struct {
+	*mapWarmCache
+	cancel context.CancelFunc
+}
+
+func (c cancelOnCapture) WantWarm(string) bool {
+	c.cancel()
+	return true
+}
+
+// TestCancelledCapturePublishes cancels a capturing run mid-walk: it
+// must still publish its snapshot, holding no window, and a later run
+// must restore that snapshot, walk, and equal a fresh run.
+func TestCancelledCapturePublishes(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := RunSpec{Kind: D2MNSR, Benchmark: "tpc-c", Options: Options{Nodes: 2, Warmup: 2000, Measure: 4000}}
+	wc := cancelOnCapture{newMapWarmCache(), cancel}
+	capture := spec
+	capture.Warm = wc
+	if _, err := Run(ctx, capture); !errors.Is(err, context.Canceled) {
+		t.Fatalf("capturing run cancelled mid-walk: err = %v, want context.Canceled", err)
+	}
+	ws := wc.m[spec.Key().String()]
+	if ws == nil {
+		t.Fatal("a capturing run cancelled mid-walk published no snapshot")
+	}
+	if len(ws.windows) != 0 {
+		t.Errorf("the snapshot carries %d windows, want 0 from a walk that completed none", len(ws.windows))
+	}
+	fresh, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture.Warm = wc.mapWarmCache
+	restored, err := Run(context.Background(), capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wc.hits != 1 {
+		t.Fatalf("warm cache saw %d hits, want 1", wc.hits)
+	}
+	assertSameResult(t, "restored after a cancelled capture", fresh.Result, restored.Result)
 }
 
 // TestSnapshotCustomSpecsIsolated shares one warm cache between two

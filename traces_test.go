@@ -275,11 +275,11 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r, err := laneResult(kind, label, inst, mech, rep, opt)
+					o, err := windowResult(kind, label, inst, mech, rep)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return *r
+					return *o.project(opt)
 				}
 				want, _ := json.Marshal(viaExecute(mkStream(src, opt)))
 				for _, run := range []struct {

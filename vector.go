@@ -14,8 +14,10 @@ import (
 // trajectory — each is a prefix of the longest — so the group shares
 // one machine, one stream and one warmup, and each lane's Result is
 // sampled at its own measurement boundary (sim.MeasureLanes).
-// LinkBandwidth, a pure post-processing stretch, is applied per lane
-// from the flit-hop count at that lane's boundary. Run and RunGroup
+// LinkBandwidth, a pure post-processing stretch, is applied by
+// projecting the outcome of the lane's window: lanes with an equal
+// Measure share one extraction, and each lane stretches its own copy
+// from the flit-hop count at the window's boundary. Run and RunGroup
 // share one executor (execute) — a scalar run is a one-lane walk — and
 // the results are byte-identical, enforced by the lane differential
 // tests.
@@ -51,8 +53,9 @@ type LaneOutcome struct {
 // invalid group is rejected outright (no partial results). A
 // single-lane group runs on the scalar path. ctx cancels the whole
 // group; each lane's GroupLane.Ctx cancels just that lane. Warm-state
-// reuse works as in Run: the group restores a snapshot for its shared
-// warm identity when one exists, and deposits one otherwise.
+// reuse works as in Run: the group is projected from a snapshot that
+// stores all its windows, restores the snapshot when it lacks some,
+// and captures one when there is none.
 func RunGroup(ctx context.Context, lanes []GroupLane) ([]LaneOutcome, error) {
 	if len(lanes) == 0 {
 		return nil, nil

@@ -34,7 +34,7 @@ func specGroup(base RunSpec, windows []int, bands []float64) []GroupLane {
 	return lanes
 }
 
-func assertLanesMatchScalar(t *testing.T, ctx context.Context, lanes []GroupLane) {
+func assertLanesMatchScalar(t *testing.T, ctx context.Context, lanes []GroupLane) []LaneOutcome {
 	t.Helper()
 	outs, err := RunGroup(ctx, lanes)
 	if err != nil {
@@ -53,12 +53,14 @@ func assertLanesMatchScalar(t *testing.T, ctx context.Context, lanes []GroupLane
 		}
 		assertSameResult(t, "lane", scalar.Result, out.Output.Result)
 	}
+	return outs
 }
 
 // TestLaneDifferentialMatrix is the vector/scalar differential over
 // kinds x sources x topologies x options for the scheduler's lane-count
-// shapes: 1, 2, K equal windows, and K windows that don't divide each
-// other.
+// shapes: 1, 2, K equal windows, K windows that don't divide each
+// other, and one window projected at a binding and at a non-binding
+// link bandwidth (lanes sharing a window share one extraction).
 func TestLaneDifferentialMatrix(t *testing.T) {
 	ctx := context.Background()
 	w := exampleWorkload()
@@ -78,6 +80,7 @@ func TestLaneDifferentialMatrix(t *testing.T) {
 		{"two", []int{4000, 6000}, []float64{0, 0.002}},
 		{"equal4", []int{5000, 5000, 5000, 5000}, []float64{0, 0.001, 0.002, 0.004}},
 		{"ragged4", []int{3000, 4500, 4500, 7000}, []float64{0.002, 0, 0.003, 0}},
+		{"bandwidths", []int{5000, 5000, 5000}, []float64{0, 1e-4, 1e3}},
 	}
 	for _, kind := range allKinds() {
 		kind := kind
@@ -87,7 +90,11 @@ func TestLaneDifferentialMatrix(t *testing.T) {
 				for _, sh := range shapes {
 					base := src
 					base.Kind, base.Options = kind, Options{Nodes: 2, Warmup: 2000, Seed: 11}
-					assertLanesMatchScalar(t, ctx, specGroup(base, sh.windows, sh.bands))
+					outs := assertLanesMatchScalar(t, ctx, specGroup(base, sh.windows, sh.bands))
+					if sh.name == "bandwidths" && (!outs[1].Output.Result.BandwidthBound || outs[2].Output.Result.BandwidthBound) {
+						t.Errorf("%v: link bandwidths 1e-4 / 1e3 bound %v / %v, want true / false", base.Benchmark,
+							outs[1].Output.Result.BandwidthBound, outs[2].Output.Result.BandwidthBound)
+					}
 				}
 			}
 		})
