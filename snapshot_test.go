@@ -298,8 +298,8 @@ func assertSameResult(t *testing.T, label string, want, got Result) {
 
 // TestSnapshotSharedAcrossMeasureParams checks the warm key excludes
 // measurement-side parameters: runs differing only in Measure and
-// LinkBandwidth share one snapshot, and each restored run still
-// byte-matches its own fresh equivalent.
+// LinkBandwidth share one snapshot, and each restored or projected run
+// still byte-matches its own fresh equivalent.
 func TestSnapshotSharedAcrossMeasureParams(t *testing.T) {
 	ctx := context.Background()
 	wc := newMapWarmCache()

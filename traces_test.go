@@ -151,9 +151,10 @@ func TestTraceRunWithoutLibrary(t *testing.T) {
 }
 
 // TestTraceWarmSnapshotExactness is the snapshot matrix for a trace
-// benchmark: cold-through-cache and snapshot-restored runs must be
-// byte-identical to a fresh run, for every kind — the FileReader clone
-// frozen mid-trace must resume exactly.
+// benchmark: cold-through-cache, projected (the captured window again)
+// and snapshot-restored (a window the capture did not measure) runs
+// must be byte-identical to fresh runs, for every kind — the FileReader
+// clone frozen mid-trace must resume exactly.
 func TestTraceWarmSnapshotExactness(t *testing.T) {
 	setTraceLib(t)
 	ctx := context.Background()
@@ -181,11 +182,22 @@ func TestTraceWarmSnapshotExactness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wc.hits != 1 || wc.misses != 1 {
-				t.Fatalf("warm cache saw %d hits / %d misses, want 1 / 1", wc.hits, wc.misses)
+			longer := opt
+			longer.Measure += 2000
+			freshLonger, err := runOne(ctx, kind, bench, longer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := runOneWarm(ctx, kind, bench, longer, wc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wc.hits != 2 || wc.misses != 1 {
+				t.Fatalf("warm cache saw %d hits / %d misses, want 2 / 1", wc.hits, wc.misses)
 			}
 			assertSameResult(t, "cold-through-cache", fresh, first)
-			assertSameResult(t, "snapshot-restored", fresh, second)
+			assertSameResult(t, "projected", fresh, second)
+			assertSameResult(t, "snapshot-restored", freshLonger, restored)
 		})
 	}
 }

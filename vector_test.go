@@ -120,36 +120,42 @@ func TestLaneDifferentialMatrix(t *testing.T) {
 
 // TestLaneGroupWarmCache checks RunGroup participates in warm-state
 // reuse exactly like Run: a cold group deposits the shared snapshot, a
-// second group restores it, and both match the scalar path.
+// second group over the same windows is projected from it, a third
+// with a new window restores it, and all match the scalar path.
 func TestLaneGroupWarmCache(t *testing.T) {
 	ctx := context.Background()
 	wc := newMapWarmCache()
 	base := Options{Nodes: 2, Warmup: 4000, Seed: 5}
-	mkLanes := func() []GroupLane {
-		lanes := groupOf(D2MNSR, "tpc-c", base, []int{3000, 6000}, []float64{0, 0.002})
+	mkLanes := func(windows ...int) []GroupLane {
+		lanes := groupOf(D2MNSR, "tpc-c", base, windows, []float64{0, 0.002})
 		for i := range lanes {
 			lanes[i].Spec.Warm = wc
 		}
 		return lanes
 	}
-	cold, err := RunGroup(ctx, mkLanes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunGroup(ctx, mkLanes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wc.misses != 1 || wc.hits != 1 {
-		t.Fatalf("warm cache saw %d hits / %d misses, want 1 / 1", wc.hits, wc.misses)
-	}
-	for i := range cold {
-		scalar, err := Run(ctx, RunSpec{Kind: D2MNSR, Benchmark: "tpc-c", Options: mkLanes()[i].Spec.Options})
+	for _, step := range []struct {
+		name    string
+		windows []int
+	}{
+		{"cold group", []int{3000, 6000}},
+		{"projected group", []int{3000, 6000}},
+		{"restored group", []int{3000, 7000}},
+	} {
+		lanes := mkLanes(step.windows...)
+		outs, err := RunGroup(ctx, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, "cold group", scalar.Result, cold[i].Output.Result)
-		assertSameResult(t, "warm group", scalar.Result, warm[i].Output.Result)
+		for i, out := range outs {
+			scalar, err := Run(ctx, RunSpec{Kind: D2MNSR, Benchmark: "tpc-c", Options: lanes[i].Spec.Options})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, step.name, scalar.Result, out.Output.Result)
+		}
+	}
+	if wc.misses != 1 || wc.hits != 2 {
+		t.Fatalf("warm cache saw %d hits / %d misses, want 2 / 1", wc.hits, wc.misses)
 	}
 }
 
