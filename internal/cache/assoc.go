@@ -16,6 +16,14 @@ import "fmt"
 // reserves the key ^uint64(0), which Put rejects; no caller can produce it,
 // since every key is a line, region or page number of a 64-bit address.
 //
+// A tag-less table (NewTaglessTable, GetTagless) keeps no keys at all:
+// it backs a data array whose lines are reached only through metadata,
+// so nothing ever searches it. A slot is valid iff its LRU stamp is
+// non-zero: Touch validates a slot and Invalidate clears it. Lookup,
+// Put, KeyAt, SlotKey and ForEach read keys and are caller errors on a
+// tag-less table (they panic); validity, recency, victim selection, the
+// write log and snapshots work on both kinds.
+//
 // The table also keeps a write log: the flat index of every slot whose
 // LRU stamp left zero since the last Reset, in write order (a slot
 // invalidated and written again appears again). Every slot with a
@@ -26,7 +34,7 @@ import "fmt"
 // writes go unlogged and Reset falls back to clearing the whole arrays.
 type Table struct {
 	sets, ways int
-	keys       []uint64 // key+1 per valid slot; 0 marks an invalid slot
+	keys       []uint64 // key+1 per valid slot; 0 marks an invalid slot; nil if tag-less
 	stamp      []uint64 // per-slot LRU stamp; larger = more recent
 	clock      uint64
 
@@ -39,7 +47,13 @@ const logFraction = 8
 
 // NewTable returns a table with the given geometry. Both dimensions must
 // be positive and sets must be a power of two (hardware indexing).
-func NewTable(sets, ways int) *Table {
+func NewTable(sets, ways int) *Table { return newTable(sets, ways, true) }
+
+// NewTaglessTable returns a tag-less table with the given geometry: no
+// key array, validity carried by the LRU stamps (see Table).
+func NewTaglessTable(sets, ways int) *Table { return newTable(sets, ways, false) }
+
+func newTable(sets, ways int, tagged bool) *Table {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %dx%d", sets, ways))
 	}
@@ -47,13 +61,25 @@ func NewTable(sets, ways int) *Table {
 		panic(fmt.Sprintf("cache: sets %d not a power of two", sets))
 	}
 	n := sets * ways
-	return &Table{
+	t := &Table{
 		sets:    sets,
 		ways:    ways,
-		keys:    make([]uint64, n),
 		stamp:   make([]uint64, n),
 		written: make([]int32, 0, n/logFraction),
 	}
+	if tagged {
+		t.keys = make([]uint64, n)
+	}
+	return t
+}
+
+// occupancy returns the array whose zero entries mark invalid slots:
+// the keys of a tagged table, the stamps of a tag-less one.
+func (t *Table) occupancy() []uint64 {
+	if t.keys != nil {
+		return t.keys
+	}
+	return t.stamp
 }
 
 // Sets returns the number of sets.
@@ -77,7 +103,8 @@ func (t *Table) SetFor(key uint64) int { return int(key & uint64(t.sets-1)) }
 func (t *Table) Index(set, way int) int { return set*t.ways + way }
 
 // Lookup returns the way holding key in set, if any. It does not update
-// recency; callers decide whether an operation constitutes a use.
+// recency; callers decide whether an operation constitutes a use. It
+// panics on a tag-less table.
 func (t *Table) Lookup(set int, key uint64) (way int, ok bool) {
 	base := set * t.ways
 	// Reslicing once hoists the bounds checks out of the probe loop —
@@ -98,7 +125,8 @@ func (t *Table) Lookup(set int, key uint64) (way int, ok bool) {
 	return -1, false
 }
 
-// Touch marks (set, way) most recently used.
+// Touch marks (set, way) most recently used; on a tag-less table it
+// also makes the slot valid.
 func (t *Table) Touch(set, way int) { t.TouchSlot(set*t.ways + way) }
 
 // TouchSlot is Touch addressed by flat slot index (Index(set, way)),
@@ -118,25 +146,27 @@ func (t *Table) TouchSlot(i int) {
 func (t *Table) StampAt(i int) uint64 { return t.stamp[i] }
 
 // SlotKey is KeyAt addressed by flat slot index, for callers that
-// memoized the index.
+// memoized the index. It panics on a tag-less table.
 func (t *Table) SlotKey(i int) (uint64, bool) {
 	k := t.keys[i]
 	return k - 1, k != 0
 }
 
 // KeyAt returns the key stored at (set, way) and whether the slot is
-// valid. An invalid slot reports key ^uint64(0).
+// valid. An invalid slot reports key ^uint64(0). It panics on a
+// tag-less table.
 func (t *Table) KeyAt(set, way int) (uint64, bool) {
 	return t.SlotKey(set*t.ways + way)
 }
 
 // Valid reports whether (set, way) holds a valid entry.
-func (t *Table) Valid(set, way int) bool { return t.keys[set*t.ways+way] != 0 }
+func (t *Table) Valid(set, way int) bool { return t.occupancy()[set*t.ways+way] != 0 }
 
 // Put installs key at (set, way), marking it valid and most recently
 // used. Any previous occupant is overwritten; the caller is responsible
 // for having evicted it. Put panics on key ^uint64(0), which the key+1
-// encoding reserves for invalid slots.
+// encoding reserves for invalid slots. It panics on a tag-less table,
+// whose slots are validated by Touch.
 func (t *Table) Put(set, way int, key uint64) {
 	if key == ^uint64(0) {
 		panic("cache: key ^uint64(0) is reserved")
@@ -148,7 +178,9 @@ func (t *Table) Put(set, way int, key uint64) {
 // Invalidate clears (set, way).
 func (t *Table) Invalidate(set, way int) {
 	i := set*t.ways + way
-	t.keys[i] = 0
+	if t.keys != nil {
+		t.keys[i] = 0
+	}
 	t.stamp[i] = 0
 }
 
@@ -183,11 +215,12 @@ func (t *Table) VictimWayScoredIn(set, ways int, score func(way int) int) int {
 		ways = t.ways
 	}
 	base := set * t.ways
+	occ := t.occupancy()
 	best := -1
 	bestScore := 0
 	var bestStamp uint64
 	for w := 0; w < ways; w++ {
-		if t.keys[base+w] == 0 {
+		if occ[base+w] == 0 {
 			return w
 		}
 		s := 0
@@ -204,16 +237,18 @@ func (t *Table) VictimWayScoredIn(set, ways int, score func(way int) int) int {
 // CountValid returns the number of valid entries in set.
 func (t *Table) CountValid(set int) int {
 	base := set * t.ways
+	occ := t.occupancy()
 	n := 0
 	for w := 0; w < t.ways; w++ {
-		if t.keys[base+w] != 0 {
+		if occ[base+w] != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// ForEach calls fn for every valid slot.
+// ForEach calls fn for every valid slot, in flat-index order. It
+// panics on a tag-less table, which has no keys to pass.
 func (t *Table) ForEach(fn func(set, way int, key uint64)) {
 	for s := 0; s < t.sets; s++ {
 		for w := 0; w < t.ways; w++ {

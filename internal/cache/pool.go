@@ -6,10 +6,12 @@ import (
 )
 
 // Cold simulations construct and discard an entire cache hierarchy per
-// job: an 8 MB LLC alone is 131,072 slots of table and payload arrays,
-// whose allocation (and the GC cycles it forces) would dominate short
-// jobs. The pools below recycle those arrays: a released object is
-// handed back in its pristine zero state instead of being reallocated.
+// job: an 8 MB LLC alone is 131,072 slots, 3 MiB of table and payload
+// arrays (24 B a line: the split hierarchy's 16 B data-store slot plus
+// the 8 B stamp of its tag-less table), whose allocation (and the GC
+// cycles it forces) would dominate short jobs. The pools below recycle
+// those arrays: a released object is handed back in its pristine zero
+// state instead of being reallocated.
 // Pooled reuse is exact because every recycled object is byte-identical
 // to a freshly constructed one.
 //
@@ -29,15 +31,24 @@ func (t *Table) Reset() {
 		clear(t.stamp)
 	} else {
 		for _, i := range t.written {
-			t.keys[i] = 0
 			t.stamp[i] = 0
+		}
+		if t.keys != nil {
+			for _, i := range t.written {
+				t.keys[i] = 0
+			}
 		}
 	}
 	t.written = t.written[:0]
 	t.clock = 0
 }
 
-type geom struct{ sets, ways int }
+// geom keys the table pools; tagged and tag-less tables of one
+// geometry never share a pool.
+type geom struct {
+	sets, ways int
+	tagged     bool
+}
 
 var tablePool sync.Map // geom -> *sync.Pool of *Table
 
@@ -53,16 +64,21 @@ func TableBalance() int64 { return tableBalance.Load() }
 
 // GetTable returns a pristine table, reusing a previously released one
 // of the same geometry when available.
-func GetTable(sets, ways int) *Table {
+func GetTable(sets, ways int) *Table { return getTable(geom{sets, ways, true}) }
+
+// GetTagless is GetTable for a tag-less table (NewTaglessTable).
+func GetTagless(sets, ways int) *Table { return getTable(geom{sets, ways, false}) }
+
+func getTable(g geom) *Table {
 	tableBalance.Add(1)
-	if p, ok := tablePool.Load(geom{sets, ways}); ok {
+	if p, ok := tablePool.Load(g); ok {
 		if v := p.(*sync.Pool).Get(); v != nil {
 			t := v.(*Table)
 			t.pooled = false
 			return t
 		}
 	}
-	return NewTable(sets, ways)
+	return newTable(g.sets, g.ways, g.tagged)
 }
 
 // PutTable resets t and releases it for reuse by a later GetTable. The
@@ -82,7 +98,7 @@ func PutTable(t *Table) {
 	tableBalance.Add(-1)
 	// Load before LoadOrStore: LoadOrStore boxes its key and a fresh
 	// Pool on every call, allocations a release should not pay.
-	g := geom{t.sets, t.ways}
+	g := geom{t.sets, t.ways, t.keys != nil}
 	p, ok := tablePool.Load(g)
 	if !ok {
 		p, _ = tablePool.LoadOrStore(g, &sync.Pool{})
@@ -122,7 +138,7 @@ func (p *ArrayPool[T]) PutWritten(t *Table, s []T) {
 	if s == nil {
 		return
 	}
-	if len(s) != len(t.keys) {
+	if len(s) != len(t.stamp) {
 		panic("cache: payload length does not match the table")
 	}
 	if t.pooled {

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
@@ -79,6 +82,8 @@ func TestRestorePreconditions(t *testing.T) {
 	src.Put(2, 1, 42)
 	sn := src.Snapshot()
 	mustPanic(t, "Restore into another geometry", func() { NewTable(2, 4).Restore(sn) })
+	mustPanic(t, "Restore of a tagged snapshot into a tag-less table", func() { NewTaglessTable(4, 2).Restore(sn) })
+	mustPanic(t, "Restore of a tag-less snapshot into a tagged table", func() { NewTable(4, 2).Restore(NewTaglessTable(4, 2).Snapshot()) })
 	used := NewTable(4, 2)
 	used.TouchSlot(0)
 	mustPanic(t, "Restore into a written table", func() { used.Restore(sn) })
@@ -112,5 +117,30 @@ func TestSnapshotTakesLoggedSlotsOnce(t *testing.T) {
 	cp.Restore(sn)
 	if k, ok := cp.KeyAt(1, 1); !ok || k != 6 || cp.StampAt(cp.Index(2, 0)) != tb.StampAt(tb.Index(2, 0)) {
 		t.Fatalf("restored slot (1,1) = %d,%v, stamp of (2,0) = %d", k, ok, cp.StampAt(cp.Index(2, 0)))
+	}
+}
+
+// TestSnapshotSizeBytes pins the snapshot byte accounting: a snapshot is
+// charged its header and the arrays it holds, so a tag-less snapshot,
+// which holds no keys, costs 8 bytes per captured slot less than a
+// tagged one of the same slots.
+func TestSnapshotSizeBytes(t *testing.T) {
+	tagged, tagless := NewTable(4, 8), NewTaglessTable(4, 8)
+	for _, tb := range []*Table{tagged, tagless} {
+		put(tb, 1, 1, 5)
+		put(tb, 2, 0, 6)
+		tb.Invalidate(2, 0)
+		put(tb, 3, 7, 7)
+	}
+	a, b := tagged.Snapshot(), tagless.Snapshot()
+	if len(b.slots) != 2 || b.keys != nil {
+		t.Fatalf("tag-less snapshot holds %d slots and %d keys, want 2 and none", len(b.slots), len(b.keys))
+	}
+	want := int64(unsafe.Sizeof(*b)) + int64(cap(b.slots))*4 + int64(cap(b.stamps))*8
+	if got := b.SizeBytes(); got != want {
+		t.Errorf("tag-less SizeBytes = %d, want %d", got, want)
+	}
+	if got := a.SizeBytes() - b.SizeBytes(); got != 2*8 {
+		t.Errorf("tagged snapshot costs %d bytes more than tag-less, want 16 (two keys)", got)
 	}
 }

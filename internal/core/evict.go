@@ -91,7 +91,7 @@ func (s *System) evictNodeLine(n *node, ent *nodeRegion, idx int, t *txn) {
 
 	dirty := sl.dirty
 	dest := sl.rp
-	ver := sl.ver
+	ver := s.verOf(sl)
 	st.drop(set, int(li.Way))
 	// The line is in transit: its LI must not dangle at the dropped slot
 	// while the install cascade below runs — the cascade's victim can be
@@ -225,7 +225,7 @@ func (s *System) llcInstall(slice int, line mem.LineAddr, r mem.RegionAddr, scra
 	}
 	t.add(s.fab.SendEP(from, s.sliceEP(slice), noc.Data, noc.Base))
 	s.meter.Do(st.op, 1)
-	st.install(set, way, line, master, dirty, false, rp).ver = ver
+	s.setVer(st.install(set, way, line, master, dirty, false, rp), ver)
 	if s.cfg.NearSide {
 		return InSlice(slice, way)
 	}
@@ -264,7 +264,7 @@ func (s *System) llcEvictSlot(st *dataStore, slice int, set, way int, t *txn) {
 
 	// Master: new master is memory.
 	if sl.dirty {
-		s.writebackToMem(s.sliceEP(slice), line, sl.ver, t)
+		s.writebackToMem(s.sliceEP(slice), line, s.verOf(sl), t)
 	}
 	wasDirty := sl.dirty
 	st.drop(set, way)
@@ -358,12 +358,12 @@ func (s *System) freeWay(n *node, st *dataStore, set int, t *txn) int {
 		// Demote the master into the L2 instead of leaving the node
 		// ("L1 cachelines may have victim locations allocated for them
 		// in L2", §III-B).
-		cp := *sl
+		cp, ver := *sl, s.verOf(sl)
 		l2set := n.l2.setFor(line, ent.scramble)
 		l2way := s.freeWay(n, n.l2, l2set, t)
 		s.meter.Do(energy.OpL2Data, 1)
 		cp.rp = s.validateRP(line, ent.scramble, cp.rp)
-		n.l2.install(l2set, l2way, line, cp.master, cp.dirty, cp.excl, cp.rp).ver = cp.ver
+		s.setVer(n.l2.install(l2set, l2way, line, cp.master, cp.dirty, cp.excl, cp.rp), ver)
 		ent.li[idx] = InL2(l2way)
 		st.drop(set, way)
 		return way
@@ -560,7 +560,7 @@ func (s *System) md3EvictEntry(set, way int, t *txn) {
 			case li.Local():
 				lst, lset, sl := m.localSlot(ent, idx)
 				if sl.master && sl.dirty {
-					s.writebackToMem(noc.NodeEP(mid), line, sl.ver, t)
+					s.writebackToMem(noc.NodeEP(mid), line, s.verOf(sl), t)
 				}
 				if !sl.master {
 					// An LLC master reachable only through this
@@ -605,7 +605,7 @@ func (s *System) md3EvictEntry(set, way int, t *txn) {
 		if !sl.master {
 			note(sl.rp, ref.line, d.scramble)
 		} else if sl.dirty {
-			s.writebackToMem(s.refEP(ref.st), ref.line, sl.ver, t)
+			s.writebackToMem(s.refEP(ref.st), ref.line, s.verOf(sl), t)
 		}
 		ref.st.drop(ref.set, ref.way)
 		s.meter.Do(ref.st.op, 1)

@@ -3,19 +3,21 @@ package core
 import (
 	"testing"
 	"unsafe"
+
+	"d2m/internal/mem"
 )
 
 // TestLayoutSizes pins the packed widths of the simulator's per-line and
 // per-region state: a Location holds the decoded 6-bit LI in 3 bytes, a
-// data-store slot fits 24 bytes, and the region entries carry 16 such
+// data-store slot fits 16 bytes, and the region entries carry 16 such
 // LIs with no padding holes. A field added or reordered carelessly shows
 // up here before it shows up as host cache misses.
 func TestLayoutSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Location{}); got != 3 {
 		t.Errorf("Location = %d bytes, want 3", got)
 	}
-	if got := unsafe.Sizeof(slot{}); got != 24 {
-		t.Errorf("slot = %d bytes, want 24", got)
+	if got := unsafe.Sizeof(slot{}); got != 16 {
+		t.Errorf("slot = %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(nodeRegion{}); got > 88 {
 		t.Errorf("nodeRegion = %d bytes, want <= 88", got)
@@ -123,5 +125,33 @@ func TestLocationBounds(t *testing.T) {
 func TestWidestConfigInvariants(t *testing.T) {
 	for _, cfg := range widestConfigs() {
 		randomWorkload(t, cfg, 7, 20000, 96, 0.3, 0.3, 0.3)
+	}
+}
+
+// TestOracleStorageOnlyWhenDebugging checks that the coherence oracle's
+// versions live in side tables that exist only under
+// Config.CoherenceDebug: a System built without it allocates no version
+// storage, however much it runs, and one built with it records a
+// version for the slots its accesses filled.
+func TestOracleStorageOnlyWhenDebugging(t *testing.T) {
+	for _, debug := range []bool{false, true} {
+		cfg := testConfig(true)
+		cfg.CoherenceDebug = debug
+		s := NewSystem(cfg)
+		for i := 0; i < 2000; i++ {
+			kind := mem.Load
+			if i%3 == 0 {
+				kind = mem.Store
+			}
+			s.Access(mem.Access{Node: i % cfg.Nodes, Addr: addrOf(i%24, i%mem.LinesPerRegion), Kind: kind})
+		}
+		switch {
+		case !debug && (s.vers != nil || s.verMem != nil || s.verLatest != nil):
+			t.Errorf("oracle off: version storage allocated (slots %v, memory %v, latest %v)",
+				s.vers != nil, s.verMem != nil, s.verLatest != nil)
+		case debug && (len(s.vers) == 0 || len(s.verLatest) == 0):
+			t.Errorf("oracle on: %d slot and %d line versions recorded after 2000 accesses", len(s.vers), len(s.verLatest))
+		}
+		s.Release()
 	}
 }

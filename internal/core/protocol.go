@@ -149,6 +149,24 @@ func (s *System) Access(a mem.Access) Result {
 	return Result{Latency: t.lat, L1Hit: hit, Instr: instr, Write: a.Kind.IsWrite()}
 }
 
+// verOf returns the oracle version of the data sl holds, 0 when the
+// oracle is off. Read a slot's version before dropping the slot: an
+// install overwrites it.
+func (s *System) verOf(sl *slot) uint64 {
+	if s.vers == nil {
+		return 0
+	}
+	return s.vers[sl]
+}
+
+// setVer records v as the oracle version of the data sl holds; a no-op
+// when the oracle is off. Every install sets its slot's version.
+func (s *System) setVer(sl *slot, v uint64) {
+	if s.vers != nil {
+		s.vers[sl] = v
+	}
+}
+
 // oracleCheck runs under Config.CoherenceDebug after every access. Every
 // access leaves the line in the L1, so the final slot is inspected: a
 // write stamps a fresh global version; a read must observe the version of
@@ -170,13 +188,13 @@ func (s *System) oracleCheck(n *node, ent *nodeRegion, idx int, line mem.LineAdd
 	_, _, sl := n.localSlot(ent, idx)
 	if write {
 		s.verSeq++
-		sl.ver = s.verSeq
+		s.setVer(sl, s.verSeq)
 		s.verLatest[line] = s.verSeq
 		return
 	}
-	if want := s.verLatest[line]; sl.ver != want {
+	if got, want := s.verOf(sl), s.verLatest[line]; got != want {
 		panic(fmt.Sprintf("core: coherence violation: node %d read version %d of %v, latest write is %d",
-			n.id, sl.ver, line, want))
+			n.id, got, line, want))
 	}
 }
 
@@ -216,7 +234,7 @@ func (s *System) installL1(n *node, ent *nodeRegion, idx int, line mem.LineAddr,
 	}
 	s.rpFallback = Mem()
 	s.meter.Do(st.op, 1)
-	st.install(set, way, line, master, dirty, excl, rp).ver = s.xfer
+	s.setVer(st.install(set, way, line, master, dirty, excl, rp), s.xfer)
 	ent.noteInstall()
 	ent.li[idx] = InL1(way)
 }
@@ -266,10 +284,10 @@ func (s *System) read(n *node, ent *nodeRegion, idx int, line mem.LineAddr, li L
 		st, set, sl := n.localSlot(ent, idx)
 		s.meter.Do(st.op, 1)
 		t.add(st.lat)
-		cp := *sl
+		cp, ver := *sl, s.verOf(sl)
 		st.drop(set, int(li.Way))
 		s.st.L2Hits++
-		s.xfer = cp.ver
+		s.xfer = ver
 		s.installL1(n, ent, idx, line, instr, cp.master, cp.dirty, cp.excl, cp.rp, t)
 		return false, false
 
@@ -333,7 +351,8 @@ func (s *System) readFromLLC(n *node, ent *nodeRegion, idx int, line mem.LineAdd
 	}
 
 	rp := li // the L1 replica's RP names the copy it was read from
-	s.xfer = sl.ver
+	ver := s.verOf(sl)
+	s.xfer = ver
 	// Stage the true master location as the RP degradation fallback.
 	if sl.master {
 		s.rpFallback = li
@@ -347,10 +366,10 @@ func (s *System) readFromLLC(n *node, ent *nodeRegion, idx int, line mem.LineAdd
 		if !sl.master {
 			masterLoc = sl.rp
 		}
-		rp = s.llcInstallReplica(n.id, line, ent, masterLoc, sl.ver, t)
+		rp = s.llcInstallReplica(n.id, line, ent, masterLoc, ver, t)
 		s.st.Replications++
 	}
-	s.xfer = sl.ver
+	s.xfer = ver
 	s.installL1(n, ent, idx, line, instr, false, false, false, rp, t)
 }
 
@@ -409,7 +428,7 @@ func (s *System) bypassReadLLC(n *node, ent *nodeRegion, idx int, line mem.LineA
 		s.st.LLCRemoteHitsD++
 	}
 	s.st.BypassedReads++
-	s.xfer = sl.ver
+	s.xfer = s.verOf(sl)
 	s.bypassServed = true
 }
 
@@ -463,7 +482,7 @@ func (s *System) llcInstallReplica(nodeID int, line mem.LineAddr, ent *nodeRegio
 		s.notePressure(nodeID)
 	}
 	s.meter.Do(st.op, 1)
-	st.install(set, way, line, false, false, false, masterLoc).ver = ver
+	s.setVer(st.install(set, way, line, false, false, false, masterLoc), ver)
 	return InSlice(nodeID, way)
 }
 
@@ -569,12 +588,13 @@ func (s *System) readFromNode(n *node, ent *nodeRegion, idx int, line mem.LineAd
 				sl.excl = false // a sharer now exists
 			}
 			t.add(s.sendNodes(target, n.id, noc.Data, noc.Base))
-			s.xfer = sl.ver
+			ver := s.verOf(sl)
+			s.xfer = ver
 			rp := InNode(target)
 			if s.cfg.Replication && instr {
 				// §IV-C: instructions are always replicated into the
 				// reader's own slice, whatever served them.
-				rp = s.llcInstallReplica(n.id, line, ent, InNode(target), sl.ver, t)
+				rp = s.llcInstallReplica(n.id, line, ent, InNode(target), ver, t)
 				s.st.Replications++
 			}
 			s.installL1(n, ent, idx, line, instr, false, false, false, rp, t)
@@ -725,7 +745,7 @@ func (s *System) writePrivate(n *node, ent *nodeRegion, idx int, line mem.LineAd
 		st, set, sl := n.localSlot(ent, idx)
 		s.meter.Do(st.op, 1)
 		t.add(st.lat)
-		cp := *sl
+		cp, ver := *sl, s.verOf(sl)
 		st.drop(set, int(li.Way))
 		ent.li[idx] = Mem() // in transit (see evictNodeLine)
 		s.st.L2Hits++
@@ -734,7 +754,7 @@ func (s *System) writePrivate(n *node, ent *nodeRegion, idx int, line mem.LineAd
 		if !cp.master {
 			rp = s.allocRP(n.id)
 		}
-		s.xfer = cp.ver
+		s.xfer = ver
 		s.installL1(n, ent, idx, line, false, true, true, true, rp, t)
 		if !cp.master {
 			s.reclaimPrivateMaster(n, ent, idx, line, old, t)
@@ -763,7 +783,7 @@ func (s *System) writePrivate(n *node, ent *nodeRegion, idx int, line mem.LineAd
 			s.st.LLCRemoteHitsD++
 		}
 		wasMaster, old := sl.master, sl.rp
-		s.xfer = sl.ver
+		s.xfer = s.verOf(sl)
 		st.drop(set, int(li.Way))
 		s.installL1(n, ent, idx, line, false, true, true, true, s.allocRP(n.id), t)
 		if !wasMaster {
@@ -984,14 +1004,14 @@ func (s *System) acquireForWrite(n *node, ent *nodeRegion, idx int, line mem.Lin
 		st, set, sl := n.localSlot(ent, idx)
 		s.meter.Do(st.op, 1)
 		t.add(st.lat)
-		cp := *sl
+		cp, ver := *sl, s.verOf(sl)
 		st.drop(set, int(li.Way))
 		ent.li[idx] = Mem() // in transit (see evictNodeLine)
 		s.st.L2Hits++
 		if !cp.master {
 			cp.rp = rp
 		}
-		s.xfer = cp.ver
+		s.xfer = ver
 		s.installL1(n, ent, idx, line, false, true, true, true, cp.rp, t)
 		return
 	default:
@@ -1013,7 +1033,7 @@ func (s *System) acquireForWrite(n *node, ent *nodeRegion, idx int, line mem.Lin
 				lst, _, lsl := m.localSlot(entM, idx)
 				s.meter.Do(lst.op, 1)
 				t.add(lst.lat)
-				s.xfer = lsl.ver
+				s.xfer = s.verOf(lsl)
 			}
 			t.add(s.sendNodes(int(master.Node), n.id, noc.Data, noc.Base))
 		} else {

@@ -13,13 +13,11 @@ import (
 // evictions can find the line's active metadata entry (the paper's
 // Tracking Pointer — constant-time in hardware, a region-keyed lookup in
 // the simulator) and so that the determinism invariant can be audited.
-// Fields are ordered widest-first so a slot packs into 24 bytes.
+// Fields are ordered widest-first so a slot packs into 16 bytes; the
+// coherence oracle's per-slot data versions live beside the stores, in
+// System.vers, only when Config.CoherenceDebug is set.
 type slot struct {
 	line mem.LineAddr
-	// ver is the coherence-oracle version of the data the slot holds;
-	// maintained only when Config.CoherenceDebug is set, and used by
-	// tests to prove that every read observes the latest write.
-	ver uint64
 	// rp is the Replacement Pointer: for a master line, the victim
 	// location that becomes the new master on eviction (§III-B); for a
 	// replica, the current master location, enabling silent replacement.
@@ -37,12 +35,14 @@ type slot struct {
 }
 
 // dataStore is a tag-less set-associative data array (an L1, L2, or an
-// LLC/NS-LLC slice in the split hierarchy). The replication heuristic's
-// MRU test reads the table's own LRU stamps (every operation that would
-// bump a recency stamp already bumps the table stamp at the same site,
-// so a parallel recency array would be redundant bookkeeping on the
-// hottest store path), and the store knows its own access cost so
-// protocol code can charge uniformly.
+// LLC/NS-LLC slice in the split hierarchy). Its table is tag-less too
+// (cache.GetTagless): the slot already names its line, so the table
+// keeps only LRU stamps, non-zero exactly while the slot is valid. The
+// replication heuristic's MRU test reads those stamps (every operation
+// that would bump a recency stamp already bumps the table stamp at the
+// same site, so a parallel recency array would be redundant bookkeeping
+// on the hottest store path), and the store knows its own access cost
+// so protocol code can charge uniformly.
 type dataStore struct {
 	name  string
 	tbl   *cache.Table
@@ -65,7 +65,7 @@ func newDataStore(name string, sets, ways int, op energy.Op, lat uint64) *dataSt
 	n := sets * ways
 	return &dataStore{
 		name:  name,
-		tbl:   cache.GetTable(sets, ways),
+		tbl:   cache.GetTagless(sets, ways),
 		slots: slotArrays.Get(n),
 		op:    op,
 		lat:   lat,
@@ -119,11 +119,8 @@ func (s *dataStore) touch(set, way int) {
 func (s *dataStore) isMRU(set, way int) bool {
 	best, bestWay := uint64(0), -1
 	for w := 0; w < s.ways(); w++ {
-		i := s.tbl.Index(set, w)
-		if !s.slots[i].valid {
-			continue
-		}
-		if st := s.tbl.StampAt(i); bestWay == -1 || st > best {
+		// A zero stamp marks an invalid slot; valid stamps are distinct.
+		if st := s.tbl.StampAt(s.tbl.Index(set, w)); st > best {
 			best, bestWay = st, w
 		}
 	}
@@ -133,12 +130,13 @@ func (s *dataStore) isMRU(set, way int) bool {
 // install writes line into (set, way), which must have been freed by the
 // caller.
 func (s *dataStore) install(set, way int, line mem.LineAddr, master, dirty, excl bool, rp Location) *slot {
-	sl := s.at(set, way)
+	i := s.tbl.Index(set, way)
+	sl := &s.slots[i]
 	if sl.valid {
 		panic(fmt.Sprintf("core: install into occupied slot %s set %d way %d (holds %v)", s.name, set, way, sl.line))
 	}
 	*sl = slot{line: line, valid: true, dirty: dirty, master: master, excl: excl, rp: rp}
-	s.tbl.Put(set, way, uint64(line))
+	s.tbl.TouchSlot(i)
 	return sl
 }
 
@@ -161,9 +159,12 @@ func (s *dataStore) victimWay(set int, score func(sl *slot) int) int {
 	})
 }
 
-// forEach visits every valid slot.
+// forEach visits every valid slot, in flat-index order.
 func (s *dataStore) forEach(fn func(set, way int, sl *slot)) {
-	s.tbl.ForEach(func(set, way int, key uint64) {
-		fn(set, way, s.at(set, way))
-	})
+	ways := s.ways()
+	for i := range s.slots {
+		if s.slots[i].valid {
+			fn(i/ways, i%ways, &s.slots[i])
+		}
+	}
 }

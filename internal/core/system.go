@@ -93,9 +93,15 @@ type System struct {
 	pressurePrev []uint64
 	epochMark    uint64
 
-	// Coherence oracle (Config.CoherenceDebug): verMem is the version
-	// memory holds per line, verSeq the global write sequence, and xfer
-	// stages the version of data in flight toward an install.
+	// Coherence oracle (Config.CoherenceDebug): vers is the version of
+	// the data each data-store slot holds (a side table, so the hot
+	// slot carries no oracle state; keying by *slot is safe because
+	// slot arrays never move during a System's life and snapshots
+	// refuse the oracle), verMem the version memory holds per line,
+	// verLatest the latest write's version per line, verSeq the global
+	// write sequence, and xfer stages the version of data in flight
+	// toward an install. The maps are nil when the oracle is off.
+	vers      map[*slot]uint64
 	verMem    map[mem.LineAddr]uint64
 	verLatest map[mem.LineAddr]uint64
 	verSeq    uint64
@@ -149,6 +155,7 @@ func NewSystem(cfg Config) *System {
 		s.lockWindow[i] = ^mem.RegionAddr(0)
 	}
 	if cfg.CoherenceDebug {
+		s.vers = make(map[*slot]uint64)
 		s.verMem = make(map[mem.LineAddr]uint64)
 		s.verLatest = make(map[mem.LineAddr]uint64)
 	}

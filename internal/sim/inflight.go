@@ -6,8 +6,9 @@ import "d2m/internal/mem"
 // stand-in): line -> issue-clock time at which the miss's data returns.
 // It replaces a map[mem.LineAddr]uint64 on the per-access hot path with
 // an open-addressed, linear-probe hash table of fixed power-of-two
-// capacity that is allocated once and reused across runs, so steady
-// state costs a few array probes per access and zero allocations.
+// capacity, allocated with its engine (every run builds its own) and
+// reset in place when measurement starts, so steady state costs a few
+// array probes per access and zero allocations.
 //
 // The replacement is semantically exact. The map's entries fall into
 // two classes: live (ready > the node's issue clock now) and dead

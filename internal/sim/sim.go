@@ -167,7 +167,10 @@ const BlockAccesses = 1024
 
 // NewEngine returns an engine for a machine with the given node count.
 // All hot-path state (clocks, the per-node in-flight tables and the
-// refill block) is allocated here once and reused across Run calls.
+// refill block) is allocated here, once per engine; each measurement
+// phase resets it in place. An engine drives one machine, and the d2m
+// run path builds a fresh engine for every run, so these allocations
+// are part of each run's setup.
 func NewEngine(m Machine, nodes int) *Engine {
 	e := &Engine{m: m, nodes: nodes, clock: make([]uint64, nodes), issue: make([]uint64, nodes)}
 	if em, ok := m.(EpochMachine); ok {

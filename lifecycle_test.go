@@ -23,7 +23,7 @@ import (
 )
 
 // warmSnapshotLimit bounds a 2-node tpc-c snapshot after a 2k warmup.
-// Sparse snapshots of that shape are 35–68 KiB; a dense copy of the
+// Sparse snapshots of that shape are 40–58 KiB; a dense copy of the
 // hierarchy is 1.8–5.6 MiB.
 const warmSnapshotLimit = 256 << 10
 
