@@ -85,7 +85,6 @@ func TestRunValidation(t *testing.T) {
 		{"Kind(99)", false, func(s *RunSpec) { s.Kind = Kind(99) }},
 		{"unknown topology", false, func(s *RunSpec) { s.Options.Topology = "hypercube" }},
 		{"unknown placement", false, func(s *RunSpec) { s.Options.Placement = "random" }},
-		{"Replicates -1", false, func(s *RunSpec) { s.Replicates = -1 }},
 	}
 	ctx := context.Background()
 	base := Options{Nodes: 4, Warmup: 1000, Measure: 2000}
@@ -813,7 +812,7 @@ func TestBandwidthConstrainedMode(t *testing.T) {
 // TestReplicate exercises the multi-seed aggregation: distinct seeds
 // vary the metrics a little; the mean sits among the samples.
 func TestReplicate(t *testing.T) {
-	rep, err := replicateN(context.Background(), D2MNS, "fft", Options{Warmup: 40_000, Measure: 120_000}, 3, nil)
+	rep, err := replicateN(context.Background(), D2MNS, "fft", Options{Warmup: 40_000, Measure: 120_000}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -826,12 +825,7 @@ func TestReplicate(t *testing.T) {
 	if rep.CyclesStd > rep.CyclesMean*0.2 {
 		t.Errorf("cycle spread %.0f exceeds 20%% of the mean %.0f; runs unstable", rep.CyclesStd, rep.CyclesMean)
 	}
-	if _, err := Run(context.Background(), RunSpec{
-		Kind: D2MNS, Benchmark: "fft", Options: fastOpt, Replicates: -1,
-	}); err == nil {
-		t.Error("negative replicates accepted")
-	}
-	if _, err := replicateN(context.Background(), D2MNS, "no-such", fastOpt, 2, nil); err == nil {
+	if _, err := replicateN(context.Background(), D2MNS, "no-such", fastOpt, 2); err == nil {
 		t.Error("bad benchmark accepted")
 	}
 }

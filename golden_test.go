@@ -59,7 +59,7 @@ const (
 	modeCold  = "cold"  // one fresh run
 	modeWarm  = "warm"  // the second of two runs sharing a warm cache (restored)
 	modeGroup = "group" // the case's lane of a 3-lane RunGroup
-	modeRep   = "rep3"  // Replicates 3 (the mean-projected Result)
+	modeRep   = "rep3"  // ReplicatePlan with 3 seeds (the mean-projected Result)
 )
 
 var allModes = []string{modeCold, modeWarm, modeGroup, modeRep}
@@ -95,7 +95,13 @@ func runGolden(ctx context.Context, spec RunSpec, mode string) (Result, error) {
 		}
 		return outs[1].Output.Result, outs[1].Err
 	case modeRep:
-		spec.Replicates = 3
+		p := ReplicatePlan(spec.Kind, spec.Benchmark, spec.Options, 3)
+		results, err := RunCells(ctx, p.Cells)
+		if err != nil {
+			return Result{}, err
+		}
+		agg, err := p.Project(results)
+		return agg.MeanResult(results[p.Cells[0].Key()]), err
 	}
 	out, err := Run(ctx, spec)
 	return out.Result, err

@@ -19,7 +19,7 @@ import (
 // Revision is the wire API revision served by shards and gateway alike,
 // reported by GET /v1/capabilities. Gateways refuse to route to shards
 // whose revision differs.
-const Revision = "v1.8"
+const Revision = "v1.9"
 
 // KindNames is the single source of truth for the kind list every
 // transport advertises: the capabilities document, the gateway's peer

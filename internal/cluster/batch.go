@@ -24,9 +24,9 @@ func (g *Gateway) Batch(ctx context.Context, apiKey string, runs []service.Run) 
 	sts := make([]api.JobStatus, len(runs))
 	done := make([]bool, len(runs))
 	for i, run := range runs {
-		if res, rep, ok := g.cache.Get(run.CacheKey()); ok {
+		if res, ok := g.cache.Get(run.CacheKey()); ok && run.Reps < 2 {
 			g.metrics.CacheHits.Add(1)
-			sts[i], done[i] = run.CachedStatus(res, rep), true
+			sts[i], done[i] = run.CachedStatus(res, nil), true
 		}
 	}
 
@@ -95,8 +95,8 @@ func (g *Gateway) Batch(ctx context.Context, apiKey string, runs []service.Run) 
 				if st.ID != "" {
 					st.ID = routedID(st.ID, sub.fr.peer)
 				}
-				if st.State == api.JobDone && st.Result != nil {
-					g.cache.Put(runs[i].CacheKey(), *st.Result, st.Replicated)
+				if runs[i].Reps < 2 && st.State == api.JobDone && st.Result != nil {
+					g.cache.Put(runs[i].CacheKey(), *st.Result)
 				}
 				sts[i], done[i] = st, true
 			}

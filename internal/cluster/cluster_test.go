@@ -185,6 +185,46 @@ func TestClusterWarmIdentityRouting(t *testing.T) {
 	}
 }
 
+// TestGatewayCachesNoReplicatedRun: the gateway cache holds single runs
+// only. A replicated run is forwarded every time, and the owning shard
+// answers the repeat from its seed cache; a replicated sweep's cells
+// are not cached either.
+func TestGatewayCachesNoReplicatedRun(t *testing.T) {
+	var runs atomic.Int64
+	pa, _, _ := newShard(t, "a", service.Config{Workers: 1, Runner: stubRunner(&runs, 0)})
+	pb, _, _ := newShard(t, "b", service.Config{Workers: 1, Runner: stubRunner(&runs, 0)})
+	g, gts := newGatewayServer(t, Config{Peers: []Peer{pa, pb}})
+
+	const body = `{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"seed":4,"replicates":3}`
+	for i := 0; i < 2; i++ {
+		before := g.metrics.RunsForwarded.Load()
+		code, raw, _ := postJSON(t, gts.URL+"/v1/run", body)
+		var st api.JobStatus
+		json.Unmarshal(raw, &st)
+		if code != http.StatusOK || st.Replicated == nil || st.Replicated.N != 3 || st.Cached != (i == 1) {
+			t.Fatalf("POST %d = %d cached=%v (%s)", i, code, st.Cached, raw)
+		}
+		if g.metrics.RunsForwarded.Load() != before+1 {
+			t.Errorf("POST %d was not forwarded", i)
+		}
+	}
+	if got := runs.Load(); got != 3 {
+		t.Errorf("shards ran %d simulations, want 3 (one per seed)", got)
+	}
+	code, raw, _ := postJSON(t, gts.URL+"/v1/sweeps", `{"kinds":["d2m-ns-r"],"benchmarks":["canneal"],"nodes":2,"replicates":2}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep = %d (%s)", code, raw)
+	}
+	var sw service.SweepStatus
+	json.Unmarshal(raw, &sw)
+	if final := waitGatewaySweep(t, gts.URL+"/v1/sweeps/"+sw.ID, ""); final.Done != 1 {
+		t.Fatalf("sweep settled %+v", final)
+	}
+	if n := g.cache.Len(); n != 0 {
+		t.Errorf("gateway cache holds %d entries after replicated traffic only, want 0", n)
+	}
+}
+
 // TestClusterAsyncJobRouting: async submissions come back with a
 // routable <id>@<shard> id that GET and DELETE resolve through the
 // gateway.

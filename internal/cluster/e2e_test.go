@@ -146,13 +146,20 @@ func resultBytes(t *testing.T, raw []byte) []byte {
 	if st.State != api.JobDone || st.Result == nil {
 		t.Fatalf("job not done: %s", raw)
 	}
-	out, _ := json.Marshal(st.Result)
+	return payload(st)
+}
+
+// payload is a settled job's result and, for a replicated run, its
+// aggregate.
+func payload(st api.JobStatus) []byte {
+	out, _ := json.Marshal([]interface{}{st.Result, st.Replicated})
 	return out
 }
 
 // TestClusterE2EProcesses drives a real 2-shard fleet: mixed
-// run/batch/sweep traffic byte-identical to a single-process server,
-// then a mid-sweep drain of one shard that the sweep must survive.
+// run/batch/sweep traffic, a replicated run among it, byte-identical to
+// a single-process server, then a mid-sweep drain of one shard that the
+// sweep must survive.
 func TestClusterE2EProcesses(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX process management")
@@ -182,6 +189,7 @@ func TestClusterE2EProcesses(t *testing.T) {
 		`{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"warmup":2000,"measure":8000,"seed":7}`,
 		`{"kind":"base-2l","benchmark":"canneal","nodes":2,"warmup":2000,"measure":6000,"seed":3}`,
 		`{"kind":"d2m-fs","benchmark":"tpc-c","nodes":2,"warmup":2000,"measure":6000,"seed":5}`,
+		`{"kind":"d2m-ns-r","benchmark":"canneal","nodes":2,"warmup":2000,"measure":4000,"seed":9,"replicates":3}`,
 	}
 	for i, body := range runs {
 		codeG, rawG := post(t, gateway+"/v1/run", body)
@@ -209,8 +217,7 @@ func TestClusterE2EProcesses(t *testing.T) {
 		t.Fatalf("batch lengths: gateway=%d single=%d", len(bg.Results), len(bs.Results))
 	}
 	for i := range bg.Results {
-		g, _ := json.Marshal(bg.Results[i].Result)
-		s, _ := json.Marshal(bs.Results[i].Result)
+		g, s := payload(bg.Results[i]), payload(bs.Results[i])
 		if !bytes.Equal(g, s) {
 			t.Errorf("batch slot %d differs:\n gateway %s\n single  %s", i, g, s)
 		}

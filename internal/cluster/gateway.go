@@ -133,7 +133,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("cluster: merge store %s: %w", path, err)
 		}
 		for _, rec := range recs {
-			g.cache.Put(rec.Key, rec.Result, rec.Replicated)
+			g.cache.Put(rec.Key, rec.Result)
 		}
 		g.metrics.StoreLoaded.Add(uint64(len(recs)))
 	}
@@ -378,13 +378,15 @@ func (g *Gateway) Auth(ctx context.Context, apiKey string, n int) (string, error
 // Draining is false: a gateway has no admission of its own to close.
 func (g *Gateway) Draining() bool { return false }
 
-// Run serves a run from the gateway cache or forwards it to the ring
-// owner of its warm identity.
+// Run serves a single run from the gateway cache or forwards it to the
+// ring owner of its warm identity. The cache holds single runs only: a
+// replicated run is always forwarded, and the shard answers it from
+// its seeds.
 func (g *Gateway) Run(ctx context.Context, apiKey string, run service.Run) (api.JobStatus, error) {
 	key := run.CacheKey()
-	if res, rep, ok := g.cache.Get(key); ok {
+	if res, ok := g.cache.Get(key); ok && run.Reps < 2 {
 		g.metrics.CacheHits.Add(1)
-		return run.CachedStatus(res, rep), nil
+		return run.CachedStatus(res, nil), nil
 	}
 	body, _ := json.Marshal(run.Req) // plain fields: cannot fail
 	fr, err := g.forwardKey(ctx, run.Key().String(), http.MethodPost, "/v1/run", body, apiKey)
@@ -393,8 +395,8 @@ func (g *Gateway) Run(ctx context.Context, apiKey string, run service.Run) (api.
 	}
 	g.metrics.RunsForwarded.Add(1)
 	st, err := shardReply(fr)
-	if err == nil && st.State == api.JobDone && st.Result != nil {
-		g.cache.Put(key, *st.Result, st.Replicated)
+	if err == nil && run.Reps < 2 && st.State == api.JobDone && st.Result != nil {
+		g.cache.Put(key, *st.Result)
 	}
 	return st, err
 }

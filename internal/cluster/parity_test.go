@@ -58,20 +58,24 @@ func parityDo(t *testing.T, method, url, key, body string) parityReply {
 	var raw bytes.Buffer
 	raw.ReadFrom(resp.Body)
 	out := parityReply{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After") != ""}
+	type payload struct {
+		Result     json.RawMessage `json:"result"`
+		Replicated json.RawMessage `json:"replicated"`
+		Cached     bool            `json:"cached"`
+	}
 	var doc struct {
-		Error   *api.ErrorInfo  `json:"error"`
-		Result  json.RawMessage `json:"result"`
-		Results []struct {
-			Result json.RawMessage `json:"result"`
-		} `json:"results"`
+		Error *api.ErrorInfo `json:"error"`
+		payload
+		Results []payload `json:"results"`
 	}
 	if json.Unmarshal(raw.Bytes(), &doc) == nil {
 		if doc.Error != nil {
 			out.code = doc.Error.Code
 		}
-		results := []json.RawMessage{doc.Result}
-		for _, r := range doc.Results {
-			results = append(results, r.Result)
+		var results []json.RawMessage
+		for _, r := range append([]payload{doc.payload}, doc.Results...) {
+			cached, _ := json.Marshal(r.Cached)
+			results = append(results, r.Result, r.Replicated, cached)
 		}
 		for _, r := range results {
 			var c bytes.Buffer
@@ -85,7 +89,9 @@ func parityDo(t *testing.T, method, url, key, body string) parityReply {
 
 // TestGatewayParity sends one table of requests to a single-process
 // server and to a 2-shard gateway and checks that both answer alike:
-// the same status, error code, Retry-After presence and result bytes.
+// the same status, error code, Retry-After presence, and result,
+// aggregate and cached bytes. A replicated sweep is compared cell by
+// cell.
 func TestGatewayParity(t *testing.T) {
 	share := func(n int) *int { return &n }
 	open := newParityPair(t, service.Config{})
@@ -95,6 +101,7 @@ func TestGatewayParity(t *testing.T) {
 	}})
 
 	const run = `{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"seed":5}`
+	const repRun = `{"kind":"d2m-ns","benchmark":"canneal","nodes":2,"seed":40,"replicates":3}`
 	const sweep = `{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],"nodes":2,"seeds":[1,2]}`
 	var many []string
 	for i := 0; i <= service.MaxBatchRuns; i++ {
@@ -136,6 +143,10 @@ func TestGatewayParity(t *testing.T) {
 		{name: "sweeps bad state", method: "GET", path: "/v1/sweeps?state=bogus"},
 		{name: "run", method: "POST", path: "/v1/run", body: run},
 		{name: "batch", method: "POST", path: "/v1/batch", body: `{"runs":[` + run + `,{"kind":"base-2l","benchmark":"canneal","nodes":2}]}`},
+		{name: "replicated run cold", method: "POST", path: "/v1/run", body: repRun},
+		{name: "replicated run cached", method: "POST", path: "/v1/run", body: repRun},
+		{name: "single run at a seed", method: "POST", path: "/v1/run", body: `{"kind":"d2m-ns","benchmark":"canneal","nodes":2,"seed":42}`},
+		{name: "replicated batch", method: "POST", path: "/v1/batch", body: `{"runs":[` + repRun + `,{"kind":"base-2l","benchmark":"canneal","nodes":2,"replicates":2}]}`},
 
 		{name: "keyless run", tenancy: true, method: "POST", path: "/v1/run", body: run},
 		{name: "unknown-key run", tenancy: true, method: "POST", path: "/v1/run", key: "nope", body: run},
@@ -169,6 +180,36 @@ func TestGatewayParity(t *testing.T) {
 			t.Errorf("%s: gateway %s, single process %s", row.name, fmtReply(got), fmtReply(want))
 		}
 	}
+
+	const repSweep = `{"kinds":["base-2l","d2m-ns"],"benchmarks":["tpc-c","canneal"],"nodes":2,"seeds":[60],"replicates":2}`
+	if got, want := paritySweepCells(t, open.gateway, repSweep), paritySweepCells(t, open.single, repSweep); got != want {
+		t.Errorf("replicated sweep cells: gateway %s, single process %s", got, want)
+	}
+}
+
+// paritySweepCells runs a sweep to completion and returns its cells'
+// states and results.
+func paritySweepCells(t *testing.T, base, body string) string {
+	t.Helper()
+	code, raw, _ := postJSON(t, base+"/v1/sweeps", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST %s/v1/sweeps = %d (%s)", base, code, raw)
+	}
+	var st service.SweepStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	waitGatewaySweep(t, base+"/v1/sweeps/"+st.ID, "")
+	_, raw = getJSON(t, base+"/v1/sweeps/"+st.ID+"?cells=1")
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, c := range st.Cells {
+		b, _ := json.Marshal([]interface{}{c.State, c.Result})
+		out.Write(b)
+	}
+	return out.String()
 }
 
 func fmtReply(r parityReply) string {

@@ -68,8 +68,9 @@ func (g *Gateway) RunCells(ctx context.Context, apiKey string, cells []d2m.Sweep
 	for i, c := range cells {
 		keys[i] = sched.CacheKey(c.Kind, c.Benchmark, c.Options, spec.Replicates)
 		// Cells the gateway has already seen (this run or a merged
-		// journal) settle without touching any shard.
-		if res, _, ok := g.cache.Get(keys[i]); ok {
+		// journal) settle without touching any shard. Replicated cells
+		// go to their shard, which answers from its seeds.
+		if res, ok := g.cache.Get(keys[i]); ok && spec.Replicates < 2 {
 			g.metrics.CacheHits.Add(1)
 			settleOnce(i, service.SweepCellStatus{State: api.JobDone, Cached: true, Result: &res})
 		}
@@ -101,8 +102,8 @@ func (g *Gateway) RunCells(ctx context.Context, apiKey string, cells []d2m.Sweep
 				defer wg.Done()
 				g.subSweep(ctx, apiKey, p, cells, idxs, spec, func(k int, cs service.SweepCellStatus) {
 					i := idxs[k]
-					if cs.State == api.JobDone && cs.Result != nil {
-						g.cache.Put(keys[i], *cs.Result, nil)
+					if spec.Replicates < 2 && cs.State == api.JobDone && cs.Result != nil {
+						g.cache.Put(keys[i], *cs.Result)
 					}
 					settleOnce(i, cs)
 				})

@@ -22,7 +22,7 @@ import (
 // rendered as-is; any other error renders as internal.
 type Backend interface {
 	// Auth resolves an X-API-Key to the caller value and charges n
-	// submissions against the caller's budget (0 for reads). It fails
+	// simulations against the caller's budget (0 for reads). It fails
 	// with 401 unauthorized or 429 rate_limited.
 	Auth(ctx context.Context, key string, n int) (caller string, err error)
 	// Draining reports that new sweeps must be refused with 503.

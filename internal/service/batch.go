@@ -66,8 +66,9 @@ func (f *front) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Validate every run before admitting any: a batch either enters
 	// the queue whole or not at all. The caller is charged one token
-	// per run, after validation — an invalid batch costs nothing.
+	// per simulation, after validation — an invalid batch costs nothing.
 	runs := make([]Run, len(req.Runs))
+	sims := 0
 	for i, rr := range req.Runs {
 		if rr.Async {
 			api.WriteErr(w, api.Errorf(api.ErrInvalidRequest,
@@ -81,8 +82,9 @@ func (f *front) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		runs[i] = run
+		sims += max(1, run.Reps)
 	}
-	caller, ok := f.caller(w, r, len(runs))
+	caller, ok := f.caller(w, r, sims)
 	if !ok {
 		return
 	}

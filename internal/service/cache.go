@@ -7,8 +7,9 @@ import (
 	"d2m"
 )
 
-// ResultCache is a bounded LRU of completed simulation results, keyed
-// by the content address of the request (sched.CacheKey). A Result is
+// ResultCache is a bounded LRU of completed single-run results, keyed
+// by the content address of the request (sched.CacheKey). A replicated
+// request is answered from its seed runs' entries. A Result is
 // a few hundred bytes of counters, so even the default capacity is
 // cheap; the bound exists so a seed-sweeping client cannot grow the
 // server without limit. A single-process server consults it at
@@ -24,7 +25,6 @@ type ResultCache struct {
 type cacheEntry struct {
 	key string
 	res d2m.Result
-	rep *d2m.Replicated // non-nil for replicated jobs
 }
 
 // NewResultCache returns an empty cache holding at most capacity
@@ -37,32 +37,29 @@ func NewResultCache(capacity int) *ResultCache {
 	}
 }
 
-// Get returns the cached result for key (plus the replicate aggregate
-// for replicated jobs) and refreshes its recency.
-func (c *ResultCache) Get(key string) (d2m.Result, *d2m.Replicated, bool) {
+// Get returns the cached result for key and refreshes its recency.
+func (c *ResultCache) Get(key string) (d2m.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return d2m.Result{}, nil, false
+		return d2m.Result{}, false
 	}
 	c.order.MoveToFront(el)
-	ent := el.Value.(*cacheEntry)
-	return ent.res, ent.rep, true
+	return el.Value.(*cacheEntry).res, true
 }
 
 // Put stores a result, evicting the least recently used entry when the
-// cache is full. rep is nil for single-run jobs.
-func (c *ResultCache) Put(key string, res d2m.Result, rep *d2m.Replicated) {
+// cache is full.
+func (c *ResultCache) Put(key string, res d2m.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.res, ent.rep = res, rep
+		el.Value.(*cacheEntry).res = res
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res, rep: rep})
+	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

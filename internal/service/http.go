@@ -82,7 +82,7 @@ func decode(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) 
 }
 
 // caller authenticates the request through the backend, charging n
-// submissions (0 for reads); on failure it has written the error.
+// simulations (0 for reads); on failure it has written the error.
 func (f *front) caller(w http.ResponseWriter, r *http.Request, n int) (string, bool) {
 	c, err := f.b.Auth(r.Context(), r.Header.Get("X-API-Key"), n)
 	if err != nil {
@@ -126,7 +126,7 @@ func (f *front) handleRun(w http.ResponseWriter, r *http.Request) {
 		api.WriteErr(w, err)
 		return
 	}
-	caller, ok := f.caller(w, r, 1)
+	caller, ok := f.caller(w, r, max(1, run.Reps)) // one token per seed
 	if !ok {
 		return
 	}

@@ -3,8 +3,11 @@ package sched
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"time"
+
+	"d2m"
 )
 
 // Submit runs one submission through the admission pipeline: validate,
@@ -45,7 +48,8 @@ func (s *Scheduler) SubmitGroupWait(ctx context.Context, subs []Submission) ([]A
 		if err == nil {
 			return adms, nil
 		}
-		if !errors.Is(err, ErrQueueFull) {
+		var full *QueueFullError
+		if !errors.As(err, &full) || full.oversized {
 			return nil, err
 		}
 		t := time.NewTimer(10 * time.Millisecond)
@@ -68,6 +72,12 @@ func (s *Scheduler) SubmitGroupWait(ctx context.Context, subs []Submission) ([]A
 // batch behind. The group is enqueued under one lock hold, so a worker
 // that pops one of its jobs finds every same-lane-key sibling queued
 // and takes them into the same lane group.
+//
+// A replicated submission is expanded here, and only here: unless an
+// identical one is in flight, its seed runs (d2m.ReplicatePlan) are
+// admitted as ordinary submissions, taking one queue slot each, under
+// a parent job that is never queued. If the sink holds every seed, it
+// is admitted Cached with their aggregate.
 func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 	if len(subs) == 0 {
 		return nil, nil
@@ -80,12 +90,21 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 
 	adms := make([]Admission, len(subs))
 	keys := make([]string, len(subs))
+	reps := make([]*Job, len(subs)) // replicated submissions' seeds, looked up
 	pending := make([]int, 0, len(subs))
-	for i := range subs {
-		keys[i] = subs[i].key()
-		if res, rep, ok := s.sink.Lookup(keys[i]); ok {
+	for i, sub := range subs {
+		keys[i] = sub.key()
+		if sub.Replicates >= 2 {
+			reps[i] = s.lookupSeeds(sub)
+			if !slices.Contains(reps[i].seeds, nil) {
+				s.obs.CacheHit()
+				reps[i].fold() // every seed is done
+				adms[i] = Admission{Cached: true, Result: reps[i].result, Replicated: reps[i].replicated}
+				continue
+			}
+		} else if res, ok := s.sink.Lookup(keys[i]); ok {
 			s.obs.CacheHit()
-			adms[i] = Admission{Cached: true, Result: res, Replicated: rep}
+			adms[i] = Admission{Cached: true, Result: res}
 			continue
 		}
 		pending = append(pending, i)
@@ -110,11 +129,13 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 	var (
 		coalesced []coalesce
 		created   []*Job
+		parents   []*Job // new replicated jobs: never queued
 		need      [NumPriorities]map[string]int
 		byKey     = make(map[string]*Job)
 	)
-	for _, i := range pending {
-		sub, key := subs[i], keys[i]
+	// admit coalesces a submission onto the job in flight (or created
+	// earlier in this group) with its key, or creates that job.
+	admit := func(sub Submission, key string) Admission {
 		target := s.inflight[key]
 		if target != nil && target.ctx.Err() != nil {
 			// Abandoned but not yet settled: don't coalesce onto a job
@@ -135,17 +156,32 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 			if sub.Detached {
 				target.detached = true
 			}
-			adms[i] = Admission{Job: target}
-			continue
+			return Admission{Job: target}
 		}
 		j := s.newJobLocked(sub, key)
 		byKey[key] = j
+		if sub.Replicates >= 2 {
+			parents = append(parents, j)
+			return Admission{Job: j, New: true}
+		}
 		created = append(created, j)
 		if need[sub.Priority] == nil {
 			need[sub.Priority] = make(map[string]int)
 		}
 		need[sub.Priority][sub.Tenant]++
-		adms[i] = Admission{Job: j, New: true}
+		return Admission{Job: j, New: true}
+	}
+	for _, i := range pending {
+		adms[i] = admit(subs[i], keys[i])
+		if p := adms[i].Job; reps[i] != nil && adms[i].New {
+			p.plan, p.seeds = reps[i].plan, reps[i].seeds
+			for k, seed := range p.seeds {
+				if seed == nil {
+					sub := subs[i].seed(p.plan.Cells[k])
+					p.seeds[k] = admit(sub, sub.key()).Job
+				}
+			}
+		}
 	}
 
 	// QueueDepth bounds each (class, tenant) pair separately: a tenant
@@ -158,17 +194,18 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 					c.j.waiters--
 					c.j.detached = c.prevDetached
 				}
-				for _, j := range created {
+				for _, j := range append(created, parents...) {
 					j.cancel()
 				}
 				s.mu.Unlock()
-				return nil, &QueueFullError{Jobs: len(created)}
+				return nil, &QueueFullError{Jobs: len(created), oversized: n > s.cfg.QueueDepth}
 			}
 		}
 	}
 
-	// Commit: register and enqueue the new jobs, and promote queued
-	// bulk jobs an interactive submission just coalesced onto.
+	// Commit: register and enqueue the new jobs, link replicated jobs
+	// to their seeds, and promote queued bulk jobs an interactive
+	// submission just coalesced onto.
 	for _, j := range created {
 		s.jobs[j.id] = j
 		s.inflight[j.key] = j
@@ -178,6 +215,19 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 		s.queues[p].push(j)
 		s.obs.JobAccepted()
 		s.obs.QueuedDelta(1)
+	}
+	for _, p := range parents {
+		s.jobs[p.id] = p
+		s.inflight[p.key] = p
+		for _, seed := range p.seeds {
+			if !seed.state.settled() {
+				seed.parents = append(seed.parents, p)
+			}
+			if seed.state == StateRunning {
+				s.startLocked(p, seed.started)
+			}
+		}
+		s.obs.JobAccepted()
 	}
 	for _, c := range coalesced {
 		s.obs.JobCoalesced()
@@ -197,8 +247,12 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 // an interactive request that coalesced onto bulk work should not
 // inherit bulk queueing delay. Best-effort — a job that is running,
 // already popped, or would overflow the interactive queue stays where
-// it is. Callers hold s.mu.
+// it is; a replicated job's seeds are lifted one by one. Callers hold
+// s.mu.
 func (s *Scheduler) promoteLocked(j *Job) {
+	for _, seed := range j.seeds {
+		s.promoteLocked(seed)
+	}
 	if j.state != StateQueued || j.spec.Priority != Bulk {
 		return
 	}
@@ -215,7 +269,8 @@ func (s *Scheduler) promoteLocked(j *Job) {
 }
 
 // Cancel settles a queued job immediately or signals a running one to
-// abort at its next engine checkpoint. It returns ErrUnknownJob for
+// abort at its next engine checkpoint. A replicated job settles at
+// once and releases its seeds. It returns ErrUnknownJob for
 // ids absent from the ledger and ErrSettled (with the job, so callers
 // can report its state) for jobs that already finished.
 func (s *Scheduler) Cancel(id string) (*Job, error) {
@@ -229,6 +284,11 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	case j.state.settled():
 		s.mu.Unlock()
 		return j, ErrSettled
+	case j.seeds != nil:
+		s.settleLocked(j, StateCanceled, context.Canceled)
+		s.mu.Unlock()
+		s.drop(j)
+		return j, nil
 	case j.state == StateRunning:
 		s.mu.Unlock()
 		j.cancel()
@@ -239,20 +299,13 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	// occupies a worker. A job a worker already popped needs no queue
 	// surgery (claim will skip it).
 	s.queues[j.spec.Priority].remove(j)
-	j.cancel()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	j.state = StateCanceled
-	j.err = context.Canceled
-	j.finished = time.Now()
-	s.retireLocked(j)
 	s.dequeuedLocked(j)
+	parents := s.settleLocked(j, StateCanceled, context.Canceled)
 	s.pulseSlotFree()
 	s.obs.QueuedDelta(-1)
-	s.obs.JobSettled(StateCanceled)
 	s.mu.Unlock()
-	close(j.done)
+	s.wake(j)
+	s.wake(parents...)
 	return j, nil
 }
 
@@ -260,15 +313,46 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 // response written). When the last waiter of a non-detached job leaves
 // before it settles, the job is abandoned: its context is cancelled so
 // it aborts (or, if still queued, settles canceled without occupying a
-// worker).
+// worker). An abandoned replicated job settles at once and releases
+// its seeds.
 func (s *Scheduler) Release(j *Job) {
 	s.mu.Lock()
 	j.waiters--
 	abandon := j.waiters <= 0 && !j.detached && !j.state.settled()
+	if abandon && j.seeds != nil {
+		s.settleLocked(j, StateCanceled, context.Canceled)
+	}
 	s.mu.Unlock()
-	if abandon {
+	switch {
+	case abandon && j.seeds != nil:
+		s.drop(j)
+	case abandon:
 		j.cancel()
 	}
+}
+
+// drop wakes a replicated job settled canceled and releases its hold on
+// each seed, abandoning those no one else waits for: its seeds never
+// carry its detachment, so its hold alone keeps them alive.
+func (s *Scheduler) drop(p *Job) {
+	s.wake(p)
+	for _, seed := range p.seeds {
+		s.Release(seed)
+	}
+}
+
+// lookupSeeds expands a replicated submission into an unregistered job
+// holding its plan and seeds: the sink's answers as settled stand-ins,
+// nil for the seeds still to admit.
+func (s *Scheduler) lookupSeeds(sub Submission) *Job {
+	p := &Job{plan: d2m.ReplicatePlan(sub.Kind, sub.Benchmark, sub.Options, sub.Replicates)}
+	p.seeds = make([]*Job, len(p.plan.Cells))
+	for i, c := range p.plan.Cells {
+		if res, ok := s.sink.Lookup(sub.seed(c).key()); ok {
+			p.seeds[i] = &Job{state: StateDone, result: res}
+		}
+	}
+	return p
 }
 
 // Lookup returns the ledger's job for id.
@@ -305,8 +389,14 @@ func (s *Scheduler) infoLocked(j *Job) Info {
 		Finished:  j.finished,
 		Err:       j.err,
 	}
-	if j.state == StateQueued {
-		in.QueuePos = s.queues[j.spec.Priority].position(j)
+	if q := j; j.state == StateQueued {
+		for _, seed := range j.seeds {
+			if seed.state == StateQueued {
+				q = seed // a replicated job reports its first queued seed's
+				break
+			}
+		}
+		in.QueuePos = s.queues[q.spec.Priority].position(q)
 	}
 	if j.state == StateDone {
 		r := j.result

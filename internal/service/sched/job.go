@@ -76,7 +76,7 @@ type Submission struct {
 	Kind       d2m.Kind
 	Benchmark  string
 	Options    d2m.Options
-	Replicates int // canonical replicate count; 0 = single run
+	Replicates int // >= 2: a replicated job over its seed runs (SubmitGroup); 0 = single run
 
 	// Priority selects the scheduling class. The zero value is
 	// Interactive.
@@ -110,9 +110,6 @@ type Submission struct {
 func (sub Submission) validate() error {
 	if sub.Benchmark == "" {
 		return errors.New("sched: submission has no benchmark")
-	}
-	if sub.Replicates < 0 {
-		return fmt.Errorf("sched: replicates = %d is negative", sub.Replicates)
 	}
 	if sub.Priority < 0 || sub.Priority >= NumPriorities {
 		return fmt.Errorf("sched: unknown priority %d", sub.Priority)
@@ -151,9 +148,16 @@ func CacheKey(kind d2m.Kind, bench string, opt d2m.Options, reps int) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// runSpec is the library spec the submission runs as.
+// runSpec is the library spec a single-run submission runs as.
 func (sub Submission) runSpec() d2m.RunSpec {
-	return d2m.RunSpec{Kind: sub.Kind, Benchmark: sub.Benchmark, Options: sub.Options, Replicates: sub.Replicates}
+	return d2m.RunSpec{Kind: sub.Kind, Benchmark: sub.Benchmark, Options: sub.Options}
+}
+
+// seed is the single run of one seed cell of a replicated submission,
+// with the submission's handling knobs but never its detachment.
+func (sub Submission) seed(c d2m.SweepCell) Submission {
+	sub.Kind, sub.Benchmark, sub.Options, sub.Replicates, sub.Detached = c.Kind, c.Benchmark, c.Options, 0, false
+	return sub
 }
 
 // key returns the submission's cache key.
@@ -183,6 +187,10 @@ type Job struct {
 	// after creation.
 	laneKey d2m.CellKey
 	laneOK  bool
+	// A replicated job's seed runs, in plan order, set at admission: a
+	// seed the sink answered is a settled stand-in outside the ledger.
+	plan  d2m.Plan[d2m.Replicated]
+	seeds []*Job
 
 	// guarded by Scheduler.mu until done closes.
 	state State
@@ -197,6 +205,7 @@ type Job struct {
 	created    time.Time
 	started    time.Time
 	finished   time.Time
+	parents    []*Job // replicated jobs holding this job as a seed run
 }
 
 // ID returns the job's ledger id.
@@ -208,9 +217,10 @@ func (j *Job) Key() string { return j.key }
 // Done returns the channel closed when the job settles.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Started returns the channel closed when a worker claims the job.
-// Jobs settled without ever running (cancelled or expired while
-// queued) never close it; select on Done alongside it.
+// Started returns the channel closed when a worker claims the job, or
+// a replicated job's first seed. Jobs settled without ever running
+// (cancelled or expired while queued) never close it; select on Done
+// alongside it.
 func (j *Job) Started() <-chan struct{} { return j.runCh }
 
 // Info snapshots the job's observable state.
@@ -229,12 +239,14 @@ type Info struct {
 	// QueuePos is the job's 1-based position among its own tenant's
 	// queued jobs of its class; zero once the job leaves the queue.
 	// Under fair queueing the tenant-local depth, not the interleaved
-	// class order, is the client-meaningful number.
+	// class order, is the client-meaningful number. A replicated job
+	// reports its first queued seed's.
 	QueuePos  int
 	Kind      d2m.Kind
 	Benchmark string
 	// Engine is the execution path that produced the result ("scalar"
-	// or "vector"); set once the job is done.
+	// or "vector", for a replicated job if any seed ran as a lane); set
+	// once the job is done.
 	Engine   string
 	Created  time.Time
 	Started  time.Time
@@ -254,8 +266,9 @@ type Admission struct {
 	// New reports that Job was created by this submission rather than
 	// coalesced onto an identical in-flight one.
 	New bool
-	// Cached reports that the submission was settled from the result
-	// sink at admission; Result/Replicated then carry the payload.
+	// Cached reports that the submission — every seed of a replicated
+	// one — was settled from the result sink at admission;
+	// Result/Replicated then carry the payload.
 	Cached     bool
 	Result     d2m.Result
 	Replicated *d2m.Replicated
@@ -263,10 +276,11 @@ type Admission struct {
 
 // ResultSink is the scheduler's view of the result cache (and journal):
 // Lookup may settle a submission at admission, Settle publishes a
-// successful job's result before its waiters wake.
+// successful job's result before its waiters wake. Replicated jobs
+// reach it only through their seeds.
 type ResultSink interface {
-	Lookup(key string) (d2m.Result, *d2m.Replicated, bool)
-	Settle(key string, res d2m.Result, rep *d2m.Replicated)
+	Lookup(key string) (d2m.Result, bool)
+	Settle(key string, res d2m.Result)
 }
 
 // Observer receives the scheduler's accounting events; the service
@@ -301,7 +315,10 @@ var (
 // counts the submissions that would have become new jobs before the
 // all-or-nothing rollback discarded them (coalesced and cached
 // submissions excluded). errors.Is(err, ErrQueueFull) matches it.
-type QueueFullError struct{ Jobs int }
+type QueueFullError struct {
+	Jobs      int
+	oversized bool // the group alone overflows a queue: waiting cannot admit it
+}
 
 func (e *QueueFullError) Error() string { return ErrQueueFull.Error() }
 
@@ -323,7 +340,5 @@ func (nopObserver) ObserveRun(float64)                 {}
 
 type nopSink struct{}
 
-func (nopSink) Lookup(string) (d2m.Result, *d2m.Replicated, bool) {
-	return d2m.Result{}, nil, false
-}
-func (nopSink) Settle(string, d2m.Result, *d2m.Replicated) {}
+func (nopSink) Lookup(string) (d2m.Result, bool) { return d2m.Result{}, false }
+func (nopSink) Settle(string, d2m.Result)        {}

@@ -324,7 +324,8 @@ func TestLaneGroupErrors(t *testing.T) {
 }
 
 // TestSubmitEngineValidation: unknown engine hints are rejected at
-// admission; replicated submissions never acquire a lane key.
+// admission. A replicated submission's seed runs have distinct warm
+// identities (one seed each), so they never group with one another.
 func TestSubmitEngineValidation(t *testing.T) {
 	lr := &laneRecorder{}
 	s := newTestSched(t, Config{Workers: 1, RunGroup: lr.run}, nil)

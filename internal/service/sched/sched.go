@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +41,8 @@ type Config struct {
 	// InteractiveWeight policy is unaffected.
 	TenantShare func(tenant string) int
 	// Run executes one simulation; it is the only required field. The
-	// scheduler passes the submission's identity through a d2m.RunSpec
-	// (Replicates included) and stores the output on the job.
+	// scheduler passes a single run's identity through a d2m.RunSpec
+	// and stores the output on the job.
 	Run func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error)
 	// RunGroup, when non-nil, executes a lane group — up to maxLanes
 	// queued jobs sharing a lane key (warm identity) — as one lockstep
@@ -406,9 +408,7 @@ func (s *Scheduler) claim(j *Job) bool {
 		return false
 	}
 	s.dequeuedLocked(j)
-	j.state = StateRunning
-	j.started = time.Now()
-	close(j.runCh)
+	s.startLocked(j, time.Now())
 	s.mu.Unlock()
 	s.obs.QueuedDelta(-1)
 	s.obs.ObserveQueueWait(j.spec.Priority, j.started.Sub(j.created).Seconds())
@@ -442,44 +442,109 @@ func (s *Scheduler) dequeuedLocked(j *Job) {
 	}
 }
 
-// finish settles a job exactly once: records the outcome, releases the
-// in-flight slot so the next identical submission starts fresh,
-// publishes a successful result to the sink, and wakes every waiter.
-// The sink is fed before done closes, so a restart straight after a
-// response never loses the result it served.
+// finish settles a job exactly once, publishes a successful result to
+// the sink, and wakes every waiter. The sink is fed before done
+// closes, so a restart straight after a response never loses the
+// result it served.
 func (s *Scheduler) finish(j *Job, out d2m.RunOutput, err error, dur time.Duration) {
+	st := StateDone
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		st = StateCanceled
+	default:
+		st = StateFailed
+	}
 	s.mu.Lock()
+	if st == StateDone {
+		j.result, j.engine = out.Result, out.Engine
+	}
+	if dur > 0 {
+		s.noteRunLocked(dur)
+	}
+	parents := s.settleLocked(j, st, err)
+	s.mu.Unlock()
+	if st == StateDone {
+		s.sink.Settle(j.key, j.result)
+	}
+	s.wake(j)
+	s.wake(parents...)
+}
+
+// settleLocked records a job's terminal state, releases its in-flight
+// slot so the next identical submission starts fresh, and settles each
+// replicated job it was the last unsettled seed of. It returns those
+// replicated jobs, for wake. Callers hold s.mu.
+func (s *Scheduler) settleLocked(j *Job, st State, err error) []*Job {
 	// Guarded: an abandoned job's key slot may already belong to a newer
 	// job (admission skips coalescing onto cancelled contexts).
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
-	j.finished = time.Now()
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.result = out.Result
-		j.replicated = out.Replicated
-		j.engine = out.Engine
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCanceled
-		j.err = err
-	default:
-		j.state = StateFailed
-		j.err = err
-	}
-	if dur > 0 {
-		s.noteRunLocked(dur)
-	}
+	j.state, j.err, j.finished = st, err, time.Now()
 	s.retireLocked(j)
-	st := j.state
-	s.mu.Unlock()
-	s.obs.JobSettled(st)
-	if st == StateDone {
-		s.sink.Settle(j.key, j.result, j.replicated)
+	var parents []*Job
+	for _, p := range j.parents {
+		if !p.state.settled() && !slices.ContainsFunc(p.seeds, func(seed *Job) bool { return !seed.state.settled() }) {
+			st, err := p.fold()
+			s.settleLocked(p, st, err) // a replicated job is no job's seed
+			parents = append(parents, p)
+		}
 	}
-	j.cancel() // release the deadline timer
-	close(j.done)
+	return parents
+}
+
+// fold projects a replicated job's settled seeds onto its outcome:
+// done with their aggregate and its mean Result, or else the
+// lowest-index seed error, a seed's own failure winning over a
+// cancellation.
+func (p *Job) fold() (State, error) {
+	var canceled error
+	results := make(map[d2m.CellKey]d2m.Result, len(p.seeds))
+	for i, seed := range p.seeds {
+		switch seed.state {
+		case StateFailed:
+			return StateFailed, seed.err
+		case StateCanceled:
+			canceled = cmp.Or(canceled, seed.err)
+		default:
+			results[p.plan.Cells[i].Key()] = seed.result
+			if p.engine == "" || seed.engine == d2m.EngineVector {
+				p.engine = seed.engine // sink stand-ins report none
+			}
+		}
+	}
+	if canceled != nil {
+		return StateCanceled, canceled
+	}
+	agg, err := p.plan.Project(results)
+	if err != nil {
+		return StateFailed, err
+	}
+	p.result, p.replicated = agg.MeanResult(p.seeds[0].result), &agg
+	return StateDone, nil
+}
+
+// startLocked marks a claimed job running, and with it each replicated
+// job still waiting for its first seed. Callers hold s.mu.
+func (s *Scheduler) startLocked(j *Job, now time.Time) {
+	if j.state != StateQueued {
+		return
+	}
+	j.state, j.started = StateRunning, now
+	close(j.runCh)
+	for _, p := range j.parents {
+		s.startLocked(p, now)
+	}
+}
+
+// wake announces settled jobs and releases their waiters.
+func (s *Scheduler) wake(settled ...*Job) {
+	for _, j := range settled {
+		s.obs.JobSettled(j.state)
+		j.cancel() // release the deadline timer
+		close(j.done)
+	}
 }
 
 // noteRunLocked folds one observed service time into the EWMA behind

@@ -66,7 +66,6 @@ func TestSubmitValidates(t *testing.T) {
 	s := newTestSched(t, Config{Workers: 1}, nil)
 	for _, bad := range []Submission{
 		{Kind: d2m.Base2L}, // no benchmark
-		{Kind: d2m.Base2L, Benchmark: "tpc-c", Replicates: -1},        // negative reps
 		{Kind: d2m.Base2L, Benchmark: "tpc-c", Priority: Priority(9)}, // unknown class
 	} {
 		if _, err := s.Submit(bad); err == nil {
@@ -81,14 +80,14 @@ type memSink struct {
 	m  map[string]d2m.Result
 }
 
-func (k *memSink) Lookup(key string) (d2m.Result, *d2m.Replicated, bool) {
+func (k *memSink) Lookup(key string) (d2m.Result, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	res, ok := k.m[key]
-	return res, nil, ok
+	return res, ok
 }
 
-func (k *memSink) Settle(key string, res d2m.Result, rep *d2m.Replicated) {
+func (k *memSink) Settle(key string, res d2m.Result) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.m == nil {

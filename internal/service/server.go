@@ -79,14 +79,11 @@ type Config struct {
 	// installed process-wide via d2m.SetTraceDir — one directory per
 	// process; the last server constructed with a TraceDir wins.
 	TraceDir string
-	// Runner executes one simulation. Nil means d2m.Run against the
-	// server's snapshot cache; tests substitute stubs to control timing
-	// and observe cancellation.
+	// Runner executes one simulation — a single run, or one seed run of
+	// a replicated request. Nil means d2m.Run against the server's
+	// snapshot cache; tests substitute stubs to control timing and
+	// observe cancellation.
 	Runner func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options) (d2m.Result, error)
-	// Replicator executes a replicated simulation (replicates >= 2 in
-	// the request). Nil means d2m.Run with RunSpec.Replicates, which
-	// fans the seeds out across a bounded worker set.
-	Replicator func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options, n int) (d2m.Replicated, error)
 }
 
 // defaultSnapshotMemBytes is the warm-snapshot budget when
@@ -116,8 +113,8 @@ func (c Config) withDefaults() Config {
 	if c.SnapshotMemBytes == 0 {
 		c.SnapshotMemBytes = defaultSnapshotMemBytes
 	}
-	// Runner and Replicator default inside New: the defaults close over
-	// the server's snapshot cache, which does not exist yet here.
+	// Runner defaults inside New: the default closes over the server's
+	// snapshot cache, which does not exist yet here.
 	return c
 }
 
@@ -127,17 +124,16 @@ func (c Config) withDefaults() Config {
 // contributes the result cache, the journal, the warm-snapshot cache
 // and tenant admission on top.
 type Server struct {
-	cfg        Config
-	runner     func(context.Context, d2m.Kind, string, d2m.Options) (d2m.Result, error)
-	replicator func(context.Context, d2m.Kind, string, d2m.Options, int) (d2m.Replicated, error)
-	sched      *sched.Scheduler
-	metrics    *Metrics
-	cache      *ResultCache
-	snapshots  *snapshotCache  // nil when SnapshotMemBytes < 0
-	store      *resultStore    // nil without Config.StorePath
-	tenants    *tenantRegistry // nil in single-tenant mode
-	front      *front
-	ready      chan struct{} // closed once journal replay has landed
+	cfg       Config
+	runner    func(context.Context, d2m.Kind, string, d2m.Options) (d2m.Result, error)
+	sched     *sched.Scheduler
+	metrics   *Metrics
+	cache     *ResultCache
+	snapshots *snapshotCache  // nil when SnapshotMemBytes < 0
+	store     *resultStore    // nil without Config.StorePath
+	tenants   *tenantRegistry // nil in single-tenant mode
+	front     *front
+	ready     chan struct{} // closed once journal replay has landed
 }
 
 // serverSink adapts the result cache and journal to sched.ResultSink:
@@ -146,18 +142,17 @@ type Server struct {
 // a response never loses the result it served.
 type serverSink struct{ s *Server }
 
-func (k serverSink) Lookup(key string) (d2m.Result, *d2m.Replicated, bool) {
+func (k serverSink) Lookup(key string) (d2m.Result, bool) {
 	return k.s.cache.Get(key)
 }
 
-func (k serverSink) Settle(key string, res d2m.Result, rep *d2m.Replicated) {
-	k.s.cache.Put(key, res, rep)
+func (k serverSink) Settle(key string, res d2m.Result) {
+	k.s.cache.Put(key, res)
 	if k.s.store == nil {
 		return
 	}
 	if err := k.s.store.append(StoreRecord{
-		Key: key, Kind: res.Kind.String(), Benchmark: res.Benchmark,
-		Result: res, Replicated: rep,
+		Key: key, Kind: res.Kind.String(), Benchmark: res.Benchmark, Result: res,
 	}); err != nil {
 		k.s.metrics.StoreErrors.Add(1)
 	} else {
@@ -171,12 +166,11 @@ func (k serverSink) Settle(key string, res d2m.Result, rep *d2m.Replicated) {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		runner:     cfg.Runner,
-		replicator: cfg.Replicator,
-		metrics:    &Metrics{Shard: cfg.ShardName},
-		cache:      NewResultCache(cfg.CacheEntries),
-		ready:      make(chan struct{}),
+		cfg:     cfg,
+		runner:  cfg.Runner,
+		metrics: &Metrics{Shard: cfg.ShardName},
+		cache:   NewResultCache(cfg.CacheEntries),
+		ready:   make(chan struct{}),
 	}
 	if cfg.SnapshotMemBytes > 0 {
 		s.snapshots = newSnapshotCache(cfg.SnapshotMemBytes, s.metrics)
@@ -199,17 +193,6 @@ func New(cfg Config) (*Server, error) {
 			return out.Result, err
 		}
 	}
-	if s.replicator == nil {
-		s.replicator = func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options, n int) (d2m.Replicated, error) {
-			out, err := d2m.Run(ctx, d2m.RunSpec{
-				Kind: kind, Benchmark: bench, Options: opt, Replicates: n, Warm: s.warmCache(),
-			})
-			if err != nil {
-				return d2m.Replicated{}, err
-			}
-			return *out.Replicated, nil
-		}
-	}
 	if cfg.StorePath != "" {
 		// Open for append synchronously — an unwritable path fails New —
 		// but replay in the background so a large journal does not delay
@@ -227,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 				return
 			}
 			for _, rec := range recs {
-				s.cache.Put(rec.Key, rec.Result, rec.Replicated)
+				s.cache.Put(rec.Key, rec.Result)
 			}
 			s.metrics.StoreLoaded.Add(uint64(len(recs)))
 		}()
@@ -236,8 +219,8 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	// The scheduler owns execution; the server hands it the run
-	// function (through the Runner/Replicator seams), the result sink,
-	// and the metrics observer.
+	// function (through the Runner seam), the result sink, and the
+	// metrics observer.
 	schedCfg := sched.Config{
 		Workers:        cfg.Workers,
 		QueueDepth:     cfg.QueueDepth,
@@ -245,13 +228,6 @@ func New(cfg Config) (*Server, error) {
 		MaxJobs:        cfg.MaxJobs,
 		TenantShare:    s.tenantShare,
 		Run: func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error) {
-			if spec.Replicates >= 2 {
-				agg, err := s.replicator(ctx, spec.Kind, spec.Benchmark, spec.Options, spec.Replicates)
-				if err != nil {
-					return d2m.RunOutput{}, err
-				}
-				return d2m.RunOutput{Result: agg.MeanResult(), Replicated: &agg}, nil
-			}
 			res, err := s.runner(ctx, spec.Kind, spec.Benchmark, spec.Options)
 			return d2m.RunOutput{Result: res}, err
 		},

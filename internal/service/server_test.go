@@ -157,42 +157,40 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
-// TestReplicatedRun checks the replicates field routes a job through
-// the Replicator, attaches the aggregate next to the mean-projected
-// Result, distinguishes the cache identity from the single-run job,
-// and is served — aggregate included — from the cache on repeat.
+// TestReplicatedRun checks a replicated run executes as its seed runs
+// — one Runner call per seed, never more at once than the worker pool —
+// and settles with their aggregate and its mean projection. Its seeds
+// are ordinary cache entries: a repeat is a cache hit that still
+// carries the aggregate, eight replicates after four run only the four
+// new seeds, and a single run at one of the seeds is a hit.
 func TestReplicatedRun(t *testing.T) {
-	var runs, reps atomic.Int64
-	s, ts := newTestServer(t, Config{
-		Workers: 1,
-		Runner: func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options) (d2m.Result, error) {
-			runs.Add(1)
-			return stubResult(kind, bench, opt), nil
-		},
-		Replicator: func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options, n int) (d2m.Replicated, error) {
-			reps.Add(1)
-			return d2m.Replicated{
-				Kind: kind, Benchmark: bench, N: n,
-				CyclesMean: 1500, CyclesStd: 25,
-			}, nil
-		},
-	})
+	r := &countingRunner{}
+	s, ts := newTestServer(t, Config{Workers: 1, Runner: r.run})
 	body := `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2,"replicates":4}`
 	code, st, _ := postRun(t, ts, body)
 	if code != http.StatusOK || st.State != api.JobDone {
 		t.Fatalf("POST = %d state %s", code, st.State)
 	}
-	if st.Replicated == nil || st.Replicated.N != 4 {
+	// stubResult's cycles are 1000 + seed, and the seeds are 1..4.
+	if st.Replicated == nil || st.Replicated.N != 4 || st.Replicated.CyclesMean != 1002.5 {
 		t.Fatalf("replicated aggregate missing or wrong: %+v", st.Replicated)
 	}
-	if st.Result == nil || st.Result.Cycles != 1500 {
+	if st.Result == nil || st.Result.Cycles != 1002 || st.Result.Benchmark != "tpc-c" {
 		t.Fatalf("mean-projected result wrong: %+v", st.Result)
 	}
-	if got := reps.Load(); got != 1 {
-		t.Errorf("replicator invoked %d times, want 1", got)
+	if st.Cached || st.Engine != d2m.EngineScalar {
+		t.Errorf("fresh replicated run: cached %v engine %q, want false and scalar", st.Cached, st.Engine)
 	}
-	if got := runs.Load(); got != 0 {
-		t.Errorf("runner invoked %d times for a replicated job, want 0", got)
+	if calls, peak := r.stats(); calls != 4 || peak != 1 {
+		t.Errorf("runner saw %d calls at peak concurrency %d, want 4 at 1 (one worker)", calls, peak)
+	}
+	_, raw, _ := doJSON(t, "GET", ts.URL+"/v1/jobs", "", "")
+	var list JobList
+	if err := json.Unmarshal(raw, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 5 {
+		t.Errorf("GET /v1/jobs lists %d jobs, want 5 (the run and its 4 seeds)", len(list.Jobs))
 	}
 
 	// Repeat: a cache hit that still carries the aggregate.
@@ -200,14 +198,25 @@ func TestReplicatedRun(t *testing.T) {
 	if code != http.StatusOK || !st.Cached {
 		t.Fatalf("repeat: code %d cached %v", code, st.Cached)
 	}
-	if st.Replicated == nil || st.Replicated.N != 4 {
+	if st.Replicated == nil || st.Replicated.N != 4 || st.Result.Cycles != 1002 {
 		t.Errorf("cached response lost the aggregate: %+v", st.Replicated)
 	}
-	if got := reps.Load(); got != 1 {
-		t.Errorf("replicator invoked %d times after cache hit, want 1", got)
+
+	// Eight replicates reuse the first four seeds.
+	code, st, _ = postRun(t, ts, `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2,"replicates":8}`)
+	if code != http.StatusOK || st.Replicated == nil || st.Replicated.N != 8 {
+		t.Fatalf("replicates 8: code %d %+v", code, st.Replicated)
+	}
+	if calls, _ := r.stats(); calls != 8 {
+		t.Errorf("runner saw %d calls after replicates 4 then 8, want 8", calls)
+	}
+	// A single run at a seed is one of the cached seed runs.
+	code, st, _ = postRun(t, ts, `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2,"seed":3}`)
+	if code != http.StatusOK || !st.Cached || st.Result.Cycles != 1003 || st.Replicated != nil {
+		t.Errorf("single run at seed 3: code %d cached %v %+v", code, st.Cached, st.Result)
 	}
 
-	// replicates:1 means a single run with a distinct cache identity.
+	// replicates:1 means a single run with its own cache identity.
 	code, st, _ = postRun(t, ts, `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2,"replicates":1}`)
 	if code != http.StatusOK || st.Cached {
 		t.Fatalf("single-run request: code %d cached %v", code, st.Cached)
@@ -215,11 +224,12 @@ func TestReplicatedRun(t *testing.T) {
 	if st.Replicated != nil {
 		t.Errorf("single run carries an aggregate: %+v", st.Replicated)
 	}
-	if got := runs.Load(); got != 1 {
-		t.Errorf("runner invoked %d times, want 1", got)
+	if calls, _ := r.stats(); calls != 9 {
+		t.Errorf("runner invoked %d times, want 9", calls)
 	}
-	if got := s.Metrics().JobsDone.Load(); got != 2 {
-		t.Errorf("jobs done = %d, want 2", got)
+	// Jobs done: 4 seeds + their run, 4 seeds + their run, the single.
+	if got := s.Metrics().JobsDone.Load(); got != 11 {
+		t.Errorf("jobs done = %d, want 11", got)
 	}
 }
 
@@ -703,8 +713,8 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 		if body.APIRevision != api.Revision {
 			t.Errorf("%s: api_revision %q, want %q", path, body.APIRevision, api.Revision)
 		}
-		if body.APIRevision != "v1.8" {
-			t.Errorf("%s: api_revision %q, want v1.8", path, body.APIRevision)
+		if body.APIRevision != "v1.9" {
+			t.Errorf("%s: api_revision %q, want v1.9", path, body.APIRevision)
 		}
 		wantEngines := []string{d2m.EngineScalar, d2m.EngineVector}
 		if !reflect.DeepEqual(body.Engines, wantEngines) {
@@ -791,16 +801,16 @@ func TestMetricsAndHealthz(t *testing.T) {
 // TestResultCacheLRU checks the bound and eviction order of the cache.
 func TestResultCacheLRU(t *testing.T) {
 	c := NewResultCache(2)
-	c.Put("a", d2m.Result{Cycles: 1}, nil)
-	c.Put("b", d2m.Result{Cycles: 2}, nil)
-	if _, _, ok := c.Get("a"); !ok { // refresh a; b is now LRU
+	c.Put("a", d2m.Result{Cycles: 1})
+	c.Put("b", d2m.Result{Cycles: 2})
+	if _, ok := c.Get("a"); !ok { // refresh a; b is now LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", d2m.Result{Cycles: 3}, nil)
-	if _, _, ok := c.Get("b"); ok {
+	c.Put("c", d2m.Result{Cycles: 3})
+	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Error("a should have survived (recently used)")
 	}
 	if c.Len() != 2 {

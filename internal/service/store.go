@@ -37,15 +37,17 @@ type resultStore struct {
 	f    *os.File
 }
 
-// StoreRecord is one journal line. Replicated is present only for
-// replicated jobs; older journals without the field replay cleanly.
-// Exported so the cluster gateway can merge shard journals.
+// StoreRecord is one journal line: one single run's result. Journals
+// written before replicated runs became seed runs also hold records
+// under replicated keys, with a "replicated" field; they replay without
+// error (the field is ignored) and are never looked up, since a
+// replicated request reads its seeds' keys. Exported so the cluster
+// gateway can merge shard journals.
 type StoreRecord struct {
-	Key        string          `json:"key"`
-	Kind       string          `json:"kind"`
-	Benchmark  string          `json:"benchmark"`
-	Result     d2m.Result      `json:"result"`
-	Replicated *d2m.Replicated `json:"replicated,omitempty"`
+	Key       string     `json:"key"`
+	Kind      string     `json:"kind"`
+	Benchmark string     `json:"benchmark"`
+	Result    d2m.Result `json:"result"`
 }
 
 // openResultStore opens (creating if absent) the journal at path for

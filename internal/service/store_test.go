@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"d2m"
+	"d2m/internal/service/sched"
 )
 
 // TestStoreRoundTrip appends records, closes the journal, and checks a
@@ -229,5 +231,44 @@ func TestRunResultsPersistAcrossRestart(t *testing.T) {
 	}
 	if st.Result.Cycles != 1007 { // stubResult: 1000 + seed
 		t.Errorf("restored result cycles = %d, want 1007", st.Result.Cycles)
+	}
+}
+
+// TestStoreReplicatedRecordOrphaned: journals from before replicated
+// runs became seed runs hold records under replicated keys, with a
+// "replicated" field. Such a record replays without error and serves
+// no request: a replicated run reads its seeds' keys, so it runs its
+// seeds, whose journaled results then answer it after a restart.
+func TestStoreReplicatedRecordOrphaned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	key := sched.CacheKey(d2m.D2MNS, "tpc-c", d2m.Options{Nodes: 2}, 3)
+	old := fmt.Sprintf(`{"key":%q,"kind":"D2M-NS","benchmark":"tpc-c","result":{"Cycles":7},`+
+		`"replicated":{"Kind":"D2M-NS","Benchmark":"tpc-c","N":3,"CyclesMean":7.5}}`+"\n", key)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2,"replicates":3}`
+	for phase, wantCached := range []bool{false, true} {
+		r := &countingRunner{}
+		s, err := New(Config{Workers: 1, StorePath: path, Runner: r.run})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		<-s.Ready()
+		if got, want := s.Metrics().StoreLoaded.Load(), uint64(1+3*phase); got != want {
+			t.Errorf("phase %d: store loaded %d records, want %d", phase, got, want)
+		}
+		code, st, _ := postRun(t, ts, body)
+		if code != http.StatusOK || st.Cached != wantCached || st.Replicated == nil || st.Replicated.CyclesMean != 1002 {
+			t.Errorf("phase %d: code %d cached %v %+v, want the seeds' mean 1002", phase, code, st.Cached, st.Replicated)
+		}
+		if calls, _ := r.stats(); calls != 3*(1-phase) {
+			t.Errorf("phase %d: runner invoked %d times", phase, calls)
+		}
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		s.Shutdown(ctx)
+		cancel()
 	}
 }

@@ -237,9 +237,10 @@ func (f *front) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		api.WriteErr(w, err)
 		return
 	}
-	// The caller is charged one token per cell, after validation: a
-	// sweep is a bulk submission of its whole grid.
-	caller, ok := f.caller(w, r, len(cells))
+	// The caller is charged one token per simulation — per seed of each
+	// cell — after validation: a sweep is a bulk submission of its
+	// whole grid.
+	caller, ok := f.caller(w, r, len(cells)*max(1, spec.Replicates))
 	if !ok {
 		return
 	}
@@ -480,8 +481,8 @@ func (s *Server) RunCells(ctx context.Context, tenant string, cells []d2m.SweepC
 	defer cancel()
 	maxChunk := min(s.sched.MaxLanes(), s.cfg.QueueDepth)
 	if spec.Replicates >= 2 || spec.Engine == d2m.EngineScalar {
-		// Replicated cells are lane-ineligible; a scalar hint opts the
-		// whole sweep out of grouping.
+		// A replicated cell already enters as a group of seed runs; a
+		// scalar hint opts the whole sweep out of grouping.
 		maxChunk = 1
 	}
 	var (
@@ -517,7 +518,8 @@ func (s *Server) RunCells(ctx context.Context, tenant string, cells []d2m.SweepC
 		}
 		adms, err := s.sched.SubmitGroupWait(ctx, subs)
 		if err != nil {
-			// Draining (or canceled mid-wait): abandon the remainder.
+			// Draining, canceled mid-wait, or a cell with more seeds
+			// than a queue holds: abandon the remainder.
 			cancel()
 			failed = err
 			for k := i; k < end; k++ {

@@ -139,22 +139,13 @@ func TestSweepEndToEndMatchesPerRun(t *testing.T) {
 	}
 }
 
-// TestSweepReplicates checks a sweep with replicates routes every cell
-// through the Replicator, and that its cells share cache identity with
-// equivalently replicated POST /v1/run requests, not with single runs.
+// TestSweepReplicates checks a replicated sweep runs every cell as its
+// seed runs and reports each cell's mean, and that those seeds are the
+// cache entries an equivalently replicated POST /v1/run and the single
+// runs at each seed read.
 func TestSweepReplicates(t *testing.T) {
-	var runs, reps atomic.Int64
-	_, ts := newTestServer(t, Config{
-		Workers: 2,
-		Runner: func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options) (d2m.Result, error) {
-			runs.Add(1)
-			return stubResult(kind, bench, opt), nil
-		},
-		Replicator: func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options, n int) (d2m.Replicated, error) {
-			reps.Add(1)
-			return d2m.Replicated{Kind: kind, Benchmark: bench, N: n, CyclesMean: 2000}, nil
-		},
-	})
+	r := &countingRunner{}
+	_, ts := newTestServer(t, Config{Workers: 2, Runner: r.run})
 	body := `{"kinds":["base-2l","d2m-ns"],"benchmarks":["tpc-c"],"nodes":2,"replicates":3}`
 	code, st := postSweep(t, ts, body)
 	if code != http.StatusAccepted {
@@ -164,11 +155,18 @@ func TestSweepReplicates(t *testing.T) {
 	if st.State != SweepDone || st.Done != 2 || st.Failed != 0 {
 		t.Fatalf("sweep settled %+v", st)
 	}
-	if got := reps.Load(); got != 2 {
-		t.Errorf("replicator invoked %d times, want 2", got)
+	if calls, _ := r.stats(); calls != 6 {
+		t.Errorf("runner invoked %d times, want 6 (2 cells x 3 seeds)", calls)
 	}
-	if got := runs.Load(); got != 0 {
-		t.Errorf("runner invoked %d times for a replicated sweep, want 0", got)
+	var full SweepStatus
+	_, raw, _ := doJSON(t, "GET", ts.URL+"/v1/sweeps/"+st.ID+"?cells=1", "", "")
+	if err := json.Unmarshal(raw, &full); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range full.Cells {
+		if c.Result == nil || c.Result.Cycles != 1002 {
+			t.Errorf("cell %d = %+v, want the mean of seeds 1..3 (1002 cycles)", i, c)
+		}
 	}
 	// The matching replicated run is a cache hit with its aggregate...
 	code, run, _ := postRun(t, ts, `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2,"replicates":3}`)
@@ -176,13 +174,18 @@ func TestSweepReplicates(t *testing.T) {
 		t.Errorf("replicated run after sweep: code %d cached %v replicated %+v",
 			code, run.Cached, run.Replicated)
 	}
-	// ...while the single-run spelling is a distinct simulation.
+	// ...as is a single run at one of its seeds...
+	code, run, _ = postRun(t, ts, `{"kind":"base-2l","benchmark":"tpc-c","nodes":2,"seed":2}`)
+	if code != http.StatusOK || !run.Cached {
+		t.Errorf("single run at seed 2 after sweep: code %d cached %v, want a hit", code, run.Cached)
+	}
+	// ...while the unseeded single run is a distinct simulation.
 	code, run, _ = postRun(t, ts, `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2}`)
 	if code != http.StatusOK || run.Cached {
 		t.Errorf("single run after sweep: code %d cached %v, want a fresh job", code, run.Cached)
 	}
-	if got := runs.Load(); got != 1 {
-		t.Errorf("runner invoked %d times, want 1", got)
+	if calls, _ := r.stats(); calls != 7 {
+		t.Errorf("runner invoked %d times, want 7", calls)
 	}
 }
 

@@ -18,8 +18,8 @@ package d2m
 // TestEngineAllocBudget and TestReplicateParallelDeterministic are the
 // regression guards for the two optimizations the numbers come from:
 // the pooled, table-based hot path must stay (amortized) allocation-
-// free, and the parallel Replicate must stay byte-identical to the
-// serial aggregation.
+// free, and a replicated plan run in parallel must stay byte-identical
+// to the serial aggregation.
 
 import (
 	"bytes"
@@ -211,22 +211,23 @@ func TestEngineAllocBudget(t *testing.T) {
 	}
 }
 
-// TestReplicateParallelDeterministic checks the parallel Replicate is
-// not just statistically but byte-identical to the serial one: the
-// per-seed samples are gathered by index and aggregated in seed order,
-// so the worker count must not leak into the result.
+// TestReplicateParallelDeterministic checks a replicated plan run on
+// parallel workers is not just statistically but byte-identical to the
+// serial one: RunCells keys the seed results by cell and the projection
+// folds them in seed order, so the worker count must not leak into the
+// result.
 func TestReplicateParallelDeterministic(t *testing.T) {
 	opt := Options{Nodes: 2, Warmup: 1000, Measure: 5000}
 	const n = 5
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	runtime.GOMAXPROCS(1)
-	serial, err := replicateN(context.Background(), D2MNSR, "tpc-c", opt, n, nil)
+	serial, err := replicateN(context.Background(), D2MNSR, "tpc-c", opt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GOMAXPROCS(4)
-	parallel, err := replicateN(context.Background(), D2MNSR, "tpc-c", opt, n, nil)
+	parallel, err := replicateN(context.Background(), D2MNSR, "tpc-c", opt, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -65,6 +66,94 @@ func (p Plan[R]) Project(results map[CellKey]Result) (R, error) {
 		return zero, err
 	}
 	return rows, nil
+}
+
+// Replicated is the per-metric mean and sample standard deviation of
+// one benchmark on one configuration over n decorrelated workload
+// seeds, for experiments that want error bars on top of the
+// deterministic single-seed runs (ReplicatePlan).
+type Replicated struct {
+	Kind      Kind
+	Benchmark string
+	N         int
+	// Mean and Std hold, in order: cycles, msgs/KI, EDP, L1-D miss
+	// ratio, average miss latency, private-miss fraction.
+	CyclesMean, CyclesStd   float64
+	MsgsPerKIMean, MsgsStd  float64
+	EDPMean, EDPStd         float64
+	MissDMean, MissDStd     float64
+	MissLatMean, MissLatStd float64
+	PrivateMean, PrivateStd float64
+}
+
+// MeanResult projects the aggregate onto the single-run Result shape,
+// so a replicated run flows through the same caches and sweep plumbing
+// as a single run. seed is one of the seed runs' Results: the mean
+// carries its Benchmark and Suite labels. Count-style fields that have
+// no meaningful mean stay zero.
+func (r Replicated) MeanResult(seed Result) Result {
+	return Result{
+		Kind:            r.Kind,
+		Benchmark:       seed.Benchmark,
+		Suite:           seed.Suite,
+		Cycles:          uint64(r.CyclesMean),
+		MsgsPerKI:       r.MsgsPerKIMean,
+		EDP:             r.EDPMean,
+		MissRatioD:      r.MissDMean,
+		AvgMissLatency:  r.MissLatMean,
+		PrivateMissFrac: r.PrivateMean,
+	}
+}
+
+// ReplicatePlan declares a replicated run: bench on kind at the n >= 1
+// seeds opt.Seed+1 .. opt.Seed+n, projected to their mean/std
+// aggregate. The seed runs are ordinary cells, so they dedup, cache
+// and lane-group like any other, and the projection folds their
+// Results in seed order: the aggregate does not depend on how, or how
+// concurrently, the seeds ran.
+func ReplicatePlan(kind Kind, bench string, opt Options, n int) Plan[Replicated] {
+	opt = opt.WithDefaults()
+	cells := make([]SweepCell, n)
+	for i := range cells {
+		o := opt
+		o.Seed += uint64(i) + 1
+		cells[i] = SweepCell{Kind: kind, Benchmark: bench, Options: o}
+	}
+	return Plan[Replicated]{cells, func(get lookup) Replicated {
+		rs := make([]Result, n)
+		for i, c := range cells {
+			rs[i] = get(c.Kind, c.Benchmark, c.Options)
+		}
+		return aggregate(kind, bench, rs)
+	}}
+}
+
+// aggregate folds the seed Results, in seed order, into the mean/std
+// summary.
+func aggregate(kind Kind, bench string, rs []Result) Replicated {
+	n := float64(len(rs))
+	stat := func(get func(Result) float64) (mean, std float64) {
+		for _, r := range rs {
+			mean += get(r)
+		}
+		mean /= n
+		if len(rs) < 2 {
+			return mean, 0
+		}
+		for _, r := range rs {
+			d := get(r) - mean
+			std += d * d
+		}
+		return mean, math.Sqrt(std / (n - 1))
+	}
+	out := Replicated{Kind: kind, Benchmark: bench, N: len(rs)}
+	out.CyclesMean, out.CyclesStd = stat(func(r Result) float64 { return float64(r.Cycles) })
+	out.MsgsPerKIMean, out.MsgsStd = stat(func(r Result) float64 { return r.MsgsPerKI })
+	out.EDPMean, out.EDPStd = stat(func(r Result) float64 { return r.EDP })
+	out.MissDMean, out.MissDStd = stat(func(r Result) float64 { return r.MissRatioD })
+	out.MissLatMean, out.MissLatStd = stat(func(r Result) float64 { return r.AvgMissLatency })
+	out.PrivateMean, out.PrivateStd = stat(func(r Result) float64 { return r.PrivateMissFrac })
+	return out
 }
 
 // mustRun runs a plan in process for a driver whose signature has no

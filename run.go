@@ -1,17 +1,11 @@
 package d2m
 
 import (
-	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"maps"
-	"math"
-	"runtime"
 	"slices"
-	"strings"
-	"sync"
 
 	"d2m/internal/baseline"
 	"d2m/internal/core"
@@ -336,8 +330,7 @@ func mechFor(kind Kind) (*core.Mechanism, error) {
 }
 
 // RunSpec describes one simulation for Run: the configuration kind,
-// the workload, the run options, and the execution knobs that used to
-// be separate entry points (replication and warm-state reuse).
+// the workload, the run options, and warm-state reuse.
 type RunSpec struct {
 	Kind Kind
 	// Benchmark names the workload: a catalog benchmark, a stored trace
@@ -347,11 +340,6 @@ type RunSpec struct {
 	// spec then leaves Benchmark empty.
 	Workload *WorkloadSpec
 	Options  Options
-	// Replicates, when >= 2, runs the spec that many times with
-	// decorrelated seeds (Options.Seed+1 ..) and fills
-	// RunOutput.Replicated next to the mean-projected Result. 0 and 1
-	// both mean a single run; negative is an error.
-	Replicates int
 	// Warm, when non-nil, lets runs sharing a warm identity (CellKey.Warm)
 	// restore the post-warmup machine state instead of re-simulating
 	// the warmup, or, when the snapshot already stores the run's
@@ -360,13 +348,10 @@ type RunSpec struct {
 	Warm WarmCache
 }
 
-// RunOutput is Run's result. Result holds the single-run metrics — or,
-// for a replicated spec, the mean projection of the aggregate (see
-// Replicated.MeanResult); Replicated is set only when spec.Replicates
-// was >= 2.
+// RunOutput is Run's result: the run's metrics and the path that
+// produced them.
 type RunOutput struct {
-	Result     Result
-	Replicated *Replicated
+	Result Result
 	// Engine names the execution path that produced Result: EngineScalar
 	// for Run, EngineVector for a RunGroup lane. The two are
 	// byte-identical by contract; the field exists so services can report
@@ -378,7 +363,8 @@ type RunOutput struct {
 // the package's single entry point: every workload source (see
 // RunSpec.Benchmark and RunSpec.Workload) runs through it, cancellation
 // comes from ctx (the simulation stops at the next engine checkpoint
-// when ctx is done), replication and warm-state reuse from the spec.
+// when ctx is done), warm-state reuse from the spec. A replicated run
+// is a plan of seed runs (ReplicatePlan).
 func Run(ctx context.Context, spec RunSpec) (RunOutput, error) {
 	opt, src, err := prepare(spec)
 	if err != nil {
@@ -387,14 +373,11 @@ func Run(ctx context.Context, spec RunSpec) (RunOutput, error) {
 	return run(ctx, spec, opt, src)
 }
 
-// prepare is the one validation every run path performs: the replicate
-// count, the options and the workload source. It returns the defaulted
-// options and the resolved source. The kind is checked when the
-// executor looks up its mechanism.
+// prepare is the one validation every run path performs: the options
+// and the workload source. It returns the defaulted options and the
+// resolved source. The kind is checked when the executor looks up its
+// mechanism.
 func prepare(spec RunSpec) (Options, source, error) {
-	if spec.Replicates < 0 {
-		return Options{}, source{}, fmt.Errorf("d2m: Run with Replicates = %d", spec.Replicates)
-	}
 	opt := spec.Options.withDefaults()
 	src, err := resolve(spec, opt)
 	if err != nil {
@@ -408,18 +391,6 @@ func prepare(spec RunSpec) (Options, source, error) {
 
 // run executes a prepared spec on the scalar path.
 func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput, error) {
-	if spec.Replicates >= 2 {
-		// A named source's aggregate carries the requested name; a custom
-		// spec's (which has none) its spec name.
-		label := cmp.Or(spec.Benchmark, src.name)
-		agg, err := replicate(ctx, spec, label, src, opt)
-		if err != nil {
-			return RunOutput{}, err
-		}
-		res := agg.MeanResult()
-		res.Benchmark, res.Suite = src.name, src.suite
-		return RunOutput{Result: res, Replicated: &agg, Engine: EngineScalar}, nil
-	}
 	rs, err := execute(ctx, spec.Key(), src, []Options{opt}, spec.Warm, nil)
 	if err != nil {
 		return RunOutput{}, err
@@ -427,8 +398,8 @@ func run(ctx context.Context, spec RunSpec, opt Options, src source) (RunOutput,
 	return RunOutput{Result: *rs[0], Engine: EngineScalar}, nil
 }
 
-// execute is the one executor behind every run path: Run, RunGroup
-// and replication. A lane's Result is a projection of its window's raw
+// execute is the one executor behind every run path: Run and
+// RunGroup. A lane's Result is a projection of its window's raw
 // outcome (windowOutcome): lanes that share a Measure share one
 // outcome, and each applies its own link-bandwidth stretch to it.
 //
@@ -740,153 +711,4 @@ func RecordTrace(bench string, nodes, accesses int, w io.Writer) (int, error) {
 		done += k
 	}
 	return accesses, fw.Close()
-}
-
-// Replicated runs one benchmark on one configuration n times with
-// decorrelated workload seeds and returns the per-metric mean and
-// standard deviation, for experiments that want error bars on top of
-// the deterministic single-seed runs.
-type Replicated struct {
-	Kind      Kind
-	Benchmark string
-	N         int
-	// Mean and Std hold, in order: cycles, msgs/KI, EDP, L1-D miss
-	// ratio, average miss latency.
-	CyclesMean, CyclesStd   float64
-	MsgsPerKIMean, MsgsStd  float64
-	EDPMean, EDPStd         float64
-	MissDMean, MissDStd     float64
-	MissLatMean, MissLatStd float64
-	PrivateMean, PrivateStd float64
-}
-
-// MeanResult projects the aggregate onto the single-run Result shape,
-// so replicated runs flow through the same caches, stores, and sweep
-// plumbing as single runs. Count-style fields that have no meaningful
-// mean stay zero.
-func (r Replicated) MeanResult() Result {
-	suite, _ := SuiteOf(r.Benchmark)
-	return Result{
-		Kind:            r.Kind,
-		Benchmark:       strings.TrimPrefix(r.Benchmark, KernelPrefix),
-		Suite:           suite,
-		Cycles:          uint64(r.CyclesMean),
-		MsgsPerKI:       r.MsgsPerKIMean,
-		EDP:             r.EDPMean,
-		MissRatioD:      r.MissDMean,
-		AvgMissLatency:  r.MissLatMean,
-		PrivateMissFrac: r.PrivateMean,
-	}
-}
-
-// replicate is the replication engine behind Run: the n seeded runs
-// are independent simulations, so they execute concurrently on
-// GOMAXPROCS workers; samples are gathered by seed index and aggregated
-// in that fixed order, so the result is byte-identical to running the
-// seeds serially.
-// When a run fails, the remaining runs are cancelled and the error of
-// the lowest-indexed failed seed is returned (a context error only if
-// no seed failed on its own). spec.Warm, when non-nil, lets each
-// seeded run reuse a warm-state snapshot for its own (seed-specific)
-// warm identity. label is the aggregate's Benchmark.
-func replicate(ctx context.Context, spec RunSpec, label string, src source, opt Options) (Replicated, error) {
-	n := spec.Replicates
-	workers := min(runtime.GOMAXPROCS(0), n)
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	samples := make([]repSample, n)
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				s := spec
-				s.Options = opt
-				s.Options.Seed = opt.Seed + uint64(i) + 1
-				rs, err := execute(runCtx, s.Key(), src, []Options{s.Options}, spec.Warm, nil)
-				if err != nil {
-					errs[i] = err
-					cancel() // a failed seed fails the aggregate; stop the rest
-					continue
-				}
-				r := rs[0]
-				samples[i] = repSample{
-					float64(r.Cycles), r.MsgsPerKI, r.EDP, r.MissRatioD, r.AvgMissLatency, r.PrivateMissFrac,
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	// Prefer a seed's own error over the context-cancellation errors the
-	// siblings observed, lowest index first, so the reported error does
-	// not depend on scheduling.
-	var ctxErr error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if ctxErr == nil {
-				ctxErr = errs[i]
-			}
-			continue
-		}
-		return Replicated{}, err
-	}
-	if ctxErr != nil {
-		return Replicated{}, ctxErr
-	}
-	return aggregate(spec.Kind, label, samples), nil
-}
-
-// repSample holds the metrics of one replicated run that enter the
-// aggregate: cycles, msgs/KI, EDP, L1-D miss ratio, average miss
-// latency, private-miss fraction.
-type repSample struct{ cyc, msg, edp, missd, lat, priv float64 }
-
-// aggregate folds per-seed samples (in seed order) into the mean/std
-// summary.
-func aggregate(kind Kind, bench string, samples []repSample) Replicated {
-	n := len(samples)
-	mean := func(get func(repSample) float64) float64 {
-		sum := 0.0
-		for _, s := range samples {
-			sum += get(s)
-		}
-		return sum / float64(n)
-	}
-	std := func(get func(repSample) float64, m float64) float64 {
-		if n < 2 {
-			return 0
-		}
-		sum := 0.0
-		for _, s := range samples {
-			d := get(s) - m
-			sum += d * d
-		}
-		return math.Sqrt(sum / float64(n-1))
-	}
-	out := Replicated{Kind: kind, Benchmark: bench, N: n}
-	out.CyclesMean = mean(func(s repSample) float64 { return s.cyc })
-	out.CyclesStd = std(func(s repSample) float64 { return s.cyc }, out.CyclesMean)
-	out.MsgsPerKIMean = mean(func(s repSample) float64 { return s.msg })
-	out.MsgsStd = std(func(s repSample) float64 { return s.msg }, out.MsgsPerKIMean)
-	out.EDPMean = mean(func(s repSample) float64 { return s.edp })
-	out.EDPStd = std(func(s repSample) float64 { return s.edp }, out.EDPMean)
-	out.MissDMean = mean(func(s repSample) float64 { return s.missd })
-	out.MissDStd = std(func(s repSample) float64 { return s.missd }, out.MissDMean)
-	out.MissLatMean = mean(func(s repSample) float64 { return s.lat })
-	out.MissLatStd = std(func(s repSample) float64 { return s.lat }, out.MissLatMean)
-	out.PrivateMean = mean(func(s repSample) float64 { return s.priv })
-	out.PrivateStd = std(func(s repSample) float64 { return s.priv }, out.PrivateMean)
-	return out
 }

@@ -65,12 +65,15 @@ func runOneWarm(ctx context.Context, kind Kind, bench string, opt Options, wc Wa
 	return out.Result, err
 }
 
-func replicateN(ctx context.Context, kind Kind, bench string, opt Options, n int, wc WarmCache) (Replicated, error) {
-	out, err := Run(ctx, RunSpec{Kind: kind, Benchmark: bench, Options: opt, Replicates: n, Warm: wc})
+// replicateN runs ReplicatePlan in process: its seed cells through
+// RunCells, then the projection.
+func replicateN(ctx context.Context, kind Kind, bench string, opt Options, n int) (Replicated, error) {
+	p := ReplicatePlan(kind, bench, opt, n)
+	results, err := RunCells(ctx, p.Cells)
 	if err != nil {
 		return Replicated{}, err
 	}
-	return *out.Replicated, nil
+	return p.Project(results)
 }
 
 // snapshotSources are the workload sources of the snapshot matrix: a
@@ -330,21 +333,31 @@ func TestSnapshotSharedAcrossMeasureParams(t *testing.T) {
 	}
 }
 
-// TestReplicateWarmDeterministic checks a warm-cached replicated run
-// equals the plain one byte-for-byte — on a cold cache (populating)
-// and again on the warm cache (every seed restored).
+// TestReplicateWarmDeterministic checks a replicated plan projected
+// from warm-cached seed runs equals the plain one byte-for-byte — on a
+// cold cache (populating) and again on the warm cache (every seed
+// restored).
 func TestReplicateWarmDeterministic(t *testing.T) {
 	ctx := context.Background()
 	opt := Options{Nodes: 2, Warmup: 2000, Measure: 4000}
 	const n = 4
 
-	plain, err := replicateN(ctx, D2MNSR, "tpc-c", opt, n, nil)
+	plain, err := replicateN(ctx, D2MNSR, "tpc-c", opt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := ReplicatePlan(D2MNSR, "tpc-c", opt, n)
 	wc := newMapWarmCache()
 	for round := 0; round < 2; round++ {
-		warm, err := replicateN(ctx, D2MNSR, "tpc-c", opt, n, wc)
+		results := make(map[CellKey]Result, n)
+		for _, c := range p.Cells {
+			r, err := runOneWarm(ctx, c.Kind, c.Benchmark, c.Options, wc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[c.Key()] = r
+		}
+		warm, err := p.Project(results)
 		if err != nil {
 			t.Fatal(err)
 		}

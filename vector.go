@@ -48,9 +48,8 @@ type LaneOutcome struct {
 
 // RunGroup simulates a lane group in lockstep and returns one outcome
 // per lane, in lane order. Every lane must share one warm identity
-// (CellKey.Warm), run once (Replicates < 2: each replicate is its own
-// simulation with its own seed) and pass Run's validation; a mixed or
-// invalid group is rejected outright (no partial results). A
+// (CellKey.Warm) and pass Run's validation; a mixed or invalid group
+// is rejected outright (no partial results). A
 // single-lane group runs on the scalar path. ctx cancels the whole
 // group; each lane's GroupLane.Ctx cancels just that lane. Warm-state
 // reuse works as in Run: the group is projected from a snapshot that
@@ -65,9 +64,6 @@ func RunGroup(ctx context.Context, lanes []GroupLane) ([]LaneOutcome, error) {
 	var src source
 	var wc WarmCache
 	for i, ln := range lanes {
-		if ln.Spec.Replicates >= 2 {
-			return nil, fmt.Errorf("d2m: RunGroup lane %d is not lane-eligible (Replicates = %d)", i, ln.Spec.Replicates)
-		}
 		if k := ln.Spec.Key().Warm(); k != key0 {
 			return nil, fmt.Errorf("d2m: RunGroup lanes 0 and %d have different warm identities (%q vs %q)", i, key0, k)
 		}

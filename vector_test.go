@@ -191,7 +191,7 @@ func TestLaneGroupCancelOneLane(t *testing.T) {
 }
 
 // TestLaneGroupRejectsMixedKeys: lanes with different warm identities
-// (or replicated specs) must be rejected before any work happens.
+// must be rejected before any work happens.
 func TestLaneGroupRejectsMixedKeys(t *testing.T) {
 	ctx := context.Background()
 	lanes := []GroupLane{
@@ -200,11 +200,5 @@ func TestLaneGroupRejectsMixedKeys(t *testing.T) {
 	}
 	if _, err := RunGroup(ctx, lanes); err == nil {
 		t.Fatal("RunGroup accepted lanes with different warm identities")
-	}
-	rep := []GroupLane{
-		{Spec: RunSpec{Kind: D2MNSR, Benchmark: "tpc-c", Replicates: 3, Options: Options{Nodes: 2, Warmup: 2000, Measure: 3000}}},
-	}
-	if _, err := RunGroup(ctx, rep); err == nil {
-		t.Fatal("RunGroup accepted a replicated spec")
 	}
 }
