@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"d2m"
 )
@@ -19,7 +20,7 @@ import (
 // Revision is the wire API revision served by shards and gateway alike,
 // reported by GET /v1/capabilities. Gateways refuse to route to shards
 // whose revision differs.
-const Revision = "v1.9"
+const Revision = "v1.10"
 
 // KindNames is the single source of truth for the kind list every
 // transport advertises: the capabilities document, the gateway's peer
@@ -28,49 +29,18 @@ const Revision = "v1.9"
 // the only step needed to advertise it fleet-wide.
 func KindNames() []string { return d2m.KindNames() }
 
-// Engine names accepted by the "engine" request hint. EngineAuto (or
-// an empty string) lets the scheduler choose; the scalar and vector
-// engines are byte-identical by contract, so the hint trades scheduling
-// behaviour, never results.
-const (
-	EngineAuto   = "auto"
-	EngineScalar = d2m.EngineScalar
-	EngineVector = d2m.EngineVector
-)
-
-// NormalizeEngine canonicalizes an engine hint: "" and "auto" become
-// "" (scheduler's choice); "scalar" and "vector" pass through; anything
-// else is an invalid_request error.
-func NormalizeEngine(s string) (string, error) {
-	switch s {
-	case "", EngineAuto:
-		return "", nil
-	case EngineScalar, EngineVector:
-		return s, nil
-	default:
-		return "", Errorf(ErrInvalidRequest,
-			"unknown engine %q (want auto, scalar or vector)", s)
-	}
-}
-
 // RunRequest is the body of POST /v1/run and each element of a batch.
 // The simulation fields mirror d2m.Options; zero values take the
-// paper's defaults. TimeoutMS, Async and Engine control job handling
-// and do not affect the cache identity.
+// paper's defaults. TimeoutMS and Async control job handling and do
+// not affect the cache identity.
 type RunRequest struct {
-	Kind      string `json:"kind"`
-	Benchmark string `json:"benchmark"`
-	Nodes     int    `json:"nodes,omitempty"`
-	Warmup    int    `json:"warmup,omitempty"`
-	Measure   int    `json:"measure,omitempty"`
-	Seed      uint64 `json:"seed,omitempty"`
-	// MDScale is the canonical "md_scale" field. LegacyMDScale catches
-	// the retired "mdscale" spelling: its compat window (one release,
-	// API v1.0) has ended, and any use is rejected with a targeted
-	// error pointing at md_scale rather than a generic unknown-field
-	// decode failure.
+	Kind          string  `json:"kind"`
+	Benchmark     string  `json:"benchmark"`
+	Nodes         int     `json:"nodes,omitempty"`
+	Warmup        int     `json:"warmup,omitempty"`
+	Measure       int     `json:"measure,omitempty"`
+	Seed          uint64  `json:"seed,omitempty"`
 	MDScale       int     `json:"md_scale,omitempty"`
-	LegacyMDScale int     `json:"mdscale,omitempty"`
 	Bypass        bool    `json:"bypass,omitempty"`
 	Prefetch      bool    `json:"prefetch,omitempty"`
 	Topology      string  `json:"topology,omitempty"`
@@ -88,10 +58,6 @@ type RunRequest struct {
 	// Async makes POST /v1/run return 202 with the job id immediately;
 	// the result is collected via GET /v1/jobs/{id}.
 	Async bool `json:"async,omitempty"`
-	// Engine hints the execution path ("auto" default, "scalar",
-	// "vector"); see GET /v1/capabilities for what the server supports.
-	// API v1.5.
-	Engine string `json:"engine,omitempty"`
 }
 
 // MaxReplicates bounds replicates per request: above this, error bars
@@ -101,14 +67,15 @@ const MaxReplicates = 64
 // Normalize validates the request through the root package's shared
 // parse helpers and returns the canonical simulation identity: kind,
 // benchmark, defaulted options, the canonical replicate count (0 for a
-// single run, 2..MaxReplicates for a replicated one), and the
-// canonical engine hint ("" for auto). Errors carry wire codes, so
-// handlers map them straight onto the envelope. The cluster gateway
-// normalizes each request the same way to derive its warm-identity
-// shard key without re-implementing validation.
-func (r RunRequest) Normalize() (d2m.Kind, string, d2m.Options, int, string, error) {
-	fail := func(err error) (d2m.Kind, string, d2m.Options, int, string, error) {
-		return 0, "", d2m.Options{}, 0, "", err
+// single run, 2..MaxReplicates for a replicated one), and the job's
+// own deadline (TimeoutMS as a duration; zero takes the server's
+// default). Errors carry wire codes, so handlers map them straight
+// onto the envelope. The cluster gateway normalizes each request the
+// same way to derive its warm-identity shard key without
+// re-implementing validation.
+func (r RunRequest) Normalize() (d2m.Kind, string, d2m.Options, int, time.Duration, error) {
+	fail := func(err error) (d2m.Kind, string, d2m.Options, int, time.Duration, error) {
+		return 0, "", d2m.Options{}, 0, 0, err
 	}
 	kind, err := d2m.ParseKind(r.Kind)
 	if err != nil {
@@ -118,15 +85,7 @@ func (r RunRequest) Normalize() (d2m.Kind, string, d2m.Options, int, string, err
 		return fail(Errorf(ErrUnknownBenchmark,
 			"d2m: unknown benchmark %q (see GET /v1/capabilities)", r.Benchmark))
 	}
-	if r.LegacyMDScale != 0 {
-		return fail(Errorf(ErrInvalidRequest,
-			`the "mdscale" field was removed in API v1.1; use "md_scale"`))
-	}
 	reps, err := NormalizeReplicates(r.Replicates)
-	if err != nil {
-		return fail(err)
-	}
-	engine, err := NormalizeEngine(r.Engine)
 	if err != nil {
 		return fail(err)
 	}
@@ -148,7 +107,7 @@ func (r RunRequest) Normalize() (d2m.Kind, string, d2m.Options, int, string, err
 	if err := d2m.CheckBenchmark(r.Benchmark, opt); err != nil {
 		return fail(Errorf(ErrInvalidRequest, "%v", err))
 	}
-	return kind, r.Benchmark, opt, reps, engine, nil
+	return kind, r.Benchmark, opt, reps, time.Duration(r.TimeoutMS) * time.Millisecond, nil
 }
 
 // NormalizeReplicates canonicalizes a requested replicate count: 0 and
@@ -228,9 +187,6 @@ type KernelCap struct {
 // catalog and limits, keyed by the API revision.
 type Capabilities struct {
 	APIRevision string `json:"api_revision"`
-	// Engines lists the execution paths the server can use ("scalar"
-	// always; "vector" when lane grouping is enabled). API v1.5.
-	Engines []string `json:"engines"`
 	// MaxLanes is the largest lane group the vector engine will form;
 	// 1 means vector execution is disabled. API v1.5.
 	MaxLanes      int                 `json:"max_lanes"`

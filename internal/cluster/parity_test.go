@@ -121,6 +121,9 @@ func TestGatewayParity(t *testing.T) {
 		{name: "batch run unknown field", method: "POST", path: "/v1/batch", body: `{"runs":[{"kind":"d2m-ns-r","benchmark":"tpc-c","bogus":1}]}`},
 		{name: "sweep bad json", method: "POST", path: "/v1/sweeps", body: `{"kinds":`},
 		{name: "sweep unknown field", method: "POST", path: "/v1/sweeps", body: `{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],"bogus":1}`},
+		{name: "run engine hint", method: "POST", path: "/v1/run", body: `{"kind":"d2m-ns-r","benchmark":"tpc-c","engine":"scalar"}`},
+		{name: "batch engine hint", method: "POST", path: "/v1/batch", body: `{"runs":[{"kind":"d2m-ns-r","benchmark":"tpc-c","engine":"scalar"}]}`},
+		{name: "sweep engine hint", method: "POST", path: "/v1/sweeps", body: `{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],"engine":"scalar"}`},
 		{name: "run unknown benchmark", method: "POST", path: "/v1/run", body: `{"kind":"d2m-ns-r","benchmark":"nope"}`},
 		{name: "batch unknown benchmark", method: "POST", path: "/v1/batch", body: `{"runs":[{"kind":"d2m-ns-r","benchmark":"nope"}]}`},
 		{name: "sweep unknown benchmark", method: "POST", path: "/v1/sweeps", body: `{"kinds":["d2m-ns-r"],"benchmarks":["nope"]}`},

@@ -136,7 +136,6 @@ func (g *Gateway) subSweep(ctx context.Context, apiKey string, p Peer, cells []d
 		Cells:      make([]d2m.SweepCell, len(idxs)),
 		TimeoutMS:  spec.TimeoutMS,
 		Replicates: spec.Replicates,
-		Engine:     spec.Engine,
 	}
 	for k, i := range idxs {
 		sub.Cells[k] = cells[i]

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"io"
+	"time"
 
 	"d2m"
 	"d2m/internal/api"
@@ -73,14 +74,14 @@ type Run struct {
 	Kind    d2m.Kind
 	Bench   string
 	Options d2m.Options
-	Reps    int    // canonical replicate count; 0 = single run
-	Engine  string // normalized engine hint; "" = auto
+	Reps    int           // canonical replicate count; 0 = single run
+	Timeout time.Duration // the job's own deadline; 0 = the server's default
 }
 
 // newRun validates req.
 func newRun(req api.RunRequest) (Run, error) {
-	kind, bench, opt, reps, engine, err := req.Normalize()
-	return Run{Req: req, Kind: kind, Bench: bench, Options: opt, Reps: reps, Engine: engine}, err
+	kind, bench, opt, reps, timeout, err := req.Normalize()
+	return Run{Req: req, Kind: kind, Bench: bench, Options: opt, Reps: reps, Timeout: timeout}, err
 }
 
 // Key is the run's cell identity (d2m.CellKey).
@@ -101,9 +102,8 @@ func (r Run) CachedStatus(res d2m.Result, rep *d2m.Replicated) api.JobStatus {
 
 // CellSpec is the handling every cell of one sweep shares.
 type CellSpec struct {
-	Replicates int    // canonical replicate count per cell
-	Engine     string // normalized engine hint
-	TimeoutMS  int64  // per-cell deadline; 0 = the backend's default
+	Replicates int   // canonical replicate count per cell
+	TimeoutMS  int64 // per-cell deadline; 0 = the backend's default
 }
 
 // CellOutcome is one sweep cell's settled state as a Backend reports

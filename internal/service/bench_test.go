@@ -177,89 +177,81 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		benchNumbers.Unlock()
 	})
 
-	// sweep_cold / sweep_cold_scalar: a measure-heavy 16-cell sweep along
-	// a link-bandwidth axis (one warm identity per sweep, a fresh seed
-	// per iteration so nothing is cached). The vector engine coalesces
-	// the whole axis into one lane group — one simulation serves all 8
-	// cells — while the scalar series pays one measurement phase per
-	// cell; their ratio is the lane-group speedup the journal tracks.
-	for _, eng := range []string{"", "scalar"} {
-		name := "sweep_cold"
-		if eng != "" {
-			name += "_" + eng
+	// sweep_cold: a measure-heavy 16-cell sweep along a link-bandwidth
+	// axis (one warm identity per sweep, a fresh seed per iteration so
+	// nothing is cached). The vector engine coalesces the whole axis
+	// into one lane group: one simulation serves all 16 cells.
+	b.Run("sweep_cold", func(b *testing.B) {
+		s, err := New(Config{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			s, err := New(Config{})
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		}()
+		const cells = 16 // the default lane width, so one group serves the whole axis
+		runSweep := func(seed int) {
+			var lbs strings.Builder
+			for i := 0; i < cells; i++ {
+				if i > 0 {
+					lbs.WriteString(",")
+				}
+				fmt.Fprintf(&lbs, "%.9f", 0.001+float64(i+2)*1e-9)
+			}
+			body := fmt.Sprintf(`{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],
+					"nodes":2,"warmup":2000,"measure":16000,"seeds":[%d],
+					"link_bandwidths":[%s]}`, seed, lbs.String())
+			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
 			}
-			ts := httptest.NewServer(s.Handler())
-			defer func() {
-				ts.Close()
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				s.Shutdown(ctx)
-			}()
-			const cells = 16 // the default lane width, so one group serves the whole axis
-			runSweep := func(seed int) {
-				var lbs strings.Builder
-				for i := 0; i < cells; i++ {
-					if i > 0 {
-						lbs.WriteString(",")
-					}
-					fmt.Fprintf(&lbs, "%.9f", 0.001+float64(i+2)*1e-9)
-				}
-				body := fmt.Sprintf(`{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],
-					"nodes":2,"warmup":2000,"measure":16000,"seeds":[%d],
-					"link_bandwidths":[%s],"engine":%q}`, seed, lbs.String(), eng)
-				resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+			var st SweepStatus
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				b.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				b.Fatalf("POST /v1/sweeps = %d", resp.StatusCode)
+			}
+			deadline := time.Now().Add(2 * time.Minute)
+			for {
+				resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID)
 				if err != nil {
 					b.Fatal(err)
 				}
-				var st SweepStatus
 				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 					b.Fatal(err)
 				}
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusAccepted {
-					b.Fatalf("POST /v1/sweeps = %d", resp.StatusCode)
+				if st.State != SweepRunning {
+					break
 				}
-				deadline := time.Now().Add(2 * time.Minute)
-				for {
-					resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-						b.Fatal(err)
-					}
-					resp.Body.Close()
-					if st.State != SweepRunning {
-						break
-					}
-					if time.Now().After(deadline) {
-						b.Fatalf("sweep %s did not finish", st.ID)
-					}
-					time.Sleep(2 * time.Millisecond)
+				if time.Now().After(deadline) {
+					b.Fatalf("sweep %s did not finish", st.ID)
 				}
-				if st.State != SweepDone || st.Failed != 0 {
-					b.Fatalf("sweep = %s (failed %d)", st.State, st.Failed)
-				}
+				time.Sleep(2 * time.Millisecond)
 			}
-			runSweep(1_000_000) // warm the pool outside the timed region
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				runSweep(i + 1)
+			if st.State != SweepDone || st.Failed != 0 {
+				b.Fatalf("sweep = %s (failed %d)", st.State, st.Failed)
 			}
-			elapsed := time.Since(start)
-			cellsPerSec := float64(b.N*cells) / elapsed.Seconds()
-			b.ReportMetric(cellsPerSec, "cells/s")
-			benchNumbers.Lock()
-			benchNumbers.m[name] = cellsPerSec
-			benchNumbers.Unlock()
-		})
-	}
+		}
+		runSweep(1_000_000) // warm the pool outside the timed region
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			runSweep(i + 1)
+		}
+		elapsed := time.Since(start)
+		cellsPerSec := float64(b.N*cells) / elapsed.Seconds()
+		b.ReportMetric(cellsPerSec, "cells/s")
+		benchNumbers.Lock()
+		benchNumbers.m["sweep_cold"] = cellsPerSec
+		benchNumbers.Unlock()
+	})
 
 	// batch_cached: the hot request repeated through POST /v1/batch in
 	// groups of 64, against the per-request "cached" series above —

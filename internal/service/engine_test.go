@@ -24,67 +24,46 @@ func runLibrary(t *testing.T, spec d2m.RunSpec) []byte {
 	return raw
 }
 
-// TestRunEngineHint: the v1.5 engine field is validated on /v1/run,
-// the scalar hint is honored, and the status reports the engine used.
-func TestRunEngineHint(t *testing.T) {
+// TestRunReportsEngine: a job status reports the execution path that
+// produced its result; a lone run executes scalar.
+func TestRunReportsEngine(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	code, st, _ := postRun(t, ts,
-		`{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"warmup":2000,"measure":4000,"engine":"scalar"}`)
+		`{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"warmup":2000,"measure":4000}`)
 	if code != http.StatusOK || st.State != api.JobDone {
-		t.Fatalf("scalar run = %d/%s", code, st.State)
+		t.Fatalf("run = %d/%s", code, st.State)
 	}
 	if st.Engine != d2m.EngineScalar {
 		t.Errorf("engine = %q, want scalar", st.Engine)
 	}
-
-	// "auto" normalizes to the default; a lone run still executes scalar.
-	code, st, _ = postRun(t, ts,
-		`{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"warmup":2000,"measure":5000,"engine":"auto"}`)
-	if code != http.StatusOK || st.State != api.JobDone {
-		t.Fatalf("auto run = %d/%s", code, st.State)
-	}
-	if st.Engine != d2m.EngineScalar {
-		t.Errorf("auto single-run engine = %q, want scalar", st.Engine)
-	}
 }
 
-// TestEngineHintRejected: unknown engines answer invalid_request on
+// TestEngineHintRejected: the engine hint was removed in API v1.10, so
+// a body naming it is an unknown field, answered invalid_request on
 // every submission surface.
 func TestEngineHintRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
-	post := func(path, body string) api.ErrorBody {
-		t.Helper()
+	for path, body := range map[string]string{
+		"/v1/run":    `{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"measure":4000,"engine":"scalar"}`,
+		"/v1/batch":  `{"runs":[{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"measure":4000,"engine":"auto"}]}`,
+		"/v1/sweeps": `{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],"nodes":2,"engine":"vector"}`,
+	} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
 		var eb api.ErrorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
 			t.Fatalf("%s: decode: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s = %d, want 400", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != api.ErrInvalidRequest ||
+			!strings.Contains(eb.Error.Message, `unknown field "engine"`) {
+			t.Errorf("%s = %d %+v, want 400 invalid_request naming the unknown field engine", path, resp.StatusCode, eb.Error)
 		}
-		return eb
-	}
-
-	eb := post("/v1/run",
-		`{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"measure":4000,"engine":"warp"}`)
-	if eb.Error.Code != api.ErrInvalidRequest || !strings.Contains(eb.Error.Message, "warp") {
-		t.Errorf("run envelope = %+v, want invalid_request naming the engine", eb.Error)
-	}
-	eb = post("/v1/batch",
-		`{"runs":[{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"measure":4000,"engine":"warp"}]}`)
-	if eb.Error.Code != api.ErrInvalidRequest {
-		t.Errorf("batch envelope = %+v, want invalid_request", eb.Error)
-	}
-	eb = post("/v1/sweeps",
-		`{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],"nodes":2,"engine":"warp"}`)
-	if eb.Error.Code != api.ErrInvalidRequest {
-		t.Errorf("sweep envelope = %+v, want invalid_request", eb.Error)
 	}
 }
 

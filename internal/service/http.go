@@ -18,11 +18,10 @@ import (
 // and a cluster gateway serve the same front, so both answer every
 // request with the same status, envelope and tenancy check.
 type front struct {
-	b         Backend
-	metrics   *Metrics // sweep counters
-	workers   int      // worker-pool width, for sweep ETAs
-	maxSweeps int
-	mux       *http.ServeMux
+	b       Backend
+	metrics *Metrics // sweep counters
+	workers int      // worker-pool width, for sweep ETAs
+	mux     *http.ServeMux
 
 	baseCtx    context.Context // parent of every sweep context
 	baseCancel context.CancelFunc
@@ -33,16 +32,15 @@ type front struct {
 	sweepRetired []string // settled sweep ids, oldest first
 }
 
-// NewHandler serves the v1 HTTP surface over b, keeping the default
-// history of 256 settled sweeps. The cluster gateway serves its
-// shard ring through it.
+// NewHandler serves the v1 HTTP surface over b. The cluster gateway
+// serves its shard ring through it.
 func NewHandler(b Backend) http.Handler {
-	return newFront(b, &Metrics{}, 1, defaultMaxSweeps).mux
+	return newFront(b, &Metrics{}, 1).mux
 }
 
-func newFront(b Backend, m *Metrics, workers, maxSweeps int) *front {
+func newFront(b Backend, m *Metrics, workers int) *front {
 	f := &front{
-		b: b, metrics: m, workers: workers, maxSweeps: maxSweeps,
+		b: b, metrics: m, workers: workers,
 		mux:    http.NewServeMux(),
 		sweeps: make(map[string]*sweep),
 	}

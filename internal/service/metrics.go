@@ -142,8 +142,7 @@ func (m *Metrics) ObserveQueueWait(p sched.Priority, seconds float64) {
 
 func (m *Metrics) ObserveRun(seconds float64) { m.RunLatency.Observe(seconds) }
 
-// LaneGroup implements the scheduler's optional lane-group observer
-// extension: one call per vector group of size lanes.
+// LaneGroup counts one vector group of size lanes.
 func (m *Metrics) LaneGroup(size int) {
 	m.LaneGroups.Add(1)
 	m.LaneJobs.Add(uint64(size))

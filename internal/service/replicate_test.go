@@ -99,7 +99,7 @@ func TestReplicatedRunCoalesces(t *testing.T) {
 
 // TestReplicatedRunDelete: DELETE on a replicated run settles it
 // canceled at once and abandons its queued seeds that no other request
-// waits for: they settle canceled without reaching the Runner.
+// waits for: they settle canceled at once, without reaching the Runner.
 func TestReplicatedRunDelete(t *testing.T) {
 	r := &countingRunner{gate: make(chan struct{})}
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: r.run})
@@ -114,14 +114,14 @@ func TestReplicatedRunDelete(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil || code != http.StatusOK || st.State != api.JobCanceled {
 		t.Fatalf("DELETE = %d (%s), want 200 canceled", code, raw)
 	}
+	// The released seeds leave the queue at once, while the blocker
+	// still holds the only worker.
+	if canceled := listJobs(t, ts.URL, api.JobCanceled); len(canceled) != 4 {
+		t.Errorf("canceled jobs = %+v, want 4 (the run and its 3 seeds)", listJobs(t, ts.URL, ""))
+	}
 	close(r.gate)
 	if st := waitJob(t, ts.URL, blocker.ID); st.State != api.JobDone {
 		t.Fatalf("blocker = %s", st.State)
-	}
-	for deadline := time.Now().Add(5 * time.Second); len(listJobs(t, ts.URL, api.JobCanceled)) != 4; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("canceled jobs = %+v, want 4 (the run and its 3 seeds)", listJobs(t, ts.URL, ""))
-		}
 	}
 	if calls, _ := r.stats(); calls != 1 {
 		t.Errorf("runner invoked %d times, want 1 (the blocker only)", calls)

@@ -268,76 +268,67 @@ func (s *Scheduler) promoteLocked(j *Job) {
 	s.pulseSlotFree()
 }
 
-// Cancel settles a queued job immediately or signals a running one to
-// abort at its next engine checkpoint. A replicated job settles at
-// once and releases its seeds. It returns ErrUnknownJob for
+// Cancel abandons a job (see abandon). It returns ErrUnknownJob for
 // ids absent from the ledger and ErrSettled (with the job, so callers
 // can report its state) for jobs that already finished.
 func (s *Scheduler) Cancel(id string) (*Job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	if !ok {
+	switch {
+	case !ok:
 		s.mu.Unlock()
 		return nil, ErrUnknownJob
-	}
-	switch {
 	case j.state.settled():
 		s.mu.Unlock()
 		return j, ErrSettled
-	case j.seeds != nil:
-		s.settleLocked(j, StateCanceled, context.Canceled)
-		s.mu.Unlock()
-		s.drop(j)
-		return j, nil
-	case j.state == StateRunning:
-		s.mu.Unlock()
-		j.cancel()
-		return j, nil
 	}
-
-	// Queued: take it out of the queue and settle it here, so it never
-	// occupies a worker. A job a worker already popped needs no queue
-	// surgery (claim will skip it).
-	s.queues[j.spec.Priority].remove(j)
-	s.dequeuedLocked(j)
-	parents := s.settleLocked(j, StateCanceled, context.Canceled)
-	s.pulseSlotFree()
-	s.obs.QueuedDelta(-1)
-	s.mu.Unlock()
-	s.wake(j)
-	s.wake(parents...)
+	s.abandon(j)
 	return j, nil
 }
 
 // Release drops one waiter's interest in a job (client disconnect or
 // response written). When the last waiter of a non-detached job leaves
-// before it settles, the job is abandoned: its context is cancelled so
-// it aborts (or, if still queued, settles canceled without occupying a
-// worker). An abandoned replicated job settles at once and releases
-// its seeds.
+// before it settles, the job is abandoned.
 func (s *Scheduler) Release(j *Job) {
 	s.mu.Lock()
 	j.waiters--
-	abandon := j.waiters <= 0 && !j.detached && !j.state.settled()
-	if abandon && j.seeds != nil {
-		s.settleLocked(j, StateCanceled, context.Canceled)
+	if j.waiters > 0 || j.detached || j.state.settled() {
+		s.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
-	switch {
-	case abandon && j.seeds != nil:
-		s.drop(j)
-	case abandon:
-		j.cancel()
-	}
+	s.abandon(j)
 }
 
-// drop wakes a replicated job settled canceled and releases its hold on
-// each seed, abandoning those no one else waits for: its seeds never
-// carry its detachment, so its hold alone keeps them alive.
-func (s *Scheduler) drop(p *Job) {
-	s.wake(p)
-	for _, seed := range p.seeds {
-		s.Release(seed)
+// abandon ends an unsettled job. A queued one leaves its queue and
+// settles canceled at once, so it occupies neither a worker nor a
+// queue slot; a running one is signalled to abort at its next engine
+// checkpoint; a replicated one settles canceled at once and releases
+// its seeds. Callers hold s.mu; abandon releases it.
+func (s *Scheduler) abandon(j *Job) {
+	switch {
+	case j.seeds != nil:
+		s.settleLocked(j, StateCanceled, context.Canceled)
+		s.mu.Unlock()
+		s.wake(j)
+		// The seeds never carry the replicated job's detachment, so
+		// its hold alone keeps alive those no one else waits for.
+		for _, seed := range j.seeds {
+			s.Release(seed)
+		}
+	case j.state == StateRunning:
+		s.mu.Unlock()
+		j.cancel()
+	default:
+		// A job a worker already popped needs no queue surgery (claim
+		// will skip it).
+		s.queues[j.spec.Priority].remove(j)
+		s.dequeuedLocked(j)
+		parents := s.settleLocked(j, StateCanceled, context.Canceled)
+		s.pulseSlotFree()
+		s.obs.QueuedDelta(-1)
+		s.mu.Unlock()
+		s.wake(j)
+		s.wake(parents...)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 )
 
 // Priority is a submission's scheduling class. Lower values are served
-// preferentially: the dequeue loop picks InteractiveWeight interactive
+// preferentially: the dequeue loop picks interactiveWeight interactive
 // jobs for every bulk job when both classes are waiting, and each class
 // has its own queue capacity, so a large sweep can neither starve nor
 // crowd out interactive requests.
@@ -95,13 +95,6 @@ type Submission struct {
 	// Detached marks a job that outlives its submitting request (async
 	// submissions): it is never cancelled by its waiters disconnecting.
 	Detached bool
-	// Engine is the execution-path hint: "" (auto — the scheduler may
-	// group the job into a vector lane group), d2m.EngineScalar (run
-	// alone, never grouped), or d2m.EngineVector (grouping preferred;
-	// still runs scalar when no group forms). Scalar and vector results
-	// are byte-identical by contract, so the hint never changes the
-	// cache key.
-	Engine string
 }
 
 // validate rejects submissions the scheduler cannot represent. The
@@ -113,11 +106,6 @@ func (sub Submission) validate() error {
 	}
 	if sub.Priority < 0 || sub.Priority >= NumPriorities {
 		return fmt.Errorf("sched: unknown priority %d", sub.Priority)
-	}
-	switch sub.Engine {
-	case "", d2m.EngineScalar, d2m.EngineVector:
-	default:
-		return fmt.Errorf("sched: unknown engine %q", sub.Engine)
 	}
 	return nil
 }
@@ -180,13 +168,11 @@ type Job struct {
 	// job settled straight from the queue (cancel, deadline) never
 	// closes it, so observers must select on Done as well.
 	runCh chan struct{}
-	// laneOK reports that the job may run in a lane group (single run,
-	// engine hint not "scalar"), and laneKey is then its warm identity.
-	// A worker that dequeues an eligible job takes queued eligible jobs
-	// with the same laneKey into one lockstep RunGroup call. Immutable
-	// after creation.
+	// laneKey is a single run's warm identity: a worker that dequeues
+	// a job takes the queued jobs with the same laneKey into one
+	// lockstep RunGroup call. Only single runs are queued; a replicated
+	// job leaves it unset. Immutable after creation.
 	laneKey d2m.CellKey
-	laneOK  bool
 	// A replicated job's seed runs, in plan order, set at admission: a
 	// seed the sink answered is a settled stand-in outside the ledger.
 	plan  d2m.Plan[d2m.Replicated]
@@ -296,6 +282,9 @@ type Observer interface {
 	RunningDelta(d int64)
 	ObserveQueueWait(p Priority, seconds float64)
 	ObserveRun(seconds float64)
+	// LaneGroup reports a lane group of size jobs starting as one
+	// lockstep simulation.
+	LaneGroup(size int)
 }
 
 // Errors returned by the admission and cancellation surface.
@@ -337,6 +326,7 @@ func (nopObserver) QueuedDelta(int64)                  {}
 func (nopObserver) RunningDelta(int64)                 {}
 func (nopObserver) ObserveQueueWait(Priority, float64) {}
 func (nopObserver) ObserveRun(float64)                 {}
+func (nopObserver) LaneGroup(int)                      {}
 
 type nopSink struct{}
 

@@ -31,7 +31,6 @@ func (lr *laneRecorder) run(ctx context.Context, lanes []d2m.GroupLane) ([]d2m.L
 		}
 		outs[i] = d2m.LaneOutcome{Output: d2m.RunOutput{
 			Result: d2m.Result{Cycles: uint64(ln.Spec.Options.Measure)},
-			Engine: d2m.EngineVector,
 		}}
 	}
 	lr.mu.Lock()
@@ -191,36 +190,6 @@ func TestLaneGroupCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// TestLaneGroupScalarHintOptsOut: Engine "scalar" keeps jobs out of
-// lane groups even when they share a warm identity.
-func TestLaneGroupScalarHintOptsOut(t *testing.T) {
-	lr := &laneRecorder{}
-	started, release := make(chan struct{}), make(chan struct{})
-	s := newTestSched(t, Config{Workers: 1, RunGroup: lr.run}, blockerRun(started, release))
-
-	bl, _ := s.Submit(blocker())
-	<-started
-	subs := []Submission{laneSub(100, Interactive), laneSub(200, Interactive)}
-	for i := range subs {
-		subs[i].Engine = d2m.EngineScalar
-	}
-	adms, err := s.SubmitGroup(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	<-bl.Job.Done()
-	for _, adm := range adms {
-		<-adm.Job.Done()
-		if eng := adm.Job.Info().Engine; eng != d2m.EngineScalar {
-			t.Errorf("engine = %q, want scalar", eng)
-		}
-	}
-	if groups := lr.snapshot(); len(groups) != 0 {
-		t.Fatalf("groups = %v, want none (scalar hint)", groups)
-	}
-}
-
 // TestLaneGroupNotSplitAcrossWorkers: a SubmitGroup of 8 same-lane-key jobs
 // on a 4-worker scheduler forms exactly one group of 8 — the worker
 // that pops the first job takes its siblings under the same lock hold,
@@ -323,19 +292,13 @@ func TestLaneGroupErrors(t *testing.T) {
 	})
 }
 
-// TestSubmitEngineValidation: unknown engine hints are rejected at
-// admission. A replicated submission's seed runs have distinct warm
-// identities (one seed each), so they never group with one another.
-func TestSubmitEngineValidation(t *testing.T) {
+// TestReplicatedSeedsNeverGroup: a replicated submission's seed runs
+// have distinct warm identities (one seed each), so they never form a
+// lane group with one another.
+func TestReplicatedSeedsNeverGroup(t *testing.T) {
 	lr := &laneRecorder{}
 	s := newTestSched(t, Config{Workers: 1, RunGroup: lr.run}, nil)
-	bad := laneSub(100, Interactive)
-	bad.Engine = "turbo"
-	if _, err := s.Submit(bad); err == nil {
-		t.Error("Submit with engine \"turbo\" accepted, want validation error")
-	}
 	reps := laneSub(100, Interactive)
-	reps.Engine = d2m.EngineVector
 	reps.Replicates = 4
 	adm, err := s.Submit(reps)
 	if err != nil {

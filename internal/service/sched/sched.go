@@ -27,18 +27,11 @@ type Config struct {
 	// DefaultTimeout is the per-job deadline (queue wait + run) applied
 	// when a submission does not set its own. Zero means no deadline.
 	DefaultTimeout time.Duration
-	// MaxJobs bounds the settled-job history kept in the ledger.
-	// Zero means 4096.
-	MaxJobs int
-	// InteractiveWeight is the dequeue ratio when both classes have
-	// waiting jobs: this many interactive jobs are served per bulk job.
-	// Zero means 4.
-	InteractiveWeight int
 	// TenantShare maps a Submission.Tenant to its deficit-round-robin
 	// quantum within each class: per contended round, a tenant drains
 	// TenantShare jobs for every one job of a share-1 tenant. Nil (or
 	// returns below 1) means every tenant weighs 1. The class-level
-	// InteractiveWeight policy is unaffected.
+	// interactive:bulk weighting is unaffected.
 	TenantShare func(tenant string) int
 	// Run executes one simulation; it is the only required field. The
 	// scheduler passes a single run's identity through a d2m.RunSpec
@@ -57,18 +50,19 @@ type Config struct {
 	Observer Observer
 }
 
+// maxJobs bounds the settled-job history kept in the ledger.
+const maxJobs = 4096
+
+// interactiveWeight is the dequeue ratio when both classes have waiting
+// jobs: this many interactive jobs are served per bulk job.
+const interactiveWeight = 4
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4096
-	}
-	if c.InteractiveWeight <= 0 {
-		c.InteractiveWeight = 4
 	}
 	if c.Results == nil {
 		c.Results = nopSink{}
@@ -117,7 +111,7 @@ type Scheduler struct {
 	// rr counts interactive dequeues since the last bulk one, for the
 	// weighted pick.
 	rr       int
-	jobs     map[string]*Job // by id; settled history bounded by MaxJobs
+	jobs     map[string]*Job // by id; settled history bounded by maxJobs
 	inflight map[string]*Job // by cache key: queued or running
 	retired  []string        // settled job ids, oldest first
 	// runEWMA tracks recent per-job service seconds (runCount samples),
@@ -289,9 +283,7 @@ func (s *Scheduler) runGroup(group []*Job) {
 		lanes[i] = d2m.GroupLane{Spec: j.spec.runSpec(), Ctx: j.ctx}
 	}
 	s.obs.RunningDelta(int64(len(claimed)))
-	if lg, ok := s.obs.(interface{ LaneGroup(size int) }); ok {
-		lg.LaneGroup(len(claimed))
-	}
+	s.obs.LaneGroup(len(claimed))
 	start := time.Now()
 	outs, gerr := s.cfg.RunGroup(s.baseCtx, lanes)
 	dur := time.Since(start)
@@ -334,10 +326,10 @@ func (s *Scheduler) dequeue() ([]*Job, bool) {
 	for {
 		if j := s.pickLocked(); j != nil {
 			group := []*Job{j}
-			if s.cfg.RunGroup != nil && j.laneOK {
+			if s.cfg.RunGroup != nil {
 				for p := Interactive; p < NumPriorities && len(group) < maxLanes; p++ {
 					group = append(group, s.queues[p].steal(maxLanes-len(group), func(cand *Job) bool {
-						return cand.laneOK && cand.laneKey == j.laneKey && cand.ctx.Err() == nil
+						return cand.laneKey == j.laneKey && cand.ctx.Err() == nil
 					})...)
 				}
 			}
@@ -352,7 +344,7 @@ func (s *Scheduler) dequeue() ([]*Job, bool) {
 }
 
 // pickLocked pops the next job: the weighted-priority policy picks
-// the class — when both are waiting, InteractiveWeight interactive
+// the class — when both are waiting, interactiveWeight interactive
 // jobs are served per bulk job — then the class's deficit round
 // robin picks the tenant, so neither a class nor a tenant can starve
 // the others.
@@ -362,7 +354,7 @@ func (s *Scheduler) pickLocked() *Job {
 	var p Priority
 	switch {
 	case hasI && hasB:
-		if s.rr >= s.cfg.InteractiveWeight {
+		if s.rr >= interactiveWeight {
 			p, s.rr = Bulk, 0
 		} else {
 			p = Interactive
@@ -560,12 +552,12 @@ func (s *Scheduler) noteRunLocked(dur time.Duration) {
 	s.runCount++
 }
 
-// retireLocked bounds the settled-job history: beyond cfg.MaxJobs
+// retireLocked bounds the settled-job history: beyond maxJobs
 // settled jobs, the oldest records vanish from the ledger. Callers
 // hold s.mu.
 func (s *Scheduler) retireLocked(j *Job) {
 	s.retired = append(s.retired, j.id)
-	for len(s.retired) > s.cfg.MaxJobs {
+	for len(s.retired) > maxJobs {
 		delete(s.jobs, s.retired[0])
 		s.retired = s.retired[1:]
 	}
@@ -586,8 +578,8 @@ func (s *Scheduler) newJobLocked(sub Submission, key string) *Job {
 		waiters:  1,
 		detached: sub.Detached,
 	}
-	if sub.Replicates < 2 && sub.Engine != d2m.EngineScalar {
-		j.laneKey, j.laneOK = sub.runSpec().Key().Warm(), true
+	if sub.Replicates < 2 {
+		j.laneKey = sub.runSpec().Key().Warm()
 	}
 	timeout := sub.Timeout
 	if timeout == 0 {

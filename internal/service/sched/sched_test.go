@@ -194,7 +194,7 @@ func TestWeightedPriorityDequeue(t *testing.T) {
 	started := make(chan struct{}, 1)
 	var mu sync.Mutex
 	var order []Priority
-	s := newTestSched(t, Config{Workers: 1, InteractiveWeight: 4}, func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error) {
+	s := newTestSched(t, Config{Workers: 1}, func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error) {
 		if spec.Options.Seed == 0 { // the gate job
 			started <- struct{}{}
 			<-gate
@@ -371,6 +371,30 @@ func TestReleaseAbandonsLastWaiter(t *testing.T) {
 	}
 	if in := adm.Job.Info(); in.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", in.State)
+	}
+}
+
+// TestReleaseFreesQueuedSlot: abandoning a queued job frees its queue
+// slot at once, so a full queue admits the next submission while the
+// only worker is still busy.
+func TestReleaseFreesQueuedSlot(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	s := newTestSched(t, Config{Workers: 1, QueueDepth: 1}, blockerRun(started, release))
+	if _, err := s.Submit(blocker()); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	b, err := s.Submit(sub(1, Interactive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release(b.Job)
+	if _, err := s.Submit(sub(2, Interactive)); err != nil {
+		t.Errorf("submit after releasing the queued job = %v, want admitted", err)
+	}
+	if in := b.Job.Info(); in.State != StateCanceled {
+		t.Errorf("released queued job = %s, want canceled at once", in.State)
 	}
 }
 

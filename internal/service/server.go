@@ -45,12 +45,6 @@ type Config struct {
 	// DefaultTimeout is the per-job deadline (queue wait + run) applied
 	// when a request does not set timeout_ms. Zero means no deadline.
 	DefaultTimeout time.Duration
-	// MaxJobs bounds the settled-job history kept for
-	// GET /v1/jobs/{id}. Zero means 4096.
-	MaxJobs int
-	// MaxSweeps bounds the sweep history kept for
-	// GET /v1/sweeps/{id}. Zero means 256.
-	MaxSweeps int
 	// StorePath, when non-empty, names the append-only JSONL result
 	// journal: completed simulations are appended as they finish and
 	// replayed into the result cache at startup, so results survive
@@ -90,10 +84,6 @@ type Config struct {
 // Config.SnapshotMemBytes is zero.
 const defaultSnapshotMemBytes = 256 << 20
 
-// defaultMaxSweeps is the settled-sweep history kept when
-// Config.MaxSweeps is zero, and always by the cluster gateway.
-const defaultMaxSweeps = 256
-
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -103,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4096
-	}
-	if c.MaxSweeps <= 0 {
-		c.MaxSweeps = defaultMaxSweeps
 	}
 	if c.SnapshotMemBytes == 0 {
 		c.SnapshotMemBytes = defaultSnapshotMemBytes
@@ -225,7 +209,6 @@ func New(cfg Config) (*Server, error) {
 		Workers:        cfg.Workers,
 		QueueDepth:     cfg.QueueDepth,
 		DefaultTimeout: cfg.DefaultTimeout,
-		MaxJobs:        cfg.MaxJobs,
 		TenantShare:    s.tenantShare,
 		Run: func(ctx context.Context, spec d2m.RunSpec) (d2m.RunOutput, error) {
 			res, err := s.runner(ctx, spec.Kind, spec.Benchmark, spec.Options)
@@ -245,7 +228,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.sched = sc
 
-	s.front = newFront(s, s.metrics, cfg.Workers, cfg.MaxSweeps)
+	s.front = newFront(s, s.metrics, cfg.Workers)
 	s.front.mux.HandleFunc("POST /admin/drain", s.handleDrain)
 	s.front.mux.HandleFunc("POST /admin/undrain", s.handleUndrain)
 	return s, nil
@@ -285,14 +268,6 @@ func (s *Server) runGroup(ctx context.Context, lanes []d2m.GroupLane) ([]d2m.Lan
 	return d2m.RunGroup(ctx, lanes)
 }
 
-// engines lists the execution paths this server can use.
-func (s *Server) engines() []string {
-	if s.sched.MaxLanes() > 1 {
-		return []string{d2m.EngineScalar, d2m.EngineVector}
-	}
-	return []string{d2m.EngineScalar}
-}
-
 // Shutdown drains the service: admission stops (new POSTs get 503),
 // queued and running jobs are allowed to finish, and the worker pool
 // exits. If ctx expires first, every outstanding job and sweep context
@@ -326,9 +301,8 @@ func submission(run Run, tenant string) sched.Submission {
 		Benchmark:  run.Bench,
 		Options:    run.Options,
 		Replicates: run.Reps,
-		Engine:     run.Engine,
 		Priority:   sched.Interactive,
-		Timeout:    time.Duration(run.Req.TimeoutMS) * time.Millisecond,
+		Timeout:    run.Timeout,
 		Detached:   run.Req.Async,
 		Tenant:     tenant,
 	}
@@ -471,7 +445,6 @@ func (s *Server) Jobs(_ context.Context, _ string, q JobQuery) (JobList, error) 
 func (s *Server) Capabilities(_ context.Context, key string) (api.Capabilities, error) {
 	caps := api.Capabilities{
 		APIRevision:   api.Revision,
-		Engines:       s.engines(),
 		MaxLanes:      s.sched.MaxLanes(),
 		Suites:        make(map[string][]string),
 		Kinds:         api.KindNames(),

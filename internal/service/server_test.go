@@ -561,7 +561,7 @@ func TestErrorEnvelopeStatuses(t *testing.T) {
 }
 
 // TestRunRequestNewFields checks link_bandwidth reaches the simulation
-// options and md_scale is accepted as the canonical MDScale spelling.
+// options and md_scale is accepted as the MDScale spelling.
 func TestRunRequestNewFields(t *testing.T) {
 	var got d2m.Options
 	_, ts := newTestServer(t, Config{Workers: 1,
@@ -581,8 +581,8 @@ func TestRunRequestNewFields(t *testing.T) {
 	if got.LinkBandwidth != 0.5 {
 		t.Errorf("LinkBandwidth = %v, want 0.5", got.LinkBandwidth)
 	}
-	// The retired "mdscale" spelling is rejected with a pointer at the
-	// canonical field, not silently accepted or a generic decode error.
+	// The retired "mdscale" spelling is an unknown field, not silently
+	// accepted.
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(
 		`{"kind":"d2m-ns-r","benchmark":"tpc-c","mdscale":2,"link_bandwidth":0.5}`))
 	if err != nil {
@@ -596,8 +596,8 @@ func TestRunRequestNewFields(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
-	if eb.Error.Code != api.ErrInvalidRequest || !strings.Contains(eb.Error.Message, "md_scale") {
-		t.Errorf("legacy-spelling error = %+v, want invalid_request naming md_scale", eb.Error)
+	if eb.Error.Code != api.ErrInvalidRequest || !strings.Contains(eb.Error.Message, `unknown field "mdscale"`) {
+		t.Errorf("legacy-spelling error = %+v, want invalid_request naming the unknown field mdscale", eb.Error)
 	}
 }
 
@@ -713,12 +713,8 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 		if body.APIRevision != api.Revision {
 			t.Errorf("%s: api_revision %q, want %q", path, body.APIRevision, api.Revision)
 		}
-		if body.APIRevision != "v1.9" {
-			t.Errorf("%s: api_revision %q, want v1.9", path, body.APIRevision)
-		}
-		wantEngines := []string{d2m.EngineScalar, d2m.EngineVector}
-		if !reflect.DeepEqual(body.Engines, wantEngines) {
-			t.Errorf("%s: engines %v, want %v", path, body.Engines, wantEngines)
+		if body.APIRevision != "v1.10" {
+			t.Errorf("%s: api_revision %q, want v1.10", path, body.APIRevision)
 		}
 		if body.MaxLanes < 2 {
 			t.Errorf("%s: max_lanes = %d, want >= 2", path, body.MaxLanes)

@@ -48,11 +48,6 @@ type SweepRequest struct {
 	// decorrelated seeds; each cell's Result is then the mean
 	// projection of its aggregate. Same bounds as the run endpoint.
 	Replicates int `json:"replicates,omitempty"`
-	// Engine is the execution-path hint applied to every cell: "" or
-	// "auto" (the feeder chunks same-warm-identity cells into vector
-	// lane groups when the engine supports them), "scalar" (every cell
-	// runs alone), or "vector". Results are byte-identical either way.
-	Engine string `json:"engine,omitempty"`
 }
 
 // SweepState is a sweep's position in its lifecycle.
@@ -220,11 +215,7 @@ func expandSweep(req SweepRequest) ([]d2m.SweepCell, d2m.Kind, CellSpec, error) 
 	if err != nil {
 		return nil, 0, CellSpec{}, err
 	}
-	engine, err := api.NormalizeEngine(req.Engine)
-	if err != nil {
-		return nil, 0, CellSpec{}, err
-	}
-	return cells, baseline, CellSpec{Replicates: reps, Engine: engine, TimeoutMS: req.TimeoutMS}, nil
+	return cells, baseline, CellSpec{Replicates: reps, TimeoutMS: req.TimeoutMS}, nil
 }
 
 func (f *front) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
@@ -480,9 +471,8 @@ func (s *Server) RunCells(ctx context.Context, tenant string, cells []d2m.SweepC
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	maxChunk := min(s.sched.MaxLanes(), s.cfg.QueueDepth)
-	if spec.Replicates >= 2 || spec.Engine == d2m.EngineScalar {
-		// A replicated cell already enters as a group of seed runs; a
-		// scalar hint opts the whole sweep out of grouping.
+	if spec.Replicates >= 2 {
+		// A replicated cell already enters as a group of seed runs.
 		maxChunk = 1
 	}
 	var (
@@ -510,7 +500,6 @@ func (s *Server) RunCells(ctx context.Context, tenant string, cells []d2m.SweepC
 				Benchmark:  cell.Benchmark,
 				Options:    cell.Options,
 				Replicates: spec.Replicates,
-				Engine:     spec.Engine,
 				Priority:   sched.Bulk,
 				Tenant:     tenant,
 				Timeout:    time.Duration(spec.TimeoutMS) * time.Millisecond,
@@ -609,12 +598,16 @@ func (f *front) finalizeSweep(sw *sweep) {
 	f.metrics.SweepsActive.Add(-1)
 }
 
+// maxSweeps bounds the settled-sweep history kept for
+// GET /v1/sweeps/{id}.
+const maxSweeps = 256
+
 // retireSweep bounds the sweep history: beyond maxSweeps settled
 // sweeps, the oldest vanish from GET /v1/sweeps/{id}.
 func (f *front) retireSweep(sw *sweep) {
 	f.mu.Lock()
 	f.sweepRetired = append(f.sweepRetired, sw.id)
-	for len(f.sweepRetired) > f.maxSweeps {
+	for len(f.sweepRetired) > maxSweeps {
 		delete(f.sweeps, f.sweepRetired[0])
 		f.sweepRetired = f.sweepRetired[1:]
 	}

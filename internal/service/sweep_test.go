@@ -583,7 +583,7 @@ func TestSweepSpecTimeout(t *testing.T) {
 // retiring fails here whenever it reaches close(doneCh) within the
 // grace period; a correct one can never fail.
 func TestFinalizeSweepRetiresFirst(t *testing.T) {
-	f := newFront(nil, &Metrics{}, 1, 1)
+	f := newFront(nil, &Metrics{}, 1)
 	defer f.baseCancel()
 	mk := func(id string) *sweep {
 		sw := &sweep{id: id, doneCh: make(chan struct{}), eventsCh: make(chan struct{}), state: SweepRunning}
@@ -591,8 +591,12 @@ func TestFinalizeSweepRetiresFirst(t *testing.T) {
 		f.sweeps[id] = sw
 		return sw
 	}
+	// A full history whose oldest sweep is s1: s2 settling retires it.
 	mk("s1")
-	f.sweepRetired = []string{"s1"}
+	f.sweepRetired = append(f.sweepRetired, "s1")
+	for len(f.sweepRetired) < maxSweeps {
+		f.sweepRetired = append(f.sweepRetired, "unlisted")
+	}
 	sw := mk("s2")
 
 	f.mu.Lock()

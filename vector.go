@@ -22,7 +22,7 @@ import (
 // the results are byte-identical, enforced by the lane differential
 // tests.
 
-// Engine names for RunOutput.Engine and the service's engine hints.
+// Engine names for RunOutput.Engine and the service's job statuses.
 const (
 	// EngineScalar is the one-run-at-a-time path (Run).
 	EngineScalar = "scalar"
