@@ -26,7 +26,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/golden/results.json")
+var updateGolden = flag.Bool("update", false, "regenerate the committed digests under testdata/")
 
 const goldenPath = "testdata/golden/results.json"
 
