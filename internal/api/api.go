@@ -10,6 +10,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -20,7 +21,7 @@ import (
 // Revision is the wire API revision served by shards and gateway alike,
 // reported by GET /v1/capabilities. Gateways refuse to route to shards
 // whose revision differs.
-const Revision = "v1.10"
+const Revision = "v1.11"
 
 // KindNames is the single source of truth for the kind list every
 // transport advertises: the capabilities document, the gateway's peer
@@ -53,7 +54,8 @@ type RunRequest struct {
 	Replicates int `json:"replicates,omitempty"`
 
 	// TimeoutMS caps this job's total lifetime (queue wait + run) in
-	// milliseconds. Zero takes the server's default deadline.
+	// milliseconds. Zero takes the server's default deadline; negative
+	// values are rejected (see NormalizeTimeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Async makes POST /v1/run return 202 with the job id immediately;
 	// the result is collected via GET /v1/jobs/{id}.
@@ -107,7 +109,26 @@ func (r RunRequest) Normalize() (d2m.Kind, string, d2m.Options, int, time.Durati
 	if err := d2m.CheckBenchmark(r.Benchmark, opt); err != nil {
 		return fail(Errorf(ErrInvalidRequest, "%v", err))
 	}
-	return kind, r.Benchmark, opt, reps, time.Duration(r.TimeoutMS) * time.Millisecond, nil
+	timeout, err := NormalizeTimeout(r.TimeoutMS)
+	if err != nil {
+		return fail(err)
+	}
+	return kind, r.Benchmark, opt, reps, timeout, nil
+}
+
+// maxTimeoutMS is the largest timeout_ms whose duration fits a
+// time.Duration.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// NormalizeTimeout converts a requested timeout_ms to the job's own
+// deadline; zero takes the server's default. A negative value, which
+// would otherwise escape that default, and one whose duration
+// overflows are rejected.
+func NormalizeTimeout(ms int64) (time.Duration, error) {
+	if ms < 0 || ms > maxTimeoutMS {
+		return 0, Errorf(ErrInvalidRequest, "timeout_ms = %d is outside 0..%d", ms, maxTimeoutMS)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // NormalizeReplicates canonicalizes a requested replicate count: 0 and

@@ -65,7 +65,9 @@ func (s *System) Access(a mem.Access) Result {
 			*l1.dirtyAt(set, way) = true
 		}
 		s.hitMiss(a, true)
-		s.oracle(a, line)
+		if s.debug {
+			s.oracle(a, line)
+		}
 		return Result{Latency: lat, L1Hit: true}
 	}
 
@@ -89,7 +91,9 @@ func (s *System) Access(a mem.Access) Result {
 			s.hitMiss(a, false)
 			s.st.MissCount++
 			s.st.MissLatencySum += lat
-			s.oracle(a, line)
+			if s.debug {
+				s.oracle(a, line)
+			}
 			return Result{Latency: lat, L1Hit: false}
 		}
 	}
@@ -98,7 +102,9 @@ func (s *System) Access(a mem.Access) Result {
 	s.hitMiss(a, false)
 	s.st.MissCount++
 	s.st.MissLatencySum += lat
-	s.oracle(a, line)
+	if s.debug {
+		s.oracle(a, line)
+	}
 	return Result{Latency: lat, L1Hit: false}
 }
 
@@ -459,7 +465,8 @@ func (s *System) evictLLCVictim(set int) int {
 }
 
 // oracle verifies (under the coherence debug mode) that the access
-// observed the latest write. The inclusive LLC funnels all cached data,
+// observed the latest write. It is not inlined, so the per-access call
+// sites test s.debug themselves and pay no call when debugging is off. The inclusive LLC funnels all cached data,
 // so one version per line suffices: it lives in verLine while the line
 // is cached and in verMem otherwise.
 func (s *System) oracle(a mem.Access, line mem.LineAddr) {

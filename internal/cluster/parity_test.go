@@ -127,6 +127,10 @@ func TestGatewayParity(t *testing.T) {
 		{name: "run unknown benchmark", method: "POST", path: "/v1/run", body: `{"kind":"d2m-ns-r","benchmark":"nope"}`},
 		{name: "batch unknown benchmark", method: "POST", path: "/v1/batch", body: `{"runs":[{"kind":"d2m-ns-r","benchmark":"nope"}]}`},
 		{name: "sweep unknown benchmark", method: "POST", path: "/v1/sweeps", body: `{"kinds":["d2m-ns-r"],"benchmarks":["nope"]}`},
+		{name: "run negative timeout", method: "POST", path: "/v1/run", body: `{"kind":"d2m-ns-r","benchmark":"tpc-c","timeout_ms":-1}`},
+		{name: "batch negative timeout", method: "POST", path: "/v1/batch", body: `{"runs":[{"kind":"d2m-ns-r","benchmark":"tpc-c","timeout_ms":-1}]}`},
+		{name: "sweep negative timeout", method: "POST", path: "/v1/sweeps", body: `{"kinds":["d2m-ns-r"],"benchmarks":["tpc-c"],"timeout_ms":-1}`},
+		{name: "run overflowing timeout", method: "POST", path: "/v1/run", body: `{"kind":"d2m-ns-r","benchmark":"tpc-c","timeout_ms":9223372036855}`},
 		{name: "batch async", method: "POST", path: "/v1/batch", body: `{"runs":[{"kind":"d2m-ns-r","benchmark":"tpc-c","async":true}]}`},
 		{name: "batch of 257", method: "POST", path: "/v1/batch", body: `{"runs":[` + strings.Join(many, ",") + `]}`},
 		{name: "batch empty", method: "POST", path: "/v1/batch", body: `{"runs":[]}`},

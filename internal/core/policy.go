@@ -12,6 +12,8 @@ package core
 // slice; data is replicated when it is read from the MRU position of a
 // remote slice.
 
+import "d2m/internal/mem"
+
 // PlacementPolicy selects where a node allocates NS-LLC victim space.
 type PlacementPolicy int
 
@@ -92,11 +94,15 @@ func (s *System) chooseSlice(n int) int {
 	if minNode == -1 || local <= minOther {
 		return n
 	}
-	if s.rng.Bool(0.8) {
+	if s.rng.Hit(stayLocal) {
 		return n
 	}
 	return minNode
 }
+
+// stayLocal is the chance a node under higher pressure than every other
+// slice still allocates locally.
+var stayLocal = mem.ChanceOf(0.8)
 
 // allocRP returns the Replacement Pointer assigned to a master line
 // installed in node n: a victim location in the LLC whose slice is chosen

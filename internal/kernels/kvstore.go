@@ -49,16 +49,17 @@ func (k KVStore) stream(node, nodes int) trace.Stream {
 	// store's behaviour is statistical by nature (unlike the loop-nest
 	// kernels), but reproducible per (node, seed).
 	rng := mem.NewRNG(0x6b76_0000 + uint64(node))
+	hot, get := mem.ChanceOf(0.9), mem.ChanceOf(k.GetFrac)
 	logSeq := 0
 	return newEmitter(node, 5, 20, func(e *emitter) {
 		var key int
-		if rng.Bool(0.9) {
+		if rng.Hit(hot) {
 			key = rng.Intn(k.HotKeys)
 		} else {
 			key = k.HotKeys + rng.Intn(k.Keys-k.HotKeys)
 		}
 		slot := table + mem.Addr(hashKey(uint64(key))%uint64(k.Keys))*64
-		if rng.Bool(k.GetFrac) {
+		if rng.Hit(get) {
 			e.load(slot)     // header + key compare
 			e.load(slot + 8) // value
 			return

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -180,6 +181,40 @@ func TestRNGBoolProbability(t *testing.T) {
 	}
 	if hits < 1500 || hits > 2500 {
 		t.Errorf("Bool(0.2) hit %d/10000 times", hits)
+	}
+}
+
+// TestChanceMatchesFloatCompare checks the integer probability rule
+// against the float one it replaced: for every p, Hit(ChanceOf(p))
+// decides every draw exactly as Float64() < p does, over a million
+// draws and at the chance's boundary draws.
+func TestChanceMatchesFloatCompare(t *testing.T) {
+	ps := []float64{0, math.SmallestNonzeroFloat64, 1e-9, 1.0 / 3, 0.5,
+		1 - 0x1p-53, 1, 1.5, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	pr := NewRNG(99)
+	for i := 0; i < 10; i++ {
+		ps = append(ps, pr.Float64())
+	}
+	for _, p := range ps {
+		c := ChanceOf(p)
+		if (c != 0) != (p > 0) {
+			t.Errorf("ChanceOf(%v) = %d: zero must mean p <= 0", p, c)
+		}
+		// The draws k/2^53 on either side of the chance.
+		for _, k := range []uint64{uint64(c) - 1, uint64(c), uint64(c) + 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if want, got := float64(k)/(1<<53) < p, k < uint64(c); got != want {
+				t.Errorf("p = %v, draw %d/2^53: chance %d says %v, float compare %v", p, k, c, got, want)
+			}
+		}
+		ref, r := NewRNG(5), NewRNG(5)
+		for i := 0; i < 1<<20; i++ {
+			if want, got := ref.Float64() < p, r.Hit(c); got != want {
+				t.Fatalf("p = %v, draw %d: Hit = %v, Float64() < p = %v", p, i, got, want)
+			}
+		}
 	}
 }
 

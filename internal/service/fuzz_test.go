@@ -132,6 +132,9 @@ func FuzzRunRequest(f *testing.F) {
 		if err := d2m.CheckBenchmark(run.Bench, run.Options); err != nil {
 			t.Fatalf("run accepted with a benchmark its options cannot run: %v", err)
 		}
+		if run.Timeout < 0 {
+			t.Fatalf("run accepted with a negative timeout %v", run.Timeout)
+		}
 		body, err := json.Marshal(run.Req)
 		if err != nil {
 			t.Fatal(err)

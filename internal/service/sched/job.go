@@ -90,7 +90,7 @@ type Submission struct {
 	// from different tenants still coalesces.
 	Tenant string
 	// Timeout caps the job's total lifetime (queue wait + run). Zero
-	// takes the scheduler's default; negative means no deadline.
+	// takes the scheduler's default; negative is rejected.
 	Timeout time.Duration
 	// Detached marks a job that outlives its submitting request (async
 	// submissions): it is never cancelled by its waiters disconnecting.
@@ -106,6 +106,9 @@ func (sub Submission) validate() error {
 	}
 	if sub.Priority < 0 || sub.Priority >= NumPriorities {
 		return fmt.Errorf("sched: unknown priority %d", sub.Priority)
+	}
+	if sub.Timeout < 0 {
+		return fmt.Errorf("sched: negative timeout %v", sub.Timeout)
 	}
 	return nil
 }

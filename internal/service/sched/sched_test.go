@@ -66,7 +66,8 @@ func TestSubmitValidates(t *testing.T) {
 	s := newTestSched(t, Config{Workers: 1}, nil)
 	for _, bad := range []Submission{
 		{Kind: d2m.Base2L}, // no benchmark
-		{Kind: d2m.Base2L, Benchmark: "tpc-c", Priority: Priority(9)}, // unknown class
+		{Kind: d2m.Base2L, Benchmark: "tpc-c", Priority: Priority(9)},      // unknown class
+		{Kind: d2m.Base2L, Benchmark: "tpc-c", Timeout: -time.Millisecond}, // would escape the default
 	} {
 		if _, err := s.Submit(bad); err == nil {
 			t.Errorf("Submit(%+v) accepted, want validation error", bad)

@@ -356,6 +356,50 @@ func TestDeadlineCancelFreesWorker(t *testing.T) {
 	}
 }
 
+// TestTimeoutBounds checks that a request cannot escape the server's
+// default deadline: a negative timeout_ms, which the scheduler would
+// read as "no deadline", and one whose duration overflows are 400s on
+// run, batch and sweeps, while the default still cancels a slow job.
+func TestTimeoutBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Workers:        1,
+		DefaultTimeout: 50 * time.Millisecond,
+		Runner: func(ctx context.Context, kind d2m.Kind, bench string, opt d2m.Options) (d2m.Result, error) {
+			select {
+			case <-ctx.Done():
+				return d2m.Result{}, ctx.Err()
+			case <-time.After(300 * time.Millisecond):
+				return stubResult(kind, bench, opt), nil
+			}
+		},
+	})
+	code, st, _ := postRun(t, ts, `{"kind":"base-3l","benchmark":"tpc-c"}`)
+	if code != http.StatusGatewayTimeout || st.State != api.JobCanceled {
+		t.Fatalf("default deadline: code %d state %s, want 504/canceled", code, st.State)
+	}
+	for _, ms := range []string{"-1", "9223372036855"} {
+		for path, body := range map[string]string{
+			"/v1/run":    `{"kind":"base-3l","benchmark":"tpc-c","timeout_ms":` + ms + `}`,
+			"/v1/batch":  `{"runs":[{"kind":"base-3l","benchmark":"tpc-c","timeout_ms":` + ms + `}]}`,
+			"/v1/sweeps": `{"kinds":["base-3l"],"benchmarks":["tpc-c"],"timeout_ms":` + ms + `}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb api.ErrorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != api.ErrInvalidRequest {
+				t.Errorf("%s timeout_ms %s: code %d %q, want 400 %q", path, ms, resp.StatusCode, eb.Error.Code, api.ErrInvalidRequest)
+			}
+		}
+	}
+}
+
 // TestClientDisconnectCancels checks that when the only waiting client
 // goes away, the job's context is cancelled and the simulation stops.
 func TestClientDisconnectCancels(t *testing.T) {
@@ -514,6 +558,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative measure", `{"kind":"d2m-fs","benchmark":"tpc-c","measure":-5}`, api.ErrInvalidRequest},
 		{"negative replicates", `{"kind":"d2m-fs","benchmark":"tpc-c","replicates":-1}`, api.ErrInvalidRequest},
 		{"excessive replicates", `{"kind":"d2m-fs","benchmark":"tpc-c","replicates":65}`, api.ErrInvalidRequest},
+		{"negative timeout", `{"kind":"d2m-fs","benchmark":"tpc-c","timeout_ms":-1}`, api.ErrInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -713,8 +758,8 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 		if body.APIRevision != api.Revision {
 			t.Errorf("%s: api_revision %q, want %q", path, body.APIRevision, api.Revision)
 		}
-		if body.APIRevision != "v1.10" {
-			t.Errorf("%s: api_revision %q, want v1.10", path, body.APIRevision)
+		if body.APIRevision != "v1.11" {
+			t.Errorf("%s: api_revision %q, want v1.11", path, body.APIRevision)
 		}
 		if body.MaxLanes < 2 {
 			t.Errorf("%s: max_lanes = %d, want >= 2", path, body.MaxLanes)

@@ -42,7 +42,8 @@ type SweepRequest struct {
 	// first kind.
 	Baseline string `json:"baseline,omitempty"`
 	// TimeoutMS caps each cell's lifetime (queue wait + run) in
-	// milliseconds. Zero takes the server's default deadline.
+	// milliseconds. Zero takes the server's default deadline; same
+	// bounds as the run endpoint.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Replicates, when >= 2, runs every cell that many times with
 	// decorrelated seeds; each cell's Result is then the mean
@@ -213,6 +214,9 @@ func expandSweep(req SweepRequest) ([]d2m.SweepCell, d2m.Kind, CellSpec, error) 
 	}
 	reps, err := api.NormalizeReplicates(req.Replicates)
 	if err != nil {
+		return nil, 0, CellSpec{}, err
+	}
+	if _, err := api.NormalizeTimeout(req.TimeoutMS); err != nil {
 		return nil, 0, CellSpec{}, err
 	}
 	return cells, baseline, CellSpec{Replicates: reps, TimeoutMS: req.TimeoutMS}, nil

@@ -106,18 +106,49 @@ type Spec struct {
 	MigratoryFrac  float64
 }
 
+// chances is a Spec's probabilities pre-scaled for the generator's
+// integer draws (mem.Chance), one entry per probability field. Streams
+// derives it once; it is immutable and shared by every node's stream
+// and their clones.
+type chances struct {
+	hotJump, rejump, jump    mem.Chance
+	data, write, repeat      mem.Chance
+	hotData, warm            mem.Chance
+	shared, sharedHot        mem.Chance
+	sharedWrite, stream, mig mem.Chance
+}
+
+func (sp *Spec) chances() *chances {
+	return &chances{
+		hotJump: mem.ChanceOf(sp.HotJumpFrac), rejump: mem.ChanceOf(sp.RejumpFrac),
+		jump: mem.ChanceOf(sp.JumpProb), data: mem.ChanceOf(sp.DataFrac),
+		write: mem.ChanceOf(sp.WriteFrac), repeat: mem.ChanceOf(sp.RepeatFrac),
+		hotData: mem.ChanceOf(sp.HotDataFrac), warm: mem.ChanceOf(sp.WarmFrac),
+		shared: mem.ChanceOf(sp.SharedFrac), sharedHot: mem.ChanceOf(sp.SharedHotFrac),
+		sharedWrite: mem.ChanceOf(sp.SharedWriteFrac), stream: mem.ChanceOf(sp.StreamFrac),
+		mig: mem.ChanceOf(sp.MigratoryFrac),
+	}
+}
+
 // stream generates one node's accesses for a Spec.
+//
+// The generator draws 3–6 random numbers per access. Its RNG state is a
+// plain value: Fill loads it once, threads it by value through every
+// helper that draws (each takes the state and returns the new one, see
+// mem.Step) and stores it once at the end, so the state stays in a
+// register instead of making a memory round trip around each draw.
 type stream struct {
 	spec *Spec
+	ch   *chances
 	node int
-	rng  *mem.RNG
+	rng  uint64 // xorshift64* state (mem.Step)
 
-	pc        mem.LineAddr
-	runLeft   int
-	targets   [2]mem.LineAddr // recent jump targets for re-jumps
-	lastData  mem.Access
-	lastWProb float64 // write probability of the last data line's pool
-	hasLast   bool
+	pc       mem.LineAddr
+	runLeft  int
+	targets  [2]mem.LineAddr // recent jump targets for re-jumps
+	lastData mem.Access
+	lastW    mem.Chance // write chance of the last data line's pool
+	hasLast  bool
 
 	streamPtr  mem.LineAddr
 	streamUses int
@@ -158,28 +189,40 @@ type regionCursor struct {
 	histPos int
 }
 
-// regionSwitchProb makes a cursor touch ~16 draws per region visit.
-const regionSwitchProb = 1.0 / 16
+var (
+	// regionSwitch makes a cursor touch ~16 draws per region visit.
+	regionSwitch = mem.ChanceOf(1.0 / 16)
+	// regionRevisit is the chance a region switch returns to a recently
+	// visited region instead of a fresh one.
+	regionRevisit = mem.ChanceOf(0.5)
+	// migratoryWrite is the store chance of a migratory access.
+	migratoryWrite = mem.ChanceOf(0.5)
+)
 
-// regionRevisitProb is the chance a region switch returns to a recently
-// visited region instead of a fresh one.
-const regionRevisitProb = 0.5
-
-func (c *regionCursor) pick(r *mem.RNG, base mem.Addr, bytes int) mem.Addr {
-	if !c.valid || r.Bool(regionSwitchProb) {
+// pick draws the cursor's next address from state s and returns the new
+// state with it.
+func (c *regionCursor) pick(s uint64, base mem.Addr, bytes int) (uint64, mem.Addr) {
+	move := !c.valid
+	if !move {
+		s, move = mem.StepHit(s, regionSwitch)
+	}
+	if move {
 		regions := bytes / mem.RegionBytes
 		if regions < 1 {
 			// Pools smaller than a region degrade to line picks.
-			span := bytes / mem.LineBytes
-			if span < 1 {
-				span = 1
-			}
-			return base + mem.Addr(r.Intn(span))*mem.LineBytes
+			return pickLine(s, base, bytes)
 		}
-		if c.hist > 0 && r.Bool(regionRevisitProb) {
-			c.region = c.history[r.Intn(c.hist)]
+		revisit := false
+		if c.hist > 0 {
+			s, revisit = mem.StepHit(s, regionRevisit)
+		}
+		var k int
+		if revisit {
+			s, k = mem.StepIntn(s, c.hist)
+			c.region = c.history[k]
 		} else {
-			c.region = (base + mem.Addr(r.Intn(regions))*mem.RegionBytes).Region()
+			s, k = mem.StepIntn(s, regions)
+			c.region = (base + mem.Addr(k)*mem.RegionBytes).Region()
 			c.history[c.histPos] = c.region
 			// Wraparound compare instead of modulo (hot-path divide).
 			c.histPos++
@@ -192,21 +235,30 @@ func (c *regionCursor) pick(r *mem.RNG, base mem.Addr, bytes int) mem.Addr {
 		}
 		c.valid = true
 	}
-	return c.region.Line(r.Intn(mem.LinesPerRegion)).Addr()
+	s, k := mem.StepIntn(s, mem.LinesPerRegion)
+	return s, c.region.Line(k).Addr()
+}
+
+// pickLine draws a uniformly random line of the pool at base.
+func pickLine(s uint64, base mem.Addr, bytes int) (uint64, mem.Addr) {
+	s, k := mem.StepIntn(s, max(bytes/mem.LineBytes, 1))
+	return s, base + mem.Addr(k)*mem.LineBytes
 }
 
 // Streams builds the per-node streams for a machine with the given node
 // count.
 func (sp *Spec) Streams(nodes int) []trace.Stream {
 	base := mem.NewRNG(sp.Seed ^ hashName(sp.Name))
+	ch := sp.chances()
 	out := make([]trace.Stream, nodes)
 	for i := 0; i < nodes; i++ {
 		st := &stream{
 			spec: sp,
+			ch:   ch,
 			node: i,
-			rng:  base.Fork(uint64(i) + 1),
+			rng:  base.Fork(uint64(i) + 1).State(),
 		}
-		st.pc = st.jumpTarget(true)
+		st.rng, st.pc = st.jumpTarget(st.rng, true)
 		st.targets = [2]mem.LineAddr{st.pc, st.pc}
 		st.streamPtr = st.streamStart()
 		out[i] = st
@@ -215,27 +267,33 @@ func (sp *Spec) Streams(nodes int) []trace.Stream {
 }
 
 // Clone implements trace.Cloner: the returned stream continues the
-// identical access sequence from the current position. Every cursor is
-// a value field, so a struct copy suffices; the RNG is duplicated at
-// its current position and spec is shared (immutable after Streams).
+// identical access sequence from the current position. Every cursor
+// and the RNG state are value fields, so a struct copy suffices; spec
+// and the chance table are shared (immutable after Streams).
 func (st *stream) Clone() trace.Stream {
 	cp := *st
-	cp.rng = st.rng.Clone()
 	return &cp
 }
 
-// Fill implements trace.BlockStream: a batched Next. The block path
-// exists so the interleaver and engine pay one dynamic dispatch per
-// block instead of one per access; the generated sequence is exactly
-// Next's — the loop below draws in the same order Next does (jump
-// decision, fetch, data decision, data draw), stashing a data access
-// that falls past the buffer into pending exactly as Next would leave
-// it. Generator streams are infinite and node-independent, so Fill
-// always fills the whole buffer and staging blocks per node is safe.
+// Next emits the node's next access: a Fill of one access, which
+// leaves a drawn data access pending exactly as a longer Fill would.
+func (st *stream) Next() mem.Access {
+	var buf [1]mem.Access
+	st.Fill(buf[:])
+	return buf[0]
+}
+
+// Fill implements trace.BlockStream. The block path exists so the
+// interleaver and engine pay one dynamic dispatch per block instead of
+// one per access. Each step draws in a fixed order (jump decision,
+// fetch, data decision, data draw); a data access that falls past the
+// buffer is stashed in pending and emitted first by the next call, so
+// the sequence does not depend on how it is split into blocks.
+// Generator streams are infinite and node-independent, so Fill always
+// fills the whole buffer and staging blocks per node is safe.
 func (st *stream) Fill(buf []mem.Access) int {
-	sp := st.spec
-	r := st.rng
-	node := st.node
+	ch := st.ch
+	s, node := st.rng, st.node
 	i := 0
 	if st.hasPending && len(buf) > 0 {
 		st.hasPending = false
@@ -244,19 +302,29 @@ func (st *stream) Fill(buf []mem.Access) int {
 	}
 	pc, runLeft := st.pc, st.runLeft
 	for i < len(buf) {
-		if runLeft <= 0 || r.Bool(sp.JumpProb) {
-			t := st.jumpTarget(false)
-			st.targets[r.Intn(2)] = t
+		jump := runLeft <= 0
+		if !jump {
+			s, jump = mem.StepHit(s, ch.jump)
+		}
+		if jump {
+			var t mem.LineAddr
+			var k int
+			s, t = st.jumpTarget(s, false)
+			s, k = mem.StepIntn(s, 2)
+			st.targets[k] = t
 			pc = t
-			runLeft = 2 + r.Intn(11)
+			s, runLeft = mem.StepIntn(s, 11)
+			runLeft += 2
 		}
 		buf[i] = mem.Access{Node: node, Addr: pc.Addr(), Kind: mem.IFetch}
 		i++
 		pc++
 		runLeft--
 
-		if r.Bool(sp.DataFrac) {
-			a := st.dataAccess()
+		var data bool
+		if s, data = mem.StepHit(s, ch.data); data {
+			var a mem.Access
+			s, a = st.dataAccess(s)
 			if i < len(buf) {
 				buf[i] = a
 				i++
@@ -266,6 +334,7 @@ func (st *stream) Fill(buf []mem.Access) int {
 			}
 		}
 	}
+	st.rng = s
 	st.pc, st.runLeft = pc, runLeft
 	return len(buf)
 }
@@ -286,163 +355,148 @@ func (st *stream) codeWindow() mem.Addr {
 	return codeBase + mem.Addr(st.node)*codeNodeSpan
 }
 
-// jumpTarget picks the next jump destination.
-func (st *stream) jumpTarget(forceHot bool) mem.LineAddr {
+// jumpTarget draws the next jump destination from state s and returns
+// the new state with it.
+func (st *stream) jumpTarget(s uint64, forceHot bool) (uint64, mem.LineAddr) {
 	sp := st.spec
-	if !forceHot && st.rng.Bool(sp.RejumpFrac) {
-		return st.targets[st.rng.Intn(2)]
+	var k int
+	if !forceHot {
+		var rejump bool
+		if s, rejump = mem.StepHit(s, st.ch.rejump); rejump {
+			s, k = mem.StepIntn(s, 2)
+			return s, st.targets[k]
+		}
+	}
+	hot := forceHot
+	if !hot {
+		s, hot = mem.StepHit(s, st.ch.hotJump)
 	}
 	span := sp.CodeBytes
-	if forceHot || st.rng.Bool(sp.HotJumpFrac) {
+	if hot {
 		span = sp.HotCodeBytes
 	}
 	if span < mem.LineBytes {
 		span = mem.LineBytes
 	}
-	return (st.codeWindow() + mem.Addr(st.rng.Intn(span/mem.LineBytes)*mem.LineBytes)).Line()
+	s, k = mem.StepIntn(s, span/mem.LineBytes)
+	return s, (st.codeWindow() + mem.Addr(k*mem.LineBytes)).Line()
 }
 
 func (st *stream) streamStart() mem.LineAddr {
 	return (mem.Addr(streamBase) + mem.Addr(st.node)*streamSpan).Line()
 }
 
-// Next emits the node's next access.
-func (st *stream) Next() mem.Access {
-	if st.hasPending {
-		st.hasPending = false
-		return st.pending
+// store draws from state s whether an access to a pool with write
+// chance w is a store, and returns the new state with the access kind.
+func store(s uint64, w mem.Chance) (uint64, mem.Kind) {
+	s, hit := mem.StepHit(s, w)
+	if hit {
+		return s, mem.Store
 	}
-	sp := st.spec
-	if st.runLeft <= 0 || st.rng.Bool(sp.JumpProb) {
-		t := st.jumpTarget(false)
-		st.targets[st.rng.Intn(2)] = t
-		st.pc = t
-		st.runLeft = 2 + st.rng.Intn(11)
-	}
-	fetch := mem.Access{Node: st.node, Addr: st.pc.Addr(), Kind: mem.IFetch}
-	st.pc++
-	st.runLeft--
-
-	if st.rng.Bool(sp.DataFrac) {
-		st.pending = st.dataAccess()
-		st.hasPending = true
-	}
-	return fetch
+	return s, mem.Load
 }
 
 // dataAccess draws one data reference from the Spec's mixture.
-func (st *stream) dataAccess() mem.Access {
-	sp := st.spec
-	r := st.rng
-
-	if st.hasLast && r.Bool(sp.RepeatFrac) {
-		// Reuse burst on the previous data line, drawing the write
-		// probability of the pool the line belongs to (a read-only
-		// pool must not see stores on repeats).
-		a := st.lastData
-		if r.Bool(st.lastWProb) {
-			a.Kind = mem.Store
-		} else {
-			a.Kind = mem.Load
+func (st *stream) dataAccess(s uint64) (uint64, mem.Access) {
+	if st.hasLast {
+		var repeat bool
+		if s, repeat = mem.StepHit(s, st.ch.repeat); repeat {
+			// Reuse burst on the previous data line, drawing the write
+			// chance of the pool the line belongs to (a read-only pool
+			// must not see stores on repeats).
+			a := st.lastData
+			s, a.Kind = store(s, st.lastW)
+			return s, a
 		}
-		return a
 	}
-
-	a := st.freshData()
+	s, a := st.freshData(s)
 	st.lastData = a
 	st.hasLast = true
-	return a
+	return s, a
 }
 
-func (st *stream) freshData() mem.Access {
-	sp := st.spec
-	r := st.rng
-	kind := mem.Load
+// freshData draws a data reference from one of the pools. A pool whose
+// share is zero takes no draw.
+func (st *stream) freshData(s uint64) (uint64, mem.Access) {
+	sp, ch := st.spec, st.ch
+	a := mem.Access{Node: st.node}
+	var hit bool
 
-	pick := func(base mem.Addr, bytes int) mem.Addr {
-		span := bytes / mem.LineBytes
-		if span < 1 {
-			span = 1
+	if ch.mig != 0 {
+		if s, hit = mem.StepHit(s, ch.mig); hit {
+			s, a.Kind = store(s, migratoryWrite)
+			st.lastW = migratoryWrite
+			s, a.Addr = pickLine(s, migratoryBase, sp.MigratoryLines*mem.LineBytes)
+			return s, a
 		}
-		return base + mem.Addr(r.Intn(span))*mem.LineBytes
 	}
 
-	switch {
-	case sp.MigratoryFrac > 0 && r.Bool(sp.MigratoryFrac):
-		if r.Bool(0.5) {
-			kind = mem.Store
-		}
-		st.lastWProb = 0.5
-		return mem.Access{Node: st.node, Addr: pick(migratoryBase, sp.MigratoryLines*mem.LineBytes), Kind: kind}
-
-	case sp.SharedFrac > 0 && r.Bool(sp.SharedFrac):
-		var addr mem.Addr
-		if r.Bool(sp.SharedHotFrac) {
-			addr = pick(sharedBase, sp.SharedHotBytes)
-		} else {
-			addr = st.shColdCur.pick(r, sharedBase+0x0100_0000, sp.SharedWS)
-		}
-		if r.Bool(sp.SharedWriteFrac) {
-			kind = mem.Store
-		}
-		st.lastWProb = sp.SharedWriteFrac
-		return mem.Access{Node: st.node, Addr: addr, Kind: kind}
-
-	case sp.StreamFrac > 0 && r.Bool(sp.StreamFrac):
-		reuse := sp.StreamReuse
-		if reuse < 1 {
-			reuse = 1
-		}
-		st.streamUses++
-		if st.streamUses >= reuse {
-			st.streamUses = 0
-			stride := sp.StrideLines
-			if stride < 1 {
-				stride = 1
-			}
-			if st.burstLeft > 0 {
-				// Continue the vector burst: the next consecutive line.
-				st.burstLeft--
-				st.streamPtr++
+	if ch.shared != 0 {
+		if s, hit = mem.StepHit(s, ch.shared); hit {
+			if s, hit = mem.StepHit(s, ch.sharedHot); hit {
+				s, a.Addr = pickLine(s, sharedBase, sp.SharedHotBytes)
 			} else {
-				st.streamPtr += mem.LineAddr(stride)
-				if sp.VectorLines > 1 {
-					st.burstLeft = sp.VectorLines - 1
+				s, a.Addr = st.shColdCur.pick(s, sharedBase+0x0100_0000, sp.SharedWS)
+			}
+			s, a.Kind = store(s, ch.sharedWrite)
+			st.lastW = ch.sharedWrite
+			return s, a
+		}
+	}
+
+	if ch.stream != 0 {
+		if s, hit = mem.StepHit(s, ch.stream); hit {
+			reuse := sp.StreamReuse
+			if reuse < 1 {
+				reuse = 1
+			}
+			st.streamUses++
+			if st.streamUses >= reuse {
+				st.streamUses = 0
+				stride := sp.StrideLines
+				if stride < 1 {
+					stride = 1
+				}
+				if st.burstLeft > 0 {
+					// Continue the vector burst: the next consecutive line.
+					st.burstLeft--
+					st.streamPtr++
+				} else {
+					st.streamPtr += mem.LineAddr(stride)
+					if sp.VectorLines > 1 {
+						st.burstLeft = sp.VectorLines - 1
+					}
+				}
+				limit := st.streamStart() + mem.LineAddr(max(sp.StreamBytes/mem.LineBytes, 1))
+				if st.streamPtr >= limit {
+					var k int
+					s, k = mem.StepIntn(s, stride)
+					st.streamPtr = st.streamStart() + mem.LineAddr(k)
+					st.burstLeft = 0
 				}
 			}
-			limit := st.streamStart() + mem.LineAddr(maxInt(sp.StreamBytes/mem.LineBytes, 1))
-			if st.streamPtr >= limit {
-				st.streamPtr = st.streamStart() + mem.LineAddr(r.Intn(stride))
-				st.burstLeft = 0
-			}
+			s, a.Kind = store(s, ch.write)
+			st.lastW = ch.write
+			a.Addr = st.streamPtr.Addr()
+			return s, a
 		}
-		if r.Bool(sp.WriteFrac) {
-			kind = mem.Store
-		}
-		st.lastWProb = sp.WriteFrac
-		return mem.Access{Node: st.node, Addr: st.streamPtr.Addr(), Kind: kind}
-
-	default:
-		base := mem.Addr(privateBase) + mem.Addr(st.node)*privateSpan
-		var addr mem.Addr
-		switch {
-		case st.rng.Bool(sp.HotDataFrac):
-			addr = pick(base, sp.HotDataBytes)
-		case st.rng.Bool(sp.WarmFrac):
-			off := mem.Addr(0x0100_0000)
-			if sp.WarmStrideLines > 1 {
-				off = 0x0800_0000 // strided pools span far more address space
-			}
-			addr = st.warmWalk(base + off)
-		default:
-			addr = st.coldCur.pick(r, base+0x0200_0000, sp.PrivateWS)
-		}
-		if r.Bool(sp.WriteFrac) {
-			kind = mem.Store
-		}
-		st.lastWProb = sp.WriteFrac
-		return mem.Access{Node: st.node, Addr: addr, Kind: kind}
 	}
+
+	base := mem.Addr(privateBase) + mem.Addr(st.node)*privateSpan
+	if s, hit = mem.StepHit(s, ch.hotData); hit {
+		s, a.Addr = pickLine(s, base, sp.HotDataBytes)
+	} else if s, hit = mem.StepHit(s, ch.warm); hit {
+		off := mem.Addr(0x0100_0000)
+		if sp.WarmStrideLines > 1 {
+			off = 0x0800_0000 // strided pools span far more address space
+		}
+		a.Addr = st.warmWalk(base + off)
+	} else {
+		s, a.Addr = st.coldCur.pick(s, base+0x0200_0000, sp.PrivateWS)
+	}
+	s, a.Kind = store(s, ch.write)
+	st.lastW = ch.write
+	return s, a
 }
 
 // warmWalk advances the cyclic warm-pool walk: warmReuse accesses per
@@ -470,10 +524,3 @@ func (st *stream) warmWalk(base mem.Addr) mem.Addr {
 // warmReuse is the number of consecutive accesses to each warm line
 // (line-level reuse is supplied by the RepeatFrac burst mechanism).
 const warmReuse = 1
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"sync"
 	"testing"
 
 	"d2m/internal/mem"
@@ -55,6 +56,38 @@ func TestStreamsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentClones clones one stream from several goroutines and
+// fills each clone, the way concurrent warm restores clone a published
+// snapshot's stream: every clone must read the same continuation, and
+// under -race the shared spec and chance table must be read-only.
+func TestConcurrentClones(t *testing.T) {
+	sp, _ := ByName("tpc-c")
+	src := sp.Streams(2)[1].(*stream)
+	src.Fill(make([]mem.Access, 1001)) // mid-stream, maybe a pending access
+	want := make([]mem.Access, 4096)
+	src.Clone().(*stream).Fill(want)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]mem.Access, len(want))
+			c := src.Clone().(*stream)
+			for i := 0; i < len(got); i += 37 {
+				c.Fill(got[i:min(i+37, len(got))])
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("clone access %d = %v, want %v", i, got[i], want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStreamsDisjointPrivateData(t *testing.T) {
