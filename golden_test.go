@@ -19,9 +19,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -73,14 +75,19 @@ type goldenSource struct {
 }
 
 // runGolden runs the source's spec for one kind and option set in one
-// mode.
-func runGolden(ctx context.Context, spec RunSpec, mode string) (Result, error) {
+// mode. It returns the Result the digest pins and every single-run
+// Result the mode produced on the way: the warm mode's capture run, the
+// group's three lanes, the replicated mode's seed runs.
+func runGolden(ctx context.Context, spec RunSpec, mode string) (Result, []Result, error) {
 	switch mode {
 	case modeWarm:
 		spec.Warm = newMapWarmCache()
-		if _, err := Run(ctx, spec); err != nil {
-			return Result{}, err
+		first, err := Run(ctx, spec)
+		if err != nil {
+			return Result{}, nil, err
 		}
+		out, err := Run(ctx, spec)
+		return out.Result, []Result{first.Result, out.Result}, err
 	case modeGroup:
 		opt := spec.Options
 		lanes := make([]GroupLane, 3)
@@ -91,20 +98,31 @@ func runGolden(ctx context.Context, spec RunSpec, mode string) (Result, error) {
 		}
 		outs, err := RunGroup(ctx, lanes)
 		if err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
-		return outs[1].Output.Result, outs[1].Err
+		var runs []Result
+		for _, o := range outs {
+			if o.Err != nil {
+				return Result{}, nil, o.Err
+			}
+			runs = append(runs, o.Output.Result)
+		}
+		return runs[1], runs, nil
 	case modeRep:
 		p := ReplicatePlan(spec.Kind, spec.Benchmark, spec.Options, 3)
 		results, err := RunCells(ctx, p.Cells)
 		if err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		agg, err := p.Project(results)
-		return agg.MeanResult(results[p.Cells[0].Key()]), err
+		var runs []Result
+		for _, c := range p.Cells {
+			runs = append(runs, results[c.Key()])
+		}
+		return agg.MeanResult(results[p.Cells[0].Key()]), runs, err
 	}
 	out, err := Run(ctx, spec)
-	return out.Result, err
+	return out.Result, []Result{out.Result}, err
 }
 
 func goldenSources(traceBench string) []goldenSource {
@@ -128,15 +146,41 @@ func goldenDigest(r Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func TestGolden(t *testing.T) {
+// goldenRun is one golden case's outcome: the Result its digest pins
+// and the single-run Results behind it.
+type goldenRun struct {
+	kind Kind
+	res  Result
+	runs []Result
+	err  error
+}
+
+var (
+	goldenOnce  sync.Once
+	goldenCases map[string]goldenRun
+)
+
+// goldenResults runs every golden case once per test binary, so that
+// TestGolden and TestGoldenAccounting read the same runs.
+func goldenResults(t *testing.T) map[string]goldenRun {
+	goldenOnce.Do(func() { goldenCases = runGoldenCases(t) })
+	if goldenCases == nil {
+		t.Fatal("the golden cases could not be set up")
+	}
+	return goldenCases
+}
+
+func runGoldenCases(t *testing.T) map[string]goldenRun {
 	setTraceLib(t)
 	var enc bytes.Buffer
 	if _, err := RecordTrace("tpc-c", goldenBase.Nodes, 6000, &enc); err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	info, err := ImportTrace(&enc, "golden-tpc-c")
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 
 	type job struct {
@@ -159,7 +203,7 @@ func TestGolden(t *testing.T) {
 		}
 	}
 
-	got := make(map[string]string, len(jobs))
+	got := make(map[string]goldenRun, len(jobs))
 	var mu sync.Mutex
 	ch := make(chan job)
 	var wg sync.WaitGroup
@@ -168,13 +212,9 @@ func TestGolden(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				res, err := runGolden(context.Background(), j.spec, j.mode)
+				res, runs, err := runGolden(context.Background(), j.spec, j.mode)
 				mu.Lock()
-				if err != nil {
-					t.Errorf("%s: %v", j.name, err)
-				} else {
-					got[j.name] = goldenDigest(res)
-				}
+				got[j.name] = goldenRun{j.spec.Kind, res, runs, err}
 				mu.Unlock()
 			}
 		}()
@@ -184,6 +224,18 @@ func TestGolden(t *testing.T) {
 	}
 	close(ch)
 	wg.Wait()
+	return got
+}
+
+func TestGolden(t *testing.T) {
+	got := make(map[string]string)
+	for name, c := range goldenResults(t) {
+		if c.err != nil {
+			t.Errorf("%s: %v", name, c.err)
+		} else {
+			got[name] = goldenDigest(c.res)
+		}
+	}
 	if t.Failed() {
 		return
 	}
@@ -225,4 +277,73 @@ func TestGolden(t *testing.T) {
 	if !bytes.Equal(data, want) && !t.Failed() {
 		t.Error("golden file is not in canonical form; regenerate it with -update")
 	}
+}
+
+// TestGoldenAccounting checks accounting identities on every
+// single-run Result behind the golden cases: the metrics are
+// projections of one counter set, so they must agree with each other
+// whatever the kind, source, option set or run mode.
+func TestGoldenAccounting(t *testing.T) {
+	cases := goldenResults(t)
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		c := cases[name]
+		if c.err != nil {
+			t.Errorf("%s: %v", name, c.err)
+			continue
+		}
+		mech, err := mechFor(c.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range c.runs {
+			for _, msg := range accountingViolations(r, mech.Baseline) {
+				t.Errorf("%s run %d: %s", name, i, msg)
+			}
+		}
+	}
+}
+
+// accountingViolations lists the identities r breaks. A baseline Result
+// must also leave every D2M-only metric at zero, and a D2M Result every
+// baseline-only one: both families count into one counter set, and a
+// family's zeros are what keep the other's fields exact.
+func accountingViolations(r Result, baseline bool) []string {
+	var bad []string
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			bad = append(bad, fmt.Sprintf(format, args...))
+		}
+	}
+	check(r.Cycles == slices.Max(r.NodeCycles), "Cycles %d != max NodeCycles %d", r.Cycles, slices.Max(r.NodeCycles))
+	check(r.D2MMessages <= r.Messages, "D2MMessages %d > Messages %d", r.D2MMessages, r.Messages)
+	check(r.DataBytes <= r.Bytes, "DataBytes %d > Bytes %d", r.DataBytes, r.Bytes)
+	dynamic := 0.0
+	for _, pj := range r.EnergyByOp {
+		dynamic += pj
+	}
+	check(dynamic <= r.EnergyPJ*(1+1e-9), "sum of EnergyByOp %g > EnergyPJ %g", dynamic, r.EnergyPJ)
+	// applyBandwidth stretches Cycles but not EDP, which keeps the
+	// unstretched delay, so the identity holds only where nothing was
+	// stretched.
+	if !r.BandwidthBound {
+		check(r.EDP == r.EnergyPJ*float64(r.Cycles), "EDP %g != EnergyPJ*Cycles %g", r.EDP, r.EnergyPJ*float64(r.Cycles))
+	}
+	if baseline {
+		check(r.D2MMessages == 0 && r.MD3Lookups == 0 && r.MD2Accesses == 0,
+			"baseline D2M traffic/metadata %d/%d/%d, want 0", r.D2MMessages, r.MD3Lookups, r.MD2Accesses)
+		check(r.Events == PKMO{}, "baseline PKMO events %+v, want zero", r.Events)
+		check(r.PredSpeculations == 0 && r.PredHits == 0 && r.PredMispredicts == 0 && r.PredCyclesSaved == 0 && r.Repartitions == 0,
+			"baseline predictor/repartition counters set")
+		check(r.MD1HitFrac == 0 && r.PrivateMissFrac == 0 && r.DirectMissFrac == 0,
+			"baseline MD1HitFrac/PrivateMissFrac/DirectMissFrac %g/%g/%g, want 0", r.MD1HitFrac, r.PrivateMissFrac, r.DirectMissFrac)
+	} else {
+		check(r.DirLookups == 0 && r.L2TagAccesses == 0,
+			"D2M DirLookups/L2TagAccesses %d/%d, want 0", r.DirLookups, r.L2TagAccesses)
+	}
+	return bad
 }

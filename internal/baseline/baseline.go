@@ -69,63 +69,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// Stats are the counters a baseline system accumulates; field meanings
-// mirror the core package's Stats where the concepts overlap.
-type Stats struct {
-	Accesses uint64
-	Instr    uint64
-	Reads    uint64
-	Writes   uint64
-
-	L1IHits   uint64
-	L1IMisses uint64
-	L1DHits   uint64
-	L1DMisses uint64
-	L2Hits    uint64
-
-	TLBMisses  uint64
-	TLB2Misses uint64
-
-	LLCHits    uint64
-	LLCMisses  uint64
-	DirLookups uint64
-	InvRecv    uint64 // invalidations received by nodes (incl. stale-sharer ones)
-	BackInv    uint64 // inclusion-victim back-invalidations
-	Upgrades   uint64
-	Fwd        uint64 // dirty/exclusive forwards from an owner node
-
-	DRAMReads  uint64
-	DRAMWrites uint64
-
-	MissLatencySum uint64
-	MissCount      uint64
-}
-
-// MissRatioI returns the L1-I miss ratio.
-func (s *Stats) MissRatioI() float64 {
-	return ratio(s.L1IMisses, s.L1IHits+s.L1IMisses)
-}
-
-// MissRatioD returns the L1-D miss ratio.
-func (s *Stats) MissRatioD() float64 {
-	return ratio(s.L1DMisses, s.L1DHits+s.L1DMisses)
-}
-
-// L2HitRatio returns hits in the private L2 over all L2 lookups (the
-// "(L2 hits)" column of Table IV for Base-3L).
-func (s *Stats) L2HitRatio() float64 {
-	return ratio(s.L2Hits, s.L2Hits+s.LLCHits+s.LLCMisses)
-}
-
-// AvgMissLatency returns the average L1 miss latency in cycles.
-func (s *Stats) AvgMissLatency() float64 {
-	return ratio(s.MissLatencySum, s.MissCount)
-}
-
-func ratio(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"d2m/internal/core"
 	"d2m/internal/mem"
 )
 
@@ -221,7 +222,7 @@ func TestRandomMigratory(t *testing.T) {
 }
 
 func TestStatsAccessors(t *testing.T) {
-	st := Stats{
+	st := core.Stats{
 		L1IHits: 90, L1IMisses: 10,
 		L1DHits: 60, L1DMisses: 40,
 		L2Hits: 30, LLCHits: 50, LLCMisses: 20,
@@ -236,7 +237,7 @@ func TestStatsAccessors(t *testing.T) {
 	if st.AvgMissLatency() != 20 {
 		t.Error("avg miss latency wrong")
 	}
-	var zero Stats
+	var zero core.Stats
 	if zero.MissRatioI() != 0 || zero.L2HitRatio() != 0 || zero.AvgMissLatency() != 0 {
 		t.Error("zero stats not zero")
 	}

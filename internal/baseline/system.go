@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"d2m/internal/cache"
+	"d2m/internal/core"
 	"d2m/internal/energy"
 	"d2m/internal/mem"
 	"d2m/internal/noc"
@@ -102,7 +103,7 @@ type System struct {
 
 	fab   *noc.Fabric
 	meter *energy.Meter
-	st    Stats
+	st    core.Stats
 
 	// Coherence oracle, mirroring the core package's.
 	verMem    map[mem.LineAddr]uint64
@@ -153,13 +154,14 @@ func NewSystem(cfg Config, coherenceDebug bool) *System {
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Stats returns the accumulated counters.
-func (s *System) Stats() *Stats { return &s.st }
+// Stats returns the accumulated counters: the core package's one
+// counter set, of which a baseline counts the tagged-hierarchy events.
+func (s *System) Stats() *core.Stats { return &s.st }
 
 // ResetMeasurement zeroes every statistic, traffic and dynamic-energy
 // counter while keeping all cache state — the warmup boundary.
 func (s *System) ResetMeasurement() {
-	s.st = Stats{}
+	s.st = core.Stats{}
 	s.fab.Reset()
 	s.meter.ResetCounts()
 }

@@ -78,7 +78,8 @@ type MechInstance interface {
 	Snapshot() MechSnapshot
 	Restore(MechSnapshot)
 	// Underlying exposes the concrete system (*core.System or
-	// *baseline.System) for result extraction.
+	// *baseline.System): result extraction reads its Stats, Fabric and
+	// Meter, and the storage report its configuration.
 	Underlying() any
 }
 

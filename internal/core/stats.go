@@ -1,10 +1,14 @@
 package core
 
-// Stats are the event counters a D2M system accumulates. Field groups map
+// Stats is the one counter set every registered hierarchy counts into:
+// the D2M systems here and the tagged baselines alike. Field groups map
 // directly onto the paper's reported metrics: the appendix's per-kilo-
 // memory-operation (PKMO) event frequencies, Table IV's hit ratios,
 // Table V's invalidation and private-miss numbers, and Figure 5's traffic
-// split (the latter lives in the noc.Fabric).
+// split (the latter lives in the noc.Fabric). A family leaves a field at
+// 0 when it has no event for it: a baseline never counts metadata or
+// appendix-case events, and a D2M system never counts directory lookups
+// or back-invalidations.
 type Stats struct {
 	// Access demographics.
 	Accesses uint64
@@ -18,6 +22,10 @@ type Stats struct {
 	L1DHits   uint64
 	L1DMisses uint64
 	L2Hits    uint64
+
+	// Translation (baselines only; D2M needs no TLB on the L1 path).
+	TLBMisses  uint64
+	TLB2Misses uint64
 
 	// Metadata hierarchy behaviour. The MD1Cover* counters split MD1
 	// hits by where the access was then served (§II-A reports 99.7%,
@@ -65,8 +73,17 @@ type Stats struct {
 	InvRecv      uint64
 	FalseInvRecv uint64
 
+	// Directory protocol (baselines only): full-map directory lookups,
+	// inclusion-victim back-invalidations, S->M upgrades and dirty or
+	// exclusive forwards from an owner node.
+	DirLookups uint64
+	BackInv    uint64
+	Upgrades   uint64
+	Fwd        uint64
+
 	// LLC behaviour.
 	LLCHits        uint64 // reads served by any LLC slice or the far LLC
+	LLCMisses      uint64 // baseline LLC misses (D2M counts DRAMReads)
 	LLCLocalHitsI  uint64 // served by the node's own NS slice, ifetch
 	LLCLocalHitsD  uint64
 	LLCRemoteHitsI uint64
@@ -116,6 +133,12 @@ func (s *Stats) MissRatioI() float64 {
 // MissRatioD returns the L1-D miss ratio.
 func (s *Stats) MissRatioD() float64 {
 	return ratio(s.L1DMisses, s.L1DHits+s.L1DMisses)
+}
+
+// L2HitRatio returns hits in the private L2 over all L2 lookups (the
+// "(L2 hits)" column of Table IV for Base-3L).
+func (s *Stats) L2HitRatio() float64 {
+	return ratio(s.L2Hits, s.L2Hits+s.LLCHits+s.LLCMisses)
 }
 
 // AvgMissLatency returns the average L1 miss latency in cycles.

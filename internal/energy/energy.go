@@ -118,9 +118,6 @@ func (m *Meter) Count(op Op) uint64 { return m.counts[op] }
 // Hierarchies call this once per structure at construction time.
 func (m *Meter) AddLeakage(pJPerCycle float64) { m.leakPerCycle += pJPerCycle }
 
-// LeakPerCycle returns the registered static power in pJ/cycle.
-func (m *Meter) LeakPerCycle() float64 { return m.leakPerCycle }
-
 // DynamicPJ returns the accumulated dynamic energy in pJ.
 func (m *Meter) DynamicPJ() float64 {
 	total := 0.0

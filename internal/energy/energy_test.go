@@ -45,8 +45,8 @@ func TestMeterStaticAndEDP(t *testing.T) {
 	m := NewMeter(Default22nm())
 	m.AddLeakage(2.5)
 	m.AddLeakage(0.5)
-	if m.LeakPerCycle() != 3.0 {
-		t.Errorf("LeakPerCycle = %v", m.LeakPerCycle())
+	if got := m.StaticPJ(1); got != 3.0 {
+		t.Errorf("StaticPJ(1) = %v, want 3", got)
 	}
 	if got := m.StaticPJ(100); got != 300 {
 		t.Errorf("StaticPJ(100) = %v, want 300", got)
@@ -119,7 +119,7 @@ func TestResetCounts(t *testing.T) {
 	if m.DynamicPJ() != 0 {
 		t.Error("counts survived reset")
 	}
-	if m.LeakPerCycle() != 5 {
+	if m.StaticPJ(1) != 5 {
 		t.Error("leakage lost on reset")
 	}
 }

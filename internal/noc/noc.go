@@ -71,14 +71,9 @@ type Fabric struct {
 	hops      uint64
 }
 
-// NewFabric returns a fabric charging energy against meter, using the
-// crossbar topology. meter may be nil, in which case only traffic is
-// counted.
-func NewFabric(meter *energy.Meter) *Fabric {
-	return &Fabric{meter: meter, topo: Crossbar{}}
-}
-
-// NewFabricTopology returns a fabric with an explicit topology.
+// NewFabricTopology returns a fabric charging energy against meter
+// under topo (nil = crossbar). meter may be nil, in which case only
+// traffic is counted.
 func NewFabricTopology(meter *energy.Meter, topo Topology) *Fabric {
 	if topo == nil {
 		topo = Crossbar{}
@@ -89,18 +84,8 @@ func NewFabricTopology(meter *energy.Meter, topo Topology) *Fabric {
 // energyOpFlit aliases the meter operation used per flit-hop.
 const energyOpFlit = energy.OpNoCFlit
 
-// Send accounts one message between unspecified distinct endpoints —
-// legacy crossbar semantics (two hops). Topology-aware call sites use
-// SendEP instead.
-func (f *Fabric) Send(class Class, cat Category) uint64 {
-	return f.SendEP(NodeEP(0), Hub, class, cat)
-}
-
 // Messages returns the total number of messages sent.
 func (f *Fabric) Messages() uint64 { return f.msgs }
-
-// BaseMessages returns the number of non-D2M-specific messages.
-func (f *Fabric) BaseMessages() uint64 { return f.msgs - f.d2mMsgs }
 
 // D2MMessages returns the number of D2M-specific messages.
 func (f *Fabric) D2MMessages() uint64 { return f.d2mMsgs }

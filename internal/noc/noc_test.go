@@ -22,18 +22,21 @@ func TestClassSizes(t *testing.T) {
 }
 
 func TestFabricAccounting(t *testing.T) {
-	f := NewFabric(nil)
-	lat := f.Send(Ctrl, Base)
+	f := NewFabricTopology(nil, nil)
+	if f.Topology().Name() != "crossbar" {
+		t.Errorf("nil topology = %s, want crossbar", f.Topology().Name())
+	}
+	lat := f.SendEP(NodeEP(0), Hub, Ctrl, Base)
 	if lat != TraversalCycles {
 		t.Errorf("latency = %d, want %d", lat, TraversalCycles)
 	}
-	f.Send(Data, Base)
-	f.Send(MD, D2MOnly)
+	f.SendEP(NodeEP(0), Hub, Data, Base)
+	f.SendEP(NodeEP(0), Hub, MD, D2MOnly)
 	if f.Messages() != 3 {
 		t.Errorf("Messages = %d", f.Messages())
 	}
-	if f.D2MMessages() != 1 || f.BaseMessages() != 2 {
-		t.Errorf("split = %d d2m / %d base", f.D2MMessages(), f.BaseMessages())
+	if f.D2MMessages() != 1 {
+		t.Errorf("D2MMessages = %d, want 1", f.D2MMessages())
 	}
 	if f.Bytes() != 8+72+24 {
 		t.Errorf("Bytes = %d", f.Bytes())
@@ -41,12 +44,16 @@ func TestFabricAccounting(t *testing.T) {
 	if f.DataBytes() != 72 {
 		t.Errorf("DataBytes = %d", f.DataBytes())
 	}
+	// A node-to-hub message crosses two crossbar links.
+	if f.Hops() != 3*2 {
+		t.Errorf("Hops = %d, want 6", f.Hops())
+	}
 }
 
 func TestFabricChargesEnergy(t *testing.T) {
 	m := energy.NewMeter(energy.Default22nm())
-	f := NewFabric(m)
-	f.Send(Data, Base)
+	f := NewFabricTopology(m, nil)
+	f.SendEP(NodeEP(0), Hub, Data, Base)
 	// 9 flits x 2 hops.
 	if got := m.Count(energy.OpNoCFlit); got != 18 {
 		t.Errorf("flit energy ops = %d, want 18", got)

@@ -96,21 +96,8 @@ func TestSendEP(t *testing.T) {
 	}
 }
 
-func TestLegacySendMatchesCrossbar(t *testing.T) {
-	f := NewFabric(nil)
-	if lat := f.Send(Ctrl, Base); lat != TraversalCycles {
-		t.Errorf("legacy Send latency %d, want %d", lat, TraversalCycles)
-	}
-	if f.Hops() != 2 {
-		t.Errorf("legacy Send hops = %d", f.Hops())
-	}
-	if NewFabricTopology(nil, nil).Topology().Name() != "crossbar" {
-		t.Error("nil topology must default to crossbar")
-	}
-}
-
 func TestDirEndpoint(t *testing.T) {
-	f := NewFabric(nil)
+	f := NewFabricTopology(nil, nil)
 	if lat := f.SendEP(Hub, DirEP, Ctrl, Base); lat != routerCycles+cyclesPerHop {
 		t.Errorf("hub-dir latency %d", lat)
 	}

@@ -103,8 +103,18 @@ func TestReplicatedRunCoalesces(t *testing.T) {
 func TestReplicatedRunDelete(t *testing.T) {
 	r := &countingRunner{gate: make(chan struct{})}
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: r.run})
-	// Occupy the only worker so the seeds stay queued.
+	// Occupy the only worker so the seeds stay queued. The blocker must
+	// be inside the Runner before the replicated run is posted: while it
+	// still waits in the queue, the run queues behind it at position 2.
 	_, blocker, _ := postRun(t, ts, strings.TrimSuffix(tinyRun, "}")+`,"async":true}`)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if calls, _ := r.stats(); calls == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the blocker never reached the Runner")
+		}
+	}
 	_, rep, _ := postRun(t, ts, `{"kind":"d2m-ns","benchmark":"tpc-c","nodes":2,"replicates":3,"async":true}`)
 	if rep.State != api.JobQueued || rep.QueuePosition != 1 {
 		t.Errorf("replicated run behind a busy worker: %s at %d, want queued at 1", rep.State, rep.QueuePosition)

@@ -109,15 +109,6 @@ func (r Report) MissLatencyPercentile(p float64) uint64 {
 	return uint64(len(r.missLat) - 1)
 }
 
-// IPA returns instructions per cycle-ish throughput (instructions over
-// machine cycles), the basis of Figure 7's speedups.
-func (r Report) IPA() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Instructions) / float64(r.Cycles)
-}
-
 // LateHitRatioI returns late hits per L1-I access.
 func (r Report) LateHitRatioI() float64 {
 	if r.FetchAccesses == 0 {

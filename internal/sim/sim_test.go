@@ -105,9 +105,6 @@ func TestLateHits(t *testing.T) {
 
 func TestReportRatios(t *testing.T) {
 	r := Report{Cycles: 100, Instructions: 300, Accesses: 10, FetchAccesses: 4, LateHitsI: 2, LateHitsD: 3}
-	if r.IPA() != 3 {
-		t.Errorf("IPA = %v", r.IPA())
-	}
 	if r.LateHitRatioI() != 0.5 {
 		t.Errorf("LateHitRatioI = %v", r.LateHitRatioI())
 	}
@@ -115,7 +112,7 @@ func TestReportRatios(t *testing.T) {
 		t.Errorf("LateHitRatioD = %v", r.LateHitRatioD())
 	}
 	var zero Report
-	if zero.IPA() != 0 || zero.LateHitRatioI() != 0 || zero.LateHitRatioD() != 0 {
+	if zero.LateHitRatioI() != 0 || zero.LateHitRatioD() != 0 {
 		t.Error("zero report ratios not zero")
 	}
 }

@@ -1,69 +1,9 @@
-// Package stats provides the counter and aggregation primitives used by
-// the simulator to report the paper's metrics (hit/miss ratios, traffic,
-// latency, energy, speedup).
+// Package stats provides the aggregation primitives the experiment
+// drivers fold per-benchmark metrics with (speedups, traffic and energy
+// ratios, hit fractions).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Ratio returns c/other as a float; it returns 0 when other is zero.
-func (c *Counter) Ratio(other *Counter) float64 {
-	if other.n == 0 {
-		return 0
-	}
-	return float64(c.n) / float64(other.n)
-}
-
-// Accumulator tracks a running sum and count, giving means.
-type Accumulator struct {
-	sum   float64
-	count uint64
-}
-
-// Add records one observation.
-func (a *Accumulator) Add(v float64) {
-	a.sum += v
-	a.count++
-}
-
-// AddN records n identical observations of value v each. It is used when a
-// single simulated event stands for n architectural events.
-func (a *Accumulator) AddN(v float64, n uint64) {
-	a.sum += v * float64(n)
-	a.count += n
-}
-
-// Sum returns the running sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
-// Count returns the number of observations.
-func (a *Accumulator) Count() uint64 { return a.count }
-
-// Mean returns the mean of the observations, or 0 with no observations.
-func (a *Accumulator) Mean() float64 {
-	if a.count == 0 {
-		return 0
-	}
-	return a.sum / float64(a.count)
-}
+import "math"
 
 // Geomean returns the geometric mean of vs, skipping non-positive values
 // (a non-positive normalized metric indicates a degenerate run and would
@@ -93,62 +33,4 @@ func Mean(vs []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vs))
-}
-
-// Set is an ordered collection of named counters. It keeps insertion
-// order so reports are stable.
-type Set struct {
-	names    []string
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Counter returns the counter with the given name, creating it on first
-// use.
-func (s *Set) Counter(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	s.counters[name] = c
-	s.names = append(s.names, name)
-	return c
-}
-
-// Value returns the value of the named counter, or 0 if it was never
-// created.
-func (s *Set) Value(name string) uint64 {
-	if c, ok := s.counters[name]; ok {
-		return c.n
-	}
-	return 0
-}
-
-// Names returns the counter names in insertion order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
-// AddSet accumulates every counter of other into s.
-func (s *Set) AddSet(other *Set) {
-	for _, name := range other.names {
-		s.Counter(name).Add(other.counters[name].n)
-	}
-}
-
-// String renders the set sorted by name, one counter per line.
-func (s *Set) String() string {
-	names := append([]string(nil), s.names...)
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-40s %12d\n", n, s.counters[n].n)
-	}
-	return b.String()
 }

@@ -2,51 +2,9 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatal("zero value not zero")
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value() = %d, want 5", c.Value())
-	}
-}
-
-func TestCounterRatio(t *testing.T) {
-	var a, b Counter
-	a.Add(3)
-	b.Add(4)
-	if got := a.Ratio(&b); got != 0.75 {
-		t.Errorf("Ratio = %v, want 0.75", got)
-	}
-	var zero Counter
-	if got := a.Ratio(&zero); got != 0 {
-		t.Errorf("Ratio with zero denominator = %v, want 0", got)
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	var a Accumulator
-	if a.Mean() != 0 {
-		t.Error("empty accumulator mean not 0")
-	}
-	a.Add(2)
-	a.Add(4)
-	if a.Mean() != 3 {
-		t.Errorf("Mean = %v, want 3", a.Mean())
-	}
-	a.AddN(10, 2)
-	if a.Sum() != 26 || a.Count() != 4 {
-		t.Errorf("Sum/Count = %v/%v, want 26/4", a.Sum(), a.Count())
-	}
-}
 
 func TestGeomean(t *testing.T) {
 	got := Geomean([]float64{1, 4})
@@ -96,53 +54,5 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v, want 2", got)
-	}
-}
-
-func TestSetCreatesAndAccumulates(t *testing.T) {
-	s := NewSet()
-	s.Counter("a").Add(2)
-	s.Counter("b").Inc()
-	s.Counter("a").Inc()
-	if s.Value("a") != 3 || s.Value("b") != 1 {
-		t.Errorf("values a=%d b=%d", s.Value("a"), s.Value("b"))
-	}
-	if s.Value("missing") != 0 {
-		t.Error("missing counter should read 0")
-	}
-}
-
-func TestSetNamesInsertionOrder(t *testing.T) {
-	s := NewSet()
-	s.Counter("z")
-	s.Counter("a")
-	s.Counter("z")
-	names := s.Names()
-	if len(names) != 2 || names[0] != "z" || names[1] != "a" {
-		t.Errorf("Names() = %v", names)
-	}
-}
-
-func TestSetAddSet(t *testing.T) {
-	a, b := NewSet(), NewSet()
-	a.Counter("x").Add(1)
-	b.Counter("x").Add(2)
-	b.Counter("y").Add(5)
-	a.AddSet(b)
-	if a.Value("x") != 3 || a.Value("y") != 5 {
-		t.Errorf("after AddSet x=%d y=%d", a.Value("x"), a.Value("y"))
-	}
-}
-
-func TestSetString(t *testing.T) {
-	s := NewSet()
-	s.Counter("beta").Add(2)
-	s.Counter("alpha").Add(1)
-	out := s.String()
-	if !strings.Contains(out, "alpha") || !strings.Contains(out, "beta") {
-		t.Errorf("String() missing counters: %q", out)
-	}
-	if strings.Index(out, "alpha") > strings.Index(out, "beta") {
-		t.Error("String() not sorted by name")
 	}
 }

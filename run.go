@@ -7,7 +7,6 @@ import (
 	"maps"
 	"slices"
 
-	"d2m/internal/baseline"
 	"d2m/internal/core"
 	"d2m/internal/energy"
 	"d2m/internal/mem"
@@ -526,25 +525,25 @@ func (o *windowOutcome) project(lane Options) *Result {
 	return &r
 }
 
+// counted is what every registered system exposes for extraction: the
+// one counter set, the interconnect and the energy meter.
+type counted interface {
+	Stats() *core.Stats
+	Fabric() *noc.Fabric
+	Meter() *energy.Meter
+}
+
 // windowResult builds a window's raw outcome from the engine's report
-// at its boundary: the common metrics, the mechanism family's metrics
-// read off inst's concrete system, and the flit-hop count.
+// at its boundary and the machine's counters there, and the flit-hop
+// count.
 func windowResult(kind Kind, src source, inst core.MechInstance, mech *core.Mechanism, rep sim.Report) (*windowOutcome, error) {
-	o := &windowOutcome{res: Result{Kind: kind, Benchmark: src.name, Suite: src.suite}}
-	r := &o.res
-	r.fillCommon(rep)
-	var meter *energy.Meter
-	switch s := inst.Underlying().(type) {
-	case *baseline.System:
-		r.fillBaseline(s, rep)
-		meter = s.Meter()
-	case *core.System:
-		r.fillCore(s, rep, mech)
-		meter = s.Meter()
-	default:
-		return nil, fmt.Errorf("d2m: mechanism %s exposes unknown system type %T", mech.Name, s)
+	s, ok := inst.Underlying().(counted)
+	if !ok {
+		return nil, fmt.Errorf("d2m: mechanism %s exposes unknown system type %T", mech.Name, inst.Underlying())
 	}
-	o.flitHops = meter.Count(energy.OpNoCFlit)
+	o := &windowOutcome{res: Result{Kind: kind, Benchmark: src.name, Suite: src.suite}}
+	o.res.fill(rep, s, mech)
+	o.flitHops = s.Meter().Count(energy.OpNoCFlit)
 	return o, nil
 }
 
@@ -570,7 +569,20 @@ func (r *Result) applyBandwidth(opt Options, flitHops uint64) {
 	}
 }
 
-func (r *Result) fillCommon(rep sim.Report) {
+func perKI(count, instructions uint64) float64 {
+	if instructions == 0 {
+		return 0
+	}
+	return float64(count) / float64(instructions) * 1000
+}
+
+// fill projects the engine's report and a system's counters onto r.
+// Both families count into core.Stats and leave at 0 what they have no
+// event for, so every field reads the same for either; NearHit alone
+// depends on the family: a baseline reports its L2 hit ratio (0 on
+// Base-2L), a ReportNearHit kind its local-slice LLC hit ratios.
+func (r *Result) fill(rep sim.Report, s counted, mech *core.Mechanism) {
+	st, fab, meter := s.Stats(), s.Fabric(), s.Meter()
 	r.Cycles = rep.Cycles
 	r.NodeCycles = rep.NodeCycles
 	r.Instructions = rep.Instructions
@@ -580,43 +592,7 @@ func (r *Result) fillCommon(rep sim.Report) {
 	r.MissLatP99 = rep.MissLatencyPercentile(0.99)
 	r.LateHitI = rep.LateHitRatioI()
 	r.LateHitD = rep.LateHitRatioD()
-}
 
-func perKI(count, instructions uint64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	return float64(count) / float64(instructions) * 1000
-}
-
-func (r *Result) fillBaseline(s *baseline.System, rep sim.Report) {
-	st := s.Stats()
-	fab := s.Fabric()
-	r.Messages = fab.Messages()
-	r.Bytes = fab.Bytes()
-	r.DataBytes = fab.DataBytes()
-	r.MsgsPerKI = perKI(fab.Messages(), rep.Instructions)
-	r.Hops = fab.Hops()
-	r.EnergyPJ = s.Meter().TotalPJ(rep.Cycles)
-	r.EDP = s.Meter().EDP(rep.Cycles)
-	r.EnergyByOp = s.Meter().BreakdownPJ()
-	r.MissRatioI = st.MissRatioI()
-	r.MissRatioD = st.MissRatioD()
-	if s.Config().L2Sets > 0 {
-		l2 := st.L2HitRatio()
-		r.NearHitI, r.NearHitD = l2, l2
-	}
-	r.AvgMissLatency = st.AvgMissLatency()
-	r.InvRecv = st.InvRecv + st.BackInv
-	r.DirLookups = st.DirLookups
-	r.L2TagAccesses = s.Meter().Count(energy.OpL2Tag)
-	r.DRAMReads = st.DRAMReads
-	r.DRAMWrites = st.DRAMWrites
-}
-
-func (r *Result) fillCore(s *core.System, rep sim.Report, mech *core.Mechanism) {
-	st := s.Stats()
-	fab := s.Fabric()
 	r.Messages = fab.Messages()
 	r.D2MMessages = fab.D2MMessages()
 	r.Bytes = fab.Bytes()
@@ -624,20 +600,31 @@ func (r *Result) fillCore(s *core.System, rep sim.Report, mech *core.Mechanism) 
 	r.MsgsPerKI = perKI(fab.Messages(), rep.Instructions)
 	r.D2MMsgsPerKI = perKI(fab.D2MMessages(), rep.Instructions)
 	r.Hops = fab.Hops()
-	r.EnergyPJ = s.Meter().TotalPJ(rep.Cycles)
-	r.EDP = s.Meter().EDP(rep.Cycles)
-	r.EnergyByOp = s.Meter().BreakdownPJ()
+	r.EnergyPJ = meter.TotalPJ(rep.Cycles)
+	r.EDP = meter.EDP(rep.Cycles)
+	r.EnergyByOp = meter.BreakdownPJ()
+
 	r.MissRatioI = st.MissRatioI()
 	r.MissRatioD = st.MissRatioD()
-	if mech.ReportNearHit {
+	switch {
+	case mech.Baseline:
+		r.NearHitI = st.L2HitRatio()
+		r.NearHitD = r.NearHitI
+	case mech.ReportNearHit:
 		r.NearHitI = st.NearSideHitRatioI()
 		r.NearHitD = st.NearSideHitRatioD()
 	}
 	r.AvgMissLatency = st.AvgMissLatency()
-	r.InvRecv = st.InvRecv
+	r.InvRecv = st.InvRecv + st.BackInv
 	r.PrivateMissFrac = st.PrivateMissFraction()
 	r.DirectMissFrac = st.DirectMissFraction()
 	r.MD3Lookups = st.MD3Lookups
+	r.DirLookups = st.DirLookups
+	r.MD2Accesses = meter.Count(energy.OpMD2)
+	r.L2TagAccesses = meter.Count(energy.OpL2Tag)
+	if st.Accesses > 0 {
+		r.MD1HitFrac = float64(st.MD1Hits) / float64(st.Accesses)
+	}
 	r.BypassedReads = st.BypassedReads
 	r.PrefetchIssued = st.PrefetchIssued
 	r.PrefetchUseful = st.PrefetchUseful
@@ -647,10 +634,6 @@ func (r *Result) fillCore(s *core.System, rep sim.Report, mech *core.Mechanism) 
 	r.PredHits = st.PredHits
 	r.PredMispredicts = st.PredMispredicts
 	r.PredCyclesSaved = st.PredCyclesSaved
-	r.MD2Accesses = s.Meter().Count(energy.OpMD2)
-	if st.Accesses > 0 {
-		r.MD1HitFrac = float64(st.MD1Hits) / float64(st.Accesses)
-	}
 	r.DRAMReads = st.DRAMReads
 	r.DRAMWrites = st.DRAMWrites
 	pk := func(c uint64) float64 { return st.PKMO(c) }
