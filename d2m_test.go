@@ -397,6 +397,24 @@ func TestD2DCoverageShape(t *testing.T) {
 	}
 }
 
+// TestD2DCoverageSeed checks the coverage study draws the seeded stream
+// every run draws: another run seed is another report.
+func TestD2DCoverageSeed(t *testing.T) {
+	opt := Options{Warmup: 20_000, Measure: 60_000}
+	at0, err := D2DCoverage(opt, "facesim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Seed = 7
+	at7, err := D2DCoverage(opt, "facesim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at0 == at7 {
+		t.Errorf("seeds 0 and 7 report the same coverage %+v", at0)
+	}
+}
+
 // TestMDScalingShape checks §V-D footnote 5: growing the metadata
 // structures must not hurt, and MD1 coverage must not decrease.
 func TestMDScalingShape(t *testing.T) {

@@ -1,6 +1,7 @@
 package d2m
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -700,7 +701,10 @@ func D2DCoverage(opt Options, bench string) (CoverageReport, error) {
 	s := core.NewSystem(cfg)
 	defer s.Release()
 	engine := sim.NewEngine(core.Instance(s), 1)
-	engine.Run(trace.NewInterleaver(sp.Streams(1)), opt.Warmup, opt.Measure)
+	src := trace.NewInterleaver(specStreams(sp, Options{Nodes: 1, Seed: opt.Seed}))
+	if _, err := engine.RunContext(context.TODO(), src, opt.Warmup, opt.Measure); err != nil {
+		return CoverageReport{}, err
+	}
 	st := s.Stats()
 	pct := func(num, den uint64) float64 {
 		if den == 0 {

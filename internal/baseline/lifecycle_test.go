@@ -173,7 +173,7 @@ func TestReleaseLeavesPoolsPristine(t *testing.T) {
 				releasePristine(t, "captured", s)
 				e, inst, s = build()
 				inst.Restore(snap)
-				if _, err := e.Measure(ctx, src, 2000); err != nil {
+				if _, err := e.RunContext(ctx, src, 0, 2000); err != nil {
 					t.Fatal(err)
 				}
 				releasePristine(t, "restored", s)

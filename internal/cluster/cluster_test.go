@@ -283,6 +283,50 @@ func TestClusterAsyncJobRouting(t *testing.T) {
 	}
 }
 
+// TestClusterJobsPageAcrossShards: walking the gateway's merged job
+// listing by next_cursor at a small limit yields every job of a
+// two-shard fleet exactly once, newest first, whether a page ends on
+// either shard's job.
+func TestClusterJobsPageAcrossShards(t *testing.T) {
+	var runs atomic.Int64
+	pa, _, tsa := newShard(t, "a", service.Config{Workers: 1, Runner: stubRunner(&runs, 0)})
+	pb, _, tsb := newShard(t, "b", service.Config{Workers: 1, Runner: stubRunner(&runs, 0)})
+	_, gts := newGatewayServer(t, Config{Peers: []Peer{pa, pb}})
+
+	// Five jobs on a and three on b, submitted to the shards directly.
+	for i, url := range []string{tsa.URL, tsa.URL, tsa.URL, tsa.URL, tsa.URL, tsb.URL, tsb.URL, tsb.URL} {
+		body := fmt.Sprintf(`{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"seed":%d}`, i+1)
+		if code, raw, _ := postJSON(t, url+"/v1/run", body); code != http.StatusOK {
+			t.Fatalf("POST = %d (%s)", code, raw)
+		}
+	}
+	want := []string{"j00000005@a", "j00000004@a", "j00000003@b", "j00000003@a",
+		"j00000002@b", "j00000002@a", "j00000001@b", "j00000001@a"}
+	for _, limit := range []int{1, 2, 3, 8} {
+		var got []string
+		cursor := ""
+		for page := 0; page <= len(want); page++ {
+			code, raw := getJSON(t, fmt.Sprintf("%s/v1/jobs?limit=%d&cursor=%s", gts.URL, limit, cursor))
+			if code != http.StatusOK {
+				t.Fatalf("limit %d: GET /v1/jobs = %d (%s)", limit, code, raw)
+			}
+			var list service.JobList
+			if err := json.Unmarshal(raw, &list); err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range list.Jobs {
+				got = append(got, j.ID)
+			}
+			if cursor = list.NextCursor; cursor == "" {
+				break
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("limit %d: pages listed %v, want %v", limit, got, want)
+		}
+	}
+}
+
 // TestClusterBatchAcrossShards: a batch splits into shard-local
 // sub-batches and reassembles in request order, with cached slots
 // served at the gateway.

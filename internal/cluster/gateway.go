@@ -425,19 +425,29 @@ func (g *Gateway) jobCall(ctx context.Context, method, apiKey, id string) (api.J
 
 // Jobs merges the fleet's job listings: every Up or Draining shard is
 // asked for its newest jobs, ids are rewritten to routable form, and
-// the merged list is sorted newest-first per shard order. Cursors do
-// not span shards; the merged listing caps at the requested limit
-// without one.
+// the merged list is sorted by routed id (j%08d@shard), newest first.
+// A routed cursor L@S pages across shards: the jobs after it in that
+// order are those below L on S and on every shard named after S, and
+// those up to and including L on every shard named before S. The next
+// cursor is set when the merge was truncated or a shard had more.
 func (g *Gateway) Jobs(ctx context.Context, apiKey string, q service.JobQuery) (service.JobList, error) {
 	v := url.Values{"limit": {strconv.Itoa(q.Limit)}}
 	if q.State != "" {
 		v.Set("state", string(q.State))
 	}
-	if local, _, ok := splitRouted(q.Cursor); ok {
-		v.Set("cursor", local)
-	}
+	local, cursorShard, paged := splitRouted(q.Cursor)
 	merged := service.JobList{Jobs: []api.JobStatus{}}
+	more := false
 	for _, p := range g.peers.live() {
+		if paged {
+			// A shard lists ids strictly below its cursor; the
+			// smallest string above local lets it list local itself.
+			c := local
+			if p.Name < cursorShard {
+				c += "\x00"
+			}
+			v.Set("cursor", c)
+		}
 		fr, err := do(ctx, p, http.MethodGet, "/v1/jobs?"+v.Encode(), nil, apiKey)
 		if err != nil || fr.status != http.StatusOK {
 			continue
@@ -450,10 +460,14 @@ func (g *Gateway) Jobs(ctx context.Context, apiKey string, q service.JobQuery) (
 			page.Jobs[i].ID = routedID(page.Jobs[i].ID, p)
 		}
 		merged.Jobs = append(merged.Jobs, page.Jobs...)
+		more = more || page.NextCursor != ""
 	}
 	sort.SliceStable(merged.Jobs, func(a, b int) bool { return merged.Jobs[a].ID > merged.Jobs[b].ID })
 	if len(merged.Jobs) > q.Limit {
-		merged.Jobs = merged.Jobs[:q.Limit]
+		merged.Jobs, more = merged.Jobs[:q.Limit], true
+	}
+	if more && len(merged.Jobs) > 0 {
+		merged.NextCursor = merged.Jobs[len(merged.Jobs)-1].ID
 	}
 	return merged, nil
 }

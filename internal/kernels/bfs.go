@@ -51,14 +51,16 @@ func (k BFS) stream(node, nodes int) trace.Stream {
 	// vertex range in a hash-scrambled order (a real BFS frontier is an
 	// unpredictable vertex subset; the scramble reproduces that without
 	// storing frontiers). `level` reseeds the scramble per sweep.
-	level := uint64(0)
-	v := 0 // position within the node's range
-	frontSeq := 0
-	return newEmitter(node, 4, 16, func(e *emitter) {
+	type state struct {
+		level    uint64
+		v        int // position within the node's range
+		frontSeq int
+	}
+	return newEmitter(node, 4, 16, state{}, func(e *emitter[state], st *state) {
 		// Dequeue the vertex (sequential frontier read), fetch its row
 		// extent, then scan its neighbors.
-		u := lo + int(hashKey(uint64(v)+level<<20)%uint64(per))
-		e.load(front + mem.Addr(frontSeq%per)*8)
+		u := lo + int(hashKey(uint64(st.v)+st.level<<20)%uint64(per))
+		e.load(front + mem.Addr(st.frontSeq%per)*8)
 		e.load(rowptr + mem.Addr(u)*8) // row start (end is on the same or next line)
 		for d := 0; d < k.Degree; d++ {
 			e.load(adj + mem.Addr(u*k.Degree+d)*8) // neighbor id: sequential
@@ -66,13 +68,13 @@ func (k BFS) stream(node, nodes int) trace.Stream {
 			e.load(visited + mem.Addr(w)) // scattered shared read
 			if w&15 == 0 {                // ~1/16 newly discovered
 				e.store(visited + mem.Addr(w))
-				e.store(front + mem.Addr(frontSeq%per)*8) // enqueue
-				frontSeq++
+				e.store(front + mem.Addr(st.frontSeq%per)*8) // enqueue
+				st.frontSeq++
 			}
 		}
-		if v++; v == per {
-			v = 0
-			level++ // next BFS level: new frontier scramble
+		if st.v++; st.v == per {
+			st.v = 0
+			st.level++ // next BFS level: new frontier scramble
 		}
 	})
 }

@@ -56,26 +56,29 @@ func (k HashJoin) stream(node, nodes int) trace.Stream {
 	probe := build + mem.Addr(k.BuildTuples)*32
 	outBuf := probe + mem.Addr(k.ProbeTuples)*32
 
-	building := true
-	t := 0 // tuple cursor within the current phase
-	entrySeq := node * k.BuildTuples
-	outSeq := 0
-	return newEmitter(node, 3, 14, func(e *emitter) {
-		if building {
+	type state struct {
+		building bool
+		t        int // tuple cursor within the current phase
+		entrySeq int
+		outSeq   int
+	}
+	return newEmitter(node, 3, 14, state{building: true, entrySeq: node * k.BuildTuples}, func(e *emitter[state], st *state) {
+		t := st.t
+		if st.building {
 			// Read the tuple (two 8B fields of a 32B record), hash its
 			// key, push a new chain entry at the bucket head.
 			key := hashKey(uint64(node)<<32 | uint64(t))
 			e.load(build + mem.Addr(t)*32)
 			e.load(build + mem.Addr(t)*32 + 8)
 			b := table + mem.Addr(key&uint64(k.Buckets-1))*8
-			ent := entries + mem.Addr(entrySeq%(k.BuildTuples*nodes))*24
+			ent := entries + mem.Addr(st.entrySeq%(k.BuildTuples*nodes))*24
 			e.load(b)    // old head
 			e.store(ent) // entry.next = old head (same line as key/val)
 			e.store(b)   // head = entry
 			e.store(ent + 8)
-			entrySeq++
-			if t++; t == k.BuildTuples {
-				t, building = 0, false
+			st.entrySeq++
+			if st.t++; st.t == k.BuildTuples {
+				st.t, st.building = 0, false
 			}
 			return
 		}
@@ -91,11 +94,11 @@ func (k HashJoin) stream(node, nodes int) trace.Stream {
 			e.load(ent)
 		}
 		if key&7 == 0 { // ~1/8 selectivity
-			e.store(outBuf + mem.Addr(outSeq%k.ProbeTuples)*16)
-			outSeq++
+			e.store(outBuf + mem.Addr(st.outSeq%k.ProbeTuples)*16)
+			st.outSeq++
 		}
-		if t++; t == k.ProbeTuples {
-			t, building = 0, true
+		if st.t++; st.t == k.ProbeTuples {
+			st.t, st.building = 0, true
 		}
 	})
 }

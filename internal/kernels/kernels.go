@@ -16,6 +16,7 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"d2m/internal/mem"
@@ -45,56 +46,79 @@ const (
 
 // emitter is the common plumbing: a kernel's generate callback pushes
 // one batch of data accesses via load/store, and the stream hands them
-// out one at a time, interleaving an instruction fetch before each. The
-// fetches walk the kernel's hot loop body cyclically.
-type emitter struct {
+// out in order, interleaving an instruction fetch before each. The
+// fetches walk the kernel's hot loop body cyclically. The kernel's
+// mutable loop state lives in st, a value of type S; generate closes
+// over immutable values only, so a copy of the emitter (Clone) is an
+// independent stream.
+type emitter[S any] struct {
 	node     int
 	code     mem.LineAddr
 	codeLen  int // loop body length in lines
 	pc       int
 	pending  []mem.Access
 	pos      int
-	fetched  bool             // a fetch already preceded the pending access
-	generate func(e *emitter) // refills pending with one batch
+	fetched  bool // a fetch already preceded the pending access
+	st       S
+	generate func(e *emitter[S], st *S) // refills pending with one batch
 }
 
-func newEmitter(node int, kernelID, codeLines int, gen func(*emitter)) *emitter {
-	return &emitter{
+func newEmitter[S any](node, kernelID, codeLines int, st S, gen func(*emitter[S], *S)) *emitter[S] {
+	return &emitter[S]{
 		node:     node,
 		code:     (mem.Addr(codeBase) + mem.Addr(kernelID)*0x10_0000).Line(),
 		codeLen:  codeLines,
+		st:       st,
 		generate: gen,
 	}
 }
 
-// load/store/fetch build the batch.
-func (e *emitter) load(a mem.Addr) {
+// load/store build the batch.
+func (e *emitter[S]) load(a mem.Addr) {
 	e.pending = append(e.pending, mem.Access{Node: e.node, Addr: a, Kind: mem.Load})
 }
-func (e *emitter) store(a mem.Addr) {
+func (e *emitter[S]) store(a mem.Addr) {
 	e.pending = append(e.pending, mem.Access{Node: e.node, Addr: a, Kind: mem.Store})
 }
 
-// Next implements trace.Stream: it interleaves one instruction fetch
-// before every data access, walking the loop body cyclically.
-func (e *emitter) Next() mem.Access {
-	if e.pos >= len(e.pending) {
-		e.pending = e.pending[:0]
-		e.pos = 0
-		for len(e.pending) == 0 {
-			e.generate(e)
+// Next implements trace.Stream: a Fill of one access.
+func (e *emitter[S]) Next() mem.Access {
+	var buf [1]mem.Access
+	e.Fill(buf[:])
+	return buf[0]
+}
+
+// Fill implements trace.Stream: it interleaves one instruction fetch
+// before every data access, walking the loop body cyclically. Kernel
+// streams are infinite, so it fills the whole buffer.
+func (e *emitter[S]) Fill(buf []mem.Access) int {
+	for i := range buf {
+		if e.pos >= len(e.pending) {
+			e.pending = e.pending[:0]
+			e.pos = 0
+			for len(e.pending) == 0 {
+				e.generate(e, &e.st)
+			}
 		}
+		if !e.fetched {
+			e.fetched = true
+			buf[i] = mem.Access{Node: e.node, Addr: (e.code + mem.LineAddr(e.pc)).Addr(), Kind: mem.IFetch}
+			e.pc = (e.pc + 1) % e.codeLen
+			continue
+		}
+		e.fetched = false
+		buf[i] = e.pending[e.pos]
+		e.pos++
 	}
-	if !e.fetched {
-		e.fetched = true
-		f := mem.Access{Node: e.node, Addr: (e.code + mem.LineAddr(e.pc)).Addr(), Kind: mem.IFetch}
-		e.pc = (e.pc + 1) % e.codeLen
-		return f
-	}
-	e.fetched = false
-	a := e.pending[e.pos]
-	e.pos++
-	return a
+	return len(buf)
+}
+
+// Clone implements trace.Cloner: a copy of the emitter, its loop state
+// included, with its own pending batch.
+func (e *emitter[S]) Clone() trace.Stream {
+	cp := *e
+	cp.pending = slices.Clone(e.pending)
+	return &cp
 }
 
 // registry of kernels.

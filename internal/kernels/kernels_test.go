@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"sync"
 	"testing"
 
 	"d2m/internal/mem"
@@ -401,5 +402,39 @@ func TestMergeSortBalance(t *testing.T) {
 	want := 2 * k.N / 8
 	if len(lines) != want {
 		t.Fatalf("footprint %d lines, want %d (two buffers)", len(lines), want)
+	}
+}
+
+// TestConcurrentClones clones one mid-stream emitter of every kernel
+// from several goroutines and fills each clone, the way concurrent warm
+// restores clone a published snapshot's stream: every clone must read
+// the same continuation, and under -race the generate closure's
+// captures must be read-only.
+func TestConcurrentClones(t *testing.T) {
+	for _, k := range All() {
+		src := k.Streams(2)[1]
+		src.Fill(make([]mem.Access, 1001)) // mid-stream, maybe mid-batch
+		want := make([]mem.Access, 4096)
+		src.(trace.Cloner).Clone().Fill(want)
+
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := make([]mem.Access, len(want))
+				c := src.(trace.Cloner).Clone()
+				for i := 0; i < len(got); i += 37 {
+					c.Fill(got[i:min(i+37, len(got))])
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("%s: clone access %d = %v, want %v", k.Name(), i, got[i], want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

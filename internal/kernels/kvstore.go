@@ -48,18 +48,20 @@ func (k KVStore) stream(node, nodes int) trace.Stream {
 	// The operation mix is a deterministic pseudo-random sequence: the
 	// store's behaviour is statistical by nature (unlike the loop-nest
 	// kernels), but reproducible per (node, seed).
-	rng := mem.NewRNG(0x6b76_0000 + uint64(node))
+	type state struct {
+		rng    mem.RNG
+		logSeq int
+	}
 	hot, get := mem.ChanceOf(0.9), mem.ChanceOf(k.GetFrac)
-	logSeq := 0
-	return newEmitter(node, 5, 20, func(e *emitter) {
+	return newEmitter(node, 5, 20, state{rng: *mem.NewRNG(0x6b76_0000 + uint64(node))}, func(e *emitter[state], st *state) {
 		var key int
-		if rng.Hit(hot) {
-			key = rng.Intn(k.HotKeys)
+		if st.rng.Hit(hot) {
+			key = st.rng.Intn(k.HotKeys)
 		} else {
-			key = k.HotKeys + rng.Intn(k.Keys-k.HotKeys)
+			key = k.HotKeys + st.rng.Intn(k.Keys-k.HotKeys)
 		}
 		slot := table + mem.Addr(hashKey(uint64(key))%uint64(k.Keys))*64
-		if rng.Hit(get) {
+		if st.rng.Hit(get) {
 			e.load(slot)     // header + key compare
 			e.load(slot + 8) // value
 			return
@@ -68,7 +70,7 @@ func (k KVStore) stream(node, nodes int) trace.Stream {
 		e.load(slot)
 		e.store(slot)
 		e.store(slot + 8)
-		e.store(logBuf + mem.Addr(logSeq%logSlots)*64)
-		logSeq++
+		e.store(logBuf + mem.Addr(st.logSeq%logSlots)*64)
+		st.logSeq++
 	})
 }

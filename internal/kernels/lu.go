@@ -45,18 +45,18 @@ func (k LU) stream(node, nodes int) trace.Stream {
 
 	// State: pivot column kp, eliminating row i (cyclically owned:
 	// node handles rows where i % nodes == node).
-	kp := 0
-	i := firstRowAfter(kp, node, nodes)
-	return newEmitter(node, 1, 10, func(e *emitter) {
-		if i >= k.N {
+	type state struct{ kp, i int }
+	return newEmitter(node, 1, 10, state{i: firstRowAfter(0, node, nodes)}, func(e *emitter[state], st *state) {
+		if st.i >= k.N {
 			// This pivot step has no more owned rows: next pivot.
-			kp++
-			if kp >= k.N-1 {
-				kp = 0 // factorization complete: restart
+			st.kp++
+			if st.kp >= k.N-1 {
+				st.kp = 0 // factorization complete: restart
 			}
-			i = firstRowAfter(kp, node, nodes)
-			return // no accesses this batch; Next() calls again
+			st.i = firstRowAfter(st.kp, node, nodes)
+			return // no accesses this batch; Fill calls again
 		}
+		kp, i := st.kp, st.i
 		// a[i][kp] /= a[kp][kp]; then the rank-1 update of row i:
 		// a[i][j] -= a[i][kp] * a[kp][j] for j > kp.
 		e.load(at(kp, kp))
@@ -67,7 +67,7 @@ func (k LU) stream(node, nodes int) trace.Stream {
 			e.load(at(i, j))
 			e.store(at(i, j))
 		}
-		i += nodes
+		st.i += nodes
 	})
 }
 

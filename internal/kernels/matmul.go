@@ -54,11 +54,12 @@ func (k MatMul) stream(node, nodes int) trace.Stream {
 	}
 	nb := k.N / k.Block
 
-	bj, bk, i, kk := 0, 0, lo, 0
-	return newEmitter(node, 0, 12, func(e *emitter) {
+	type state struct{ bj, bk, i, kk int }
+	return newEmitter(node, 0, 12, state{i: lo}, func(e *emitter[state], st *state) {
 		// One batch = the inner j-loop for a fixed (i, k): load A[i][k]
 		// once, then stream tile bj of B's row k against C's row i.
-		ak := bk*k.Block + kk
+		bj, i := st.bj, st.i
+		ak := st.bk*k.Block + st.kk
 		e.load(a + mem.Addr(i)*n8 + mem.Addr(ak)*8) // A[i][k]
 		for j := bj * k.Block; j < (bj+1)*k.Block; j++ {
 			cij := c + mem.Addr(i)*n8 + mem.Addr(j)*8
@@ -67,20 +68,20 @@ func (k MatMul) stream(node, nodes int) trace.Stream {
 			e.store(cij)
 		}
 
-		if kk++; kk < k.Block {
+		if st.kk++; st.kk < k.Block {
 			return
 		}
-		kk = 0
-		if i++; i < hi {
+		st.kk = 0
+		if st.i++; st.i < hi {
 			return
 		}
-		i = lo
-		if bk++; bk < nb {
+		st.i = lo
+		if st.bk++; st.bk < nb {
 			return
 		}
-		bk = 0
-		if bj++; bj == nb {
-			bj = 0 // computation complete: restart
+		st.bk = 0
+		if st.bj++; st.bj == nb {
+			st.bj = 0 // computation complete: restart
 		}
 	})
 }

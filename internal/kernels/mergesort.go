@@ -38,38 +38,36 @@ func (k MergeSort) stream(node int) trace.Stream {
 	base := mem.Addr(dataBase) + mem.Addr(node)*nodeStride + 0x380_0000
 	buf := [2]mem.Addr{base, base + mem.Addr(k.N)*8}
 
-	// State: run width, output position, cursors into the two runs.
-	width := 1
-	src := 0
-	out := 0
-	aOff, bOff := 0, 0 // consumed counts within the current run pair
-	return newEmitter(node, 7, 8, func(e *emitter) {
+	// State: run width, source buffer, output position, and the
+	// consumed counts within the current run pair.
+	type state struct{ width, src, out, aOff, bOff int }
+	return newEmitter(node, 7, 8, state{width: 1}, func(e *emitter[state], st *state) {
 		// One batch merges up to 8 elements of the current run pair.
-		runStart := out / (2 * width) * (2 * width)
+		runStart := st.out / (2 * st.width) * (2 * st.width)
 		for c := 0; c < 8; c++ {
 			// A deterministic pseudo-comparison drains the two runs in
 			// interleaved order (real key order would need values; the
 			// access PATTERN is what matters here).
-			takeA := bOff >= width || (aOff < width && hashKey(uint64(out))&1 == 0)
+			takeA := st.bOff >= st.width || (st.aOff < st.width && hashKey(uint64(st.out))&1 == 0)
 			if takeA {
-				e.load(buf[src] + mem.Addr(runStart+aOff)*8)
-				aOff++
+				e.load(buf[st.src] + mem.Addr(runStart+st.aOff)*8)
+				st.aOff++
 			} else {
-				e.load(buf[src] + mem.Addr(runStart+width+bOff)*8)
-				bOff++
+				e.load(buf[st.src] + mem.Addr(runStart+st.width+st.bOff)*8)
+				st.bOff++
 			}
-			e.store(buf[1-src] + mem.Addr(out)*8)
-			out++
-			if aOff+bOff == 2*width { // run pair exhausted
-				aOff, bOff = 0, 0
-				runStart = out / (2 * width) * (2 * width)
+			e.store(buf[1-st.src] + mem.Addr(st.out)*8)
+			st.out++
+			if st.aOff+st.bOff == 2*st.width { // run pair exhausted
+				st.aOff, st.bOff = 0, 0
+				runStart = st.out / (2 * st.width) * (2 * st.width)
 			}
-			if out == k.N { // pass complete: double the width, swap
-				out, aOff, bOff = 0, 0, 0
-				src = 1 - src
-				width *= 2
-				if width >= k.N {
-					width = 1 // array sorted: start over
+			if st.out == k.N { // pass complete: double the width, swap
+				st.out, st.aOff, st.bOff = 0, 0, 0
+				st.src = 1 - st.src
+				st.width *= 2
+				if st.width >= k.N {
+					st.width = 1 // array sorted: start over
 				}
 				return
 			}

@@ -47,9 +47,9 @@ func (k SpMV) stream(node, nodes int) trace.Stream {
 	per := k.Rows / nodes
 	lo := node * per
 
-	i := 0
-	return newEmitter(node, 6, 10, func(e *emitter) {
-		row := lo + i
+	type state struct{ i int }
+	return newEmitter(node, 6, 10, state{}, func(e *emitter[state], st *state) {
+		row := lo + st.i
 		e.load(rowptr + mem.Addr(row)*8)
 		for d := 0; d < k.NNZ; d++ {
 			nz := row*k.NNZ + d
@@ -59,8 +59,8 @@ func (k SpMV) stream(node, nodes int) trace.Stream {
 			e.load(x + mem.Addr(col)*8) // gather: scattered shared read
 		}
 		e.store(y + mem.Addr(row)*8) // streaming write
-		if i++; i == per {
-			i = 0
+		if st.i++; st.i == per {
+			st.i = 0
 		}
 	})
 }

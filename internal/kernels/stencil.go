@@ -53,11 +53,13 @@ func (k Stencil) stream(node, nodes int) trace.Stream {
 		lo, hi = 1, 2
 	}
 
-	src, i, j := 0, lo, 1
-	return newEmitter(node, 2, 8, func(e *emitter) {
+	type state struct{ src, i, j int }
+	return newEmitter(node, 2, 8, state{i: lo, j: 1}, func(e *emitter[state], st *state) {
 		// One batch = a run of 8 cells of row i (amortizes the advance
 		// logic; the accesses are the stencil's real ones either way).
-		for c := 0; c < 8 && j < k.W-1; c, j = c+1, j+1 {
+		src, i := st.src, st.i
+		for c := 0; c < 8 && st.j < k.W-1; c, st.j = c+1, st.j+1 {
+			j := st.j
 			e.load(at(src, i-1, j))
 			e.load(at(src, i+1, j))
 			e.load(at(src, i, j-1))
@@ -65,14 +67,14 @@ func (k Stencil) stream(node, nodes int) trace.Stream {
 			e.load(at(src, i, j))
 			e.store(at(1-src, i, j))
 		}
-		if j < k.W-1 {
+		if st.j < k.W-1 {
 			return
 		}
-		j = 1
-		if i++; i < hi {
+		st.j = 1
+		if st.i++; st.i < hi {
 			return
 		}
-		i = lo
-		src = 1 - src // swap planes: next sweep
+		st.i = lo
+		st.src = 1 - src // swap planes: next sweep
 	})
 }

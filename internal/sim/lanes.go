@@ -19,13 +19,16 @@ import (
 // report is the same bytes the scalar path would have produced, because
 // it is literally the same computation observed at the same boundary.
 
-// MeasureLanes is Measure generalized to a lane group. It performs the
-// identical statistics reset at the warmup boundary, then steps the
-// stream to the largest requested window, invoking sink(lane, report)
-// exactly when the lane's window completes. measures[i] is lane i's
-// measurement window (a window <= 0 captures at the warmup boundary
-// itself); lanes with equal windows capture at the same boundary and
-// receive identical reports. Measure is this walk with one lane.
+// MeasureLanes resets statistics (ResetMeasurement, the warmup
+// boundary) and the engine's timing state, then steps the stream to the
+// largest requested window, invoking sink(lane, report) exactly when
+// the lane's window completes. measures[i] is lane i's measurement
+// window (a window <= 0 captures at the warmup boundary itself); lanes
+// with equal windows capture at the same boundary and receive identical
+// reports. Calling it on a snapshot-restored machine produces the
+// reports a Warmup on the same engine would have led to, because both
+// paths perform the same reset at the same boundary. RunContext
+// measures through this walk with one lane.
 //
 // active reports whether a lane still wants its result; it is polled
 // together with ctx at every block boundary (at most BlockAccesses
@@ -74,7 +77,6 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 	// clipped to the nearest pending lane boundary, so the walk lands
 	// exactly on every boundary and the captured reports are the same
 	// bytes the scalar path produces at the same step.
-	bs, _ := iv.(trace.BlockStream)
 	for i := 0; ; {
 		// The tick fires before any boundary capture at the same step:
 		// advanceEpoch runs at the end of the previous iteration.
@@ -99,16 +101,16 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 		if measures[order[next]]-i < want {
 			want = measures[order[next]] - i
 		}
-		n := e.stepBlock(e.refillAny(bs, iv, e.clampEpoch(want)))
+		n := e.stepBlock(e.refill(iv, e.clampEpoch(want)))
 		i += n
 		e.advanceEpoch(n)
 	}
 }
 
-// laneReport finalizes the in-progress report at a lane boundary
-// exactly as Measure does at the end of its window — per-node clocks
-// copied out, Cycles as their max, Instructions derived from fetches —
-// into a deep copy that stays frozen while the walk continues.
+// laneReport finalizes the in-progress report at a lane boundary —
+// per-node clocks copied out, Cycles as their max, Instructions derived
+// from fetches — into a deep copy that stays frozen while the walk
+// continues.
 func (e *Engine) laneReport() Report {
 	rep := e.report
 	rep.NodeCycles = make([]uint64, e.nodes)

@@ -26,9 +26,9 @@ type Machine interface {
 // measurement alike, so adaptive mechanisms can reconfigure themselves
 // at fixed access counts. EpochLen is read once per run phase; a value
 // <= 0 disables the hook. The engine aligns epoch phase to the start of
-// each phase (Warmup, Measure, MeasureLanes), so a snapshot-restored
-// run ticks at exactly the positions a fresh run does inside the
-// measurement window — the warm-snapshot exactness contract.
+// each phase (Warmup, MeasureLanes), so a snapshot-restored run ticks
+// at exactly the positions a fresh run does inside the measurement
+// window — the warm-snapshot exactness contract.
 //
 // The hook is implemented by clipping the refill size to the next epoch
 // boundary, so the stepBlock hot loop is untouched and machines that do
@@ -148,12 +148,11 @@ type Engine struct {
 	sinceTick int
 }
 
-// BlockAccesses is the engine's refill granularity: sources that
-// implement trace.BlockStream deliver up to this many accesses per Fill
-// and the engine consumes them in a tight loop. Context cancellation
-// and lane-group captures happen at block boundaries; the block is
-// small enough that both stay as responsive as the scalar path's
-// cancelCheckInterval, and small enough to stay L1/L2-resident.
+// BlockAccesses is the engine's refill granularity: sources deliver up
+// to this many accesses per Fill and the engine consumes them in a
+// tight loop. Context cancellation and lane-group captures happen at
+// block boundaries; the block is small enough that both stay
+// responsive, and small enough to stay L1/L2-resident.
 const BlockAccesses = 1024
 
 // NewEngine returns an engine for a machine with the given node count.
@@ -175,43 +174,43 @@ func NewEngine(m Machine, nodes int) *Engine {
 	return e
 }
 
-// Run executes warmup accesses (untimed, hierarchy state updates), then
-// measures the next measure accesses and returns the report. The source
-// is any access stream — typically a trace.Interleaver over workload
-// generators, or a trace.Reader replaying a recorded run.
-func (e *Engine) Run(iv trace.Stream, warmup, measure int) Report {
-	rep, _ := e.RunContext(context.Background(), iv, warmup, measure)
-	return rep
-}
-
-// RunContext is Run with cooperative cancellation: the run loop polls
-// ctx at every block boundary (at most BlockAccesses apart, in warmup
-// and measurement alike) and abandons the simulation with ctx.Err()
-// once the context is done, so a killed job stops burning CPU mid-run.
-// The partial report is discarded — a cancelled run returns a zero
-// Report.
+// RunContext executes warmup accesses (untimed, hierarchy state
+// updates), then measures the next measure accesses and returns the
+// report: Warmup, then MeasureLanes with one lane. The source is any
+// access stream — typically a trace.Interleaver over workload
+// generators, or a trace.Reader replaying a recorded run. The run loop
+// polls ctx at every block boundary (at most BlockAccesses apart, in
+// warmup and measurement alike) and abandons the simulation with
+// ctx.Err() once the context is done, so a killed job stops burning CPU
+// mid-run. The partial report is discarded — a cancelled run returns a
+// zero Report.
 func (e *Engine) RunContext(ctx context.Context, iv trace.Stream, warmup, measure int) (Report, error) {
 	if err := e.Warmup(ctx, iv, warmup); err != nil {
 		return Report{}, err
 	}
-	return e.Measure(ctx, iv, measure)
+	var rep Report
+	err := e.MeasureLanes(ctx, iv, []int{measure}, func(int) bool { return true },
+		func(_ int, r Report) { rep = r })
+	if err != nil {
+		return Report{}, err
+	}
+	return rep, nil
 }
 
 // Warmup drives warmup accesses through the machine untimed, updating
 // hierarchy state only. It is the first half of RunContext, split out
 // so the warm-state snapshot layer can capture the machine at the
-// warmup/measurement boundary (after Warmup, before Measure). Sources
-// that support block delivery are consumed a block at a time; the
-// stream is never drawn past the warmup boundary, so the state a
-// snapshot captures is identical on both paths.
+// warmup/measurement boundary (after Warmup, before MeasureLanes). The
+// stream is consumed a block at a time and never drawn past the warmup
+// boundary, so the state a snapshot captures is the stream's state
+// after exactly warmup accesses.
 func (e *Engine) Warmup(ctx context.Context, iv trace.Stream, warmup int) error {
 	e.beginEpochPhase()
-	bs, _ := iv.(trace.BlockStream)
 	for done := 0; done < warmup; {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		blk := e.refillAny(bs, iv, e.clampEpoch(warmup-done))
+		blk := e.refill(iv, e.clampEpoch(warmup-done))
 		for _, a := range blk {
 			e.m.Access(a)
 		}
@@ -222,10 +221,9 @@ func (e *Engine) Warmup(ctx context.Context, iv trace.Stream, warmup int) error 
 }
 
 // beginEpochPhase re-reads the machine's epoch length and aligns the
-// epoch phase to the start of a run phase (Warmup, Measure,
-// MeasureLanes). Re-aligning at Measure is what makes a
-// snapshot-restored run tick at the same in-window positions as a fresh
-// one.
+// epoch phase to the start of a run phase (Warmup, MeasureLanes).
+// Re-aligning at MeasureLanes is what makes a snapshot-restored run
+// tick at the same in-window positions as a fresh one.
 func (e *Engine) beginEpochPhase() {
 	e.epochLen, e.sinceTick = 0, 0
 	if e.epoch != nil {
@@ -256,54 +254,18 @@ func (e *Engine) advanceEpoch(n int) {
 	}
 }
 
-// refill draws the next block of at most want accesses. A block source
+// refill draws the next block of at most want accesses. A source
 // returning zero accesses is a programming error: engine sources are
 // either infinite generators or looping trace readers.
-func (e *Engine) refill(bs trace.BlockStream, want int) []mem.Access {
+func (e *Engine) refill(iv trace.Stream, want int) []mem.Access {
 	if want > len(e.block) {
 		want = len(e.block)
 	}
-	n := bs.Fill(e.block[:want])
+	n := iv.Fill(e.block[:want])
 	if n <= 0 {
-		panic("sim: block stream exhausted mid-run")
+		panic("sim: stream exhausted mid-run")
 	}
 	return e.block[:n]
-}
-
-// refillAny draws the next block from bs when the source supports block
-// delivery, and otherwise buffers Next calls into the engine's block.
-// Buffering draws is unobservable: streams never depend on machine
-// state, and the draw never runs past the accesses the caller asked
-// for, which is what warm-state snapshots at the warmup boundary
-// require.
-func (e *Engine) refillAny(bs trace.BlockStream, iv trace.Stream, want int) []mem.Access {
-	if bs != nil {
-		return e.refill(bs, want)
-	}
-	if want > len(e.block) {
-		want = len(e.block)
-	}
-	blk := e.block[:want]
-	for i := range blk {
-		blk[i] = iv.Next()
-	}
-	return blk
-}
-
-// Measure resets statistics (ResetMeasurement, the warmup boundary) and
-// the engine's timing state, then runs the measurement window and
-// returns the report. Calling Warmup then Measure is exactly
-// RunContext; calling Measure directly on a snapshot-restored machine
-// produces byte-identical reports, because both paths perform the same
-// reset at the same boundary. It is MeasureLanes with one lane.
-func (e *Engine) Measure(ctx context.Context, iv trace.Stream, measure int) (Report, error) {
-	var rep Report
-	err := e.MeasureLanes(ctx, iv, []int{measure}, func(int) bool { return true },
-		func(_ int, r Report) { rep = r })
-	if err != nil {
-		return Report{}, err
-	}
-	return rep, nil
 }
 
 // stepBlock processes one delivered block through the timing model and

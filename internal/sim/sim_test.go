@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	_ "d2m/internal/baseline" // registers Base-2L
@@ -39,7 +40,7 @@ func TestEngineCountsAndResets(t *testing.T) {
 	stream := trace.StreamFunc(func() mem.Access {
 		return mem.Access{Node: 0, Addr: 0x1000, Kind: mem.Load}
 	})
-	rep := e.Run(trace.NewInterleaver([]trace.Stream{stream}), 10, 100)
+	rep, _ := e.RunContext(context.Background(), trace.NewInterleaver([]trace.Stream{stream}), 10, 100)
 	if f.resets != 1 {
 		t.Errorf("resets = %d, want 1", f.resets)
 	}
@@ -70,7 +71,7 @@ func TestEngineStallModel(t *testing.T) {
 		next += mem.PageBytes
 		return mem.Access{Node: 0, Addr: next, Kind: kind}
 	})
-	rep := e.Run(trace.NewInterleaver([]trace.Stream{stream}), 0, 2)
+	rep, _ := e.RunContext(context.Background(), trace.NewInterleaver([]trace.Stream{stream}), 0, 2)
 	// One load miss (stall 35) + one ifetch miss (stall 100) + 2 base.
 	want := uint64(2 + 35 + 100)
 	if rep.Cycles != want {
@@ -94,7 +95,7 @@ func TestLateHits(t *testing.T) {
 		n++
 		return mem.Access{Node: 0, Addr: 0x40, Kind: mem.Load}
 	})
-	rep := e.Run(trace.NewInterleaver([]trace.Stream{stream}), 0, 2)
+	rep, _ := e.RunContext(context.Background(), trace.NewInterleaver([]trace.Stream{stream}), 0, 2)
 	if rep.LateHitsD != 1 {
 		t.Errorf("LateHitsD = %d, want 1", rep.LateHitsD)
 	}
@@ -126,11 +127,11 @@ func TestEndToEndDeterministic(t *testing.T) {
 		ccfg.Nodes = 4
 		cs := core.NewSystem(ccfg)
 		ce := NewEngine(core.Instance(cs), 4)
-		crep := ce.Run(trace.NewInterleaver(sp.Streams(4)), 5000, 20000)
+		crep, _ := ce.RunContext(context.Background(), trace.NewInterleaver(sp.Streams(4)), 5000, 20000)
 
 		base2L, _ := core.MechanismByName("Base-2L")
 		be := NewEngine(base2L.New(core.MechOptions{Nodes: 4}), 4)
-		brep := be.Run(trace.NewInterleaver(sp.Streams(4)), 5000, 20000)
+		brep, _ := be.RunContext(context.Background(), trace.NewInterleaver(sp.Streams(4)), 5000, 20000)
 		return crep, brep
 	}
 	c1, b1 := run()
@@ -157,7 +158,7 @@ func TestMissLatencyPercentiles(t *testing.T) {
 		n++
 		return mem.Access{Node: 0, Addr: mem.Addr(n) << 6, Kind: mem.Load} // every access a new line -> all misses
 	})
-	rep := e.Run(trace.NewInterleaver([]trace.Stream{stream}), 0, 1000)
+	rep, _ := e.RunContext(context.Background(), trace.NewInterleaver([]trace.Stream{stream}), 0, 1000)
 	if got := rep.MissLatencyPercentile(0.50); got != 10 {
 		t.Errorf("P50 = %d, want 10", got)
 	}
@@ -201,7 +202,7 @@ func TestMissLatencyOverflowBucket(t *testing.T) {
 		n++
 		return mem.Access{Node: 0, Addr: mem.Addr(n) << 6, Kind: mem.Load}
 	})
-	rep := e.Run(trace.NewInterleaver([]trace.Stream{stream}), 0, 10)
+	rep, _ := e.RunContext(context.Background(), trace.NewInterleaver([]trace.Stream{stream}), 0, 10)
 	if got := rep.MissLatencyPercentile(0.5); got != missLatBuckets-1 {
 		t.Errorf("overflow percentile = %d, want %d", got, missLatBuckets-1)
 	}

@@ -324,7 +324,7 @@ func (r *Reader) Next() mem.Access {
 	return a
 }
 
-// Fill implements BlockStream: batched Next. Without Loop it returns
+// Fill implements Stream: batched Next. Without Loop it returns
 // short counts at the end of the trace and 0 once exhausted.
 func (r *Reader) Fill(buf []mem.Access) int {
 	i := 0
@@ -430,7 +430,7 @@ const fileChunkBytes = 256 << 10
 
 // FileReader replays a trace file through chunked positional reads —
 // the whole file is never resident, so multi-GiB traces replay with a
-// fixed memory footprint. It implements Stream, BlockStream and Cloner;
+// fixed memory footprint. It implements Stream and Cloner;
 // clones share the underlying io.ReaderAt (concurrent use is safe when
 // the source's ReadAt is, as os.File's is) but carry their own cursor
 // and buffer, which is what lets warm-state snapshots freeze a replay
@@ -544,7 +544,7 @@ func (fr *FileReader) refill() {
 	fr.bufLen += n
 }
 
-// Fill implements BlockStream. Without Loop it returns short counts at
+// Fill implements Stream. Without Loop it returns short counts at
 // the end of the trace and 0 once exhausted; decode errors panic (run
 // Validate at ingest — replay assumes a structurally sound file).
 func (fr *FileReader) Fill(out []mem.Access) int {

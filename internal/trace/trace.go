@@ -7,11 +7,24 @@ package trace
 
 import "d2m/internal/mem"
 
-// Stream produces one node's infinite access stream.
+// Stream produces one node's access stream, an access at a time or a
+// block at a time. Fill writes the stream's next accesses into buf and
+// returns how many it produced; the sequence is exactly the one Next
+// would produce — Fill is a batched Next, not a different stream — so
+// callers may mix the two freely. Infinite streams fill the whole
+// buffer; finite, non-looping streams may return short counts and
+// return 0 when exhausted. The engine consumes Fill: one dynamic
+// dispatch per block instead of one per access is what turns the
+// per-access interpreter loop into a tight loop over a buffer.
 type Stream interface {
 	// Next returns the stream's next access.
 	Next() mem.Access
+	// Fill writes the stream's next accesses into buf.
+	Fill(buf []mem.Access) int
 }
+
+// BlockStream is another name for Stream, kept for callers that use it.
+type BlockStream = Stream
 
 // StreamFunc adapts a function to the Stream interface.
 type StreamFunc func() mem.Access
@@ -19,39 +32,21 @@ type StreamFunc func() mem.Access
 // Next calls the function.
 func (f StreamFunc) Next() mem.Access { return f() }
 
-// BlockStream is a Stream that can deliver accesses a block at a time:
-// Fill writes the stream's next accesses into buf and returns how many
-// it produced. The sequence is exactly the one Next would produce —
-// Fill is a batched Next, not a different stream — so callers may mix
-// the two freely. Infinite streams fill the whole buffer; finite,
-// non-looping streams may return short counts and return 0 when
-// exhausted. The engine prefers this interface: one dynamic dispatch
-// per block instead of one per access is what turns the per-access
-// interpreter loop into a tight loop over a buffer.
-type BlockStream interface {
-	Stream
-	Fill(buf []mem.Access) int
-}
-
-// FillFrom is the generic adapter from per-access to block delivery: it
-// fills buf by calling s.Next len(buf) times. Closure-driven streams
-// that cannot implement Fill natively are still consumed through the
-// block path via this helper.
-func FillFrom(s Stream, buf []mem.Access) int {
+// Fill calls the function once per access.
+func (f StreamFunc) Fill(buf []mem.Access) int {
 	for i := range buf {
-		buf[i] = s.Next()
+		buf[i] = f()
 	}
 	return len(buf)
 }
 
 // Interleaver merges per-node streams round-robin, one access per node
-// per turn. When every stream delivers blocks, Fill stages a block per
-// stream; for independent streams (no stream's output depends on
-// another's draws) the merged sequence equals strict round-robin Next.
+// per turn. Its streams must be independent: no stream's output may
+// depend on another's draws. Fill stages a block per stream, which
+// reorders draws across streams relative to strict round-robin Next;
+// over independent streams the merged sequence is the same.
 type Interleaver struct {
 	streams []Stream
-	blocks  []BlockStream // blocks[i] non-nil when streams[i] supports Fill
-	staged  bool          // every stream supports Fill: staging is safe
 	next    int
 	scratch []mem.Access // per-node staging for Fill, reused across calls
 }
@@ -62,30 +57,7 @@ func NewInterleaver(streams []Stream) *Interleaver {
 	if len(streams) == 0 {
 		panic("trace: no streams")
 	}
-	iv := &Interleaver{streams: streams}
-	iv.resolveBlocks()
-	return iv
-}
-
-// resolveBlocks caches the per-stream BlockStream assertions so Fill
-// does not repeat the type test on every refill.
-func (iv *Interleaver) resolveBlocks() {
-	iv.blocks = make([]BlockStream, len(iv.streams))
-	iv.staged = true
-	for i, s := range iv.streams {
-		if bs, ok := s.(BlockStream); ok {
-			iv.blocks[i] = bs
-		} else {
-			// Staging draws each stream a block at a time, which
-			// reorders draws ACROSS streams relative to strict
-			// round-robin. That is only safe when the streams are
-			// independent; every native BlockStream (the catalog
-			// generators, trace readers) is, but closure-driven streams
-			// may share state with their siblings, so any non-block
-			// stream forces the strict draw order.
-			iv.staged = false
-		}
-	}
+	return &Interleaver{streams: streams}
 }
 
 // Next returns the next access in round-robin order.
@@ -101,48 +73,32 @@ func (iv *Interleaver) Next() mem.Access {
 	return a
 }
 
-// Fill implements BlockStream: it merges per-node blocks into out in
-// exact round-robin order. Whole rounds are staged per node — one Fill
-// call (or Next loop, for streams without block support) per stream per
-// block — and transposed into the interleaved order, so the per-access
-// interface dispatch of Next is paid once per node per block instead.
-// Fill only produces whole accesses up to len(out) and never draws a
-// stream past the last access it returns, so the underlying stream
-// state after Fill(k accesses) is identical to k Next calls — the
-// property warm-state snapshots rely on at the warmup boundary.
+// Fill implements Stream: it merges per-node blocks into out in exact
+// round-robin order. Whole rounds are staged per node — one Fill call
+// per stream per block — and transposed into the interleaved order, so
+// the per-access interface dispatch of Next is paid once per node per
+// block instead. Fill only produces whole accesses up to len(out) and
+// never draws a stream past the last access it returns, so the
+// underlying stream state after Fill(k accesses) is identical to k Next
+// calls — the property warm-state snapshots rely on at the warmup
+// boundary.
 func (iv *Interleaver) Fill(out []mem.Access) int {
 	n := len(iv.streams)
 	if n == 1 {
-		if bs := iv.blocks[0]; bs != nil {
-			return bs.Fill(out)
-		}
-		return FillFrom(iv.streams[0], out)
-	}
-	if !iv.staged {
-		// Mixed or closure-driven streams: preserve the strict
-		// round-robin draw order.
-		return FillFrom(iv, out)
+		return iv.streams[0].Fill(out)
 	}
 	filled := 0
 	// Finish any partial round first so staging starts at node 0.
 	for iv.next != 0 && filled < len(out) {
-		out[filled] = iv.streams[iv.next].Next()
+		out[filled] = iv.Next()
 		filled++
-		iv.next++
-		if iv.next == n {
-			iv.next = 0
-		}
 	}
 	rounds := (len(out) - filled) / n
 	if rounds == 0 {
 		// The remainder is shorter than one round: emit it directly.
 		for filled < len(out) {
-			out[filled] = iv.streams[iv.next].Next()
+			out[filled] = iv.Next()
 			filled++
-			iv.next++
-			if iv.next == n {
-				iv.next = 0
-			}
 		}
 		return filled
 	}
@@ -151,14 +107,9 @@ func (iv *Interleaver) Fill(out []mem.Access) int {
 		iv.scratch = make([]mem.Access, want)
 	}
 	scratch := iv.scratch[:want]
-	for i := range iv.streams {
-		lane := scratch[i*rounds : (i+1)*rounds]
-		if bs := iv.blocks[i]; bs != nil {
-			if got := bs.Fill(lane); got != rounds {
-				panic("trace: interleaved stream ended mid-block")
-			}
-		} else {
-			FillFrom(iv.streams[i], lane)
+	for i, s := range iv.streams {
+		if got := s.Fill(scratch[i*rounds : (i+1)*rounds]); got != rounds {
+			panic("trace: interleaved stream ended mid-block")
 		}
 	}
 	// Transpose the per-node lanes into round-robin order. The
@@ -196,8 +147,7 @@ type Cloner interface {
 
 // Clone returns an independent interleaver continuing the identical
 // merged sequence, or false when any underlying stream does not
-// implement Cloner (closure-driven generators cannot be duplicated;
-// callers fall back to deterministic replay).
+// implement Cloner.
 func (iv *Interleaver) Clone() (*Interleaver, bool) {
 	cp := &Interleaver{streams: make([]Stream, len(iv.streams)), next: iv.next}
 	for i, s := range iv.streams {
@@ -207,25 +157,16 @@ func (iv *Interleaver) Clone() (*Interleaver, bool) {
 		}
 		cp.streams[i] = c.Clone()
 	}
-	cp.resolveBlocks()
 	return cp, true
 }
 
 // Offset returns s shifted onto other nodes and into another address
-// space: each access's Node grows by node and its Addr by addr. It
-// delivers blocks and clones when s does both, so an Interleaver over
-// offset generators still stages its draws and snapshots.
-func Offset(s Stream, node int, addr mem.Addr) Stream {
-	o := offset{s, node, addr}
-	if _, ok := s.(BlockStream); ok {
-		if _, ok := s.(Cloner); ok {
-			return &offsetBlocks{o}
-		}
-	}
-	return &o
-}
+// space: each access's Node grows by node and its Addr by addr. Its
+// Clone clones s, so an Interleaver over offset generators still
+// snapshots; cloning an Offset over a stream that does not clone
+// panics.
+func Offset(s Stream, node int, addr mem.Addr) Stream { return &offset{s, node, addr} }
 
-// offset is the Next-only Offset wrapper.
 type offset struct {
 	s    Stream
 	node int
@@ -239,13 +180,9 @@ func (o *offset) Next() mem.Access {
 	return a
 }
 
-// offsetBlocks is the Offset wrapper over a stream that fills blocks
-// and clones.
-type offsetBlocks struct{ offset }
-
-// Fill implements BlockStream: the inner stream's block, shifted.
-func (o *offsetBlocks) Fill(buf []mem.Access) int {
-	n := o.s.(BlockStream).Fill(buf)
+// Fill implements Stream: the inner stream's block, shifted.
+func (o *offset) Fill(buf []mem.Access) int {
+	n := o.s.Fill(buf)
 	for i := range buf[:n] {
 		buf[i].Node += o.node
 		buf[i].Addr += o.addr
@@ -254,4 +191,4 @@ func (o *offsetBlocks) Fill(buf []mem.Access) int {
 }
 
 // Clone implements Cloner.
-func (o *offsetBlocks) Clone() Stream { return Offset(o.s.(Cloner).Clone(), o.node, o.addr) }
+func (o *offset) Clone() Stream { return Offset(o.s.(Cloner).Clone(), o.node, o.addr) }

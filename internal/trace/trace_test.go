@@ -54,10 +54,9 @@ func TestInterleaverEmptyPanics(t *testing.T) {
 	NewInterleaver(nil)
 }
 
-// TestOffset checks the node/address wrapper: over a block stream that
-// clones, its Fill equals its Next sequence, each access shifted, and a
-// mid-stream Clone continues identically; over a plain stream it only
-// shifts.
+// TestOffset checks the node/address wrapper: its Fill equals its Next
+// sequence, each access shifted, and a mid-stream Clone continues
+// identically.
 func TestOffset(t *testing.T) {
 	mk := func() Stream {
 		r, err := ReadTrace(bytes.NewReader(writeV2(t, randomAccesses(500, 4, 3))))
@@ -68,7 +67,7 @@ func TestOffset(t *testing.T) {
 		return r
 	}
 	const node, addr = 4, mem.Addr(1 << 36)
-	plain, byNext, byFill := mk(), Offset(mk(), node, addr), Offset(mk(), node, addr).(BlockStream)
+	plain, byNext, byFill := mk(), Offset(mk(), node, addr), Offset(mk(), node, addr)
 	want := make([]mem.Access, 1200)
 	for i := range want {
 		a := plain.Next()
@@ -101,17 +100,5 @@ func TestOffset(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Fill access %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-
-	n := 0
-	fn := Offset(StreamFunc(func() mem.Access { n++; return mem.Access{Node: 1, Addr: mem.Addr(n)} }), node, addr)
-	if _, ok := fn.(BlockStream); ok {
-		t.Error("Offset over a plain stream claims Fill")
-	}
-	if _, ok := fn.(Cloner); ok {
-		t.Error("Offset over a plain stream claims Clone")
-	}
-	if a := fn.Next(); a.Node != 1+node || a.Addr != addr+1 {
-		t.Errorf("plain Offset access %v", a)
 	}
 }

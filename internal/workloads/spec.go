@@ -283,7 +283,7 @@ func (st *stream) Next() mem.Access {
 	return buf[0]
 }
 
-// Fill implements trace.BlockStream. The block path exists so the
+// Fill implements trace.Stream. The block path exists so the
 // interleaver and engine pay one dynamic dispatch per block instead of
 // one per access. Each step draws in a fixed order (jump decision,
 // fetch, data decision, data draw); a data access that falls past the

@@ -447,16 +447,23 @@ func execute(ctx context.Context, key CellKey, src source, lanes []Options, wc W
 	inst := mech.New(mechOptions(opt))
 	defer inst.Release() // recycle the hierarchy's arrays for the next run
 	engine := sim.NewEngine(inst, opt.Nodes)
-	stream, err := warmedStream(ctx, engine, snap, func() *trace.Interleaver { return trace.NewInterleaver(src.streams(opt)) }, opt.Warmup)
-	if err != nil {
-		return nil, err
-	}
+	// Position the machine and the stream at the warmup boundary: a hit
+	// restores both from the snapshot, a miss simulates the warmup (and
+	// may capture the boundary for later runs).
+	var stream *trace.Interleaver
 	var capture *WarmSnapshot
 	if snap != nil {
 		inst.Restore(snap.state)
-	} else if wc != nil && wantWarm(wc, wkey) {
-		capture = &WarmSnapshot{key: wkey, warmup: opt.Warmup, state: inst.Snapshot()}
-		capture.finish(stream)
+		stream = cloneStream(snap.src)
+	} else {
+		stream = trace.NewInterleaver(src.streams(opt))
+		if err := engine.Warmup(ctx, stream, opt.Warmup); err != nil {
+			return nil, err
+		}
+		if wc != nil && wantWarm(wc, wkey) {
+			capture = &WarmSnapshot{key: wkey, state: inst.Snapshot()}
+			capture.finish(stream)
+		}
 	}
 
 	// One window per distinct Measure; a window stays active while any

@@ -1,11 +1,9 @@
 package d2m
 
 import (
-	"context"
 	"unsafe"
 
 	"d2m/internal/core"
-	"d2m/internal/sim"
 	"d2m/internal/trace"
 )
 
@@ -62,8 +60,7 @@ func wantWarm(wc WarmCache, key string) bool {
 // is answered by projection without restoring. Snapshots are immutable
 // once published and safe for concurrent restores and projections.
 type WarmSnapshot struct {
-	key    string
-	warmup int
+	key string
 
 	state core.MechSnapshot
 
@@ -73,11 +70,8 @@ type WarmSnapshot struct {
 
 	// src is the post-warmup stream, cloned at capture time while the
 	// capturing run went on consuming the original — an interleaver
-	// over generator streams or over the file reader replaying a stored
-	// trace. Nil when the workload's streams cannot be cloned
-	// (closure-driven kernel emitters); restores then rebuild the
-	// stream and replay the warmup draws, which is deterministic and
-	// still far cheaper than simulating them.
+	// over generator or kernel streams, or over the file reader
+	// replaying a stored trace. Restores clone it again.
 	src *trace.Interleaver
 
 	bytes int64
@@ -95,42 +89,20 @@ func (ws *WarmSnapshot) SizeBytes() int64 { return ws.bytes }
 // the byte budget never reads zero for a degenerate snapshot.
 const streamOverheadBytes = 4096
 
-// warmedStream produces the stream positioned at the warmup boundary.
-// On a miss (snap == nil) it builds a fresh stream and simulates the
-// warmup through the engine, mutating the machine — the normal path.
-// On a hit it does not touch the machine: it duplicates the snapshot's
-// stored stream, or, when the streams were not cloneable, rebuilds the
-// stream and replays (without simulating) the warmup draws.
-func warmedStream(ctx context.Context, engine *sim.Engine, snap *WarmSnapshot, mkStream func() *trace.Interleaver, warmup int) (*trace.Interleaver, error) {
-	if snap == nil {
-		src := mkStream()
-		if err := engine.Warmup(ctx, src, warmup); err != nil {
-			return nil, err
-		}
-		return src, nil
+// cloneStream duplicates a stream at its position. Every source's
+// streams clone, so a stream that does not is a programming error.
+func cloneStream(iv *trace.Interleaver) *trace.Interleaver {
+	cp, ok := iv.Clone()
+	if !ok {
+		panic("d2m: warm stream does not clone")
 	}
-	if snap.src != nil {
-		cp, ok := snap.src.Clone()
-		if !ok {
-			panic("d2m: stored warm stream lost cloneability")
-		}
-		return cp, nil
-	}
-	src := mkStream()
-	for i := 0; i < snap.warmup; i++ {
-		if i%4096 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		src.Next()
-	}
-	return src, nil
+	return cp
 }
 
-// finish records the post-warmup stream position (cloning it when the
-// streams support cloning) and totals the byte footprint of the state
-// and stream.
+// finish records the post-warmup stream position and totals the byte
+// footprint of the state and stream.
 func (ws *WarmSnapshot) finish(src *trace.Interleaver) {
-	ws.src, _ = src.Clone() // nil when the streams cannot be cloned
+	ws.src = cloneStream(src)
 	ws.bytes = streamOverheadBytes
 	if ws.state != nil {
 		ws.bytes += ws.state.SizeBytes()

@@ -2,9 +2,9 @@ package d2m
 
 // Warm-state snapshot exactness: restoring a snapshot must be
 // indistinguishable from simulating the warmup, for every kind and for
-// every workload source (calibrated benchmarks and custom specs, whose
-// streams are cloned into the snapshot, and algorithmic kernels, whose
-// streams are replayed). "Indistinguishable" is tested at the strongest level
+// every workload source (calibrated benchmarks, algorithmic kernels,
+// mixes and custom specs, whose streams are all cloned into the
+// snapshot). "Indistinguishable" is tested at the strongest level
 // available — the marshalled Result bytes.
 
 import (
@@ -77,10 +77,9 @@ func replicateN(ctx context.Context, kind Kind, bench string, opt Options, n int
 }
 
 // snapshotSources are the workload sources of the snapshot matrix: a
-// calibrated benchmark (streams cloned into the snapshot), two
-// algorithmic kernels (streams replayed), two mixes (two catalog
-// programs, cloned; a kernel and a catalog program, replayed) and a
-// custom spec.
+// calibrated benchmark, two algorithmic kernels, two mixes (two catalog
+// programs; a kernel and a catalog program) and a custom spec. Every
+// source's streams are cloned into the snapshot.
 func snapshotSources() []struct {
 	name string
 	spec RunSpec

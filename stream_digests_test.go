@@ -7,8 +7,9 @@ package d2m
 // streamDigestLen accesses are hashed. The stream is read four ways —
 // interleaver blocks of 1024, blocks of 37 (a block end can fall
 // between a node's fetch and its data access), Next alone, and a clone
-// taken mid-block and read to the end — and all four must match. A
-// deliberate change to the generators regenerates the file with
+// taken mid-block and read to the end in blocks alternating with the
+// original's — and all must match. A deliberate change to the
+// generators regenerates the file with
 //
 //	go test -run TestStreamDigests -update .
 
@@ -20,7 +21,6 @@ import (
 	"encoding/json"
 	"os"
 	"strconv"
-	"strings"
 	"testing"
 
 	"d2m/internal/kernels"
@@ -82,6 +82,7 @@ func TestStreamDigests(t *testing.T) {
 	got := map[string]string{}
 	ref := make([]mem.Access, streamDigestLen)
 	buf := make([]mem.Access, streamDigestLen)
+	alt := make([]mem.Access, streamDigestLen)
 	for _, bench := range streamDigestSources() {
 		for _, nodes := range []int{2, 8} {
 			for _, seed := range []uint64{0, 7} {
@@ -90,35 +91,43 @@ func TestStreamDigests(t *testing.T) {
 				fillBlocks(newSourceInterleaver(t, bench, opt), ref, 1024)
 				got[name] = accessDigest(ref)
 
-				check := func(way string) {
+				check := func(way string, read []mem.Access) {
 					for i := range ref {
-						if buf[i] != ref[i] {
-							t.Errorf("%s: %s access %d = %v, blocks of 1024 gave %v", name, way, i, buf[i], ref[i])
+						if read[i] != ref[i] {
+							t.Errorf("%s: %s access %d = %v, blocks of 1024 gave %v", name, way, i, read[i], ref[i])
 							return
 						}
 					}
 				}
 				fillBlocks(newSourceInterleaver(t, bench, opt), buf, 37)
-				check("blocks of 37")
+				check("blocks of 37", buf)
 
 				iv := newSourceInterleaver(t, bench, opt)
 				for i := range buf {
 					buf[i] = iv.Next()
 				}
-				check("Next")
+				check("Next", buf)
 
 				// Clone mid-block: a partial round and, at this odd
-				// count, pending data accesses on some nodes.
+				// count, pending data accesses on some nodes. The
+				// original and the clone then read alternating blocks,
+				// so state they share advances twice and shows.
 				const cut = 3*1024 + 517
 				iv = newSourceInterleaver(t, bench, opt)
-				fillBlocks(iv, buf[:cut], 1024)
-				if cp, ok := iv.Clone(); ok {
-					fillBlocks(cp, buf[cut:], 1024)
-					check("clone")
-				} else if !strings.HasPrefix(bench, KernelPrefix) {
-					// Only the closure-driven kernels cannot be cloned.
+				fillBlocks(iv, alt[:cut], 1024)
+				copy(buf, alt[:cut])
+				cp, ok := iv.Clone()
+				if !ok {
 					t.Errorf("%s: not cloneable", name)
+					continue
 				}
+				for i := cut; i < len(buf); i += 1024 {
+					end := min(i+1024, len(buf))
+					fillBlocks(iv, alt[i:end], 1024)
+					fillBlocks(cp, buf[i:end], 1024)
+				}
+				check("original after the clone", alt)
+				check("clone", buf)
 			}
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"d2m/internal/mem"
 	"d2m/internal/sim"
 	"d2m/internal/trace"
 	"d2m/internal/workloads"
@@ -216,22 +215,14 @@ func TestTraceRunGroup(t *testing.T) {
 	assertLanesMatchScalar(t, ctx, groupOf(D2MNSR, bench, base, []int{3000, 5000, 8000}, []float64{0, 0.002, 0}))
 }
 
-// nextOnly hides a stream's Fill method: handed to the engine, it takes
-// the engine's buffered Next refill; inside an interleaver, it is drawn
-// one Next at a time.
-type nextOnly struct{ s trace.Stream }
-
-func (n nextOnly) Next() mem.Access { return n.s.Next() }
-
-// TestBlockScalarDifferentialMatrix is the tentpole's exactness
-// guarantee: block delivery (Fill) and scalar delivery (Next) are
-// indistinguishable in the marshalled Result, across kinds, topologies
-// and source families (generated benchmarks from different suites, the
-// vector extras, and recorded-trace replay). Each cell compares four
-// runs: the executor over a block source and over a Next-only one (the
-// interleaver's per-access draw), and the engine driven directly over
-// the same two (its own Next refill, which execute never takes because
-// it always hands the engine an interleaver).
+// TestBlockScalarDifferentialMatrix checks that the executor (lane
+// walk, window extraction, projection) adds nothing to what the engine
+// computes: across kinds, topologies and source families (generated
+// benchmarks from different suites, the vector extras, and
+// recorded-trace replay), the executor's Result marshals to the same
+// bytes as the engine's RunContext over the same stream, projected by
+// hand. That Fill equals Next on every source is pinned by
+// TestStreamDigests.
 func TestBlockScalarDifferentialMatrix(t *testing.T) {
 	sources := []string{"tpc-c", "radix", "barnes", "vec-stride16"}
 	topos := []string{"", "ring", "mesh", "torus"}
@@ -279,11 +270,7 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 				viaEngine := func(s trace.Stream) Result {
 					inst := mech.New(mechOptions(opt))
 					defer inst.Release()
-					engine := sim.NewEngine(inst, opt.Nodes)
-					if err := engine.Warmup(ctx, s, opt.Warmup); err != nil {
-						t.Fatal(err)
-					}
-					rep, err := engine.Measure(ctx, s, opt.Measure)
+					rep, err := sim.NewEngine(inst, opt.Nodes).RunContext(ctx, s, opt.Warmup, opt.Measure)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -294,18 +281,9 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 					return *o.project(opt)
 				}
 				want, _ := json.Marshal(viaExecute(mkStream(src, opt)))
-				for _, run := range []struct {
-					name string
-					res  Result
-				}{
-					{"executor, Next-only source", viaExecute(nextOnly{mkStream(src, opt)})},
-					{"engine, block source", viaEngine(mkStream(src, opt))},
-					{"engine, Next-only source", viaEngine(nextOnly{mkStream(src, opt)})},
-				} {
-					if got, _ := json.Marshal(run.res); string(got) != string(want) {
-						t.Errorf("%s/%s/topology=%q: %s differs from the executor's block run:\n block  %s\n %s %s",
-							kind, src, opt.Topology, run.name, want, run.name, got)
-					}
+				if got, _ := json.Marshal(viaEngine(mkStream(src, opt))); string(got) != string(want) {
+					t.Errorf("%s/%s/topology=%q: the engine's run differs from the executor's:\n executor %s\n engine   %s",
+						kind, src, opt.Topology, want, got)
 				}
 			}
 		})
